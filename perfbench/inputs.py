@@ -81,8 +81,8 @@ SPECS: Dict[str, Spec] = {
         Spec(name="yelp_pushdown", dataset="yelp", n_records=8000,
              budget=20.0, durable=True, checkpoint_every=20,
              read_seconds=0.5),
-        Spec(name="yelp_adhoc", dataset="yelp", n_records=800,
-             budget=1.0, adhoc_sql=ADHOC_SQL, loads=6,
+        Spec(name="yelp_adhoc", dataset="yelp", n_records=1600,
+             budget=1.0, adhoc_sql=ADHOC_SQL, loads=3,
              read_seconds=2.0),
         Spec(name="winlog_durable_mixed", dataset="winlog",
              n_records=16000, budget=2.0, midload_reader=True,

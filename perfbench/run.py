@@ -19,7 +19,9 @@ an oracle computed in process with no pushdown (every record parsed and
 loaded), the commit report must account for every record, and mid-load
 ``COUNT`` answers must never fall or exceed their final value.
 
-``--trace 0`` reports the end-to-end metrics; ``--trace 1`` installs
+``--trace 0`` reports the end-to-end metrics, each timed one the
+median of its repeats in the run scaled to the reference machine's
+speed by the drift probe (see ``end_to_end``); ``--trace 1`` installs
 the timing wrappers of ``layers.py`` in both processes on alternate
 iterations and reports the per-layer metrics.  A table goes to stdout,
 followed by one JSON line ``{"correct", "attempted", "failed",
@@ -50,7 +52,11 @@ WORK = ROOT / ".perfbench_work"
 MIN_ITERATIONS = 3
 READY_TIMEOUT = 90.0
 REPLY_TIMEOUT = 60.0
+#: Probe readings taken before the first iteration and after each one.
 PROBE_REPS = 5
+#: ``machine_ref_ms`` on the reference machine (a shared 2-vCPU Linux
+#: container, Python 3.11.7): timed metrics are reported at this speed.
+REF_MS = 20.0
 
 
 class BenchError(RuntimeError):
@@ -130,7 +136,11 @@ class ServerProcess:
 # Measurement helpers
 # ----------------------------------------------------------------------
 def machine_ref_ms() -> float:
-    """A fixed pure-Python loop: the drift probe (``machine.ref_ms``)."""
+    """A fixed pure-Python loop: the drift probe (``machine.ref_ms``).
+
+    It runs in the driver between iterations, when no server process is
+    alive, so nothing the program does can slow it.
+    """
     start = time.perf_counter()
     total = 0
     for i in range(200_000):
@@ -274,9 +284,9 @@ def _measure(inputs, oracle, server, data_dir, traced, recorder, tally):
             loader.first_ack.set()
             if reader is not None:
                 reader.join(timeout=REPLY_TIMEOUT)
-        out["load_s"] = min(load_s)
+        out["load_s"] = load_s
         out["load_total_s"] = sum(load_s)
-        out["cpu_s"] = min(cpu_s)
+        out["cpu_s"] = cpu_s
         out["client_load"] = recorder.snapshot()
         # Every load stores the same records the same way.
         out["store_bytes"] = tree_bytes(data_dir) / spec.loads
@@ -378,39 +388,43 @@ def _check_midload(seen, oracle, tally) -> None:
 # ----------------------------------------------------------------------
 # Metrics
 # ----------------------------------------------------------------------
-def fastest(samples) -> dict:
-    """Each query's fastest of its ``(sql, seconds)`` samples."""
-    best = {}
+def per_query_median(samples) -> dict:
+    """Each query's median of its ``(sql, seconds)`` samples."""
+    by_query = {}
     for sql, seconds in samples:
-        best[sql] = min(seconds, best.get(sql, seconds))
-    return best
+        by_query.setdefault(sql, []).append(seconds)
+    return {sql: median(values) for sql, values in by_query.items()}
 
 
-def end_to_end(inputs, iterations) -> dict:
+def end_to_end(inputs, iterations, probes) -> dict:
     n = len(inputs.lines)
-    # Every timed figure is the fastest of its repeats in the run.  The
-    # shared host switches between a fast and a slow mode (up to 1.8x)
-    # for seconds to a minute at a time, so a run's median says which
-    # mode it mostly ran in, while its fastest repeat varies less from
-    # run to run; a program made slower makes every repeat slower.
-    # Latency percentiles are taken over the query list, of each
-    # query's fastest execution; e2e adds the fastest load to one pass
-    # over the list at each query's fastest first-pass execution.
-    load_s = min(it["load_s"] for it in iterations)
-    per_query = sorted(fastest(
+    # Every timed figure is the median of its repeats in the run, at
+    # the reference machine's speed: times are scaled by REF_MS over the
+    # run's median probe.  The shared host switches between a fast and a
+    # slow mode (up to 1.8x) for seconds to minutes at a time, longer
+    # than a run, so raw times of runs of identical code differ by more
+    # than any usable bound; the probe, timed in the same run, moves
+    # with the host and not with the program.  Latency percentiles are
+    # taken over the query list, of each query's median execution; e2e
+    # adds the median load to one pass over the list at each query's
+    # median first-pass execution.
+    scale = REF_MS / median(probes)
+    load_s = median([s for it in iterations for s in it["load_s"]]) * scale
+    per_query = sorted(v * scale for v in per_query_median(
         sample for it in iterations for sample in it["latencies"]).values())
-    first_pass = fastest(
+    first_pass = per_query_median(
         sample for it in iterations for sample in it["first_pass"])
     deciles = (statistics.quantiles(per_query, n=10, method="inclusive")
                if len(per_query) >= 2 else per_query * 9 or [0.0] * 9)
+    cpu_s = median([s for it in iterations for s in it["cpu_s"]]) * scale
     return {
-        "setup_s": (min(it["setup_s"] for it in iterations), "s"),
+        "setup_s": (median([it["setup_s"] for it in iterations]) * scale,
+                    "s"),
         "load_krec_per_s": (n / load_s / 1e3, "krec/s"),
-        "client_us_per_rec": (min(
-            it["cpu_s"] / n * 1e6 for it in iterations), "us/rec"),
+        "client_us_per_rec": (cpu_s / n * 1e6, "us/rec"),
         "query_p50_ms": (median(per_query) * 1e3, "ms"),
         "query_p90_ms": (deciles[8] * 1e3, "ms"),
-        "e2e_s": (load_s + sum(first_pass.values()), "s"),
+        "e2e_s": (load_s + sum(first_pass.values()) * scale, "s"),
         "store_bytes_per_raw_byte": (median(
             [it["store_bytes"] / inputs.raw_bytes for it in iterations]),
             "ratio"),
@@ -540,8 +554,10 @@ def per_layer(inputs, iterations, probes) -> dict:
     rows = [_per_layer_one(inputs, it) for it in traced]
     metrics = {name: (median([row[name] for row in rows]), unit)
                for name, unit in PER_LAYER_UNITS.items()}
-    e2e_traced = median([it["load_s"] + it["pass_s"] for it in traced])
-    e2e_plain = median([it["load_s"] + it["pass_s"] for it in plain])
+    e2e_traced = median([median(it["load_s"]) + it["pass_s"]
+                         for it in traced])
+    e2e_plain = median([median(it["load_s"]) + it["pass_s"]
+                        for it in plain])
     metrics["trace.overhead_frac"] = (e2e_traced / e2e_plain - 1.0,
                                       "ratio")
     metrics["machine.ref_ms"] = (median(probes), "ms")
@@ -581,8 +597,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool):
             if it is None:
                 break
             iterations.append(it)
-            probes.append(machine_ref_ms())
-        probes += [machine_ref_ms() for _ in range(PROBE_REPS)]
+            probes += [machine_ref_ms() for _ in range(PROBE_REPS)]
     finally:
         shutil.rmtree(work, ignore_errors=True)
     if len(iterations) < MIN_ITERATIONS:
@@ -590,7 +605,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool):
     elif trace:
         metrics = per_layer(inputs, iterations, probes)
     else:
-        metrics = end_to_end(inputs, iterations)
+        metrics = end_to_end(inputs, iterations, probes)
     info = {
         "iterations": len(iterations),
         "samples": sum(len(it["latencies"]) for it in iterations),
@@ -613,6 +628,13 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(HERE))
     from inputs import SPECS
 
+    # The driver, the probe and every server (which inherits the
+    # affinity) share one CPU.  On a shared host the other vCPUs come
+    # and go with the neighbours' load, which the probe cannot see; on
+    # one CPU the probe times the very CPU the program runs on.
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
     names = list(SPECS) if args.workload == "all" else [args.workload]
     if any(name not in SPECS for name in names):
         print(f"error: unknown workload {args.workload!r}; known: "
@@ -625,6 +647,7 @@ def main(argv=None) -> int:
         print(f"# {name} seed={args.seed} iterations={info['iterations']}"
               f" latency_samples={info['samples']}"
               f" machine.ref_ms={info['machine.ref_ms']:.3f}"
+              f" time_scale={REF_MS / info['machine.ref_ms']:.4f}"
               f" attempted={tally.attempted} failed={tally.failed}")
         for metric, (value, unit) in metrics.items():
             print(f"  {metric:<44} {value:>14.6f} {unit}")
