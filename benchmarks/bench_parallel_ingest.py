@@ -48,7 +48,7 @@ from repro.core import (
 )
 from repro.data import make_generator
 from repro.server import CiaoServer
-from repro.simulate import FileChannel, MemoryChannel
+from repro.transport import FileChannel, MemoryChannel
 from repro.workload import estimate_selectivities, table3_workload
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")

@@ -89,7 +89,6 @@ from .server import (
     EagerLoader,
     IngestSession,
     LoadSummary,
-    ServerConfig,
 )
 from .service import CiaoService, RemoteSession
 from .transport import (
@@ -151,7 +150,6 @@ __all__ = [
     "RemoteSession",
     "SelectionObjective",
     "SelectionResult",
-    "ServerConfig",
     "SimplePredicate",
     "SimulatedClient",
     "SocketChannel",

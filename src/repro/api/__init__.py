@@ -40,7 +40,7 @@ from ..core.predicates import (
     suffix,
 )
 from ..fleet.population import ClientPopulation, FleetClientSpec
-from ..server.ciao import CiaoServer, ServerConfig
+from ..server.ciao import CiaoServer
 from ..transport import (
     Channel,
     ChannelSpec,
@@ -104,7 +104,6 @@ __all__ = [
     "MemoryChannel",
     "PushdownPlan",
     "Query",
-    "ServerConfig",
     "Workload",
     "as_source",
     "clause",

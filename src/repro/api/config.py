@@ -3,26 +3,25 @@
 A deployment is described by *how* data flows — ``serial`` (one client,
 one loader), ``sharded`` (one client, fanned across shard workers), or
 ``fleet`` (many concurrent heterogeneous clients) — plus the transport and
-the client/fleet tuning knobs.  :class:`DeploymentConfig` absorbs
-:class:`~repro.server.ciao.ServerConfig` (it *produces* one via
-:meth:`server_config`) and validates everything through a single path at
-construction, reusing :func:`repro.server.ciao.validate_server_options`
-for the knobs the server also checks — so a bad option raises the same
-error no matter which layer it entered through.
+the client/fleet tuning knobs.  :class:`DeploymentConfig` carries every
+server construction option and validates everything through a single
+path at construction, reusing
+:func:`repro.server.ciao.validate_server_options` for the knobs the
+server also checks — so a bad option raises the same error no matter
+which layer it entered through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from ..client.device import DEFAULT_SHIP_BATCH
 from ..core.budgets import Budget
 from ..fleet.coordinator import DEFAULT_MAX_PENDING
 from ..fleet.population import ClientPopulation
 from ..rawjson.chunks import DEFAULT_CHUNK_SIZE
-from ..server.ciao import ServerConfig, validate_server_options
+from ..server.ciao import validate_server_options
 from ..server.pipeline import DEFAULT_SEAL_INTERVAL
 from ..transport import ChannelLike
 from ..storage.schema import Schema
@@ -176,20 +175,6 @@ class DeploymentConfig:
         if self.n_shards is not None:
             return self.n_shards
         return 1 if self.mode == "serial" else DEFAULT_N_SHARDS
-
-    def server_config(self, data_dir: Union[str, Path]) -> ServerConfig:
-        """The inner-layer :class:`ServerConfig` this deployment implies."""
-        return ServerConfig(
-            data_dir=Path(data_dir),
-            table_name=self.table_name,
-            partial_loading=self.partial_loading,
-            schema=self.schema,
-            n_shards=self.resolved_n_shards,
-            shard_mode=self.shard_mode,
-            dispatch=self.dispatch,
-            seal_interval=self.seal_interval,
-            durable=self.durable,
-        )
 
     def with_mode(self, mode: str, **changes) -> "DeploymentConfig":
         """This config re-targeted to another deployment mode."""

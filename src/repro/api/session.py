@@ -485,16 +485,7 @@ class CiaoSession:
                 "job.result() first"
             )
         src = self._require_source(source, "load", n_records=n_records)
-        server = CiaoServer.from_config(
-            self.config.server_config(
-                self.data_dir / f"load-{len(self._jobs)}"
-            ),
-            plan=self._plan,
-            workload=self.workload,
-            metrics=self._metrics,
-            tracer=self._tracer,
-            query_log=self._query_log,
-        )
+        server = self._new_server()
         job = LoadJob(server, self.config, src.count())
         if self.config.mode == "fleet":
             self._start_fleet(job, src)
@@ -533,22 +524,33 @@ class CiaoSession:
                     "a load is already running on this session; collect "
                     "job.result() first"
                 )
-            server = CiaoServer.from_config(
-                self.config.server_config(
-                    self.data_dir / f"load-{len(self._jobs)}"
-                ),
-                plan=self._plan,
-                workload=self.workload,
-                metrics=self._metrics,
-                tracer=self._tracer,
-                query_log=self._query_log,
-            )
+            server = self._new_server()
             job = LoadJob(server, self.config, None)
             job._external = True
             job._finished = threading.Event()
             self._jobs.append(job)
             self._attach_compactor(server)
             return job
+
+    def _new_server(self) -> CiaoServer:
+        """A fresh server for the next load, in its own ``load-N/`` dir."""
+        config = self.config
+        return CiaoServer(
+            self.data_dir / f"load-{len(self._jobs)}",
+            plan=self._plan,
+            workload=self.workload,
+            table_name=config.table_name,
+            partial_loading=config.partial_loading,
+            schema=config.schema,
+            n_shards=config.resolved_n_shards,
+            shard_mode=config.shard_mode,
+            dispatch=config.dispatch,
+            seal_interval=config.seal_interval,
+            metrics=self._metrics,
+            tracer=self._tracer,
+            query_log=self._query_log,
+            durable=config.durable,
+        )
 
     # ------------------------------------------------------------------
     # Recovery

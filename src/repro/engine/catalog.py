@@ -96,50 +96,6 @@ class TableEntry:
         """Predicate id for *clause* if it was pushed down."""
         return self.pushdown.get(clause)
 
-    def swap_parts(self, replaced: List[Path],
-                   replacement: Path) -> bool:
-        """Atomically swap *replaced* parts for their compacted merge.
-
-        The replacement takes the file-order position of the first
-        replaced part; the rest drop out.  Cached readers are
-        invalidated and snapshot-cache partials for the replaced parts
-        are pruned (:meth:`SnapshotAggCache.retain_parts`), so the next
-        aggregate recomputes the replacement part cold — answers stay
-        byte-identical because the compacted part holds exactly the
-        union of its inputs' rows.  Returns True iff the part list
-        changed (False when none of *replaced* is registered — e.g. a
-        racing swap already handled them).
-
-        Callers in snapshot-scan mode must re-apply snapshots with a
-        fresh version token afterwards (the owning server composes a
-        compaction epoch into the token); to keep a stale re-apply of
-        the *old* version from silently no-opping over the swap, the
-        stored snapshot version is perturbed here.
-        """
-        replaced_keys = {str(Path(p)) for p in replaced}
-        new_paths: List[Path] = []
-        inserted = False
-        changed = False
-        for path in self.parquet_paths:
-            if str(path) in replaced_keys:
-                changed = True
-                if not inserted:
-                    inserted = True
-                    new_paths.append(Path(replacement))
-            else:
-                new_paths.append(path)
-        if not changed:
-            return False
-        self.invalidate()
-        self.parquet_paths = new_paths
-        if self._snapshot_version is not None:
-            self._snapshot_version = ("post-swap", self._snapshot_version)
-        if self._snapshot_cache is not None:
-            self._snapshot_cache.retain_parts(
-                str(p) for p in new_paths
-            )
-        return True
-
     # ------------------------------------------------------------------
     # Snapshot-scan mode
     # ------------------------------------------------------------------
@@ -147,11 +103,11 @@ class TableEntry:
                        side_view: Optional[object]) -> None:
         """Point queries at a loaded-so-far snapshot of an in-flight load.
 
-        *version* is the snapshot's change token — any equatable value;
-        the pipeline's monotonic counter historically, and a (pipeline
-        version, compaction epoch) pair when a compactor also mutates
-        the part set.  Reapplying an unchanged version is a no-op, so
-        cached readers survive across queries between ingest progress.
+        *version* is the snapshot's change token — any equatable value
+        that changes whenever the scanned parts or sideline do (the
+        owning server uses the part and sideline lists themselves).
+        Reapplying an unchanged version is a no-op, so cached readers
+        survive across queries between ingest progress.
         Sealed snapshot parts are immutable, which is what makes
         caching them safe.
         """

@@ -132,8 +132,8 @@ class FleetCoordinator:
             workers (``None`` = all at once).
         channel_factory: Per-client transport — a ``client_id ->
             Channel`` factory, or any declarative spec
-            :func:`repro.simulate.network.per_client_channels` accepts
-            (a :class:`~repro.simulate.network.ChannelSpec`, ``"memory"``,
+            :func:`repro.transport.per_client_channels` accepts
+            (a :class:`~repro.transport.ChannelSpec`, ``"memory"``,
             ``"file:<dir>"``); defaults to in-memory channels.  Lossy
             specs derive an independent, replayable drop seed per client.
         realloc_interval: Re-allocate budgets from observed throughput

@@ -4,7 +4,6 @@ and the CIAO server facade."""
 from .ciao import (
     CiaoServer,
     IngestSession,
-    ServerConfig,
     validate_server_options,
 )
 from .ingest import EagerLoader
@@ -31,7 +30,6 @@ __all__ = [
     "LoadReport",
     "LoadSnapshot",
     "LoadSummary",
-    "ServerConfig",
     "ShardedIngestPipeline",
     "SkippingEstimate",
     "estimate_skipping",

@@ -22,13 +22,13 @@ queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..analysis.annotations import guarded_by
 from ..analysis.sanitizer import make_lock, make_rlock
-from ..client.protocol import decode_chunk, decode_chunk_stream, split_frames
+from ..client.protocol import decode_chunk_stream, split_frames
 from ..core.optimizer import PushdownPlan
 from ..core.plan_io import dumps_plan, loads_plan
 from ..core.predicates import Query, Workload
@@ -62,11 +62,10 @@ def validate_server_options(shard_mode: str = "process",
                             n_shards: int = 1) -> None:
     """The single validation path for server deployment knobs.
 
-    Shared by :class:`ServerConfig` (at construction), the
-    :class:`CiaoServer` constructor, and the deployment-level
-    :class:`repro.api.DeploymentConfig`, so an invalid option produces
-    the same error message no matter which layer it entered through —
-    the two paths cannot drift apart.
+    Shared by the :class:`CiaoServer` constructor and the
+    deployment-level :class:`repro.api.DeploymentConfig`, so an invalid
+    option produces the same error message no matter which layer it
+    entered through — the two paths cannot drift apart.
     """
     if shard_mode not in _SHARD_MODES:
         raise ValueError(
@@ -85,39 +84,6 @@ def validate_server_options(shard_mode: str = "process",
         )
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-
-
-@dataclass
-class ServerConfig:
-    """Construction options for :class:`CiaoServer`.
-
-    Consume with :meth:`CiaoServer.from_config`, which forwards every
-    field; the plan and prospective workload stay separate arguments
-    because they are produced per session by the optimizer, not part of
-    deployment configuration.  Options are validated at construction
-    through the same :func:`validate_server_options` path the server
-    itself uses.
-    """
-
-    data_dir: Path
-    table_name: str = "t"
-    partial_loading: str = "auto"  # 'auto' | 'on' | 'off'
-    schema: Optional[Schema] = None
-    n_shards: int = 1
-    shard_mode: str = "process"  # 'process' | 'thread'
-    dispatch: str = "work-stealing"  # 'work-stealing' | 'round-robin'
-    seal_interval: Optional[int] = DEFAULT_SEAL_INTERVAL
-    #: Maintain a crash-atomic manifest so the server can be rebuilt via
-    #: :meth:`CiaoServer.recover` after a kill -9.
-    durable: bool = False
-
-    def __post_init__(self) -> None:
-        validate_server_options(
-            shard_mode=self.shard_mode,
-            dispatch=self.dispatch,
-            partial_loading=self.partial_loading,
-            n_shards=self.n_shards,
-        )
 
 
 class IngestSession:
@@ -156,7 +122,7 @@ class IngestSession:
                 f"ingest session {self.source_id!r} is closed"
             )
         self._server._check_loading("ingest")
-        frames = self._server._ingest_any(chunk, source=self.source_id)
+        frames, _ = self._server._ingest(chunk, source=self.source_id)
         self.chunks += frames
         if isinstance(chunk, (bytes, bytearray, memoryview)):
             self.bytes += len(chunk)
@@ -180,7 +146,7 @@ class IngestSession:
         if not isinstance(chunk, (bytes, bytearray, memoryview)):
             raise TypeError("sequenced ingest carries encoded payloads")
         self._server._check_loading("ingest")
-        frames, duplicate = self._server._ingest_sequenced(
+        frames, duplicate = self._server._ingest(
             chunk, source=self.source_id, client_id=client_id, seq=seq
         )
         if not duplicate:
@@ -275,10 +241,12 @@ class CiaoServer:
         )
         self._parquet_path = self.data_dir / f"{gen_stem}.pql"
         required_ids = plan.predicate_ids if plan is not None else None
-        self._loader: Optional[ClientAssistedLoader] = None
+        #: The loader or pipeline that owns this generation's storage;
+        #: ``_pipeline`` is the same object when sharded.
+        self._sink: Union[ClientAssistedLoader, ShardedIngestPipeline]
         self._pipeline: Optional[ShardedIngestPipeline] = None
         if n_shards > 1:
-            self._pipeline = ShardedIngestPipeline(
+            self._sink = self._pipeline = ShardedIngestPipeline(
                 self._parquet_path,
                 self._side_store,
                 n_shards=n_shards,
@@ -291,7 +259,7 @@ class CiaoServer:
                 metrics=metrics,
             )
         else:
-            self._loader = ClientAssistedLoader(
+            self._sink = ClientAssistedLoader(
                 self._parquet_path,
                 self._side_store,
                 partial_loading=self.partial_loading_enabled,
@@ -299,6 +267,10 @@ class CiaoServer:
                 required_predicate_ids=required_ids,
                 metrics=metrics,
             )
+        #: Sharded with sealing on: mid-load state is queryable and
+        #: checkpointable.
+        self._streaming = (self._pipeline is not None
+                           and seal_interval is not None)
         self._sessions: Dict[str, IngestSession] = {}  # guarded-by: _ingest_lock
         self.catalog = Catalog()
         self._table = TableEntry(
@@ -320,9 +292,7 @@ class CiaoServer:
         #: path is one lookup, never a chain walk.
         # guarded-by: _lifecycle_lock
         self._compaction_remap: Dict[str, Path] = {}
-        #: Bumped on every committed compaction; composed into the
-        #: snapshot version token so a swap is never mistaken for an
-        #: unchanged snapshot.
+        #: Committed compactions so far (recorded in the manifest).
         self._compaction_epoch = 0  # guarded-by: _lifecycle_lock
         # Serializes query() against finalize_loading(): a loading
         # server may be queried from one thread while another thread
@@ -379,40 +349,7 @@ class CiaoServer:
             # checkpoint) writes this generation's state over it.
             if not self._manifest.exists:
                 with self._lifecycle_lock, self._ingest_lock:
-                    self._manifest_events.append("created")
-                    self._write_manifest_locked(
-                        "loading", [], [], LoadSummary()
-                    )
-
-    @classmethod
-    def from_config(cls, config: ServerConfig,
-                    plan: Optional[PushdownPlan] = None,
-                    workload: Optional[Workload] = None,
-                    metrics: Optional[Metrics] = None,
-                    tracer: Optional[Tracer] = None,
-                    query_log: Optional[QueryLog] = None) -> "CiaoServer":
-        """Build a server from a :class:`ServerConfig`.
-
-        The optional *plan*/*workload* are the per-session optimizer
-        outputs and *metrics*/*tracer*/*query_log* the observability
-        sinks; everything else comes from the config.
-        """
-        return cls(
-            config.data_dir,
-            plan=plan,
-            workload=workload,
-            table_name=config.table_name,
-            partial_loading=config.partial_loading,
-            schema=config.schema,
-            n_shards=config.n_shards,
-            shard_mode=config.shard_mode,
-            dispatch=config.dispatch,
-            seal_interval=config.seal_interval,
-            metrics=metrics,
-            tracer=tracer,
-            query_log=query_log,
-            durable=config.durable,
-        )
+                    self._write_manifest_locked("created")
 
     @property
     def state(self) -> str:
@@ -448,64 +385,49 @@ class CiaoServer:
         lost — start a new server/session instead.
         """
         self._check_loading("ingest")
-        self._ingest_any(chunk, source=None)
+        self._ingest(chunk)
 
-    def _ingest_any(self, chunk: Union[JsonChunk, bytes],
-                    source: Optional[str] = None) -> int:
-        """Shared ingest core; returns the number of frames ingested.
+    def _ingest(self, payload: Union[JsonChunk, bytes],
+                source: Optional[str] = None, *, framed: bool = False,
+                client_id: Optional[str] = None,
+                seq: Optional[int] = None) -> Tuple[int, bool]:
+        """The one ingest path; returns ``(frames, duplicate)``.
+
+        *payload* is a decoded chunk or an encoded, possibly batched,
+        payload (*framed*: a single frame already split off a batch).
+        Sharded servers forward encoded frames verbatim — the shard
+        worker decodes them off the submitting thread; the serial
+        loader decodes strictly here, so a malformed payload raises
+        ``ProtocolError``.
 
         Safe to call from many threads: remote serving ingests from one
         router thread per connection, while the serial loader and the
-        pipeline's ``submit`` both assume a single submitter.
-        """
-        if not isinstance(chunk, (bytes, bytearray, memoryview)):
-            self._ingest_one(chunk, source)
-            return 1
-        if self._pipeline is not None:
-            count = 0
-            with self._ingest_lock:
-                for frame in split_frames(chunk):
-                    self._pipeline.submit(frame, source=source)
-                    count += 1
-            return count
-        count = 0
-        with self._ingest_lock:
-            for decoded in decode_chunk_stream(chunk):
-                self._loader.ingest(decoded)
-                count += 1
-        return count
-
-    def _ingest_one(self, chunk: JsonChunk,
-                    source: Optional[str] = None) -> None:
-        with self._ingest_lock:
-            if self._pipeline is not None:
-                self._pipeline.submit(chunk, source=source)
-            else:
-                self._loader.ingest(chunk)
-
-    def _ingest_sequenced(self, chunk: bytes, source: str,
-                          client_id: str, seq: int) -> Tuple[int, bool]:
-        """Ledger-deduped ingest of one encoded batch.
-
-        Admission, ingest, and the watermark advance happen in one
-        ingest-lock critical section, so "the ledger says applied" and
+        pipeline's ``submit`` both assume a single submitter.  With a
+        *seq*, ledger admission, the ingest and the watermark advance
+        share one critical section, so "the ledger says applied" and
         "the rows are in storage" can never disagree — the invariant
-        that makes client replays exactly-once.
+        that makes client replays exactly-once.  A duplicate batch
+        returns ``(0, True)`` without touching storage.
         """
+        single = isinstance(payload, JsonChunk)
         with self._ingest_lock:
-            if not self._ledger.admit(client_id, source, seq):
+            if seq is not None and \
+                    not self._ledger.admit(client_id, source, seq):
                 self._m_duplicates.inc()
                 return 0, True
-            count = 0
             if self._pipeline is not None:
-                for frame in split_frames(chunk):
-                    self._pipeline.submit(frame, source=source)
-                    count += 1
+                units = ([payload] if single or framed
+                         else split_frames(payload))
+                submit = partial(self._pipeline.submit, source=source)
             else:
-                for decoded in decode_chunk_stream(chunk):
-                    self._loader.ingest(decoded)
-                    count += 1
-            self._ledger.advance(client_id, source, seq)
+                units = [payload] if single else decode_chunk_stream(payload)
+                submit = self._sink.ingest
+            count = 0
+            for unit in units:
+                submit(unit)
+                count += 1
+            if seq is not None:
+                self._ledger.advance(client_id, source, seq)
             return count, False
 
     def ledger_last(self, client_id: str, source_id: str) -> int:
@@ -544,11 +466,7 @@ class CiaoServer:
         self._check_loading("ingest_channel")
         count = 0
         for frame in channel.drain_chunks():
-            with self._ingest_lock:
-                if self._pipeline is not None:
-                    self._pipeline.submit(frame)
-                else:
-                    self._loader.ingest(decode_chunk(frame))
+            self._ingest(frame, framed=True)
             count += 1
         return count
 
@@ -624,29 +542,13 @@ class CiaoServer:
         with self._lifecycle_lock, self._ingest_lock:
             for session in self._sessions.values():
                 session.close()  # ciaolint: allow[LCK002] -- IngestSession.close only flips a flag; `.close()` name union binds wider
-            if self._pipeline is not None:
-                summary = self._pipeline.finalize()
-                parquet_paths = self._pipeline.parquet_paths
-            else:
-                summary = self._loader.finalize()
-                parquet_paths = self._loader.parquet_paths
-            summary = self._merge_baseline(summary)
+            summary = self._merge_baseline(self._sink.finalize())
             if not self._loading_finalized:
                 self._table.clear_snapshot()
-                self._table.parquet_paths = self._remap_parts(
-                    list(self._recovered_parts) + list(parquet_paths)
-                )
-                self._table.invalidate()
                 self._loading_finalized = True
+                self._refresh_snapshot()
             if self._manifest is not None:
-                self._manifest_events.append("finalized")
-                self._write_manifest_locked(
-                    "finalized",
-                    self._table.parquet_paths,
-                    [(self._side_store.path,
-                      self._side_store.record_count)],
-                    summary,
-                )
+                self._write_manifest_locked("finalized")
             return summary
 
     @property
@@ -659,14 +561,9 @@ class CiaoServer:
         (``seal_interval=None``) the sharded summary stays empty until
         :meth:`finalize_loading` has run.
         """
-        if self._pipeline is not None:
-            if (not self._loading_finalized
-                    and self._pipeline.seal_interval is not None):
-                return self._merge_baseline(
-                    self._pipeline.snapshot().summary
-                )
-            return self._merge_baseline(self._pipeline.summary)
-        return self._merge_baseline(self._loader.summary)
+        if self._streaming and not self._loading_finalized:
+            return self._merge_baseline(self._pipeline.snapshot().summary)
+        return self._merge_baseline(self._sink.summary)
 
     def _merge_baseline(self, summary: LoadSummary) -> LoadSummary:
         """Fold the recovered generations' counts into *summary*.
@@ -689,6 +586,89 @@ class CiaoServer:
             wall_seconds=baseline.wall_seconds + summary.wall_seconds,
             reports=list(summary.reports),
         )
+
+    # ------------------------------------------------------------------
+    # The table view: one part set behind queries, compaction and the
+    # manifest
+    # ------------------------------------------------------------------
+    @guarded_by("_lifecycle_lock")
+    def _view(self) -> Tuple[str, List[Path], List[Tuple[Path, int]],
+                             LoadSummary]:
+        """The table as it stands: ``(state, parts, sidelines, summary)``.
+
+        The single answer to "which parts and sideline segments make up
+        the table now", read by queries, compaction, checkpoints and
+        recovery alike.  Parts are the recovered base followed by this
+        generation's live source — the final loader or pipeline parts
+        once finalized, the pipeline's sealed snapshot while streaming,
+        nothing yet for a serial (or non-streaming) server still loading
+        — resolved through the compaction remap.  Sidelines are
+        ``(path, records)`` prefixes of append-only files; the summary
+        counts exactly what the parts and sidelines cover.
+        """
+        store = self._side_store
+        if self._loading_finalized:
+            parts, summary = self._sink.parquet_paths, self._sink.summary
+            sidelines = [(store.path, store.record_count)]
+        else:
+            # Records materialized into this generation's main sideline
+            # file by recover(); shard folding only appends after them.
+            sidelines = ([(store.path, self._recovered_sideline)]
+                         if self._recovered_sideline else [])
+            parts, summary = [], LoadSummary()
+            if self._streaming:
+                snap = self._pipeline.snapshot()
+                parts, summary = snap.parquet_paths, snap.summary
+                sidelines.extend((view.path, view.record_count)
+                                 for view in snap.sideline_views)
+        return (
+            self.state,
+            self._remap_parts(self._recovered_parts + list(parts)),
+            sidelines,
+            self._merge_baseline(summary),
+        )
+
+    @guarded_by("_lifecycle_lock")
+    def _refresh_snapshot(self) -> None:
+        """Point the catalog table at the current view.
+
+        A finalized table gets the view's part list.  A streaming one
+        scans the view in snapshot mode; the view itself is the change
+        token, so an unchanged view keeps its cached readers while a
+        newly sealed part or a committed compaction always registers.
+        """
+        state, parts, sidelines, _ = self._view()
+        if state == "finalized":
+            self._table.invalidate()
+            self._table.parquet_paths = parts
+            return
+        self._table.apply_snapshot(
+            (tuple(parts), tuple(sidelines)),
+            parts,
+            CompositeSidelineView(self._side_store.path, [
+                SidelineView(path, records) for path, records in sidelines
+            ]),
+        )
+
+    @guarded_by("_lifecycle_lock")
+    def _remap_parts(self, parquet_paths: Iterable[Path]) -> List[Path]:
+        """Resolve raw sealed-part paths through the compaction remap.
+
+        Several inputs of one merge resolve to the same output; the
+        first occurrence keeps its position and later ones drop, so the
+        resolved list preserves ingest order with no duplicates.
+        """
+        resolved: List[Path] = []
+        seen: set = set()
+        for path in parquet_paths:
+            target = self._compaction_remap.get(str(Path(path)))
+            if target is None:
+                target = Path(path)
+            key = str(target)
+            if key not in seen:
+                seen.add(key)
+                resolved.append(target)
+        return resolved
 
     # ------------------------------------------------------------------
     # Querying
@@ -719,81 +699,27 @@ class CiaoServer:
         """
         with self._lifecycle_lock:
             if not self._loading_finalized:
-                if (self._pipeline is not None
-                        and self._pipeline.seal_interval is not None):
+                if self._streaming:
                     self._refresh_snapshot()
                 else:
                     self.finalize_loading()
             return self._executor.execute(sql)
 
-    @guarded_by("_lifecycle_lock")
-    def _refresh_snapshot(self) -> None:
-        """Point the table at the pipeline's latest loaded-so-far view.
-
-        The pipeline reports its own sealed parts; parts a compactor
-        already replaced are remapped to their compacted merge, and the
-        compaction epoch rides the version token so the swap registers
-        as a change even when the pipeline's counter did not move.
-        """
-        snap = self._pipeline.snapshot()
-        views = list(snap.sideline_views)
-        if self._recovered_sideline:
-            # Records materialized into this generation's main sideline
-            # file by recover(); shard folding only appends after them.
-            views.insert(0, SidelineView(self._side_store.path,
-                                         self._recovered_sideline))
-        self._table.apply_snapshot(
-            (snap.version, self._compaction_epoch),
-            self._remap_parts(
-                list(self._recovered_parts) + list(snap.parquet_paths)
-            ),
-            CompositeSidelineView(self._side_store.path, views),
-        )
-
     # ------------------------------------------------------------------
     # Compaction (repro.compact drives these)
     # ------------------------------------------------------------------
-    @guarded_by("_lifecycle_lock")
-    def _remap_parts(self, parquet_paths: Iterable[Path]) -> List[Path]:
-        """Resolve raw sealed-part paths through the compaction remap.
-
-        Several inputs of one merge resolve to the same output; the
-        first occurrence keeps its position and later ones drop, so the
-        resolved list preserves ingest order with no duplicates.
-        """
-        resolved: List[Path] = []
-        seen: set = set()
-        for path in parquet_paths:
-            target = self._compaction_remap.get(str(Path(path)))
-            if target is None:
-                target = Path(path)
-            key = str(target)
-            if key not in seen:
-                seen.add(key)
-                resolved.append(target)
-        return resolved
-
     def sealed_parts(self) -> List[Path]:
         """The immutable parts a compactor may rewrite right now.
 
-        Finalized servers expose the table's full part list; streaming
-        sharded servers expose the current snapshot's sealed parts
-        (through the compaction remap, so already-replaced parts never
-        reappear).  A still-loading serial server — or a sharded one
-        with streaming disabled — has no sealed immutable parts yet and
-        returns an empty list.
+        The current view's parts: the full part list once finalized,
+        the sealed snapshot while streaming (through the compaction
+        remap, so already-replaced parts never reappear), and only
+        recovered parts for a still-loading serial server — or a
+        sharded one with streaming disabled — whose own storage has no
+        sealed immutable parts yet.
         """
         with self._lifecycle_lock:
-            if self._loading_finalized:
-                return list(self._table.parquet_paths)
-            if (self._pipeline is not None
-                    and self._pipeline.seal_interval is not None):
-                snap = self._pipeline.snapshot()
-                return self._remap_parts(
-                    list(self._recovered_parts)
-                    + list(snap.parquet_paths)
-                )
-            return list(self._remap_parts(self._recovered_parts))
+            return self._view()[1]
 
     def commit_compaction(self, inputs: Iterable[Path],
                           output: Path | str) -> None:
@@ -804,8 +730,8 @@ class CiaoServer:
         execution): every query sees either the old parts or the new
         part, never a mix.  The remap is updated first — flattening any
         earlier entries that pointed at a part now being replaced — so
-        pipeline snapshots and ``finalize_loading`` keep resolving to
-        live parts no matter when they run.
+        the view resolves to live parts no matter when it is read; the
+        table and the manifest are then re-pointed at that view.
         """
         output = Path(output)
         with self._lifecycle_lock:
@@ -816,43 +742,20 @@ class CiaoServer:
             for key in replaced:
                 self._compaction_remap[key] = output
             self._compaction_epoch += 1
-            if self._loading_finalized:
-                self._table.swap_parts(
-                    [Path(p) for p in inputs], output
-                )
-                if self._manifest is not None:
-                    with self._ingest_lock:
-                        self._manifest_events.append(
-                            f"compaction epoch={self._compaction_epoch}"
-                        )
-                        self._write_manifest_locked(
-                            "finalized",
-                            self._table.parquet_paths,
-                            [(self._side_store.path,
-                              self._side_store.record_count)],
-                            self.load_summary,
-                        )
-            elif (self._pipeline is not None
-                    and self._pipeline.seal_interval is not None
-                    and self._table.in_snapshot_mode):
-                # Re-derive the snapshot view through the updated remap;
-                # the bumped epoch forces the apply even when the
-                # pipeline's own version counter did not move.
+            if self._loading_finalized or self._streaming:
                 self._refresh_snapshot()
-                if self._manifest is not None:
-                    # A compactor running remove_inputs=True may unlink
-                    # manifest-listed parts; refresh the manifest past
-                    # the swap so recovery never chases deleted files.
-                    # Best effort: a quiesce timeout leaves the previous
-                    # (stale but readable) revision in place.
-                    try:
-                        self._checkpoint_streaming_locked(
-                            timeout=30.0,
-                            event=(f"compaction epoch="
-                                   f"{self._compaction_epoch}"),
-                        )
-                    except TimeoutError:
-                        pass
+            if self._manifest is not None:
+                # A compactor running remove_inputs=True may unlink
+                # manifest-listed parts; refresh the manifest past the
+                # swap so recovery never chases deleted files.  Best
+                # effort: a quiesce timeout leaves the previous (stale
+                # but readable) revision in place.
+                try:
+                    self._checkpoint_locked(
+                        f"compaction epoch={self._compaction_epoch}"
+                    )
+                except TimeoutError:
+                    pass
 
     # ------------------------------------------------------------------
     # Durability: the manifest, checkpoints, and crash recovery
@@ -871,47 +774,19 @@ class CiaoServer:
         if self._manifest is None:
             return False
         with self._lifecycle_lock:
-            if self._loading_finalized:
-                with self._ingest_lock:
-                    self._manifest_events.append("checkpoint")
-                    self._write_manifest_locked(
-                        "finalized",
-                        self._table.parquet_paths,
-                        [(self._side_store.path,
-                          self._side_store.record_count)],
-                        self.load_summary,
-                    )
-                self._m_checkpoints.inc()
-                return True
-            if (self._pipeline is None
-                    or self._pipeline.seal_interval is None):
+            if not (self._loading_finalized or self._streaming):
                 return False
-            self._checkpoint_streaming_locked(timeout, "checkpoint")
+            self._checkpoint_locked("checkpoint", timeout)
             self._m_checkpoints.inc()
             return True
 
     @guarded_by("_lifecycle_lock")
-    def _checkpoint_streaming_locked(self, timeout: float,
-                                     event: str) -> None:
-        """Quiesce the streaming pipeline and persist its state."""
+    def _checkpoint_locked(self, event: str, timeout: float = 30.0) -> None:
+        """Quiesce a streaming load (if one runs), then persist the view."""
         with self._ingest_lock:
-            self._pipeline.quiesce(timeout)
-            snap = self._pipeline.snapshot()
-            parts = self._remap_parts(
-                list(self._recovered_parts) + list(snap.parquet_paths)
-            )
-            sidelines: List[Tuple[Path, int]] = []
-            if self._recovered_sideline:
-                sidelines.append(
-                    (self._side_store.path, self._recovered_sideline)
-                )
-            for view in snap.sideline_views:
-                sidelines.append((view.path, view.record_count))
-            self._manifest_events.append(event)
-            self._write_manifest_locked(
-                "loading", parts, sidelines,
-                self._merge_baseline(snap.summary),
-            )
+            if self._streaming and not self._loading_finalized:
+                self._pipeline.quiesce(timeout)
+            self._write_manifest_locked(event)
 
     def _relpath(self, path: Path) -> str:
         path = Path(path)
@@ -921,18 +796,16 @@ class CiaoServer:
             return str(path)
 
     @guarded_by("_lifecycle_lock", "_ingest_lock")
-    def _write_manifest_locked(self, state: str,
-                               parts: Iterable[Path],
-                               sidelines: Iterable[Tuple[Path, int]],
-                               summary: LoadSummary) -> None:
-        """Compose and atomically persist one manifest revision.
+    def _write_manifest_locked(self, event: str) -> None:
+        """Record *event* and atomically persist the view as a revision.
 
         Requires both the lifecycle and ingest locks: the part list,
         the ledger, and the summary must all describe the same instant.
         """
+        state, parts, sidelines, summary = self._view()
+        self._manifest_events.append(event)
         part_records = []
         for path in parts:
-            path = Path(path)
             record: Dict[str, Any] = {"path": self._relpath(path)}
             try:
                 record["bytes"] = path.stat().st_size
@@ -1029,31 +902,24 @@ class CiaoServer:
                 except OSError:
                     pass  # unreadable either way; recovery proceeds
         plan_text = doc.get("plan")
-        plan = loads_plan(plan_text) if plan_text else None
         schema_doc = doc.get("schema")
-        schema = (
-            Schema.from_dict(schema_doc) if schema_doc else None
-        )
-        options = doc.get("options", {})
         generation = int(doc.get("generation", 0)) + 1
+        # The manifest's options are the constructor's own keywords;
+        # the defaults only fill in for keys a manifest lacks.
+        options = {"partial_loading": "off", "shard_mode": "thread",
+                   "seal_interval": None, **doc.get("options", {})}
         server = cls(
             data_dir,
-            plan=plan,
+            plan=loads_plan(plan_text) if plan_text else None,
             workload=workload,
             table_name=table_name,
-            partial_loading=str(
-                options.get("partial_loading", "off")
-            ),
-            schema=schema,
-            n_shards=int(options.get("n_shards", 1)),
-            shard_mode=str(options.get("shard_mode", "thread")),
-            dispatch=str(options.get("dispatch", "work-stealing")),
-            seal_interval=options.get("seal_interval"),
+            schema=Schema.from_dict(schema_doc) if schema_doc else None,
             metrics=metrics,
             tracer=tracer,
             query_log=query_log,
             durable=True,
             generation=generation,
+            **options,
         )
         server._manifest.revision = manifest.revision
         server._recovered_parts = parts
@@ -1088,29 +954,13 @@ class CiaoServer:
                 doc.get("ledger", [])
             )
             server._manifest_events = list(doc.get("events", []))
+            if doc.get("state") == "finalized":
+                server._loading_finalized = True
+                server._refresh_snapshot()
             event = f"recovered generation={generation}"
             if quarantined:
                 event += f" quarantined={','.join(quarantined)}"
-            server._manifest_events.append(event)
-            if doc.get("state") == "finalized":
-                server._table.parquet_paths = list(parts)
-                server._table.invalidate()
-                server._loading_finalized = True
-                server._write_manifest_locked(
-                    "finalized", parts,
-                    [(server._side_store.path,
-                      server._side_store.record_count)],
-                    server._summary_baseline,
-                )
-            else:
-                sidelines: List[Tuple[Path, int]] = []
-                if server._recovered_sideline:
-                    sidelines.append((server._side_store.path,
-                                      server._recovered_sideline))
-                server._write_manifest_locked(
-                    "loading", parts, sidelines,
-                    server._summary_baseline,
-                )
+            server._write_manifest_locked(event)
         return server
 
     def quiesce(self, timeout: float = 30.0) -> None:

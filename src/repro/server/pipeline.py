@@ -471,7 +471,7 @@ class ShardedIngestPipeline:
     def drain_channel(self, channel) -> int:
         """Submit every chunk frame of a channel; returns how many.
 
-        Batched messages (see :meth:`repro.simulate.network.Channel.
+        Batched messages (see :meth:`repro.transport.Channel.
         send_batch`) are split back into individual chunk frames, each
         submitted — and therefore accounted — separately.
         """

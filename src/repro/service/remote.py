@@ -215,7 +215,12 @@ class RemoteSession:
         one, transient failures (transport drops, timeouts, retryable
         ERROR replies, BUSY) are retried on the policy's bounded
         backoff schedule; a drop closes the channel so the next attempt
-        redials and resumes any open ingest stream first.
+        redials and resumes any open ingest stream first.  Redial,
+        handshake and RESUME retry on a budget of their own (the same
+        ``max_attempts``) inside each request attempt, so a flaky
+        reconnect never spends the request's attempts: at most
+        ``max_attempts`` sends and ``max_attempts ** 2`` reconnect
+        tries, all inside the policy's ``deadline``.
         """
         policy = self.retry
         if policy is None:
@@ -224,8 +229,26 @@ class RemoteSession:
             time.monotonic() + policy.deadline
             if policy.deadline is not None else None
         )
+
+        def connect_then_send() -> Message:
+            self._retrying(self._ensure_connected, op_deadline)
+            return self._request_once(tag, header, body, expect)
+
+        try:
+            return self._retrying(connect_then_send, op_deadline)
+        except (RemoteBusyError,) + self._RETRYABLE:
+            self._m_giveups.inc()
+            raise
+
+    def _retrying(self, operation: Callable[[], Any],
+                  op_deadline: Optional[float]) -> Any:
+        """Run *operation* on the retry policy's bounded schedule.
+
+        Re-raises the last transient failure once the attempts (or the
+        deadline) run out; other errors propagate at once.
+        """
         last_exc: Optional[Exception] = None
-        for attempt, pause in enumerate(policy.pauses()):
+        for attempt, pause in enumerate(self.retry.pauses()):
             if pause > 0.0:
                 if (op_deadline is not None
                         and time.monotonic() + pause >= op_deadline):
@@ -234,8 +257,7 @@ class RemoteSession:
             if attempt > 0:
                 self._m_attempts.inc()
             try:
-                self._ensure_connected()
-                return self._request_once(tag, header, body, expect)
+                return operation()
             except RemoteBusyError as exc:
                 last_exc = exc
                 self._m_busy_retries.inc()
@@ -245,7 +267,6 @@ class RemoteSession:
                     # The conversation's state is unknown; drop the
                     # channel so the next attempt redials cleanly.
                     self.channel.close()
-        self._m_giveups.inc()
         assert last_exc is not None
         raise last_exc
 

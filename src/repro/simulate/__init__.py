@@ -1,4 +1,7 @@
-"""Simulation substrate: virtual time, hardware profiles, and transport."""
+"""Simulation substrate: virtual time, hardware profiles, and cost ledgers.
+
+The channel stack that once lived here is :mod:`repro.transport`.
+"""
 
 from .clock import ClockWindow, VirtualClock
 from .hardware import (
@@ -8,43 +11,19 @@ from .hardware import (
     PLATFORMS,
     synthesize_observations,
 )
-# Channel names re-export from the transport package directly (not via
-# the deprecated .network shim, whose import now warns).
-from ..transport import (
-    Channel,
-    ChannelDecorator,
-    ChannelSpec,
-    ChannelStats,
-    FileChannel,
-    LatencyChannel,
-    LinkModel,
-    LossyChannel,
-    MemoryChannel,
-    make_channel,
-)
 from .runtime import ACCOUNTS, LOADING, PREFILTERING, QUERY, CostLedger
 
 __all__ = [
     "ACCOUNTS",
-    "Channel",
-    "ChannelDecorator",
-    "ChannelSpec",
-    "ChannelStats",
     "ClockWindow",
     "CostLedger",
-    "FileChannel",
     "GaussianNoise",
     "HardwareProfile",
     "HypervisorNoise",
     "LOADING",
-    "LatencyChannel",
-    "LinkModel",
-    "LossyChannel",
-    "MemoryChannel",
     "PLATFORMS",
     "PREFILTERING",
     "QUERY",
     "VirtualClock",
-    "make_channel",
     "synthesize_observations",
 ]

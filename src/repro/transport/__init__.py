@@ -9,9 +9,6 @@ declarative construction (:class:`ChannelSpec`, :func:`make_channel`,
 service-message codec (:mod:`repro.transport.wire`).  Decorators compose
 over any base transport — a seeded lossy link behaves identically over
 an in-memory queue and a live socket.
-
-``repro.simulate.network`` remains as a deprecation shim re-exporting
-these names.
 """
 
 from .base import (

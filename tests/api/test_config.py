@@ -2,9 +2,18 @@
 
 import pytest
 
-from repro.api import Budget, ClientPopulation, DeploymentConfig, \
-    FleetClientSpec
-from repro.server import ServerConfig, validate_server_options
+from repro.api import Budget, CiaoSession, ClientPopulation, \
+    DeploymentConfig, FleetClientSpec
+from repro.rawjson import JsonChunk, dump_record
+from repro.server import CiaoServer, validate_server_options
+
+#: One bad value per server knob, each rejected by all three layers.
+BAD_SERVER_OPTIONS = [
+    ("shard_mode", "fiber"),
+    ("dispatch", "lottery"),
+    ("partial_loading", "maybe"),
+    ("n_shards", 0),
+]
 
 
 class TestValidation:
@@ -72,20 +81,30 @@ class TestValidation:
 
 class TestServerConfigBridge:
     def test_server_config_mapping(self, tmp_path):
+        """A session maps its DeploymentConfig onto the server it builds."""
         config = DeploymentConfig(
             mode="sharded", n_shards=3, shard_mode="thread",
             dispatch="round-robin", seal_interval=4,
             table_name="events", partial_loading="on",
         )
-        server_config = config.server_config(tmp_path)
-        assert isinstance(server_config, ServerConfig)
-        assert server_config.n_shards == 3
-        assert server_config.shard_mode == "thread"
-        assert server_config.dispatch == "round-robin"
-        assert server_config.seal_interval == 4
-        assert server_config.table_name == "events"
-        assert server_config.partial_loading == "on"
+        session = CiaoSession(config=config, data_dir=tmp_path)
+        server = session.external_load().server
+        assert server.deployment_options == {
+            "n_shards": 3,
+            "shard_mode": "thread",
+            "dispatch": "round-robin",
+            "seal_interval": 4,
+            "partial_loading": "on",
+        }
+        assert server.table_name == "events"
+        server.ingest(JsonChunk(0, [dump_record({"k": i})
+                                    for i in range(5)]))
+        server.finalize_loading()
+        assert server.query("SELECT COUNT(*) FROM events").scalar() == 5
+        session.close()
 
+
+class TestSessionServer:
     def test_with_mode(self):
         base = DeploymentConfig(chunk_size=123)
         fleet = base.with_mode("fleet", aggregate_budget=Budget(2.0))
@@ -93,13 +112,15 @@ class TestServerConfigBridge:
         assert fleet.chunk_size == 123
         assert base.mode == "serial"  # frozen original untouched
 
-    def test_serverconfig_validates_at_construction(self, tmp_path):
-        """Satellite: ServerConfig cannot drift from the server's rules."""
-        with pytest.raises(ValueError, match="shard_mode"):
-            ServerConfig(data_dir=tmp_path, shard_mode="fiber")
-        with pytest.raises(ValueError, match="dispatch"):
-            ServerConfig(data_dir=tmp_path, dispatch="lottery")
-        with pytest.raises(ValueError, match="partial_loading"):
-            ServerConfig(data_dir=tmp_path, partial_loading="maybe")
-        with pytest.raises(ValueError, match="n_shards"):
-            ServerConfig(data_dir=tmp_path, n_shards=0)
+    def test_bad_values_rejected_identically_everywhere(self, tmp_path):
+        """DeploymentConfig, CiaoServer and the shared helper agree."""
+        for knob, bad in BAD_SERVER_OPTIONS:
+            messages = set()
+            for build in (lambda: DeploymentConfig(**{knob: bad}),
+                          lambda: CiaoServer(tmp_path, **{knob: bad}),
+                          lambda: validate_server_options(**{knob: bad})):
+                with pytest.raises(ValueError) as caught:
+                    build()
+                messages.add(str(caught.value))
+            assert len(messages) == 1, (knob, messages)
+            assert knob in messages.pop()

@@ -6,7 +6,7 @@ from repro.client import SimulatedClient, decode_chunk
 from repro.core import CostModel, DEFAULT_COEFFICIENTS, manual_plan
 from repro.core import clause, key_value
 from repro.rawjson import dump_record
-from repro.simulate import MemoryChannel
+from repro.transport import MemoryChannel
 
 LINES = [dump_record({"i": i, "pad": "x" * 20}) for i in range(25)]
 C = clause(key_value("i", 3))

@@ -18,7 +18,7 @@ from repro.core import (
 from repro.data import make_generator
 from repro.fleet import ClientPopulation, FleetCoordinator
 from repro.server import CiaoServer
-from repro.simulate import MemoryChannel
+from repro.transport import MemoryChannel
 from repro.workload import estimate_selectivities, table3_workload
 
 SEED = 20260727

@@ -16,7 +16,7 @@ from repro.client import SimulatedClient
 from repro.data import make_generator
 from repro.fleet import ClientPopulation, FleetCoordinator
 from repro.server import CiaoServer
-from repro.simulate import ChannelSpec
+from repro.transport import ChannelSpec
 from repro.workload import estimate_selectivities, table3_workload
 
 SEED = 424242

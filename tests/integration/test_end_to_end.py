@@ -8,7 +8,7 @@ from repro.core.optimizer import CiaoOptimizer
 from repro.data import make_generator
 from repro.rawjson import parse_object
 from repro.server import CiaoServer
-from repro.simulate import FileChannel, MemoryChannel
+from repro.transport import FileChannel, MemoryChannel
 from repro.workload import estimate_selectivities, selectivity_workload
 
 SEED = 777

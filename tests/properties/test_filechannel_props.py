@@ -10,7 +10,7 @@ actually on disk — never the counter arithmetic that overcounts gaps.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulate import FileChannel
+from repro.transport import FileChannel
 
 
 @st.composite

@@ -15,7 +15,7 @@ from repro.core import (
 )
 from repro.rawjson import JsonChunk, dump_record
 from repro.server import CiaoServer
-from repro.simulate import MemoryChannel
+from repro.transport import MemoryChannel
 
 RECORDS = [{"i": i % 5, "name": f"u{i}"} for i in range(50)]
 LINES = [dump_record(r) for r in RECORDS]
@@ -183,15 +183,16 @@ class TestIngestSessions:
 
 
 class TestSharedOptionValidation:
-    """ServerConfig and CiaoServer validate through one shared helper."""
+    """DeploymentConfig and CiaoServer validate through one shared helper."""
 
     def test_partial_loading_message(self, tmp_path):
-        from repro.server import ServerConfig, validate_server_options
+        from repro.api import DeploymentConfig
+        from repro.server import validate_server_options
 
         with pytest.raises(ValueError) as direct:
             CiaoServer(tmp_path, partial_loading="maybe")
         with pytest.raises(ValueError) as config:
-            ServerConfig(data_dir=tmp_path, partial_loading="maybe")
+            DeploymentConfig(partial_loading="maybe")
         with pytest.raises(ValueError) as helper:
             validate_server_options(partial_loading="maybe")
         assert "partial_loading must be 'auto', 'on' or 'off'" in \
@@ -207,9 +208,9 @@ class TestSharedOptionValidation:
             CiaoServer(tmp_path, dispatch="lottery")
 
     def test_n_shards_floor(self, tmp_path):
-        from repro.server import ServerConfig
+        from repro.api import DeploymentConfig
 
         with pytest.raises(ValueError, match="n_shards must be >= 1"):
             CiaoServer(tmp_path, n_shards=0)
         with pytest.raises(ValueError, match="n_shards must be >= 1"):
-            ServerConfig(data_dir=tmp_path, n_shards=-1)
+            DeploymentConfig(mode="fleet", n_shards=-1)

@@ -17,7 +17,7 @@ from repro.server import (
     IngestPipelineError,
     ShardedIngestPipeline,
 )
-from repro.simulate.network import MemoryChannel
+from repro.transport import MemoryChannel
 from repro.storage import JsonSideStore
 from repro.workload import estimate_selectivities, table3_workload
 

@@ -9,10 +9,11 @@ whole stream.  Plus the lifecycle fixes that make the seam safe — explicit
 
 import pytest
 
+from repro.api import CiaoSession, DeploymentConfig
 from repro.bitvec import BitVector
 from repro.client import encode_chunk
 from repro.rawjson import JsonChunk, dump_record
-from repro.server import CiaoServer, ServerConfig
+from repro.server import CiaoServer
 from repro.storage import JsonSideStore
 from repro.server.pipeline import ShardedIngestPipeline
 
@@ -261,7 +262,7 @@ class TestLifecycle:
             server.ingest(encode_chunk(chunk))
 
     def test_ingest_channel_after_finalize_raises(self, tmp_path):
-        from repro.simulate import MemoryChannel
+        from repro.transport import MemoryChannel
 
         server = CiaoServer(tmp_path)
         server.finalize_loading()
@@ -315,12 +316,15 @@ class TestLifecycle:
 
 
 class TestServerConfig:
+    """Construction options reach the server and are validated by it."""
+
     def test_from_config_round_trip(self, tmp_path):
-        config = ServerConfig(
-            data_dir=tmp_path, table_name="events", n_shards=2,
+        config = DeploymentConfig(
+            mode="sharded", table_name="events", n_shards=2,
             shard_mode="thread", dispatch="round-robin", seal_interval=4,
         )
-        server = CiaoServer.from_config(config)
+        session = CiaoSession(config=config, data_dir=tmp_path)
+        server = session.external_load().server
         assert server.table_name == "events"
         assert server._pipeline is not None
         assert server._pipeline.dispatch == "round-robin"
@@ -329,19 +333,11 @@ class TestServerConfig:
         server.finalize_loading()
         assert server.query(
             "SELECT COUNT(*) FROM events").scalar() == CHUNK_RECORDS
-
-    def test_from_config_serial(self, tmp_path):
-        server = CiaoServer.from_config(ServerConfig(data_dir=tmp_path))
-        assert server._pipeline is None
-        assert server.state == "loading"
+        session.close()
 
     def test_invalid_shard_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="shard_mode"):
             CiaoServer(tmp_path, shard_mode="fiber")
-        with pytest.raises(ValueError, match="shard_mode"):
-            CiaoServer.from_config(
-                ServerConfig(data_dir=tmp_path, shard_mode="fiber")
-            )
 
     def test_invalid_dispatch_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="dispatch"):

@@ -24,6 +24,7 @@ from repro.service import (
     RemoteBusyError,
     RemoteRetryableError,
     RemoteSession,
+    RemoteTimeoutError,
     canonical_result_bytes,
 )
 from repro.transport import FaultPlan, SocketChannel, faulty_dialer, wire
@@ -157,6 +158,40 @@ class TestRetryMechanics:
         remote.channel.close()  # yank the transport out from under it
         assert remote.ping() is True
         assert counters(metrics)["retry.reconnects"] >= 1
+        remote.close()
+
+    def test_reconnect_faults_do_not_spend_request_attempts(self, served):
+        """Re-handshakes retry on their own budget, not the request's."""
+        _, service = served
+        metrics = Metrics()
+        remote = RemoteSession(
+            channel_factory=lambda: SocketChannel.connect(service.address),
+            retry=quick_policy(max_attempts=3), metrics=metrics,
+        )
+        remote._sleep = lambda _pause: None
+        handshake, request_once = remote._handshake, remote._request_once
+        faults = {"hello": 2, "ping": 1}
+
+        def flaky_handshake():
+            if faults["hello"]:
+                faults["hello"] -= 1
+                raise RemoteTimeoutError("no reply to HELLO")
+            handshake()
+
+        def flaky_request_once(tag, *args, **kwargs):
+            if tag == wire.PING and faults["ping"]:
+                faults["ping"] -= 1
+                raise RemoteRetryableError("crc mismatch")
+            return request_once(tag, *args, **kwargs)
+
+        remote._handshake = flaky_handshake
+        remote._request_once = flaky_request_once
+        remote.channel.close()  # the ping must redial and re-handshake
+        # Two failed handshakes plus one failed ping would exhaust a
+        # shared budget of three; with separate budgets the ping lands.
+        assert remote.ping() is True
+        assert faults == {"hello": 0, "ping": 0}
+        assert counters(metrics)["retry.giveups"] == 0
         remote.close()
 
 

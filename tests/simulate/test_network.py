@@ -1,8 +1,8 @@
-"""Unit tests for the simulated transport channels."""
+"""Unit tests for the in-process transport channels."""
 
 import pytest
 
-from repro.simulate import FileChannel, LinkModel, MemoryChannel
+from repro.transport import FileChannel, LinkModel, MemoryChannel
 
 
 @pytest.mark.parametrize("make_channel", [
@@ -188,13 +188,13 @@ class TestSendFrames:
 # ----------------------------------------------------------------------
 from pathlib import Path
 
-from repro.simulate import (
+from repro.transport import (
     ChannelSpec,
     LatencyChannel,
     LossyChannel,
     make_channel,
+    per_client_channels,
 )
-from repro.simulate.network import per_client_channels
 
 
 class TestLossyChannel:
@@ -339,45 +339,3 @@ class TestPerClientChannels:
         with pytest.raises(ValueError, match="spool directory"):
             per_client_channels("file")
 
-
-class TestDeprecatedShim:
-    def test_import_warns_once_and_reexports(self):
-        import importlib
-        import sys
-        import warnings
-
-        import repro.transport as transport
-
-        sys.modules.pop("repro.simulate.network", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            import repro.simulate.network as shim
-        fired = [w for w in caught
-                 if issubclass(w.category, DeprecationWarning)
-                 and "repro.simulate.network is deprecated" in str(w.message)]
-        assert len(fired) == 1
-        # A cached re-import must not warn again.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            importlib.import_module("repro.simulate.network")
-        assert not [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)
-                    and "repro.simulate.network" in str(w.message)]
-        # Every advertised name resolves to the transport object itself.
-        for name in shim.__all__:
-            assert getattr(shim, name) is getattr(transport, name)
-
-    def test_simulate_package_import_does_not_warn(self):
-        import subprocess
-        import sys
-
-        code = (
-            "import warnings; warnings.simplefilter('error');"
-            "import repro.simulate"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-            cwd="/root/repo",
-        )
-        assert proc.returncode == 0, proc.stderr

@@ -12,6 +12,8 @@ actual star-import behavior.
 import importlib
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import run_analysis
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -36,7 +38,6 @@ PROMISED_TOP_LEVEL = {
     "LoadReport",
     "LoadSummary",
     "LossyChannel",
-    "ServerConfig",
     "SimulatedClient",
     "make_channel",
 }
@@ -72,3 +73,17 @@ def test_star_import_matches_all():
     imported = {n for n in namespace if not n.startswith("_")}
     repro = importlib.import_module("repro")
     assert imported == set(repro.__all__) - {"__version__"}
+
+
+def test_removed_names_stay_gone():
+    """Construction goes through ``CiaoServer(...)``/``DeploymentConfig``
+    and channels through :mod:`repro.transport` — no second path."""
+    for package in ("repro", "repro.api", "repro.server"):
+        module = importlib.import_module(package)
+        assert "ServerConfig" not in module.__all__
+        assert not hasattr(module, "ServerConfig")
+    simulate = importlib.import_module("repro.simulate")
+    transport = importlib.import_module("repro.transport")
+    assert not set(simulate.__all__) & set(transport.__all__)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.simulate.network")
