@@ -140,6 +140,12 @@ class ColumnBatch:
         return ColumnBatch(self._columns, self.num_rows, sel=self.sel,
                            names=names, rows=self._rows)
 
+    @property
+    def row_backed(self) -> bool:
+        """True when rows are materialized from source dicts, which an
+        unprojected batch yields as they are."""
+        return self._rows is not None
+
     def row_view(self) -> BatchRowView:
         """A repositionable Mapping-like cursor over this batch's rows."""
         return BatchRowView(self)

@@ -10,16 +10,77 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..analysis.sanitizer import make_lock
 from ..core.predicates import Clause
 from ..storage.columnar import ParquetLiteReader
-from ..storage.jsonstore import JsonSideStore
+from ..storage.jsonstore import JsonSideStore, SidelineView
 
 
 class CatalogError(KeyError):
     """Unknown table or inconsistent registration."""
+
+
+@dataclass
+class ParsedPrefix:
+    """The parsed first ``len(entries)`` lines of one sideline file.
+
+    One entry per line: the record, or ``None`` for a malformed line the
+    scans skip.  ``offset`` is the byte offset just after the last
+    entry's line, where the next read resumes.
+    """
+
+    entries: List[Optional[Dict[str, Any]]] = field(default_factory=list)
+    offset: int = 0
+
+
+def sideline_segments(store) -> List[Tuple[Path, int]]:
+    """The ``(path, limit)`` file prefixes a sideline store-like scans:
+    one for a store or view, one per shard for a composite view."""
+    return [(view.path, view.record_count)
+            for view in getattr(store, "views", (store,))]
+
+
+class SidelineCache:
+    """Parsed prefixes of the sideline files a table's queries scan.
+
+    Sideline files are append-only, so the records parsed from a file's
+    first *k* lines never change.  Keyed by file path, the cache keeps
+    them with the offset after line *k*; a scan takes the cached prefix
+    without parsing and parses only the lines past it (appending them),
+    so each line is parsed once and a streaming snapshot query parses
+    only the sideline delta.  Filled by queries only; bounded by one
+    entry per sideline line read.
+    """
+
+    def __init__(self) -> None:
+        self._lock = make_lock("SidelineCache._lock")
+        self._prefixes: Dict[str, ParsedPrefix] = {}  # guarded-by: _lock
+
+    def parsed_lines(self, path: Path, start: int, stop: int
+                     ) -> Tuple[List[Optional[Dict[str, Any]]], int]:
+        """Entries of lines ``[start, stop)`` of *path*, and how many of
+        their records this call parsed.
+
+        Fewer entries than asked means the file has no more lines yet.
+        Parsing happens under the lock, so concurrent first readers
+        wait for one parse instead of each repeating it.
+        """
+        with self._lock:
+            prefix = self._prefixes.setdefault(str(path), ParsedPrefix())
+            parsed = 0
+            if len(prefix.entries) < stop:
+                for _ in SidelineView(path, stop).iter_parsed(prefix):
+                    parsed += 1
+            return prefix.entries[start:stop], parsed
+
+    def retain(self, paths: Iterable[Path]) -> None:
+        """Drop the prefixes of files outside *paths*."""
+        keep = {str(path) for path in paths}
+        with self._lock:
+            for key in [k for k in self._prefixes if k not in keep]:
+                del self._prefixes[key]
 
 
 @dataclass
@@ -66,6 +127,12 @@ class TableEntry:
     _snapshot_cache: Optional[object] = field(
         default=None, repr=False, compare=False
     )
+    #: Parse-once sideline cache (see :attr:`sideline_cache`) and the
+    #: ``side_store`` epoch it was filled under.
+    _sideline_cache: SidelineCache = field(
+        default_factory=SidelineCache, repr=False, compare=False
+    )
+    _sideline_epoch: int = field(default=0, repr=False, compare=False)
 
     def open_readers(self) -> List[ParquetLiteReader]:
         """Open (and cache) readers for this table's Parquet-lite files.
@@ -117,6 +184,9 @@ class TableEntry:
         self.parquet_paths = [Path(p) for p in parquet_paths]
         self._snapshot_side = side_view
         self._snapshot_version = version
+        segments = sideline_segments(side_view) \
+            if side_view is not None else []
+        self._sideline_cache.retain(path for path, _ in segments)
         if self._snapshot_cache is not None:
             # Parts normally only accumulate; pruning is a cheap guard
             # against providers that replace their part set.
@@ -131,6 +201,7 @@ class TableEntry:
             self._snapshot_side = None
             self._snapshot_version = None
             self._snapshot_cache = None
+            self._sideline_cache = SidelineCache()
 
     @property
     def snapshot_cache(self):
@@ -148,6 +219,21 @@ class TableEntry:
         """Forget cached partial aggregates (next query scans cold)."""
         if self._snapshot_cache is not None:
             self._snapshot_cache.clear()
+
+    @property
+    def sideline_cache(self) -> SidelineCache:
+        """The parsed-sideline cache queries scan the sideline through.
+
+        A new one starts when the store was cleared (its ``epoch``
+        moved) and when :meth:`clear_snapshot` ends a snapshot session;
+        :meth:`apply_snapshot` drops the files a new view no longer
+        scans, and a replaced table takes its cache with it.
+        """
+        epoch = self.side_store.epoch if self.side_store is not None else 0
+        if epoch != self._sideline_epoch:
+            self._sideline_cache = SidelineCache()
+            self._sideline_epoch = epoch
+        return self._sideline_cache
 
     @property
     def in_snapshot_mode(self) -> bool:

@@ -17,6 +17,7 @@ the disabled path stays within the overhead guard asserted by
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
@@ -82,6 +83,8 @@ class Executor:
         self._m_tuples_skipped = metrics.counter("scan.tuples_skipped")
         self._m_cache_hits = metrics.counter("snapcache.hits")
         self._m_cache_misses = metrics.counter("snapcache.misses")
+        self._m_side_parsed = metrics.counter("sideline.records_parsed")
+        self._m_side_cached = metrics.counter("sideline.records_cached")
         # One flag gates the whole fold, so a fully-disabled executor
         # adds a single attribute check per query over bare run_plan.
         self._observing = (
@@ -143,6 +146,8 @@ class Executor:
         )
         self._m_cache_hits.inc(info.snapshot_cache_hits)
         self._m_cache_misses.inc(info.snapshot_cache_misses)
+        self._m_side_parsed.inc(stats.sideline_records_parsed)
+        self._m_side_cached.inc(stats.sideline_records_cached)
         if not self.query_log.enabled:
             return
         from .snapcache import query_fingerprint
@@ -177,6 +182,8 @@ class Executor:
             row_groups_pruned=stats.row_groups_pruned_by_zonemap,
             tuples_skipped=skipped,
             snapshot_cache=cache_outcome,
+            sideline_records_parsed=stats.sideline_records_parsed,
+            sideline_records_cached=stats.sideline_records_cached,
             wall_seconds=result.wall_seconds,
             client_id=current_client_id(),
             trace_id=current.trace_id if current is not None else None,
@@ -189,9 +196,21 @@ def run_plan(plan: Operator, info: PlanInfo) -> QueryResult:
     start = time.perf_counter()
     rows: List[Dict[str, Any]] = []
     for batch in plan.batches(stats):
-        rows.extend(batch.iter_rows())
+        if batch.row_backed:
+            # Sideline rows and their values are the table cache's parsed
+            # records: callers get copies, so mutating a result can never
+            # change a later answer.
+            rows.extend(map(_detach, batch.iter_rows()))
+        else:
+            rows.extend(batch.iter_rows())
     elapsed = time.perf_counter() - start
     stats.rows_emitted = len(rows)
     return QueryResult(
         rows=rows, stats=stats, plan_info=info, wall_seconds=elapsed
     )
+
+
+def _detach(row: Dict[str, Any]) -> Dict[str, Any]:
+    """A copy of *row* sharing no mutable value with it."""
+    return {key: copy.deepcopy(value) if isinstance(value, (dict, list))
+            else value for key, value in row.items()}

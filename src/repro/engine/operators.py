@@ -35,6 +35,7 @@ from ..bitvec.bitvector import BitVector, intersect_all
 from ..storage.columnar import ParquetLiteReader
 from ..storage.jsonstore import JsonSideStore
 from .batch import ColumnBatch
+from .catalog import SidelineCache, sideline_segments
 from .expressions import Expr
 
 
@@ -45,9 +46,9 @@ def _close_source(source) -> None:
     if close is not None:
         close()
 
-#: Rows accumulated per batch when batching a row-producing source
-#: (sideline scans).  Large enough to amortize per-batch overhead, small
-#: enough that LIMIT over a sideline stops parsing early.
+#: Sideline lines per batch (each parsed unless already cached).  Large
+#: enough to amortize per-batch overhead, small enough that LIMIT over a
+#: sideline stops parsing early.
 SIDELINE_BATCH_ROWS = 2048
 
 
@@ -62,7 +63,10 @@ class ExecutionStats:
     row_groups_pruned_by_zonemap: int = 0
     tuples_skipped: int = 0
     tuples_pruned_by_zonemap: int = 0
+    #: Sideline records parsed by this query, and those it took already
+    #: parsed from the table's sideline cache.
     sideline_records_parsed: int = 0
+    sideline_records_cached: int = 0
     used_data_skipping: bool = False
     scanned_sideline: bool = False
 
@@ -77,6 +81,7 @@ class ExecutionStats:
         self.tuples_skipped += other.tuples_skipped
         self.tuples_pruned_by_zonemap += other.tuples_pruned_by_zonemap
         self.sideline_records_parsed += other.sideline_records_parsed
+        self.sideline_records_cached += other.sideline_records_cached
         self.used_data_skipping |= other.used_data_skipping
         self.scanned_sideline |= other.scanned_sideline
 
@@ -217,30 +222,43 @@ class SkippingScan(Operator):
 
 
 class SidelineScan(Operator):
-    """Just-in-time parse-and-scan of the raw JSON sideline store.
+    """Parse-once scan of the raw JSON sideline store.
 
-    Accepts anything with the store's read interface (``iter_parsed`` +
-    ``path``) — in particular the bounded loaded-so-far views snapshot
-    queries scan during a streaming ingest.  Parsed records are grouped
-    into row-backed batches, so their ragged key sets survive
-    materialization untouched.
+    Accepts anything with the store's read interface — the table's
+    :class:`JsonSideStore` (one ``(path, record_count)`` segment) or the
+    loaded-so-far composite view snapshot queries scan during a
+    streaming ingest (one segment per shard).  Each segment is read
+    through the table's :class:`SidelineCache`: the cached parsed prefix
+    comes back without parsing and only the lines past it are parsed
+    just in time, so a sideline line is parsed by the first query that
+    reaches it and later queries parse only the delta.  Without a table
+    cache the scan gets a private one and parses everything.  Records
+    are grouped into row-backed batches, so their ragged key sets
+    survive materialization untouched.
     """
 
-    def __init__(self, store: JsonSideStore):
+    def __init__(self, store: JsonSideStore,
+                 cache: Optional[SidelineCache] = None):
         self._store = store
+        self._cache = cache if cache is not None else SidelineCache()
 
     def batches(self, stats: ExecutionStats) -> Iterator[ColumnBatch]:
         stats.scanned_sideline = True
-        pending: List[Dict[str, Any]] = []
-        for record in self._store.iter_parsed():
-            stats.sideline_records_parsed += 1
-            stats.rows_examined += 1
-            pending.append(record)
-            if len(pending) >= SIDELINE_BATCH_ROWS:
-                yield ColumnBatch.from_rows(pending)
-                pending = []
-        if pending:
-            yield ColumnBatch.from_rows(pending)
+        for path, limit in sideline_segments(self._store):
+            start = 0
+            while start < limit:
+                entries, parsed = self._cache.parsed_lines(
+                    path, start, min(limit, start + SIDELINE_BATCH_ROWS)
+                )
+                if not entries:
+                    break
+                start += len(entries)
+                records = [r for r in entries if r is not None]
+                stats.sideline_records_parsed += parsed
+                stats.sideline_records_cached += len(records) - parsed
+                stats.rows_examined += len(records)
+                if records:
+                    yield ColumnBatch.from_rows(records)
 
     def describe(self) -> str:
         return f"SidelineScan({self._store.path.name})"

@@ -100,7 +100,8 @@ def plan_query(parsed: ParsedQuery, table: TableEntry
                                      prune=prune))
         if table.has_sideline:
             info.scans_sideline = True
-            scans.append(SidelineScan(table.scan_side_store))
+            scans.append(SidelineScan(table.scan_side_store,
+                                       table.sideline_cache))
     if not scans:
         # Empty table: an empty parquet scan equivalent.
         scans.append(_EmptyScan())

@@ -161,12 +161,15 @@ def execute_snapshot_aggregate(parsed: ParsedQuery, table,
             info.snapshot_cache_hits += 1
         partials.append(partial)
 
-    # The sideline delta is never cached: its watermark moves with every
-    # snapshot.  Pushdown-matched queries skip it entirely (a sidelined
-    # record is invalid for the matched predicate).
+    # The sideline's partial is recomputed each time (its watermark moves
+    # with every snapshot), but its records are parsed once: the table's
+    # sideline cache keeps each shard file's parsed prefix, so this scan
+    # parses only the delta.  Pushdown-matched queries skip it entirely
+    # (a sidelined record is invalid for the matched predicate).
     if not matched_ids and table.has_sideline:
         partials.append(
-            _accumulate_partial(SidelineScan(table.scan_side_store),
+            _accumulate_partial(SidelineScan(table.scan_side_store,
+                                             table.sideline_cache),
                                 parsed, agg_items, grouped, stats)
         )
 

@@ -66,6 +66,10 @@ class QueryLogRecord:
     row_groups_pruned: int = 0
     tuples_skipped: int = 0
     snapshot_cache: str = "none"  # "none" | "hit" | "miss" | "mixed"
+    #: Sideline records this query parsed, and those it read already
+    #: parsed from the table's sideline cache.
+    sideline_records_parsed: int = 0
+    sideline_records_cached: int = 0
     wall_seconds: float = 0.0
     client_id: str = "local"
     trace_id: Optional[str] = None
@@ -85,6 +89,8 @@ class QueryLogRecord:
             "row_groups_pruned": self.row_groups_pruned,
             "tuples_skipped": self.tuples_skipped,
             "snapshot_cache": self.snapshot_cache,
+            "sideline_records_parsed": self.sideline_records_parsed,
+            "sideline_records_cached": self.sideline_records_cached,
             "wall_seconds": self.wall_seconds,
             "client_id": self.client_id,
             "trace_id": self.trace_id,

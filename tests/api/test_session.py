@@ -181,6 +181,24 @@ class TestSessionLifecycle:
             count = session.query("SELECT COUNT(*) FROM t").scalar()
             assert count == N_RECORDS
 
+    def test_mutated_result_rows_leave_later_answers_intact(
+            self, yelp_workload):
+        """Sideline rows come from the table's parse-once cache; a
+        caller mutating a ``SELECT *`` result must not reach it."""
+        with CiaoSession(yelp_workload, source="yelp",
+                         seed=SEED) as session:
+            session.plan(Budget(1.0))
+            assert session.load(n_records=N_RECORDS).result().sidelined
+            rows = session.query("SELECT * FROM t").rows
+            total = session.query("SELECT SUM(useful) FROM t").scalar()
+            expected = [dict(row) for row in rows]
+            for row in rows:
+                row["useful"] = 10 ** 6
+                row.pop("stars", None)
+            assert session.query("SELECT * FROM t").rows == expected
+            assert session.query(
+                "SELECT SUM(useful) FROM t").scalar() == total
+
     def test_two_concurrent_loads_rejected(self, yelp_workload):
         with CiaoSession(yelp_workload, source="yelp",
                          seed=SEED) as session:
