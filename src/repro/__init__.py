@@ -86,7 +86,6 @@ from .obs import Metrics, QueryLog, Tracer
 from .server import (
     CiaoServer,
     ClientAssistedLoader,
-    EagerLoader,
     IngestSession,
     LoadSummary,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "DEFAULT_COEFFICIENTS",
     "DataSource",
     "DeploymentConfig",
-    "EagerLoader",
     "FileChannel",
     "FleetClientSpec",
     "FleetCoordinator",

@@ -1,13 +1,14 @@
 """The unified load report: one accounting contract for every mode.
 
-Serial and sharded loads produce a :class:`~repro.server.loader.LoadSummary`;
-fleet loads produce a :class:`~repro.fleet.report.FleetReport`.  A
-:class:`LoadReport` subsumes both behind the accounting invariant every
-deployment shares — ``received == loaded + sidelined + malformed`` and,
-when the offered record count is known, ``received == records_offered``
-(no record loss) — so callers of
-:meth:`~repro.api.session.LoadJob.result` check one contract regardless of
-how the data got there.
+A :class:`LoadReport` *is* a :class:`~repro.server.loader.LoadSummary` —
+the counters, ``loading_ratio`` and the ``accounting_ok`` partition
+invariant (``received == loaded + sidelined + malformed``) are inherited
+— plus the deployment context of one load: its mode, the offered record
+count, and the client, fleet and transport accounting.  When the offered
+count is known, :attr:`LoadReport.no_record_loss` also requires
+``received == records_offered``, so callers of
+:meth:`~repro.api.session.LoadJob.result` check one contract regardless
+of how the data got there.
 """
 
 from __future__ import annotations
@@ -20,29 +21,19 @@ from ..fleet.report import FleetReport
 from ..server.loader import LoadSummary
 
 
-@dataclass
-class LoadReport:
-    """Outcome of one :meth:`CiaoSession.load` run, any mode."""
+@dataclass(kw_only=True)
+class LoadReport(LoadSummary):
+    """Outcome of one :meth:`CiaoSession.load` run, any mode.
+
+    The inherited counters are the server's; ``wall_seconds`` is the
+    job's wall clock (start to finalized).
+    """
 
     #: Deployment mode that produced this load.
     mode: str
-    #: Records the server received (all sources).
-    received: int
-    #: Records parsed into the columnar store.
-    loaded: int
-    #: Records kept raw in the sideline store.
-    sidelined: int
-    #: Selected-but-unparseable records quarantined raw.
-    malformed: int
-    #: Chunk frames ingested.
-    chunks: int
-    #: Server-side loading wall time (seconds).
-    wall_seconds: float
     #: Records the session offered to the load (``None`` = unknown,
     #: e.g. a streamed file of unknown length).
     records_offered: Optional[int] = None
-    #: The raw server summary (always present).
-    summary: Optional[LoadSummary] = None
     #: Single-client device accounting (serial/sharded modes).
     client_stats: Optional[ClientStats] = None
     #: The full fleet report (fleet mode only).
@@ -51,17 +42,6 @@ class LoadReport:
     bytes_sent: int = 0
     #: Transmissions dropped (and retransmitted) by lossy channels.
     messages_dropped: int = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def loading_ratio(self) -> float:
-        """Loaded / received — the y-axis of Figs 7, 9, 11."""
-        return self.loaded / self.received if self.received else 0.0
-
-    @property
-    def accounting_ok(self) -> bool:
-        """The per-load partition invariant."""
-        return self.received == self.loaded + self.sidelined + self.malformed
 
     @property
     def no_record_loss(self) -> bool:
@@ -75,49 +55,6 @@ class LoadReport:
         if self.records_offered is None:
             return True
         return self.received == self.records_offered
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_summary(cls, mode: str, summary: LoadSummary, *,
-                     records_offered: Optional[int] = None,
-                     client_stats: Optional[ClientStats] = None,
-                     bytes_sent: int = 0,
-                     messages_dropped: int = 0) -> "LoadReport":
-        """Wrap a serial/sharded server summary."""
-        return cls(
-            mode=mode,
-            received=summary.received,
-            loaded=summary.loaded,
-            sidelined=summary.sidelined,
-            malformed=summary.malformed,
-            chunks=summary.chunks,
-            wall_seconds=summary.wall_seconds,
-            records_offered=records_offered,
-            summary=summary,
-            client_stats=client_stats,
-            bytes_sent=bytes_sent,
-            messages_dropped=messages_dropped,
-        )
-
-    @classmethod
-    def from_fleet(cls, report: FleetReport, *,
-                   messages_dropped: int = 0) -> "LoadReport":
-        """Wrap a fleet report (aggregate view; detail stays attached)."""
-        summary = report.summary
-        return cls(
-            mode="fleet",
-            received=summary.received,
-            loaded=summary.loaded,
-            sidelined=summary.sidelined,
-            malformed=summary.malformed,
-            chunks=summary.chunks,
-            wall_seconds=report.wall_seconds,
-            records_offered=report.total_records,
-            summary=summary,
-            fleet=report,
-            bytes_sent=sum(c.bytes_sent for c in report.clients),
-            messages_dropped=messages_dropped,
-        )
 
     def describe(self) -> str:
         """Human-readable account of the load (fleet table when present)."""

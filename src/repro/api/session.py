@@ -27,7 +27,8 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Union)
 
 from ..analysis.sanitizer import make_lock
 from ..client.device import SimulatedClient
@@ -82,28 +83,30 @@ class LoadJob:
         self.server = server
         self.config = config
         self.records_offered = records_offered
-        self._thread: Optional[threading.Thread] = None
-        # guarded-by: <written by the load thread, read after wait()/join>
+        # guarded-by: <written before _finished is set, read after wait()>
         self._error: Optional[BaseException] = None
         self._report: Optional[LoadReport] = None
         self._started = time.perf_counter()
-        # guarded-by: <written by the load thread, read after wait()/join>
+        # guarded-by: <written before _finished is set, read after wait()>
         self._wall: Optional[float] = None
-        #: Server summary, set by the worker thread after it finalizes —
-        #: so wall time covers finalize in every mode (the fleet
-        #: coordinator finalizes internally; serial/sharded match it).
-        # guarded-by: <written by the load thread, read after wait()/join>
+        #: Server summary, set once the load finalizes — so wall time
+        #: covers finalize in every mode (the fleet coordinator
+        #: finalizes internally; serial/sharded match it).
+        # guarded-by: <written before _finished is set, read after wait()>
         self._summary = None
         # Mode-specific progress taps, set by the session at start.
         self._client: Optional[SimulatedClient] = None
         self._channel: Optional[Channel] = None
         self._coordinator: Optional[FleetCoordinator] = None
-        # guarded-by: <written by the load thread, read after wait()/join>
+        # guarded-by: <written before _finished is set, read after wait()>
         self._fleet_report = None
-        # Externally-fed loads (a network service pushing chunks) have no
-        # load thread; completion is signalled through an event instead.
+        #: Externally-fed loads (a network service pushing chunks) have
+        #: no load thread; the feeder seals them via finish_external().
         self._external = False
-        self._finished: Optional[threading.Event] = None
+        #: Set exactly once, when the load has finished either way —
+        #: by the load thread, by finish_external(), or at construction
+        #: for a recovered finalized load.
+        self._finished = threading.Event()
 
     # ------------------------------------------------------------------
     @property
@@ -114,9 +117,7 @@ class LoadJob:
     @property
     def done(self) -> bool:
         """True once the load has finished (success or failure)."""
-        if self._external:
-            return self._finished.is_set()
-        return self._thread is not None and not self._thread.is_alive()
+        return self._finished.is_set()
 
     def progress(self) -> LoadProgress:
         """Client-side progress so far (monotone, safely stale)."""
@@ -164,12 +165,7 @@ class LoadJob:
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the load finishes; True if it did."""
-        if self._external:
-            return self._finished.wait(timeout)
-        if self._thread is not None:
-            self._thread.join(timeout)
-            return not self._thread.is_alive()
-        return True
+        return self._finished.wait(timeout)
 
     def finish_external(self, timeout: Optional[float] = None
                         ) -> LoadReport:
@@ -187,13 +183,7 @@ class LoadJob:
                 "(see CiaoSession.external_load)"
             )
         if not self._finished.is_set():
-            try:
-                self._summary = self.server.finalize_loading()
-            except BaseException as exc:  # ciaolint: allow[API006] -- surfaced by result()
-                self._error = exc
-            finally:
-                self._wall = time.perf_counter() - self._started
-                self._finished.set()
+            self._settle(self._finalize)
         return self.result(timeout)
 
     def result(self, timeout: Optional[float] = None) -> LoadReport:
@@ -217,38 +207,53 @@ class LoadJob:
             except BaseException:  # ciaolint: allow[API006] -- best-effort reap; the original load error is surfaced
                 pass
             raise self._error
-        if self._wall is None:
-            self._wall = time.perf_counter() - self._started
         self._report = self._build_report()
         return self._report
 
     # ------------------------------------------------------------------
+    def _start(self, body: Callable[[], None]) -> None:
+        """Run *body* on a background load thread, then settle the job."""
+        threading.Thread(target=self._settle, args=(body,),
+                         daemon=True).start()
+
+    def _settle(self, body: Callable[[], None]) -> None:
+        """Run *body*, keep its error, stamp the wall time, finish."""
+        try:
+            body()
+        except BaseException as exc:  # ciaolint: allow[API006] -- surfaced by result()
+            self._error = exc
+        finally:
+            self._wall = time.perf_counter() - self._started
+            self._finished.set()
+
+    def _finalize(self) -> None:
+        self._summary = self.server.finalize_loading()
+
     def _build_report(self) -> LoadReport:
-        if self._fleet_report is not None:
-            report = LoadReport.from_fleet(
-                self._fleet_report,
-                messages_dropped=self._fleet_report.messages_dropped,
-            )
-            report.wall_seconds = self._wall
-            return report
-        # The worker thread finalized on success; finalize_loading() is
-        # idempotent and covers the failure-cleanup path.
-        summary = (self._summary if self._summary is not None
-                   else self.server.finalize_loading())
-        stats = self._client.stats if self._client is not None else None
-        channel = self._channel
-        report = LoadReport.from_summary(
-            self.config.mode,
-            summary,
+        fleet = self._fleet_report
+        if fleet is not None:
+            summary = fleet.summary
+            stats = None
+            bytes_sent = sum(c.bytes_sent for c in fleet.clients)
+            dropped = fleet.messages_dropped
+        else:
+            summary = self._summary
+            stats = self._client.stats if self._client is not None else None
+            bytes_sent = stats.bytes_sent if stats is not None else 0
+            dropped = (self._channel.stats.messages_dropped
+                       if self._channel is not None else 0)
+        counters = summary.to_dict()
+        counters["wall_seconds"] = self._wall  # the job's, not the server's
+        return LoadReport(
+            **counters,
+            reports=summary.reports,
+            mode=self.config.mode,
             records_offered=self.records_offered,
             client_stats=stats,
-            bytes_sent=stats.bytes_sent if stats else 0,
-            messages_dropped=(
-                channel.stats.messages_dropped if channel is not None else 0
-            ),
+            fleet=fleet,
+            bytes_sent=bytes_sent,
+            messages_dropped=dropped,
         )
-        report.wall_seconds = self._wall
-        return report
 
 
 class CiaoSession:
@@ -527,7 +532,6 @@ class CiaoSession:
             server = self._new_server()
             job = LoadJob(server, self.config, None)
             job._external = True
-            job._finished = threading.Event()
             self._jobs.append(job)
             self._attach_compactor(server)
             return job
@@ -580,7 +584,6 @@ class CiaoSession:
         self.config = self._recovered_config(server)
         job = LoadJob(server, self.config, None)
         job._external = True
-        job._finished = threading.Event()
         if server.state == "finalized":
             # Nothing left to feed: the job is born done and queryable.
             job._summary = server.load_summary
@@ -674,24 +677,18 @@ class CiaoSession:
         job._channel = channel
 
         def run() -> None:
-            try:
-                # The documented low-level path, verbatim: ship drains
-                # into the server after every flushed message, so memory
-                # stays bounded by the batch, and the worker finalizes so
-                # wall time covers the merge (as the fleet's does).
-                client.ship(
-                    src.records(), channel,
-                    batch_size=self.config.ship_batch,
-                    on_flush=lambda: job.server.ingest_channel(channel),
-                )
-                job._summary = job.server.finalize_loading()
-            except BaseException as exc:  # ciaolint: allow[API006] -- surfaced by result()
-                job._error = exc
-            finally:
-                job._wall = time.perf_counter() - job._started
+            # The documented low-level path, verbatim: ship drains into
+            # the server after every flushed message, so memory stays
+            # bounded by the batch, and the worker finalizes so wall time
+            # covers the merge (as the fleet's does).
+            client.ship(
+                src.records(), channel,
+                batch_size=self.config.ship_batch,
+                on_flush=lambda: job.server.ingest_channel(channel),
+            )
+            job._finalize()
 
-        job._thread = threading.Thread(target=run, daemon=True)
-        job._thread.start()
+        job._start(run)
 
     def _start_fleet(self, job: LoadJob, src: DataSource) -> None:
         population = self.config.population
@@ -724,15 +721,9 @@ class CiaoSession:
         job.records_offered = len(records)
 
         def run() -> None:
-            try:
-                job._fleet_report = coordinator.run(records)
-            except BaseException as exc:  # ciaolint: allow[API006] -- surfaced by result()
-                job._error = exc
-            finally:
-                job._wall = time.perf_counter() - job._started
+            job._fleet_report = coordinator.run(records)
 
-        job._thread = threading.Thread(target=run, daemon=True)
-        job._thread.start()
+        job._start(run)
 
     # ------------------------------------------------------------------
     # Query

@@ -2,10 +2,11 @@
 
 The :class:`FleetReport` is the contract every fleet scenario (drift,
 churn, flaky networks) checks against: per-client throughput and budget
-utilization, aggregate load accounting with the no-record-loss invariant
-(``received == loaded + sidelined + malformed`` and ``received`` equals
-the records handed to the fleet), reassignment and re-allocation counts,
-and the run's :class:`~repro.simulate.runtime.CostLedger`.
+utilization, aggregate load accounting (a
+:class:`~repro.server.loader.LoadSummary`) with the no-record-loss
+invariant (the summary's ``accounting_ok`` and ``received`` equal to the
+records handed to the fleet), reassignment and re-allocation counts, and
+the run's :class:`~repro.simulate.runtime.CostLedger`.
 """
 
 from __future__ import annotations
@@ -96,9 +97,8 @@ class FleetReport:
         once and was either loaded, sidelined, or quarantined malformed —
         even across client deaths and partition reassignment.
         """
-        s = self.summary
-        return (s.received == self.total_records
-                and s.received == s.loaded + s.sidelined + s.malformed)
+        return (self.summary.accounting_ok
+                and self.summary.received == self.total_records)
 
     def client(self, client_id: str) -> ClientRunReport:
         """One client's row."""

@@ -1,12 +1,11 @@
-"""Server-side substrate: partial loading, eager baseline, data skipping,
-and the CIAO server facade."""
+"""Server-side substrate: partial loading, data skipping, and the CIAO
+server facade."""
 
 from .ciao import (
     CiaoServer,
     IngestSession,
     validate_server_options,
 )
-from .ingest import EagerLoader
 from .loader import ClientAssistedLoader, LoadReport, LoadSummary
 from .pipeline import (
     IngestPipelineError,
@@ -24,7 +23,6 @@ from .skipping import (
 __all__ = [
     "CiaoServer",
     "ClientAssistedLoader",
-    "EagerLoader",
     "IngestPipelineError",
     "IngestSession",
     "LoadReport",

@@ -22,7 +22,6 @@ queries.
 
 from __future__ import annotations
 
-from functools import partial
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -333,11 +332,12 @@ class CiaoServer:
         #: cut clients may safely prune their replay buffers to.
         # guarded-by: _ingest_lock
         self._durable_seqs: Dict[Tuple[str, str], int] = {}
-        #: Parts and sideline records inherited from a previous
-        #: generation via recover(); fixed for this server's lifetime.
+        #: Parts, sideline records and load counts inherited from a
+        #: previous generation via recover(); fixed for this server's
+        #: lifetime.
         self._recovered_parts: List[Path] = []
         self._recovered_sideline = 0
-        self._summary_baseline: Optional[LoadSummary] = None
+        self._summary_baseline = LoadSummary()
         self._manifest_events: List[str] = []  # guarded-by: _lifecycle_lock
         self._manifest: Optional[Manifest] = None
         if durable:
@@ -418,7 +418,7 @@ class CiaoServer:
             if self._pipeline is not None:
                 units = ([payload] if single or framed
                          else split_frames(payload))
-                submit = partial(self._pipeline.submit, source=source)
+                submit = self._pipeline.submit
             else:
                 units = [payload] if single else decode_chunk_stream(payload)
                 submit = self._sink.ingest
@@ -474,8 +474,7 @@ class CiaoServer:
         """Open a tagged ingest stream for one data source.
 
         Fleet loads open one session per client so server-side accounting
-        (:attr:`ingest_sources`, and the sharded pipeline's
-        ``submitted_by_source``) can attribute chunks to their origin.
+        (:attr:`ingest_sources`) can attribute chunks to their origin.
         Source ids are single-use per server: reusing one — even after
         its session closed — raises ``ValueError``, because per-source
         accounting would conflate the two streams.
@@ -542,7 +541,7 @@ class CiaoServer:
         with self._lifecycle_lock, self._ingest_lock:
             for session in self._sessions.values():
                 session.close()  # ciaolint: allow[LCK002] -- IngestSession.close only flips a flag; `.close()` name union binds wider
-            summary = self._merge_baseline(self._sink.finalize())
+            summary = self._summary_baseline.merged(self._sink.finalize())
             if not self._loading_finalized:
                 self._table.clear_snapshot()
                 self._loading_finalized = True
@@ -562,30 +561,10 @@ class CiaoServer:
         :meth:`finalize_loading` has run.
         """
         if self._streaming and not self._loading_finalized:
-            return self._merge_baseline(self._pipeline.snapshot().summary)
-        return self._merge_baseline(self._sink.summary)
-
-    def _merge_baseline(self, summary: LoadSummary) -> LoadSummary:
-        """Fold the recovered generations' counts into *summary*.
-
-        A recovered server's own loader/pipeline only saw this
-        generation's chunks; the baseline carries everything the
-        manifest proved durable before the crash, so totals reflect the
-        whole table.  Per-chunk reports exist only for this
-        generation's chunks — the baseline is counts, by design.
-        """
-        baseline = self._summary_baseline
-        if baseline is None:
-            return summary
-        return LoadSummary(
-            chunks=baseline.chunks + summary.chunks,
-            received=baseline.received + summary.received,
-            loaded=baseline.loaded + summary.loaded,
-            sidelined=baseline.sidelined + summary.sidelined,
-            malformed=baseline.malformed + summary.malformed,
-            wall_seconds=baseline.wall_seconds + summary.wall_seconds,
-            reports=list(summary.reports),
-        )
+            summary = self._pipeline.snapshot().summary
+        else:
+            summary = self._sink.summary
+        return self._summary_baseline.merged(summary)
 
     # ------------------------------------------------------------------
     # The table view: one part set behind queries, compaction and the
@@ -625,7 +604,7 @@ class CiaoServer:
             self.state,
             self._remap_parts(self._recovered_parts + list(parts)),
             sidelines,
-            self._merge_baseline(summary),
+            self._summary_baseline.merged(summary),
         )
 
     @guarded_by("_lifecycle_lock")
@@ -829,14 +808,7 @@ class CiaoServer:
             "options": dict(self._options),
             "parts": part_records,
             "sideline": sideline_records,
-            "summary": {
-                "chunks": summary.chunks,
-                "received": summary.received,
-                "loaded": summary.loaded,
-                "sidelined": summary.sidelined,
-                "malformed": summary.malformed,
-                "wall_seconds": summary.wall_seconds,
-            },
+            "summary": summary.to_dict(),
             "ledger": self._ledger.to_records(),
             "compaction_epoch": self._compaction_epoch,
             "events": list(self._manifest_events),
@@ -940,14 +912,11 @@ class CiaoServer:
         if pairs:
             server._side_store.append_pairs(pairs)
         server._recovered_sideline = server._side_store.record_count
-        summary_doc = doc.get("summary") or {}
-        server._summary_baseline = LoadSummary(
-            chunks=int(summary_doc.get("chunks", 0)),
-            received=int(summary_doc.get("received", 0)),
-            loaded=int(summary_doc.get("loaded", 0)),
-            sidelined=int(summary_doc.get("sidelined", 0)),
-            malformed=int(summary_doc.get("malformed", 0)),
-            wall_seconds=float(summary_doc.get("wall_seconds", 0.0)),
+        # A recovered server's own loader/pipeline sees only this
+        # generation's chunks; the baseline carries the counts the
+        # manifest proved durable, so totals cover the whole table.
+        server._summary_baseline = LoadSummary.from_dict(
+            doc.get("summary") or {}
         )
         with server._lifecycle_lock, server._ingest_lock:
             server._ledger = IngestLedger.from_records(

@@ -30,9 +30,9 @@ Partial-loading policy: the mask is honoured only when the loader was
 constructed with ``partial_loading=True``.  The CIAO server enables it when
 the pushed-down set covers every prospective query (§VI-B: a covered query
 never needs the sideline).  With partial loading off — low budgets, low
-overlap, or the eager baseline — every record is loaded, but bit-vectors
-are *still* retained for data skipping, which is why workloads with no
-loading win can still show query wins (Fig. 6).
+overlap, or the zero-budget baseline — every record is loaded, but
+bit-vectors are *still* retained for data skipping, which is why workloads
+with no loading win can still show query wins (Fig. 6).
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..bitvec.bitvector import BitVector
 from ..obs.metrics import Metrics, resolve_metrics
@@ -68,9 +69,19 @@ class LoadReport:
     wall_seconds: float
 
 
+#: The load counters, in the one dict form manifests and COMMITTED use.
+_COUNTERS = ("chunks", "received", "loaded", "sidelined", "malformed",
+             "wall_seconds")
+
+
 @dataclass
 class LoadSummary:
-    """Accounting for a whole loading session."""
+    """Accounting for a whole loading session.
+
+    The one owner of the load counters: the server, the fleet report,
+    the API report (a subclass) and the wire/disk forms all read them
+    from here.
+    """
 
     chunks: int = 0
     received: int = 0
@@ -85,6 +96,11 @@ class LoadSummary:
         """Loaded / received — the y-axis of Figs 7, 9, 11."""
         return self.loaded / self.received if self.received else 0.0
 
+    @property
+    def accounting_ok(self) -> bool:
+        """The partition invariant: every received record is counted once."""
+        return self.received == self.loaded + self.sidelined + self.malformed
+
     def add(self, report: LoadReport) -> None:
         """Fold one chunk report in."""
         self.chunks += 1
@@ -94,6 +110,34 @@ class LoadSummary:
         self.malformed += report.malformed
         self.wall_seconds += report.wall_seconds
         self.reports.append(report)
+
+    def merged(self, other: "LoadSummary") -> "LoadSummary":
+        """A new summary counting both *self* and *other*."""
+        return LoadSummary(
+            **{name: getattr(self, name) + getattr(other, name)
+               for name in _COUNTERS},
+            reports=self.reports + other.reports,
+        )
+
+    @classmethod
+    def from_sequenced(cls, pairs: Iterable[Tuple[int, LoadReport]]
+                       ) -> "LoadSummary":
+        """Fold ``(submission seq, report)`` pairs in submission order."""
+        summary = cls()
+        for _, report in sorted(pairs, key=lambda pair: pair[0]):
+            summary.add(report)
+        return summary
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The counters as JSON-safe keys (manifest ``summary``, COMMITTED)."""
+        return {name: getattr(self, name) for name in _COUNTERS}
+
+    @classmethod
+    def from_dict(cls, doc: Mapping[str, Any]) -> "LoadSummary":
+        """Inverse of :meth:`to_dict`; missing keys count as zero."""
+        counts = {name: int(doc.get(name, 0))
+                  for name in _COUNTERS if name != "wall_seconds"}
+        return cls(**counts, wall_seconds=float(doc.get("wall_seconds", 0.0)))
 
 
 class ClientAssistedLoader:
@@ -198,10 +242,11 @@ class ClientAssistedLoader:
             malformed=len(malformed_positions),
             wall_seconds=time.perf_counter() - start,
         )
-        assert report.received == (
-            report.loaded + report.sidelined + report.malformed
-        ), "loader invariant violated: counters must partition the chunk"
         self.summary.add(report)
+        # The summary starts balanced, so it stays balanced iff every
+        # chunk's counters partition that chunk.
+        assert self.summary.accounting_ok, \
+            "loader invariant violated: counters must partition the chunk"
         self._m_chunks.inc()
         self._m_received.inc(report.received)
         self._m_loaded.inc(report.loaded)

@@ -34,7 +34,7 @@ Architecture::
   of serializing on whichever shard round-robin happened to hand the big
   chunks to.  Which shard processes which chunk is timing-dependent, but
   everything the equivalence tests observe is assignment-invariant: merged
-  reports are re-ordered by submission sequence, and the engine scans a
+  reports are folded in submission order, and the engine scans a
   table as the unordered union of its Parquet parts plus sideline.
   ``dispatch="round-robin"`` restores the old deterministic mapping (chunk
   *k* → shard ``k % n_shards``, reproducible shard files) for layout tests
@@ -52,10 +52,10 @@ Architecture::
 * **Merge at finalize.**  :meth:`finalize` seals every shard loader, then
   merges the shard outputs: Parquet parts are concatenated in shard order
   into one path list for the catalog, shard sidelines are folded into the
-  table's side store (and removed), and per-chunk
-  :class:`~repro.server.loader.LoadReport`\\ s are re-ordered by submission
-  sequence so the merged :class:`~repro.server.loader.LoadSummary` is
-  identical to what serial ingest of the same stream would report.
+  table's side store (and removed), and the per-chunk reports are folded
+  in submission order (``LoadSummary.from_sequenced``, shared with
+  :meth:`snapshot`), so the merged summary is identical to what serial
+  ingest of the same stream would report.
 
 Correctness: every record lands in exactly one shard, each shard preserves
 its loader's invariants (``received == loaded + sidelined + malformed``
@@ -347,7 +347,6 @@ class ShardedIngestPipeline:
         self.seal_interval = seal_interval
         self.summary = LoadSummary()
         self._seq = 0
-        self._submitted_by_source: Dict[str, int] = {}
         self._finalized = False
         # guarded-by: _lock
         self._shard_parquet_paths: List[List[Path]] = [[] for _ in
@@ -438,16 +437,13 @@ class ShardedIngestPipeline:
                     in_queue.cancel_join_thread()
 
     # ------------------------------------------------------------------
-    def submit(self, payload: Union[JsonChunk, bytes, bytearray, memoryview],
-               source: Optional[str] = None) -> int:
+    def submit(self, payload: Union[JsonChunk, bytes, bytearray, memoryview]
+               ) -> int:
         """Enqueue one chunk (encoded or decoded); returns its sequence no.
 
         Encoded payloads are decoded *inside* the worker, keeping the
         submitting thread off the critical path.  Blocks when the target
-        queue is full (backpressure).  *source* tags the chunk's origin
-        (e.g. a fleet client id) for the per-source accounting exposed by
-        :attr:`submitted_by_source`; like ``submit`` itself it assumes one
-        submitting thread.
+        queue is full (backpressure).  Assumes one submitting thread.
         """
         if self._finalized:
             raise RuntimeError("pipeline already finalized")
@@ -455,31 +451,9 @@ class ShardedIngestPipeline:
             payload = bytes(payload)  # queues need an owned buffer
         seq = self._seq
         self._seq += 1
-        if source is not None:
-            self._submitted_by_source[source] = (
-                self._submitted_by_source.get(source, 0) + 1
-            )
         self._in_queues[seq % self.n_shards].put((seq, payload))
         self._m_submitted.inc()
         return seq
-
-    @property
-    def submitted_by_source(self) -> Dict[str, int]:
-        """Chunks submitted per source tag (multi-source ingest sessions)."""
-        return dict(self._submitted_by_source)
-
-    def drain_channel(self, channel) -> int:
-        """Submit every chunk frame of a channel; returns how many.
-
-        Batched messages (see :meth:`repro.transport.Channel.
-        send_batch`) are split back into individual chunk frames, each
-        submitted — and therefore accounted — separately.
-        """
-        count = 0
-        for payload in channel.drain_chunks():
-            self.submit(payload)
-            count += 1
-        return count
 
     # ------------------------------------------------------------------
     # Streaming snapshots
@@ -522,18 +496,14 @@ class ShardedIngestPipeline:
                 for watermark in (self._progress[shard_id][1],)
                 if watermark > 0
             ]
-            ordered: List[Tuple[int, LoadReport]] = []
-            for shard_id in sorted(self._progress):
-                ordered.extend(self._progress[shard_id][2])
-            ordered.sort(key=lambda pair: pair[0])
-            summary = LoadSummary()
-            for _, report in ordered:
-                summary.add(report)
             self._snapshot_cache = LoadSnapshot(
                 version=self._version,
                 parquet_paths=paths,
                 sideline_views=views,
-                summary=summary,
+                summary=LoadSummary.from_sequenced(
+                    pair for _, _, reports in self._progress.values()
+                    for pair in reports
+                ),
                 submitted=self._seq,
             )
             return self._snapshot_cache
@@ -700,12 +670,10 @@ class ShardedIngestPipeline:
         self._parquet_paths = [
             path for paths in self._shard_parquet_paths for path in paths
         ]
-        ordered_reports: List[Tuple[int, LoadReport]] = []
-        for reports in self._final_reports.values():
-            ordered_reports.extend(reports)
-        ordered_reports.sort(key=lambda pair: pair[0])
-        for _, report in ordered_reports:
-            self.summary.add(report)
+        self.summary = LoadSummary.from_sequenced(
+            pair for reports in self._final_reports.values()
+            for pair in reports
+        )
         for sideline_path in self._sideline_paths:
             if sideline_path.exists():
                 shard_side = JsonSideStore(sideline_path)

@@ -295,15 +295,9 @@ class _Connection:
 
     def _handle_commit(self) -> None:
         report = self.service._commit()
-        self._reply(wire.COMMITTED, {"report": {
-            "mode": report.mode,
-            "received": report.received,
-            "loaded": report.loaded,
-            "sidelined": report.sidelined,
-            "malformed": report.malformed,
-            "chunks": report.chunks,
-            "wall_seconds": report.wall_seconds,
-        }})
+        self._reply(wire.COMMITTED, {
+            "report": {"mode": report.mode, **report.to_dict()},
+        })
 
     def _handle_query(self, message: Message) -> None:
         sql = message.header.get("sql")

@@ -47,7 +47,7 @@ CHUNKS = 6         # client → server: {"frames"}; body = chunk frames
 INGEST_ACK = 7     # server → client: {"frames_accepted"}
 END_INGEST = 8     # client → server: {"source_id"}
 COMMIT = 9         # client → server: {}
-COMMITTED = 10     # server → client: {"summary"}
+COMMITTED = 10     # server → client: {"report"}
 QUERY = 11         # client → server: {"sql", "snapshot"}
 RESULT = 12        # server → client: {"spans"?}; body = encoded result
 ERROR = 13         # server → client: {"error"}

@@ -18,6 +18,8 @@ from repro.obs.metrics import Metrics
 from repro.rawjson.chunks import JsonChunk
 from repro.recovery import Manifest, ManifestError
 from repro.server.ciao import CiaoServer
+from repro.server.loader import LoadSummary
+from repro.service import CiaoService, RemoteSession
 from repro.service.results import canonical_result_bytes
 
 
@@ -33,6 +35,13 @@ def durable_server(path, **kwargs):
     kwargs.setdefault("shard_mode", "thread")
     kwargs.setdefault("seal_interval", 2)
     return CiaoServer(path, durable=True, **kwargs)
+
+
+def record_counts(summary):
+    """The load counters bar wall time (a job's differs by design)."""
+    if not isinstance(summary, dict):
+        summary = summary.to_dict()
+    return {k: v for k, v in summary.items() if k != "wall_seconds"}
 
 
 def feed(server, seqs, client_id="c1", source_id="src"):
@@ -215,6 +224,56 @@ class TestSessionRecovery:
         report = rejoined.finish_external()
         assert report.received == 6 * 4
         recovered.close()
+
+    def test_recovered_finalized_job_is_born_done(self, tmp_path):
+        config = DeploymentConfig(durable=True)
+        with CiaoSession(source="yelp", config=config,
+                         data_dir=tmp_path) as session:
+            before = session.load(n_records=120).result()
+        _, doc = Manifest.load(Manifest.path_for(tmp_path / "load-0", "t"))
+        assert LoadSummary.from_dict(doc["summary"]).to_dict() == \
+            doc["summary"]
+        assert record_counts(doc["summary"]) == record_counts(before)
+        with CiaoSession(recover_from=tmp_path) as recovered:
+            job = recovered.last_job
+            assert job.done
+            assert job.wait(0)
+            after = job.result(timeout=30)
+        assert record_counts(after) == record_counts(before)
+        assert after.accounting_ok and before.accounting_ok
+
+    def test_external_job_finishes_through_one_event(self, tmp_path):
+        session = CiaoSession(config=DeploymentConfig(durable=True),
+                              data_dir=tmp_path)
+        job = session.external_load()
+        assert not job.done
+        assert not job.wait(0)
+        feed(job.server, range(1, 4))
+        report = job.finish_external(timeout=30)
+        assert job.done
+        assert job.wait(0)
+        assert job.finish_external() is report
+        assert report.received == 3 * 4
+        assert report.accounting_ok
+        session.close()
+
+    def test_committed_report_round_trips(self, tmp_path):
+        session = CiaoSession(source="yelp",
+                              config=DeploymentConfig(durable=True),
+                              data_dir=tmp_path)
+        with CiaoService(session) as service:
+            with RemoteSession(service.address, client_id="c1") as remote:
+                remote.load("yelp", n_records=60)
+                committed = remote.commit()
+        session.close()
+        assert committed.pop("mode") == "serial"
+        assert LoadSummary.from_dict(committed).to_dict() == committed
+        assert committed["received"] == 60
+        _, doc = Manifest.load(Manifest.path_for(tmp_path / "load-0", "t"))
+        assert record_counts(doc["summary"]) == record_counts(committed)
+        with CiaoSession(recover_from=tmp_path) as recovered:
+            after = recovered.last_job.result(timeout=30)
+        assert record_counts(after) == record_counts(committed)
 
     def test_recover_from_empty_dir_raises(self, tmp_path):
         with pytest.raises(ManifestError, match="MANIFEST-t.json"):

@@ -83,6 +83,20 @@ class TestIngestAndQuery:
         assert server.ingest_channel(channel) == 5
         assert channel.pending() == 0
 
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_ingest_channel_splits_batched_frames(self, tmp_path, n_shards):
+        plan = make_plan([C0, C1])
+        server = CiaoServer(tmp_path, plan=plan, workload=WORKLOAD,
+                            n_shards=n_shards, shard_mode="thread")
+        client = SimulatedClient("c", plan=plan, chunk_size=10)
+        channel = MemoryChannel()
+        client.ship(LINES, channel, batch_size=2)
+        assert channel.pending() == 3               # messages
+        assert server.ingest_channel(channel) == 5  # frames
+        summary = server.finalize_loading()
+        assert summary.chunks == 5
+        assert summary.received == 50
+
     def test_query_answers_and_skipping(self, tmp_path):
         plan = make_plan([C0, C1])
         server = CiaoServer(tmp_path, plan=plan, workload=WORKLOAD)
@@ -176,7 +190,7 @@ class TestIngestSessions:
         a.ingest(JsonChunk(0, LINES[:10]))
         a.ingest(JsonChunk(1, LINES[10:20]))
         b.ingest(JsonChunk(0, LINES[20:30]))
-        assert server._pipeline.submitted_by_source == {"a": 2, "b": 1}
+        assert server.ingest_sources == {"a": 2, "b": 1}
         summary = server.finalize_loading()
         assert summary.received == 30
         assert server.ingest_sources == {"a": 2, "b": 1}

@@ -71,6 +71,22 @@ class TestPartialLoading:
         with ParquetLiteReader(loader.parquet_paths[0]) as reader:
             assert reader.bitvector(0, 0).count() == 0
 
+    def test_planless_baseline_stores_no_bitvectors(self, paths):
+        # The zero-budget baseline: without a plan, clients attach no
+        # bit-vectors, so everything loads and no vectors are stored.
+        parquet, side = paths
+        loader = ClientAssistedLoader(parquet, side, partial_loading=False)
+        report = loader.ingest(
+            JsonChunk(0, [dump_record(r) for r in RECORDS])
+        )
+        summary = loader.finalize()
+        assert report.loaded == 10
+        assert side.record_count == 0
+        assert summary.loading_ratio == 1.0
+        with ParquetLiteReader(loader.parquet_paths[0]) as reader:
+            assert reader.total_rows == 10
+            assert reader.meta.predicate_ids == []
+
     def test_all_zero_mask_sidelines_whole_chunk(self, paths):
         parquet, side = paths
         loader = ClientAssistedLoader(parquet, side, partial_loading=True)

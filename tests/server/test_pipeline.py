@@ -17,7 +17,6 @@ from repro.server import (
     IngestPipelineError,
     ShardedIngestPipeline,
 )
-from repro.transport import MemoryChannel
 from repro.storage import JsonSideStore
 from repro.workload import estimate_selectivities, table3_workload
 
@@ -178,14 +177,6 @@ class TestPipelineBehavior:
             ShardedIngestPipeline(tmp_path / "t.pql", side, n_shards=2,
                                   partial_loading=True, mode="thread",
                                   seal_interval=0)
-
-    def test_drain_channel(self, tmp_path):
-        pipeline, _ = self.make_pipeline(tmp_path)
-        channel = MemoryChannel()
-        for chunk in self.simple_chunks(n_chunks=3):
-            channel.send(encode_chunk(chunk))
-        assert pipeline.drain_channel(channel) == 3
-        assert pipeline.finalize().chunks == 3
 
     def test_submit_after_finalize_rejected(self, tmp_path):
         pipeline, _ = self.make_pipeline(tmp_path)

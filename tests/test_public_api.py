@@ -80,8 +80,9 @@ def test_removed_names_stay_gone():
     and channels through :mod:`repro.transport` — no second path."""
     for package in ("repro", "repro.api", "repro.server"):
         module = importlib.import_module(package)
-        assert "ServerConfig" not in module.__all__
-        assert not hasattr(module, "ServerConfig")
+        for name in ("ServerConfig", "EagerLoader"):
+            assert name not in module.__all__
+            assert not hasattr(module, name)
     simulate = importlib.import_module("repro.simulate")
     transport = importlib.import_module("repro.transport")
     assert not set(simulate.__all__) & set(transport.__all__)
