@@ -5,8 +5,8 @@ multivariate linear regression, R² per platform: local server 0.897,
 Alibaba Cloud ECS 0.666 (hypervisor interference), PKU cluster 0.978.
 
 Here the three platforms are simulated noise profiles (DESIGN.md §2) fed
-through the same regression, plus a fourth row fitting *real* ``str.find``
-timings measured on the current host.
+through the same regression, plus a fourth row fitting real compiled
+matcher timings (the scans clients run) measured on the current host.
 """
 
 from conftest import run_once
@@ -58,6 +58,7 @@ def test_table4_cost_model_robustness(benchmark, results_dir):
         < simulated["local"].r_squared
         < simulated["pku"].r_squared
     )
-    # The real-host fit should be decent: the model captures str.find.
+    # The real-host fit should be decent: the linear model captures a
+    # compiled C-level scan.
     this_machine = rows[3]
     assert this_machine.r_squared > 0.5

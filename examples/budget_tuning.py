@@ -5,11 +5,12 @@ provides: a *calibrated* cost model (§V-D / Table IV) so B is in real
 µs/record for the actual client hardware, and the f(S)-vs-cost frontier so
 they can see where the diminishing returns of §V set in.
 
-This example calibrates against real ``str.find`` timings on the current
-machine, injects the calibrated model into ``CiaoSession.plan`` (every
-stage of the session's planning pipeline accepts an override), then
-sweeps budgets and prints, for each: predicates pushed, expected filtering
-benefit f(S), and the cost-model estimate of client spend.
+This example calibrates against real timings of the compiled clause
+matchers (the scans clients run) on the current machine, injects the
+calibrated model into ``CiaoSession.plan`` (every stage of the session's
+planning pipeline accepts an override), then sweeps budgets and prints,
+for each: predicates pushed, expected filtering benefit f(S), and the
+cost-model estimate of client spend.
 
 Run:  python examples/budget_tuning.py
 """
@@ -21,7 +22,7 @@ from repro.workload import table3_workload
 
 
 def calibrate(source, clauses, n_records=400):
-    """Fit the §V-D model to real substring-search timings."""
+    """Fit the §V-D model to real compiled-matcher timings."""
     records = list(source.records())[:n_records]
     compiled = [compile_clause(c) for c in clauses]
     observations = measure_search_costs(compiled, records, repeats=3)

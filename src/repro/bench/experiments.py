@@ -226,8 +226,8 @@ def cost_model_experiment(
     measure their raw hit rates on a record sample (pattern length and
     record length come for free).  Each simulated platform observes those
     predicate shapes through its noise model; the §V-D model is then fitted
-    per platform and R² reported.  Optionally a fourth row measures real
-    ``str.find`` timings on the current machine.
+    per platform and R² reported.  Optionally a fourth row times the
+    compiled matchers (what clients really run) on the current machine.
     """
     shapes_by_dataset: Dict[str, List[Tuple[float, float]]] = {}
     record_lengths: Dict[str, float] = {}
@@ -285,7 +285,7 @@ def cost_model_experiment(
         rows.append(
             CalibrationRow(
                 platform="this-machine",
-                hardware="real str.find timings on the current host",
+                hardware="compiled matcher timings on the current host",
                 r_squared=report.r_squared,
                 paper_r_squared=float("nan"),
                 report=report,

@@ -182,7 +182,7 @@ def load_report_block(report: Any) -> str:
         lines.append(
             f"  client     : {stats.records} records in {stats.chunks} "
             f"chunks, {stats.modeled_us_per_record():.3f} µs/record "
-            f"modeled"
+            f"modeled, {stats.observed_us_per_record():.3f} observed"
         )
     return "\n".join(lines)
 

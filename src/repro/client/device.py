@@ -46,6 +46,14 @@ class ClientStats:
         """Average modeled per-record cost — the budget's unit."""
         return self.modeled_us / self.records if self.records else 0.0
 
+    def observed_us_per_record(self) -> float:
+        """Average measured evaluation wall time per record, in µs.
+
+        The cost the client really paid on this host, beside
+        :meth:`modeled_us_per_record`, the cost the optimizer assumed.
+        """
+        return self.wall_seconds * 1e6 / self.records if self.records else 0.0
+
 
 class SimulatedClient:
     """One data-producing client executing a pushdown plan.

@@ -16,6 +16,9 @@ from ..bitvec.bitvector import BitVector
 from ..core.optimizer import PushdownEntry
 from ..rawjson.chunks import JsonChunk
 
+#: Maps one hit byte per record (0 or 1) to an ASCII binary digit.
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 @dataclass
 class EvaluationReport:
@@ -49,22 +52,26 @@ class ClientEvaluator:
         return [entry.predicate_id for entry in self._entries]
 
     def annotate(self, chunk: JsonChunk) -> EvaluationReport:
-        """Attach one bit-vector per pushed predicate to *chunk*."""
-        report = EvaluationReport(
-            records=len(chunk.records), predicates=len(self._entries)
-        )
+        """Attach one bit-vector per pushed predicate to *chunk*.
+
+        Each predicate's hits become one byte per record (records in
+        reverse order), read as a binary number: bit ``i`` of that int is
+        record ``i``, so its little-endian bytes are the bit-vector payload.
+        """
+        records = chunk.records
+        n = len(records)
+        nbytes = (n + 7) // 8
+        report = EvaluationReport(records=n, predicates=len(self._entries))
         start = time.perf_counter()
+        backwards = records[::-1]
         for entry, matcher in zip(self._entries, self._matchers):
-            bv = BitVector(len(chunk.records))
-            hits = 0
-            for i, raw in enumerate(chunk.records):
-                if matcher(raw):
-                    bv.set(i)
-                    hits += 1
-            chunk.attach(entry.predicate_id, bv)
-            report.matches[entry.predicate_id] = hits
+            hits = bytes(map(matcher, backwards))
+            packed = int(hits.translate(_ASCII_BITS), 2) if n else 0
+            chunk.attach(
+                entry.predicate_id,
+                BitVector(n, packed.to_bytes(nbytes, "little")),
+            )
+            report.matches[entry.predicate_id] = hits.count(1)
         report.wall_seconds = time.perf_counter() - start
-        report.modeled_us = len(chunk.records) * sum(
-            entry.cost_us for entry in self._entries
-        )
+        report.modeled_us = n * sum(entry.cost_us for entry in self._entries)
         return report

@@ -5,7 +5,8 @@ sample, regresses the mean per-record cost on the model's features, and
 reports R² per hardware platform (Table IV).  This module implements that
 pipeline:
 
-* :func:`measure_search_costs` times real ``str.find`` calls on this
+* :func:`measure_search_costs` times the compiled clause matchers clients
+  run (:meth:`~repro.core.patterns.CompiledClause.matcher`) on this
   machine (the "Local" platform of our Table IV reproduction);
 * :func:`fit` solves the least-squares problem for the five coefficients;
 * :func:`r_squared` is the goodness-of-fit statistic.

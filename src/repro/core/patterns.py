@@ -13,8 +13,15 @@ Predicate             Pattern string(s)
 ``time LIKE 'a%'``    ``"a``               (opening quote anchors prefix)
 ``time LIKE '%a'``    ``a"``               (closing quote anchors suffix)
 ``email != NULL``     ``"email"``          (quoted key)
-``age = 10``          ``"age":`` and ``10``  (two-phase window search)
+``age = 10``          ``"age":`` and ``10``  (one compiled window scan)
 ====================  ==========================================
+
+Every spec runs as one C-level scan (:meth:`PatternSpec.matcher`): the
+single-pattern kinds are one substring search, and ``age = 10`` is one
+compiled regex scan, ``"age":[^,}]*?10``, with the same window semantics as
+the two-phase search (see :mod:`repro.rawjson.raw_matcher`).  The scan is
+compiled on first use and cached, never by :func:`compile_predicate`, which
+the cost model calls for every candidate clause while planning.
 """
 
 from __future__ import annotations
@@ -42,11 +49,13 @@ class PatternSpec:
 
     def match(self, raw: str) -> bool:
         """Evaluate against one raw JSON record (false positives allowed)."""
+        return self.matcher()(raw)
+
+    def matcher(self) -> Callable[[str], bool]:
+        """This spec's one-scan matcher, as a standalone callable."""
         if self.kind is PredicateKind.KEY_VALUE:
-            return raw_matcher.key_value_match(
-                raw, self.patterns[0], self.patterns[1]
-            )
-        return raw_matcher.contains(raw, self.patterns[0])
+            return raw_matcher.key_value_matcher(*self.patterns)
+        return raw_matcher.contains_matcher(self.patterns[0])
 
     def searches(self) -> List[str]:
         """The individual substring searches this spec performs.
@@ -75,31 +84,19 @@ class CompiledClause:
 
     def match(self, raw: str) -> bool:
         """Evaluate the disjunction against one raw record."""
-        return any(spec.match(raw) for spec in self.specs)
+        return self.matcher()(raw)
 
     def matcher(self) -> Callable[[str], bool]:
         """A standalone callable for hot loops (no attribute lookups)."""
-        if len(self.specs) == 1:
-            spec = self.specs[0]
-            if spec.kind is PredicateKind.KEY_VALUE:
-                key_pattern, value_pattern = spec.patterns
-
-                def match_key_value(raw: str) -> bool:
-                    return raw_matcher.key_value_match(
-                        raw, key_pattern, value_pattern
-                    )
-
-                return match_key_value
-            pattern = spec.patterns[0]
-
-            def match_single(raw: str) -> bool:
-                return pattern in raw
-
-            return match_single
-        specs = self.specs
+        matchers = [spec.matcher() for spec in self.specs]
+        if len(matchers) == 1:
+            return matchers[0]
 
         def match_any(raw: str) -> bool:
-            return any(spec.match(raw) for spec in specs)
+            for match in matchers:
+                if match(raw):
+                    return True
+            return False
 
         return match_any
 

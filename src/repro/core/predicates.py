@@ -184,7 +184,18 @@ def key_present(column: str) -> SimplePredicate:
 
 
 def key_value(column: str, value: Union[int, bool]) -> SimplePredicate:
-    """``column = value`` for integers and booleans."""
+    """``column = value`` for integers and booleans.
+
+    Any other operand type raises :class:`TypeError`: the key-value window
+    stops at ``,`` and ``}``, so an operand whose text held one could never
+    match (a silent false negative).  A float raises
+    :class:`UnsupportedPredicateError`, because float equality is not
+    pushdown-safe.
+    """
+    if not isinstance(value, (int, float)):
+        raise TypeError(
+            f"key_value() needs an int or bool operand, got {value!r}"
+        )
     return SimplePredicate(PredicateKind.KEY_VALUE, column, value)
 
 

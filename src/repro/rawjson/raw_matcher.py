@@ -1,10 +1,21 @@
 """Predicate evaluation on *raw* JSON text, without parsing.
 
 This is CIAO's client-side primitive (paper §IV): every supported predicate
-reduces to one or two substring searches over the serialized record.  Python's
-``str.find`` is a C routine, so — exactly as with ``std::string::find`` in
-the authors' C++ client — matching a record costs orders of magnitude less
-than parsing it.
+reduces to one C-level scan over the serialized record.  Python's
+``str.find`` and compiled regular expressions are C routines, so — exactly
+as with ``std::string::find`` in the authors' C++ client — matching a record
+costs orders of magnitude less than parsing it.
+
+Key-value match (``age = 10``, Table I) is the paper's two-phase search:
+find the key pattern ``"age":``, then look for the value pattern ``10`` in
+the window that runs to the next key-value delimiter (a comma, or the
+closing brace for the final pair, or end-of-record for truncated input).
+It is compiled into one scan, ``"age":[^,}]*?10``, which has the same
+window semantics whenever the value pattern holds no ``,`` or ``}`` — true
+of every value pattern :mod:`repro.core.patterns` emits (``-?\\d+``,
+``true``, ``false``).  Every occurrence of the key is tried, so a look-alike
+byte sequence earlier in the record (e.g. inside a text field) can only
+*add* windows, never hide the real one.
 
 Contract (paper §IV-B): **false positives are allowed, false negatives are
 not**.  A ``True`` here means "the record may satisfy the predicate; verify
@@ -20,7 +31,13 @@ no-false-negative guarantee hold.
 
 from __future__ import annotations
 
-from typing import Iterator
+import re
+from functools import lru_cache
+from typing import Callable
+
+#: Distinct key-value scans kept compiled; a plan pushes tens of clauses,
+#: and selectivity estimation compiles a workload's candidate pool.
+_COMPILED_CACHE_SIZE = 4096
 
 
 def contains(raw: str, pattern: str) -> bool:
@@ -38,20 +55,35 @@ def key_present(raw: str, key_pattern: str) -> bool:
 
 
 def key_value_match(raw: str, key_pattern: str, value_pattern: str) -> bool:
-    """Key-value match (``age = 10``): two-phase search per paper §IV-B.
+    """Key-value match (``age = 10``): the two-phase window search."""
+    return key_value_matcher(key_pattern, value_pattern)(raw)
 
-    Search for the key pattern; from just after it, scan to the next
-    key-value delimiter (a comma, or the closing brace for the final pair)
-    and report whether the value pattern occurs inside that window.  Every
-    occurrence of the key pattern is tried so a look-alike byte sequence
-    earlier in the record (e.g. inside a text field) can only *add* windows,
-    never hide the real one — preserving the no-false-negative contract.
+
+def contains_matcher(pattern: str) -> Callable[[str], bool]:
+    """A one-argument substring search for *pattern* (hot loops)."""
+
+    def match(raw: str) -> bool:
+        return pattern in raw
+
+    return match
+
+
+@lru_cache(maxsize=_COMPILED_CACHE_SIZE)
+def key_value_matcher(key_pattern: str,
+                      value_pattern: str) -> Callable[[str], bool]:
+    """The key-value search compiled to one regex scan, cached per pattern.
+
+    Compiled on first use, not when the predicate is compiled: planning
+    prices thousands of candidate clauses that no client ever runs.
     """
-    for window_start in _iter_occurrences(raw, key_pattern):
-        window_end = _find_delimiter(raw, window_start)
-        if raw.find(value_pattern, window_start, window_end) != -1:
-            return True
-    return False
+    search = re.compile(
+        re.escape(key_pattern) + "[^,}]*?" + re.escape(value_pattern)
+    ).search
+
+    def match(raw: str) -> bool:
+        return search(raw) is not None
+
+    return match
 
 
 def match_count_estimate(raw: str, pattern: str) -> int:
@@ -68,35 +100,3 @@ def match_count_estimate(raw: str, pattern: str) -> int:
         count += 1
         pos = raw.find(pattern, pos + len(pattern))
     return count
-
-
-# ----------------------------------------------------------------------
-# Internals
-# ----------------------------------------------------------------------
-def _iter_occurrences(raw: str, pattern: str) -> Iterator[int]:
-    """Yield the end offset of each occurrence of *pattern* in *raw*."""
-    pos = raw.find(pattern)
-    while pos != -1:
-        yield pos + len(pattern)
-        pos = raw.find(pattern, pos + 1)
-
-
-def _find_delimiter(raw: str, start: int) -> int:
-    """Offset of the window-terminating delimiter at or after *start*.
-
-    The paper scans to the next comma; the final key-value pair of an object
-    has no trailing comma, so we also accept the closing brace, and fall back
-    to end-of-record for truncated input.  Choosing the *nearest* of the two
-    keeps windows tight, which only risks false positives being missed —
-    i.e. fewer spurious loads — never false negatives for the scalar values
-    (numbers, booleans) this matcher is specified for.
-    """
-    comma = raw.find(",", start)
-    brace = raw.find("}", start)
-    if comma == -1 and brace == -1:
-        return len(raw)
-    if comma == -1:
-        return brace
-    if brace == -1:
-        return comma
-    return min(comma, brace)

@@ -89,6 +89,20 @@ class TestBudgetAccounting:
         with pytest.raises(ValueError):
             SimulatedClient("c", plan=plan, speed_factor=0)
 
+    def test_observed_cost_is_wall_time_per_record(self, plan):
+        client = SimulatedClient("c", plan=plan, chunk_size=10)
+        assert client.stats.observed_us_per_record() == 0.0
+        list(client.process(LINES))
+        assert client.stats.wall_seconds > 0
+        assert client.stats.observed_us_per_record() == pytest.approx(
+            client.stats.wall_seconds * 1e6 / len(LINES)
+        )
+
+    def test_observed_cost_is_zero_without_plan(self):
+        client = SimulatedClient("c", plan=None, chunk_size=10)
+        list(client.process(LINES))
+        assert client.stats.observed_us_per_record() == 0.0
+
     def test_vacuous_budget_without_plan(self):
         client = SimulatedClient("c", plan=None)
         assert client.budget_respected()

@@ -6,6 +6,7 @@ from repro.client import ClientEvaluator
 from repro.core import Budget, CostModel, DEFAULT_COEFFICIENTS, manual_plan
 from repro.core import clause, exact, key_value, substring
 from repro.rawjson import JsonChunk, dump_record
+from window_oracle import clause_match
 
 RECORDS = [
     {"name": "Bob", "age": 10, "text": "nice delicious food"},
@@ -65,3 +66,40 @@ class TestAnnotate:
         evaluator = ClientEvaluator(plan.entries)
         report = evaluator.annotate(JsonChunk(0, []))
         assert report.modeled_us_per_record() == 0.0
+
+
+class TestAnnotateMatchesOracle:
+    """Bit vectors and hit counts equal the per-record window oracle."""
+
+    CLAUSES = [
+        clause(key_value("age", 0)),
+        clause(key_value("age", -1), key_value("on", True)),
+        clause(substring("note", "age 1")),
+        clause(key_value("missing", 7)),
+        clause(key_value("last", True)),  # sets the final (tail) bit
+    ]
+
+    # 1, 7, 8 and 9 records end the packed vector mid-byte, on a byte
+    # boundary and one bit past it; 100 spans many bytes.
+    @pytest.mark.parametrize("n_records", [1, 7, 8, 9, 100])
+    def test_chunk_sizes(self, n_records):
+        records = [
+            dump_record({"age": i % 5 - 2, "on": i % 3 == 0,
+                         "note": f"age {i}", "last": i == n_records - 1})
+            for i in range(n_records)
+        ]
+        model = CostModel(DEFAULT_COEFFICIENTS, 40)
+        plan = manual_plan(
+            self.CLAUSES, {c: 0.5 for c in self.CLAUSES}, model
+        )
+        chunk = JsonChunk(0, records)
+        report = ClientEvaluator(plan.entries).annotate(chunk)
+        for entry in plan.entries:
+            expected = [
+                int(clause_match(entry.compiled, raw)) for raw in records
+            ]
+            bv = chunk.bitvectors[entry.predicate_id]
+            assert len(bv) == n_records
+            assert bv.to_bits() == expected, entry.compiled.clause.sql()
+            assert report.matches[entry.predicate_id] == sum(expected)
+        assert chunk.bitvectors[4].get(n_records - 1)

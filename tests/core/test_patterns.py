@@ -14,7 +14,7 @@ from repro.core import (
     substring,
     suffix,
 )
-from repro.rawjson import dump_record
+from repro.rawjson import dump_record, raw_matcher
 
 
 class TestTable1Patterns:
@@ -115,3 +115,24 @@ class TestCompiledClause:
     def test_search_count(self):
         cc = compile_clause(clause(key_value("a", 1), substring("t", "x")))
         assert cc.search_count() == 3  # two for key-value, one substring
+
+
+class TestCompiledScan:
+    """Every path shares one lazily compiled, cached key-value scan."""
+
+    def test_key_value_paths_share_one_cached_scan(self):
+        spec = compile_predicate(key_value("shared_scan_key", 4))
+        scan = raw_matcher.key_value_matcher('"shared_scan_key":', "4")
+        assert spec.matcher() is scan
+        assert compile_clause(clause(key_value("shared_scan_key", 4))) \
+            .matcher() is scan
+
+    def test_compiling_a_predicate_compiles_no_scan(self):
+        # The cost model compiles every candidate clause while planning;
+        # only a matcher that runs pays for a regex compile.
+        before = raw_matcher.key_value_matcher.cache_info()
+        spec = compile_predicate(key_value("never_scanned_key", 9))
+        assert raw_matcher.key_value_matcher.cache_info() == before
+        spec.match(dump_record({"never_scanned_key": 9}))
+        after = raw_matcher.key_value_matcher.cache_info()
+        assert after.misses == before.misses + 1

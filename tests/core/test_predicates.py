@@ -39,6 +39,16 @@ class TestSimplePredicateValidation:
         with pytest.raises(ValueError):
             exact("", "x")
 
+    @pytest.mark.parametrize(
+        "operand", ["a,b", "5", None, b"5", [5]],
+        ids=["str-with-comma", "numeric-str", "none", "bytes", "list"],
+    )
+    def test_key_value_operand_must_be_int_or_bool(self, operand):
+        # A str operand holding "," or "}" would compile to a window that
+        # can never contain it: a silent false negative.
+        with pytest.raises(TypeError):
+            key_value("name", operand)
+
     def test_int_and_bool_key_values_allowed(self):
         assert key_value("age", 10).value == 10
         assert key_value("active", True).value is True
