@@ -5,8 +5,9 @@ raw record is far cheaper than parsing it first.  This bench measures the
 client-side alternatives head to head:
 
 * raw matcher  — compiled pattern search, no parsing (CIAO);
-* parse+eval   — parse with the from-scratch parser, then evaluate
-                 semantically (what naive client-side parsing would do).
+* parse+eval   — parse with the strict record parser (the C ``json``
+                 decoder), then evaluate semantically (what naive
+                 client-side parsing would do).
 """
 
 import time

@@ -248,7 +248,7 @@ class EndToEndRunner:
         """Ground-truth counts via direct semantic evaluation.
 
         Independent of the storage/engine stack on purpose: parses each
-        raw record with the from-scratch parser and applies
+        raw record with the strict record parser and applies
         :meth:`Query.evaluate` — a genuinely separate oracle.
         """
         from ..rawjson.parser import parse_object

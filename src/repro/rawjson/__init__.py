@@ -1,11 +1,12 @@
-"""Raw-JSON substrate: from-scratch tokenizer/parser/writer plus the
-no-parse matchers and chunking that CIAO's client side is built on."""
+"""Raw-JSON substrate: the strict record parser (the C ``json`` decoder
+behind one front door), the writer whose string escaping the pushed-down
+patterns share, and the no-parse matchers and chunking that CIAO's client
+side is built on."""
 
 from .chunks import DEFAULT_CHUNK_SIZE, JsonChunk, chunk_records, concat_chunks
-from .errors import JsonError, JsonSyntaxError, JsonTokenError
-from .parser import loads, parse_lines, parse_object, try_parse
+from .errors import JsonError, JsonSyntaxError
+from .parser import loads, parse_object, try_parse
 from .raw_matcher import contains, key_present, key_value_match
-from .tokenizer import Token, Tokenizer, TokenType, tokenize
 from .writer import dump_record, dumps, escape_string
 
 __all__ = [
@@ -13,10 +14,6 @@ __all__ = [
     "JsonChunk",
     "JsonError",
     "JsonSyntaxError",
-    "JsonTokenError",
-    "Token",
-    "TokenType",
-    "Tokenizer",
     "chunk_records",
     "concat_chunks",
     "contains",
@@ -26,8 +23,6 @@ __all__ = [
     "key_present",
     "key_value_match",
     "loads",
-    "parse_lines",
     "parse_object",
-    "tokenize",
     "try_parse",
 ]

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 
 class JsonError(ValueError):
-    """Base class for JSON tokenizer/parser failures.
+    """Base class for raw-JSON failures.
 
-    Carries the byte offset where the problem was detected so server-side
-    loaders can report which record of a chunk was malformed.
+    Carries the character offset where the problem was detected so
+    server-side loaders can report which record of a chunk was malformed.
     """
 
     def __init__(self, message: str, position: int):
@@ -16,8 +16,4 @@ class JsonError(ValueError):
 
 
 class JsonSyntaxError(JsonError):
-    """Structural problem: bad token sequence, unbalanced braces, etc."""
-
-
-class JsonTokenError(JsonError):
-    """Lexical problem: bad escape, malformed number, stray character."""
+    """Malformed JSON: anything the strict record parser rejects."""

@@ -1,118 +1,75 @@
-"""Recursive-descent JSON parser built on :mod:`repro.rawjson.tokenizer`.
+"""The strict JSON record parser: the C ``json`` decoder behind one door.
 
-This is the server's "expensive" loading path — the Python analogue of the
-paper's rapidJSON step.  It produces plain Python objects (``dict`` / ``list``
-/ ``str`` / ``int`` / ``float`` / ``bool`` / ``None``) and raises
-:class:`~repro.rawjson.errors.JsonSyntaxError` with a byte offset on
-malformed input.
-
-Differential tests in ``tests/rawjson`` check it agrees with the stdlib
-``json`` module on every valid document hypothesis can produce.
+The server's loading parse — the step partial loading exists to avoid, and
+the analogue of the paper's rapidJSON (C++) step.  Every caller goes
+through :func:`loads`, which holds RFC 8259 strictness on top of a
+module-level :class:`json.JSONDecoder`: ``NaN``, ``Infinity`` and
+``-Infinity`` are malformed; a lone surrogate escape (``"\\ud800"``)
+decodes to U+FFFD, so every parsed string re-encodes as UTF-8; and no
+value sits inside more than :data:`MAX_DEPTH` containers.  Every failure
+raises :class:`~repro.rawjson.errors.JsonSyntaxError` with the decoder's
+offset.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Tuple
+import json
+import re
+from typing import Any, Dict, Tuple
 
-from .errors import JsonSyntaxError
-from .tokenizer import Token, Tokenizer, TokenType
+from .errors import JsonError, JsonSyntaxError
 
-# Nesting guard: JSON from sensors is shallow; a bound keeps malicious or
-# corrupt input from exhausting the interpreter stack.
+# Nesting guard: records are shallow, so anything deeper is corrupt or
+# hostile; the decoder's own recursion limit sits far above this.
 MAX_DEPTH = 128
 
-_VALUE_STARTERS = {
-    TokenType.LBRACE,
-    TokenType.LBRACKET,
-    TokenType.STRING,
-    TokenType.NUMBER,
-    TokenType.TRUE,
-    TokenType.FALSE,
-    TokenType.NULL,
-}
+
+def _reject_constant(name: str) -> Any:
+    raise ValueError(f"non-standard constant {name}")
 
 
-class Parser:
-    """Single-document recursive-descent parser."""
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+# A \uD800-\uDFFF escape is the only way a lone surrogate gets decoded.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]").search
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
-    def __init__(self, text: str):
-        self._tokenizer = Tokenizer(text)
-        self._current: Token = self._tokenizer.next_token()
 
-    def parse(self) -> Any:
-        """Parse exactly one JSON value and require EOF after it."""
-        value = self._parse_value(depth=0)
-        if self._current.type is not TokenType.EOF:
-            raise JsonSyntaxError(
-                f"trailing data after document: {self._current.type.name}",
-                self._current.position,
-            )
-        return value
+def _too_deep(value: Any, depth: int) -> bool:
+    if depth > MAX_DEPTH:
+        return True
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, list):
+        return False
+    return any(_too_deep(item, depth + 1) for item in value)
 
-    # ------------------------------------------------------------------
-    def _advance(self) -> Token:
-        token = self._current
-        self._current = self._tokenizer.next_token()
-        return token
 
-    def _expect(self, ttype: TokenType) -> Token:
-        if self._current.type is not ttype:
-            raise JsonSyntaxError(
-                f"expected {ttype.name}, found {self._current.type.name}",
-                self._current.position,
-            )
-        return self._advance()
-
-    def _parse_value(self, depth: int) -> Any:
-        if depth > MAX_DEPTH:
-            raise JsonSyntaxError("maximum nesting depth exceeded",
-                                  self._current.position)
-        ttype = self._current.type
-        if ttype is TokenType.LBRACE:
-            return self._parse_object(depth)
-        if ttype is TokenType.LBRACKET:
-            return self._parse_array(depth)
-        if ttype in (TokenType.STRING, TokenType.NUMBER, TokenType.TRUE,
-                     TokenType.FALSE, TokenType.NULL):
-            return self._advance().value
-        raise JsonSyntaxError(
-            f"expected a value, found {ttype.name}", self._current.position
-        )
-
-    def _parse_object(self, depth: int) -> Dict[str, Any]:
-        self._expect(TokenType.LBRACE)
-        obj: Dict[str, Any] = {}
-        if self._current.type is TokenType.RBRACE:
-            self._advance()
-            return obj
-        while True:
-            key_token = self._expect(TokenType.STRING)
-            self._expect(TokenType.COLON)
-            obj[key_token.value] = self._parse_value(depth + 1)
-            if self._current.type is TokenType.COMMA:
-                self._advance()
-                continue
-            self._expect(TokenType.RBRACE)
-            return obj
-
-    def _parse_array(self, depth: int) -> List[Any]:
-        self._expect(TokenType.LBRACKET)
-        items: List[Any] = []
-        if self._current.type is TokenType.RBRACKET:
-            self._advance()
-            return items
-        while True:
-            items.append(self._parse_value(depth + 1))
-            if self._current.type is TokenType.COMMA:
-                self._advance()
-                continue
-            self._expect(TokenType.RBRACKET)
-            return items
+def _replace_surrogates(value: Any) -> Any:
+    if isinstance(value, str):
+        return _SURROGATE.sub("\ufffd", value)
+    if isinstance(value, dict):
+        return {_replace_surrogates(k): _replace_surrogates(v)
+                for k, v in value.items()}
+    if isinstance(value, list):
+        return [_replace_surrogates(item) for item in value]
+    return value
 
 
 def loads(text: str) -> Any:
     """Parse one JSON document from *text* (the `json.loads` equivalent)."""
-    return Parser(text).parse()
+    try:
+        value = _DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise JsonSyntaxError(exc.msg, exc.pos) from None
+    except (ValueError, RecursionError) as exc:
+        # A rejected constant, an integer over the digit limit, or nesting
+        # past the C recursion limit.
+        raise JsonSyntaxError(str(exc), 0) from None
+    if text.count("{") + text.count("[") > MAX_DEPTH and _too_deep(value, 0):
+        raise JsonSyntaxError("maximum nesting depth exceeded", 0)
+    if _SURROGATE_ESCAPE(text):
+        value = _replace_surrogates(value)
+    return value
 
 
 def parse_object(text: str) -> Dict[str, Any]:
@@ -129,23 +86,13 @@ def parse_object(text: str) -> Dict[str, Any]:
     return value
 
 
-def parse_lines(lines: Iterable[str]) -> Iterator[Dict[str, Any]]:
-    """Parse newline-delimited JSON objects, skipping blank lines."""
-    for line in lines:
-        stripped = line.strip()
-        if stripped:
-            yield parse_object(stripped)
-
-
 def try_parse(text: str) -> Tuple[Any, bool]:
     """Parse leniently: returns ``(value, ok)`` instead of raising.
 
-    Used by the just-in-time loader to quarantine malformed sideline records
-    without aborting a whole query.
+    Used by the loader and the just-in-time sideline parse to quarantine
+    malformed records without aborting a whole chunk or query.
     """
     try:
         return loads(text), True
-    except JsonSyntaxError:
-        return None, False
-    except Exception:  # ciaolint: allow[API006] -- probe semantics: any parse failure means "not JSON", never an error
+    except JsonError:
         return None, False

@@ -5,10 +5,12 @@ For every received chunk the loader:
 1. computes the **load mask** — the union of the chunk's predicate
    bit-vectors (a record is loaded iff it may satisfy at least one pushed
    predicate);
-2. **parses** the selected records with the from-scratch JSON parser (the
-   expensive step partial loading exists to avoid) and writes them as one
-   Parquet-lite row group, attaching the *derived* bit-vectors (original
-   vectors restricted to the loaded positions);
+2. **parses** the selected records, each with one call of the strict record
+   parser :func:`repro.rawjson.parser.try_parse` (the C ``json`` decoder,
+   the analogue of the paper's rapidJSON: the expensive step partial
+   loading exists to avoid), and writes them as one Parquet-lite row
+   group, attaching the *derived* bit-vectors (original vectors restricted
+   to the loaded positions);
 3. appends the rejected records, unparsed, to the raw JSON sideline store.
 
 Malformed-record policy: a selected record that fails to parse is counted

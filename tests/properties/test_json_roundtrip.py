@@ -1,7 +1,8 @@
 """Property-based differential tests: our JSON stack vs the stdlib.
 
-The from-scratch tokenizer/parser/writer must agree with ``json`` on every
-valid document — these tests let hypothesis hunt for disagreements.
+The hand-written writer and the strict record parser (the C decoder plus
+RFC 8259 strictness) must agree with plain ``json`` on every valid
+document — these tests let hypothesis hunt for disagreements.
 """
 
 import json

@@ -135,6 +135,15 @@ class TestCorruptSections:
             with pytest.raises(ProtocolError):
                 decode_chunk(frame(header, b"", b""))
 
+    def test_out_of_range_numbers_in_header_are_protocol_errors(self):
+        # An integer past the interpreter's digit limit, or a non-standard
+        # constant, must not escape as a bare ValueError.
+        for value in (b"9" * 5000, b"NaN", b"-Infinity"):
+            header = (b'{"chunk_id": ' + value
+                      + b', "records": 0, "predicates": []}')
+            with pytest.raises(ProtocolError, match="not valid JSON"):
+                decode_chunk(frame(header, b"", b""))
+
     def test_record_count_mismatch_rejected(self):
         payload = frame(
             b'{"chunk_id": 0, "records": 5, "predicates": []}',

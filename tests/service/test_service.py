@@ -269,12 +269,19 @@ class TestAdmissionOnTheWire:
                         except RemoteBusyError:
                             busy.append(1)
 
-            threads = [threading.Thread(target=hammer)
-                       for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            # Hold the only execution slot for the whole burst, so every
+            # query queues past admission_timeout (or finds its client's
+            # queue full) however fast the query itself would run.
+            holder = service.admission.acquire("holder")
+            try:
+                threads = [threading.Thread(target=hammer)
+                           for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+            finally:
+                service.admission.release(holder)
             assert busy, "burst never saw BUSY through the wire"
             assert service.admission.stats.rejected == len(busy)
             # Saturation healed: a fresh client is served.
