@@ -3,8 +3,12 @@
 Compares the paper's Algorithm 1 (naive greedy), Algorithm 2 (benefit-cost
 greedy), the combined max-of-both selector, and the CELF-accelerated
 variant: objective value f(S) against the brute-force optimum on a small
-pool, and marginal-gain evaluation counts on a full-size pool.
+pool, and marginal-gain evaluation counts on a full-size pool.  It also
+reports (without asserting) the wall seconds of building the objective
+and of each arm on the full-size pool.
 """
+
+import time
 
 from conftest import run_once
 
@@ -14,6 +18,7 @@ from repro.core import (
     CiaoOptimizer,
     CostModel,
     DEFAULT_COEFFICIENTS,
+    SelectionObjective,
     celf_greedy,
     exhaustive_optimum,
     naive_greedy,
@@ -50,6 +55,13 @@ def build_optimizer(max_per_template, n_queries, exponent):
     return CiaoOptimizer(workload, sels, model)
 
 
+def timed(fn, *args):
+    """``(fn(*args), wall seconds)``."""
+    start = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - start
+
+
 def test_ablation_selection_quality_and_evals(benchmark, results_dir):
     def experiment():
         # Small instance: compare against the exhaustive optimum.
@@ -73,13 +85,22 @@ def test_ablation_selection_quality_and_evals(benchmark, results_dir):
                         / max(opt.objective_value, 1e-12),
                     )
                 )
-        # Full-size pool: count evaluations.
+        # Full-size pool: count evaluations and time each arm.
         large = build_optimizer(max_per_template=None, n_queries=100,
                                 exponent=1.2)
+        sels = {
+            c: large.objective.selectivity(c)
+            for c in large.workload.candidate_pool
+        }
+        _, build_s = timed(SelectionObjective, large.workload, sels)
+        args = (large.objective, large.costs)
         eval_rows = []
+        time_rows = []
         for budget in (2.0, 5.0, 10.0):
-            eager = ratio_greedy(large.objective, large.costs, budget)
-            lazy = celf_greedy(large.objective, large.costs, budget)
+            eager, eager_s = timed(ratio_greedy, *args, budget)
+            lazy, lazy_s = timed(celf_greedy, *args, budget)
+            _, naive_s = timed(naive_greedy, *args, budget)
+            _, combined_s = timed(select_predicates, *args, budget)
             assert lazy.selected == eager.selected
             eval_rows.append(
                 (
@@ -88,9 +109,12 @@ def test_ablation_selection_quality_and_evals(benchmark, results_dir):
                     eager.evaluations / max(lazy.evaluations, 1),
                 )
             )
-        return quality_rows, eval_rows
+            time_rows.append(
+                (budget, build_s, naive_s, eager_s, lazy_s, combined_s)
+            )
+        return quality_rows, eval_rows, time_rows
 
-    quality_rows, eval_rows = run_once(benchmark, experiment)
+    quality_rows, eval_rows, time_rows = run_once(benchmark, experiment)
     quality = format_table(
         ["budget", "algorithm", "f(S)", "OPT", "ratio to OPT"],
         quality_rows,
@@ -100,10 +124,15 @@ def test_ablation_selection_quality_and_evals(benchmark, results_dir):
          "saving"],
         eval_rows,
     )
+    time_headers = ["budget", "objective build s", "naive s",
+                    "ratio (eager) s", "celf s", "combined s"]
+    walls = format_table(time_headers, time_rows)
     emit(
         "ablation_selection",
         f"== Selection ablation: quality ==\n{quality}\n\n"
-        f"== Selection ablation: lazy evaluation ==\n{evals}",
+        f"== Selection ablation: lazy evaluation ==\n{evals}\n\n"
+        f"== Selection ablation: wall seconds (full-size pool, "
+        f"reported only) ==\n{walls}",
         results_dir,
     )
     emit_json("ablation_selection", {
@@ -116,6 +145,10 @@ def test_ablation_selection_quality_and_evals(benchmark, results_dir):
             "headers": ["budget", "#selected", "evals (eager)",
                         "evals (CELF)", "saving"],
             "rows": [list(row) for row in eval_rows],
+        },
+        "wall_seconds": {
+            "headers": time_headers,
+            "rows": [list(row) for row in time_rows],
         },
     }, results_dir)
 

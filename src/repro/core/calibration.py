@@ -28,10 +28,12 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
-import numpy as np
-
 from .cost_model import CostCoefficients
 from .patterns import CompiledClause
+
+# numpy is imported inside the three functions that use it: the server's
+# import path reaches this module but never calibrates, and loading numpy
+# would cost it ~80 ms per process start.
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,8 @@ def r_squared(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
     Degenerate case: if every observation has the same true value, SStot is
     zero; we report 1.0 for a perfect fit and 0.0 otherwise.
     """
+    import numpy as np
+
     yt = np.asarray(y_true, dtype=float)
     yp = np.asarray(y_pred, dtype=float)
     if yt.shape != yp.shape:
@@ -106,6 +110,8 @@ def fit(observations: Sequence[Observation]) -> CalibrationReport:
             f"need at least 5 observations to fit 5 coefficients, "
             f"got {len(observations)}"
         )
+    import numpy as np
+
     design = np.array([obs.features() for obs in observations], dtype=float)
     target = np.array([obs.mean_cost_us for obs in observations], dtype=float)
     solution, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
@@ -162,6 +168,8 @@ def measure_search_costs(
 def predict(coefficients: CostCoefficients,
             observations: Sequence[Observation]) -> List[float]:
     """Model predictions for *observations* under *coefficients*."""
+    import numpy as np
+
     vec = np.asarray(coefficients.as_vector(), dtype=float)
     design = np.array([obs.features() for obs in observations], dtype=float)
     return [float(v) for v in design @ vec]

@@ -23,6 +23,8 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 from .predicates import Clause, Query, Workload
 
 ClauseSet = FrozenSet[Clause]
+#: One query as the hot path sees it: (normalized frequency, its clauses).
+QueryTerm = Tuple[float, Tuple[Clause, ...]]
 
 
 class SelectionObjective:
@@ -56,9 +58,16 @@ class SelectionObjective:
         # workloads of different sizes.
         self._freq = workload.normalized_frequencies()
         # Flat (frequency, clause tuple) pairs: the evaluation hot path.
-        self._flat: List[Tuple[float, Tuple[Clause, ...]]] = [
+        self._flat: List[QueryTerm] = [
             (self._freq[q], q.clauses) for q in workload.queries
         ]
+        # Clause -> the terms of the queries containing it, in workload
+        # order: a marginal gain sums exactly the terms (and in the order)
+        # a full scan would, so its floats are bit-identical.
+        self._containing: Dict[Clause, List[QueryTerm]] = {}
+        for term in self._flat:
+            for c in term[1]:
+                self._containing.setdefault(c, []).append(term)
 
     @property
     def workload(self) -> Workload:
@@ -100,9 +109,7 @@ class SelectionObjective:
         gain = 0.0
         sel = self._sel
         candidate_sel = sel[candidate]
-        for freq, clauses in self._flat:
-            if candidate not in clauses:
-                continue
+        for freq, clauses in self._containing.get(candidate, ()):
             product = 1.0
             for c in clauses:
                 if c in selected:

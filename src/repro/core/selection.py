@@ -17,6 +17,14 @@ Extensions beyond the paper, exercised by the ablation bench:
 * :func:`celf_greedy` — the benefit-cost greedy accelerated with lazy
   marginal-gain evaluation (CELF); identical output, far fewer evaluations.
 * :func:`exhaustive_optimum` — brute force, the test oracle for the bound.
+
+The naive arm stays eager on purpose.  Each marginal gain reads only the
+queries that contain its clause (the objective's clause → query index),
+so on yelp workload A (200 queries, 83 clauses, budget 20 µs/record, a
+2-vCPU host) the eager naive arm takes ~33 ms for 2,217 evaluations
+and the CELF ratio arm ~12 ms for 249.  A lazy naive arm could save at
+most those 33 ms, and would add a second heap whose tie-break must
+reproduce Algorithm 1's pool-order choice to the last bit.
 """
 
 from __future__ import annotations

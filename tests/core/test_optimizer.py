@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import (
     Budget,
+    CiaoOptimizer,
     CostModel,
     DEFAULT_COEFFICIENTS,
     clause,
@@ -13,6 +14,8 @@ from repro.core import (
     manual_plan,
     substring,
 )
+from repro.data import make_generator
+from repro.workload import estimate_selectivities, table3_workload
 
 
 class TestPlan:
@@ -70,3 +73,55 @@ class TestManualPlan:
         assert plan.predicate_ids == [0, 1]
         assert math.isnan(plan.expected_benefit())
         assert plan.total_cost_us() == pytest.approx(plan.budget.us)
+
+
+#: Yelp Table III workload A and the planning sample, both from one seed:
+#: the plans below are the ones the yelp_pushdown (Budget 20) and
+#: yelp_adhoc (Budget 1) benchmark workloads serve.
+GOLDEN_SEED = 20261016
+
+#: Budget -> (pushed SQL in id order, f(S), marginal-gain evaluations).
+GOLDEN_PLANS = {
+    20.0: (
+        [
+            "cool = 2", "cool = 87", "useful = 63", "useful = 98",
+            "funny = 76", "cool = 75", "cool = 93", "funny = 33",
+            "funny = 27", "funny = 56", "useful = 68",
+            "date LIKE '2010-%'", "date LIKE '%-10-%'",
+            "date LIKE '2016-%'", "cool = 69", "cool = 54", "cool = 67",
+            "cool = 39", "funny = 68", "funny = 84", "cool = 18",
+            "useful = 20", "funny = 12", "funny = 3", "stars = 1",
+            "funny = 73", "date LIKE '%-04-%'", "date LIKE '2009-%'",
+            "useful = 74", "useful = 92", "funny = 9", "cool = 31",
+            "funny = 7", "cool = 68",
+        ],
+        0.9889250293067982,
+        2466,
+    ),
+    1.0: (["cool = 2", "date LIKE '2009-%'"], 0.919985800000001, 186),
+}
+
+
+class TestGoldenPlans:
+    """The planner's output is pinned to the last bit on yelp."""
+
+    @pytest.fixture(scope="class")
+    def yelp_optimizer(self):
+        planning = make_generator("yelp", GOLDEN_SEED)
+        sample = planning.sample(1000)
+        model = CostModel(
+            DEFAULT_COEFFICIENTS, planning.average_record_length()
+        )
+        workload = table3_workload("yelp", "A", seed=GOLDEN_SEED,
+                                   n_queries=200)
+        sels = estimate_selectivities(workload.candidate_pool, sample)
+        return CiaoOptimizer(workload, sels, model)
+
+    @pytest.mark.parametrize("budget", sorted(GOLDEN_PLANS))
+    def test_plan_matches_golden(self, yelp_optimizer, budget):
+        sql, objective_value, evaluations = GOLDEN_PLANS[budget]
+        plan = yelp_optimizer.plan(Budget(budget))
+        assert [c.sql() for c in plan.clauses] == sql
+        assert plan.predicate_ids == list(range(len(sql)))
+        assert plan.selection.objective_value == objective_value
+        assert plan.selection.evaluations == evaluations

@@ -95,3 +95,61 @@ def test_objective_bounded_by_one(instance):
     objective = SelectionObjective(workload, sels)
     value = objective.value(frozenset(workload.candidate_pool))
     assert -1e-12 <= value <= 1.0 + 1e-12
+
+
+#: A clause the gain instances may add to every query.
+SHARED = clause(exact("shared", "every query"))
+
+
+@st.composite
+def gain_instances(draw):
+    """A random instance, optionally with one clause in every query, and
+    a random selected set S drawn from its pool."""
+    workload, sels, _, _ = draw(random_instances())
+    if draw(st.booleans()):
+        workload = Workload(tuple(
+            Query(q.clauses + (SHARED,), frequency=q.frequency, name=q.name)
+            for q in workload.queries
+        ))
+        sels = {
+            **sels,
+            SHARED: draw(
+                st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+            ),
+        }
+    pool = workload.candidate_pool
+    selected = frozenset(draw(st.sets(st.sampled_from(pool))))
+    return workload, sels, selected
+
+
+def full_scan_gain(workload, sels, selected, candidate):
+    """The marginal gain by scanning every query, in workload order."""
+    if candidate in selected:
+        return 0.0
+    freq = workload.normalized_frequencies()
+    gain = 0.0
+    for query in workload.queries:
+        if candidate not in query.clauses:
+            continue
+        product = 1.0
+        for c in query.clauses:
+            if c in selected:
+                product *= sels[c]
+        gain += freq[query] * product * (1.0 - sels[candidate])
+    return gain
+
+
+@given(gain_instances())
+@settings(max_examples=150, deadline=None)
+def test_indexed_marginal_gain_matches_full_scan(instance):
+    workload, sels, selected = instance
+    objective = SelectionObjective(workload, sels)
+    base = objective.value(selected)
+    # Every pool clause: the already-selected ones (gain 0) and, when
+    # drawn, the clause shared by every query.
+    for candidate in workload.candidate_pool:
+        gain = objective.marginal_gain(selected, candidate)
+        assert gain == full_scan_gain(workload, sels, selected, candidate)
+        assert abs(
+            gain - (objective.value(selected | {candidate}) - base)
+        ) <= 1e-12

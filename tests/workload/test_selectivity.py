@@ -1,8 +1,18 @@
 """Unit tests for selectivity estimation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import clause, exact, key_value, substring
+from repro.core import (
+    clause,
+    exact,
+    key_present,
+    key_value,
+    prefix,
+    substring,
+    suffix,
+)
 from repro.rawjson import dump_record
 from repro.workload import (
     MIN_SELECTIVITY,
@@ -82,3 +92,48 @@ class TestFalsePositiveRates:
     def test_alignment_validated(self):
         with pytest.raises(ValueError):
             false_positive_rates([], SAMPLE, RAW[:-1])
+
+
+# ----------------------------------------------------------------------
+# The per-value counting path against the per-record oracle
+# ----------------------------------------------------------------------
+#: Column "a" holds only hashable values, so its single-predicate clauses
+#: take the counting path; column "b" may also hold lists and dicts,
+#: which send its clauses back to the per-record loop.
+HASHABLE_VALUES = st.one_of(
+    st.sampled_from([True, False, 1, 0, 1.0, 0.0, 2, None, float("nan")]),
+    st.sampled_from(["x", "xy", "yx", "1", "true"]),
+)
+ANY_VALUES = st.one_of(
+    HASHABLE_VALUES,
+    st.lists(st.integers(min_value=0, max_value=1), max_size=2),
+    st.dictionaries(st.just("k"), st.integers(min_value=0, max_value=1)),
+)
+RECORDS = st.fixed_dictionaries(
+    {}, optional={"a": HASHABLE_VALUES, "b": ANY_VALUES}
+)
+COLUMNS = st.sampled_from(["a", "b"])
+STRINGS = st.sampled_from(["x", "y", "xy", "1"])
+#: One builder per PredicateKind.
+PREDICATES = st.one_of(
+    st.builds(exact, COLUMNS, STRINGS),
+    st.builds(substring, COLUMNS, STRINGS),
+    st.builds(prefix, COLUMNS, STRINGS),
+    st.builds(suffix, COLUMNS, STRINGS),
+    st.builds(key_present, COLUMNS),
+    st.builds(key_value, COLUMNS, st.sampled_from([True, False, 1, 0, 2])),
+)
+CLAUSES = st.lists(PREDICATES, min_size=1, max_size=3).map(
+    lambda preds: clause(*preds)
+)
+
+
+@given(st.lists(CLAUSES, min_size=1, max_size=8),
+       st.lists(RECORDS, min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_batch_estimates_equal_per_record_oracle(pool, sample):
+    got = estimate_selectivities(pool, sample)
+    expected = {c: estimate_selectivity(c, sample) for c in pool}
+    assert list(got) == list(expected)
+    assert [v.hex() for v in got.values()] == \
+        [v.hex() for v in expected.values()]
