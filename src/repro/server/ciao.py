@@ -310,6 +310,9 @@ class CiaoServer:
         self._schema = schema
         self._metrics = resolve_metrics(metrics)
         self._m_checkpoints = self._metrics.counter("recovery.checkpoints")
+        self._m_checkpoint_timeouts = self._metrics.counter(
+            "recovery.checkpoint_timeouts"
+        )
         self._m_manifest_writes = self._metrics.counter(
             "recovery.manifest_writes"
         )
@@ -727,8 +730,10 @@ class CiaoServer:
                 # A compactor running remove_inputs=True may unlink
                 # manifest-listed parts; refresh the manifest past the
                 # swap so recovery never chases deleted files.  Best
-                # effort: a quiesce timeout leaves the previous (stale
-                # but readable) revision in place.
+                # effort: a quiesce timeout (a dead or wedged shard,
+                # counted in recovery.checkpoint_timeouts) leaves the
+                # previous (stale but readable) revision in place, and
+                # finalize_loading() reports the failed shard.
                 try:
                     self._checkpoint_locked(
                         f"compaction epoch={self._compaction_epoch}"
@@ -742,13 +747,18 @@ class CiaoServer:
     def checkpoint(self, timeout: float = 30.0) -> bool:
         """Write a durable manifest revision; returns True if one landed.
 
-        The durable cut: quiesce the pipeline so every submitted chunk
-        is sealed or sidelined, then atomically record the sealed
-        parts, sideline watermarks, ledger, and summary *as of that
-        moment*.  A kill -9 after this call loses nothing at or before
-        it.  Returns ``False`` when there is nothing checkpointable:
-        a non-durable server, or a mid-load server whose storage has no
-        sealed mid-load state (serial, or streaming disabled).
+        The durable cut: quiesce the pipeline — a flush barrier that
+        makes every shard seal and publish everything submitted before
+        it — so every submitted chunk is sealed or sidelined, then
+        atomically record the sealed parts, sideline watermarks, ledger,
+        and summary *as of that moment*.  A kill -9 after this call
+        loses nothing at or before it.  Returns ``False`` when there is
+        nothing checkpointable: a non-durable server, or a mid-load
+        server whose storage has no sealed mid-load state (serial, or
+        streaming disabled).  Raises
+        :class:`TimeoutError` (counted in ``recovery.checkpoint_timeouts``)
+        when the flush does not complete within *timeout* — a dead or
+        wedged shard.
         """
         if self._manifest is None:
             return False
@@ -764,7 +774,11 @@ class CiaoServer:
         """Quiesce a streaming load (if one runs), then persist the view."""
         with self._ingest_lock:
             if self._streaming and not self._loading_finalized:
-                self._pipeline.quiesce(timeout)
+                try:
+                    self._pipeline.quiesce(timeout)
+                except TimeoutError:
+                    self._m_checkpoint_timeouts.inc()
+                    raise
             self._write_manifest_locked(event)
 
     def _relpath(self, path: Path) -> str:
@@ -935,8 +949,10 @@ class CiaoServer:
     def quiesce(self, timeout: float = 30.0) -> None:
         """Wait until every ingested chunk is visible to queries.
 
-        Useful to make "query the prefix ingested so far" deterministic
-        in tests and benchmarks.  A serial server is always caught up; a
+        Flushes the shard workers (see
+        :meth:`ShardedIngestPipeline.quiesce`), so it costs the flush
+        work, not an idle wait.  Useful to make "query the prefix
+        ingested so far" deterministic in tests and benchmarks.  A serial server is always caught up; a
         sharded server with streaming disabled (``seal_interval=None``)
         cannot expose mid-load state, so quiescing it raises
         ``RuntimeError`` (finalize instead).

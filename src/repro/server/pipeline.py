@@ -10,13 +10,14 @@ keeps the table queryable *while* loading:
 Architecture::
 
     submit(payload) ──▶ shared work deque ─▶ worker 0 (local queue) ┐
-                        (work stealing:      worker 1 (local queue) ├─▶
-                        idle workers pull    ...                    │
-                        the oldest chunk)    worker N (local queue) ┘
-                             │                        │
-                             │        seal part every K chunks / on idle,
-                             │        publish (sealed parts, sideline
-                             │        watermark, per-chunk reports)
+    quiesce(): one      (work stealing:      worker 1 (local queue) ├─▶
+      flush token per   idle workers pull    ...                    │
+      shard, queued     the oldest chunk)    worker N (local queue) ┘
+      behind chunks          │                        │
+                             │        seal part every K chunks, on a
+                             │        flush token, or on idle; publish
+                             │        (sealed parts, sideline watermark,
+                             │        per-chunk reports)
                              ▼                        ▼
                         snapshot() ◀──lock-protected merge──  finalize()
 
@@ -41,14 +42,24 @@ Architecture::
   and as the bench baseline.
 * **Streaming snapshots** (``seal_interval``).  Workers seal their current
   Parquet part every *seal_interval* chunks and whenever their queue goes
-  idle, then publish ``(sealed part paths, sideline record watermark,
-  per-chunk reports)``.  :meth:`snapshot` merges those publications under a
-  lock into a :class:`LoadSnapshot` — a consistent loaded-so-far view the
-  query engine can scan mid-load: every covered chunk has *all* its rows
+  idle (so snapshots stay fresh while the submitter pauses), then publish
+  ``(sealed part paths, sideline record watermark, per-chunk reports)``.
+  :meth:`snapshot` merges those publications under a lock into a
+  :class:`LoadSnapshot` — a consistent loaded-so-far view the query
+  engine can scan mid-load: every covered chunk has *all* its rows
   either in a sealed part or below the sideline watermark, exactly as
   serial ingest of those chunks would have placed them.  ``seal_interval=
   None`` disables sealing/publishing (legacy batch behavior, deterministic
   part layout under round-robin).
+* **Flush barrier** (:meth:`~ShardedIngestPipeline.quiesce`).  A durable
+  checkpoint needs "everything submitted is covered" now, not after the
+  workers next go idle.  quiesce queues one flush token per shard behind
+  every submitted chunk; a worker that takes one seals and publishes at
+  once, then parks on a barrier until every shard has taken one (so under
+  work stealing each worker takes exactly one token), and quiesce blocks
+  on those publications until every chunk is covered — its cost is the
+  real flush work.  A flush that fails (timeout, shard error) aborts the
+  barrier so parked workers go back to draining.
 * **Merge at finalize.**  :meth:`finalize` seals every shard loader, then
   merges the shard outputs: Parquet parts are concatenated in shard order
   into one path list for the catalog, shard sidelines are folded into the
@@ -97,17 +108,26 @@ DEFAULT_QUEUE_DEPTH = 64
 DEFAULT_SEAL_INTERVAL = 8
 
 #: How long a worker blocks on its queue before treating itself as idle
-#: (idle workers seal + publish so snapshots converge to "everything
-#: submitted" as soon as the submitter pauses).
+#: (idle workers seal + publish so mid-load snapshots stay fresh while the
+#: submitter pauses; quiesce() never waits on this — it flushes).
 _IDLE_POLL_SECONDS = 0.05
+
+#: Flush token: queued behind every submitted chunk by quiesce().  A
+#: worker that takes it seals + publishes, then parks on the flush
+#: barrier until every shard has taken one.
+_FLUSH = "flush"
+
+#: Longest single blocking read of the out-queue while holding ``_lock``
+#: (bounds how long a concurrent snapshot() waits on a silent shard).
+_PUMP_SLICE_SECONDS = 0.5
 
 #: Extra chunks a worker pulls in one shared-deque visit (work stealing).
 _GRAB_BATCH = 4
 
 #: How long finalize() keeps waiting on silent surviving workers after a
-#: sibling died under work-stealing dispatch.  A killed process can take
-#: the shared queue's reader lock with it, leaving survivors polling an
-#: unreadable queue forever — after this grace they are abandoned (the
+#: sibling died.  A killed process can take the shared work-stealing
+#: queue's reader lock (or the flush barrier's lock) with it, leaving
+#: survivors blocked forever — after this grace they are abandoned (the
 #: load already failed) instead of hanging finalize.
 _ABANDON_GRACE_SECONDS = 5.0
 
@@ -159,7 +179,8 @@ def _run_shard(shard_id: int,
                partial_loading: bool,
                schema: Optional[Schema],
                required_ids: Optional[frozenset],
-               seal_interval: Optional[int]) -> None:
+               seal_interval: Optional[int],
+               barrier) -> None:
     """Shard worker loop: decode + parse + write until the sentinel.
 
     Module-level so process mode can spawn it.  On failure the worker keeps
@@ -174,6 +195,15 @@ def _run_shard(shard_id: int,
     size; the merge can simply append because the out-queue preserves
     each producer's message order.  The terminal ``"done"`` message
     carries the full final state and supersedes all progress.
+
+    A flush token (:data:`_FLUSH`, queued by
+    :meth:`ShardedIngestPipeline.quiesce`) makes the worker publish what
+    it has ingested since its last publication, then park on *barrier*
+    (one party per shard) until every shard has taken its token.
+    Parking is what makes each worker under work stealing take exactly
+    one token of a flush.  A failed worker publishes nothing — its
+    error was announced already — but still parks, so its siblings are
+    released.  A broken (aborted) barrier releases at once.
     """
     error: Optional[str] = None
     reports: List[Tuple[int, LoadReport]] = []
@@ -241,6 +271,10 @@ def _run_shard(shard_id: int,
         except Exception:  # ciaolint: allow[API006] -- shard isolation: a poison chunk must not kill the drain loop
             error = fail(f"failed on chunk #{seq}")
 
+    def publish_pending() -> None:
+        if seal_interval is not None and error is None and unpublished:
+            publish()
+
     # The drain loop must run no matter what happened above: a bounded
     # queue with a dead consumer would block submit() forever.
     stop = False
@@ -248,31 +282,34 @@ def _run_shard(shard_id: int,
         try:
             item = in_queue.get(timeout=_IDLE_POLL_SECONDS)
         except queue.Empty:
-            # Idle: everything handed to us so far becomes visible to
-            # readers, so a paused submitter sees a complete snapshot.
-            if seal_interval is not None and error is None and unpublished:
-                publish()
+            # Idle: keep a mid-load snapshot fresh while the submitter
+            # pauses.  Nothing waits on this — quiesce() flushes.
+            publish_pending()
             continue
-        if item is None:
-            break
-        process(item)
         # Work stealing hands every worker the same shared deque; grab a
         # small batch per visit to amortize queue synchronization.  A
-        # sentinel found mid-batch goes back — each worker must consume
-        # exactly one so its peers also stop.
-        grabbed = []
+        # control item (stop sentinel or flush token) ends the batch, so
+        # it is handled after every chunk taken before it.
+        items = [item]
         try:
-            while len(grabbed) < _GRAB_BATCH - 1:
-                extra = in_queue.get_nowait()
-                if extra is None:
-                    in_queue.put(None)
-                    stop = True
-                    break
-                grabbed.append(extra)
+            while isinstance(items[-1], tuple) and len(items) < _GRAB_BATCH:
+                items.append(in_queue.get_nowait())
         except queue.Empty:
             pass
-        for extra in grabbed:
-            process(extra)
+        for item in items:
+            if item is None:
+                stop = True
+            elif item == _FLUSH:
+                # Everything taken before the token becomes visible, then
+                # the worker parks until every shard took a token, so
+                # under work stealing each worker takes exactly one.
+                publish_pending()
+                try:
+                    barrier.wait()
+                except threading.BrokenBarrierError:
+                    pass  # quiesce() gave up on this flush; keep draining
+            else:
+                process(item)
     paths: List[str] = []
     try:
         if loader is not None:
@@ -397,10 +434,12 @@ class ShardedIngestPipeline:
             ctx = multiprocessing.get_context("fork")
             make_queue = ctx.Queue
             make_worker = ctx.Process
+            self._barrier = ctx.Barrier(n_shards)
         else:
-            ctx = None
             make_queue = queue.Queue
             make_worker = threading.Thread
+            self._barrier = threading.Barrier(n_shards)
+        self._aborter: Optional[threading.Thread] = None
         self._out_queue = make_queue()
         if dispatch == "round-robin":
             self._in_queues = [make_queue(maxsize=queue_depth)
@@ -413,7 +452,8 @@ class ShardedIngestPipeline:
                 target=_run_shard,
                 args=(i, self._in_queues[i], self._out_queue,
                       str(shard_parquet[i]), str(self._sideline_paths[i]),
-                      partial_loading, schema, required, seal_interval),
+                      partial_loading, schema, required, seal_interval,
+                      self._barrier),
                 daemon=True,
             )
             for i in range(n_shards)
@@ -511,23 +551,77 @@ class ShardedIngestPipeline:
     def quiesce(self, timeout: float = 30.0) -> LoadSnapshot:
         """Block until every submitted chunk is covered by a snapshot.
 
-        Workers seal + publish when their queue goes idle, so once the
-        submitter pauses the snapshot converges to the full submitted
-        stream within a few idle polls.  Raises :class:`TimeoutError`
-        after *timeout* seconds — e.g. when a shard died mid-load
-        (:meth:`finalize` surfaces the underlying error).
+        A flush barrier: unless the snapshot is already complete, queue
+        one flush token per shard behind every submitted chunk (one per
+        round-robin queue, ``n_shards`` on the shared work-stealing
+        deque), then block on worker publications until the snapshot
+        covers every submitted chunk.  Each worker that takes a token
+        publishes and parks until every shard has taken one.  Raises
+        :class:`IngestPipelineError` as soon as a shard reports a
+        failure, and :class:`TimeoutError` after *timeout* seconds —
+        e.g. when a shard died mid-load (:meth:`finalize` surfaces the
+        underlying error); either way the barrier is aborted so parked
+        workers go back to draining.  Assumes the submitting thread
+        calls it.
         """
+        snap = self.snapshot()
+        if snap.complete:
+            return snap
         deadline = time.monotonic() + timeout
-        while True:
-            snap = self.snapshot()
-            if snap.complete:
-                return snap
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"pipeline did not quiesce within {timeout}s: "
-                    f"{snap.chunks}/{snap.submitted} chunks covered"
-                )
-            time.sleep(_IDLE_POLL_SECONDS / 2)
+        if self._barrier.broken and not self._aborting():
+            self._barrier.reset()
+        queues = (self._in_queues if self.dispatch == "round-robin"
+                  else self._in_queues[:1] * self.n_shards)
+        flushed = False
+        try:
+            for in_queue in queues:
+                in_queue.put(_FLUSH,
+                             timeout=max(deadline - time.monotonic(), 1e-3))
+            while not snap.complete:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TimeoutError(
+                        f"pipeline did not quiesce within {timeout}s: "
+                        f"{snap.chunks}/{snap.submitted} chunks covered"
+                    )
+                with self._lock:
+                    self._pump_messages(
+                        block_seconds=min(remaining, _PUMP_SLICE_SECONDS)
+                    )
+                snap = self.snapshot()
+            flushed = True
+        except queue.Full:
+            raise TimeoutError(
+                f"pipeline did not quiesce within {timeout}s: a shard "
+                f"queue stayed full"
+            ) from None
+        finally:
+            if not flushed:
+                self._abort_flush()
+        return snap
+
+    def _abort_flush(self) -> None:
+        """Break the flush barrier so parked workers go back to draining.
+
+        A process barrier's ``abort()`` waits for every parked worker to
+        acknowledge its wake-up, and a shard killed while parked never
+        does; aborting on a helper thread keeps such a death from
+        wedging the caller (the barrier then stays broken, and flushes
+        fall back to the idle publish).  A thread barrier's abort never
+        waits, and a helper would queue behind busy workers for the GIL.
+        """
+        if self.mode == "thread":
+            self._barrier.abort()
+            return
+        self._aborter = threading.Thread(
+            target=self._barrier.abort, name="flush-abort", daemon=True
+        )
+        self._aborter.start()
+        self._aborter.join(_PUMP_SLICE_SECONDS)
+
+    def _aborting(self) -> bool:
+        """True while an abort is still stuck on a dead parked worker."""
+        return self._aborter is not None and self._aborter.is_alive()
 
     @guarded_by("_lock")
     def _pump_messages(self, block_seconds: Optional[float] = None) -> bool:
@@ -535,7 +629,7 @@ class ShardedIngestPipeline:
 
         Returns True if at least one message was handled.  With
         *block_seconds* the first get blocks that long (used by
-        :meth:`finalize` while waiting on workers).
+        :meth:`quiesce` and :meth:`finalize` while waiting on workers).
         """
         handled = False
         block = block_seconds
@@ -611,6 +705,10 @@ class ShardedIngestPipeline:
             return self.summary
         self._finalized = True
         finalize_start = time.perf_counter()
+        # A worker may still be parked on a flush that never completed
+        # (a sibling died, or stale tokens of an aborted flush): release
+        # it, or it never reaches its stop sentinel.
+        self._abort_flush()
         if self.dispatch == "round-robin":
             for in_queue in self._in_queues:
                 in_queue.put(None)
@@ -621,23 +719,25 @@ class ShardedIngestPipeline:
         # worker that died without posting (e.g. an OOM-killed process):
         # poll with a timeout, and when a pending worker is no longer
         # alive give its in-flight message one grace period before
-        # declaring it lost.  Under work-stealing dispatch a killed
-        # worker may additionally have poisoned the shared queue (died
-        # holding its reader lock), leaving alive siblings unable to ever
-        # see their stop sentinel — once a death is recorded, survivors
-        # that stay silent past a grace period are abandoned too rather
-        # than waited on forever.
+        # declaring it lost.  A killed worker may additionally have
+        # poisoned the shared work-stealing queue (died holding its
+        # reader lock) or, under any dispatch, the flush barrier (died
+        # parked on it), leaving alive siblings unable to ever see their
+        # stop sentinel — once a death is recorded, survivors that stay
+        # silent past a grace period are abandoned too rather than
+        # waited on forever.
         abandon_at: Optional[float] = None
         while True:
             with self._lock:
                 pending = set(range(self.n_shards)) - self._terminal
                 if not pending:
                     break
-                if self._pump_messages(block_seconds=0.5):
+                if self._pump_messages(block_seconds=_PUMP_SLICE_SECONDS):
                     continue
                 dead = [i for i in sorted(pending)
                         if not self._workers[i].is_alive()]
-                if dead and self._pump_messages(block_seconds=0.5):
+                if dead and self._pump_messages(
+                        block_seconds=_PUMP_SLICE_SECONDS):
                     continue  # a straggler message made it; keep collecting
                 for shard_id in dead:
                     self._errors.append(
@@ -645,8 +745,7 @@ class ShardedIngestPipeline:
                         f"a result"
                     )
                     self._terminal.add(shard_id)
-                if (dead and abandon_at is None
-                        and self.dispatch == "work-stealing"):
+                if dead and abandon_at is None:
                     abandon_at = time.monotonic() + _ABANDON_GRACE_SECONDS
                 if abandon_at is not None and \
                         time.monotonic() >= abandon_at:
@@ -657,7 +756,7 @@ class ShardedIngestPipeline:
                         self._errors.append(
                             f"shard {shard_id} abandoned: a sibling "
                             f"worker died and may have poisoned the "
-                            f"shared work queue"
+                            f"shared work queue or the flush barrier"
                         )
                         self._terminal.add(shard_id)
                         worker = self._workers[shard_id]

@@ -604,8 +604,11 @@ class CiaoService:
         """Count one applied CHUNKS batch toward the checkpoint cadence.
 
         The checkpoint itself runs with no service lock held — it
-        quiesces the ingest pipeline and fsyncs the manifest, both far
-        too heavy for the connection-registry lock.
+        flushes the ingest pipeline (one flush token per shard, waiting
+        until every submitted chunk is sealed or sidelined) and fsyncs
+        the manifest, both far too heavy for the connection-registry
+        lock.  It runs on this router thread, so the client's next
+        CHUNKS batch waits for exactly that flush work.
         """
         if self.checkpoint_every is None:
             return

@@ -1,5 +1,8 @@
 """Tests for the sharded ingest pipeline (serial-equivalence above all)."""
 
+import threading
+import time
+
 import pytest
 
 from repro.bitvec import BitVector
@@ -11,12 +14,15 @@ from repro.core import (
     DEFAULT_COEFFICIENTS,
 )
 from repro.data import make_generator
+from repro.obs.metrics import Metrics
 from repro.rawjson import JsonChunk, dump_record
 from repro.server import (
     CiaoServer,
     IngestPipelineError,
     ShardedIngestPipeline,
 )
+from repro.server import pipeline as pipeline_module
+from repro.server.loader import ClientAssistedLoader
 from repro.storage import JsonSideStore
 from repro.workload import estimate_selectivities, table3_workload
 
@@ -38,6 +44,27 @@ def workload_setup():
     return plan, workload, payloads
 
 
+def finalize_within(pipeline, seconds):
+    """Run ``finalize()`` on a helper thread; return what it raised.
+
+    Fails (instead of hanging the suite) when finalize does not return
+    within *seconds* — e.g. because a worker stayed parked on a flush.
+    """
+    outcome = {}
+
+    def run():
+        try:
+            pipeline.finalize()
+        except Exception as exc:  # noqa: BLE001 - handed to the caller
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"finalize() hung past {seconds}s"
+    return outcome.get("error")
+
+
 def run_server(tmp_path, plan, workload, payloads, n_shards, mode="thread"):
     server = CiaoServer(
         tmp_path, plan=plan, workload=workload,
@@ -48,6 +75,26 @@ def run_server(tmp_path, plan, workload, payloads, n_shards, mode="thread"):
     summary = server.finalize_loading()
     results = [server.query(q.sql("t")).scalar() for q in workload.queries]
     return server, summary, results
+
+
+def serial_summary(tmp_path, chunks):
+    """What one serial loader reports for *chunks* (the reference)."""
+    loader = ClientAssistedLoader(
+        tmp_path / "serial.pql", JsonSideStore(tmp_path / "serial.jsonl"),
+        partial_loading=True,
+    )
+    for chunk in chunks:
+        loader.ingest(chunk)
+    return loader.finalize()
+
+
+def counts(summary):
+    """A summary's record counts and per-chunk reports, bar wall time."""
+    return (
+        {k: v for k, v in summary.to_dict().items() if k != "wall_seconds"},
+        [(r.chunk_id, r.received, r.loaded, r.sidelined, r.malformed)
+         for r in summary.reports],
+    )
 
 
 class TestShardEquivalence:
@@ -205,20 +252,36 @@ class TestPipelineBehavior:
         with pytest.raises(IngestPipelineError):
             pipeline.finalize()
 
-    def test_shard_error_surfaces_in_snapshot_fast(self, tmp_path):
+    def test_shard_error_surfaces_in_snapshot_fast(self, tmp_path,
+                                                   monkeypatch):
         # A corrupt payload must fail snapshot()/quiesce() promptly with
-        # the real cause, not burn the quiesce timeout.
-        import time as time_module
-
-        pipeline, _ = self.make_pipeline(tmp_path)
-        pipeline.submit(self.simple_chunks(n_chunks=1)[0])
-        pipeline.submit(b"CIA1 this is not a chunk")
-        start = time_module.monotonic()
-        with pytest.raises(IngestPipelineError, match="failed on chunk"):
-            pipeline.quiesce(timeout=30)
-        assert time_module.monotonic() - start < 10
-        with pytest.raises(IngestPipelineError):
-            pipeline.finalize()
+        # the real cause, not burn the quiesce timeout — and the failed
+        # flush must release every parked worker, or finalize() hangs
+        # (thread workers cannot be terminated).  With the idle publish
+        # slowed to 10 s, only the flush can make the workers report.
+        monkeypatch.setattr(pipeline_module, "_IDLE_POLL_SECONDS", 10.0)
+        for mode, dispatch in (("thread", "work-stealing"),
+                               ("thread", "round-robin"),
+                               ("process", "work-stealing")):
+            pipeline, _ = self.make_pipeline(
+                tmp_path / f"{mode}-{dispatch}", mode=mode,
+                dispatch=dispatch,
+            )
+            for chunk in self.simple_chunks(n_chunks=3):
+                pipeline.submit(chunk)
+            pipeline.submit(b"CIA1 this is not a chunk")
+            start = time.monotonic()
+            with pytest.raises(IngestPipelineError, match="failed on chunk"):
+                pipeline.quiesce(timeout=5)
+            assert time.monotonic() - start < 5
+            error = finalize_within(
+                pipeline, pipeline_module._ABANDON_GRACE_SECONDS
+            )
+            assert isinstance(error, IngestPipelineError)
+            assert "abandoned" not in str(error)
+            assert not any(w.is_alive() for w in pipeline._workers)
+            with pytest.raises(IngestPipelineError):
+                pipeline.finalize()
 
     def test_malformed_records_quarantined_across_shards(self, tmp_path):
         pipeline, side = self.make_pipeline(tmp_path, n_shards=2)
@@ -260,14 +323,105 @@ class TestPipelineBehavior:
             pipeline.finalize()
 
     def test_killed_worker_does_not_hang_finalize(self, tmp_path):
-        pipeline, _ = self.make_pipeline(tmp_path, n_shards=2,
-                                         mode="process")
-        pipeline.submit(self.simple_chunks(n_chunks=1)[0])
+        # A shard killed mid-load: its flush token is never taken, so a
+        # checkpoint times out (and is counted), the surviving worker is
+        # released from its park, and finalize reports the dead shard
+        # within its abandon grace.
+        grace = pipeline_module._ABANDON_GRACE_SECONDS
+        for dispatch in ("work-stealing", "round-robin"):
+            metrics = Metrics()
+            server = CiaoServer(
+                tmp_path / dispatch, durable=True, n_shards=2,
+                shard_mode="process", dispatch=dispatch, seal_interval=2,
+                metrics=metrics,
+            )
+            pipeline = server._pipeline
+            first, second = self.simple_chunks(n_chunks=2)
+            server.ingest(encode_chunk(first))
+            pipeline._workers[1].terminate()
+            pipeline._workers[1].join()
+            # Round-robin hands chunk #1 to the dead shard.
+            server.ingest(encode_chunk(second))
+            timed_out = []
+            for flush in (lambda: pipeline.quiesce(timeout=1),
+                          lambda: server.checkpoint(timeout=1)):
+                start = time.monotonic()
+                try:
+                    flush()
+                    timed_out.append(False)
+                except TimeoutError:
+                    timed_out.append(True)
+                assert time.monotonic() - start < 1 + 1
+            if dispatch == "round-robin":
+                # Chunk #1 sits with the dead shard.  (Under work stealing
+                # the survivor may have taken every chunk.)
+                assert timed_out == [True, True]
+            counters = metrics.snapshot()["counters"]
+            assert counters["recovery.checkpoint_timeouts"] == timed_out[1]
+            start = time.monotonic()
+            with pytest.raises(IngestPipelineError,
+                               match="terminated without reporting") as info:
+                server.finalize_loading()
+            assert time.monotonic() - start < grace + 3
+            if dispatch == "round-robin":
+                # The survivor drained to its stop sentinel: not parked.
+                assert "abandoned" not in str(info.value)
+
+    def test_worker_killed_while_parked_does_not_hang(self, tmp_path):
+        # Shard 2 dies before the flush, so shards 0 and 1 stay parked
+        # on the barrier after a successful quiesce; then shard 1 is
+        # killed while parked.  A process barrier's abort() waits for
+        # every parked worker to acknowledge its wake-up, which a dead
+        # one never does — neither the next flush nor finalize may hang.
+        pipeline, _ = self.make_pipeline(
+            tmp_path, n_shards=3, mode="process", dispatch="round-robin"
+        )
+        pipeline._workers[2].terminate()
+        pipeline._workers[2].join()
+        for chunk in self.simple_chunks(n_chunks=2):  # shards 0 and 1
+            pipeline.submit(chunk)
+        assert pipeline.quiesce(timeout=3).chunks == 2
+        deadline = time.monotonic() + 3
+        while pipeline._barrier.n_waiting < 2:
+            assert time.monotonic() < deadline, "shards did not park"
+            time.sleep(0.01)
         pipeline._workers[1].terminate()
         pipeline._workers[1].join()
-        with pytest.raises(IngestPipelineError,
-                           match="terminated without reporting"):
-            pipeline.finalize()
+        pipeline.submit(self.simple_chunks(n_chunks=1)[0])  # to shard 2
+        start = time.monotonic()
+        with pytest.raises(TimeoutError):
+            pipeline.quiesce(timeout=1)
+        assert time.monotonic() - start < 1 + 1
+        error = finalize_within(
+            pipeline, pipeline_module._ABANDON_GRACE_SECONDS + 5
+        )
+        assert isinstance(error, IngestPipelineError)
+        assert "terminated without reporting" in str(error)
+
+    @pytest.mark.parametrize("n_shards", [2, 4])
+    @pytest.mark.parametrize("dispatch", ["work-stealing", "round-robin"])
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_quiesce_does_not_wait_on_idle_poll(self, tmp_path, monkeypatch,
+                                                mode, dispatch, n_shards):
+        # quiesce() is a flush barrier: with a 10 s idle poll, a quiesce
+        # that waited for workers to go idle would time out at 3 s.
+        monkeypatch.setattr(pipeline_module, "_IDLE_POLL_SECONDS", 10.0)
+        chunks = self.simple_chunks(n_chunks=20)
+        pipeline, _ = self.make_pipeline(
+            tmp_path, n_shards=n_shards, mode=mode, dispatch=dispatch
+        )
+        for chunk in chunks[:10]:
+            pipeline.submit(chunk)
+        snap = pipeline.quiesce(timeout=3)
+        assert snap.complete and snap.chunks == 10
+        # A second flush re-uses the barrier.
+        for chunk in chunks[10:]:
+            pipeline.submit(chunk)
+        snap = pipeline.quiesce(timeout=3)
+        assert snap.complete and snap.chunks == 20
+        serial = counts(serial_summary(tmp_path, chunks))
+        assert counts(snap.summary) == serial
+        assert counts(pipeline.finalize()) == serial
 
     def test_invalid_construction(self, tmp_path):
         side = JsonSideStore(tmp_path / "s.jsonl")
