@@ -64,9 +64,9 @@ def encode_chunk(chunk: JsonChunk) -> bytes:
     out += records_blob
     for pid in pred_ids:
         bv = chunk.bitvectors[pid]
-        rle = RleBitVector.from_bitvector(bv)
-        if rle.serialized_size() < bv.serialized_size():
-            payload = rle.to_bytes()
+        rle = RleBitVector.from_bitvector(bv).to_bytes()
+        if len(rle) < bv.serialized_size():
+            payload = rle
             out.append(_RLE_TAG)
         else:
             payload = bv.to_bytes()

@@ -16,12 +16,21 @@ Predicate             Pattern string(s)
 ``age = 10``          ``"age":`` and ``10``  (one compiled window scan)
 ====================  ==========================================
 
-Every spec runs as one C-level scan (:meth:`PatternSpec.matcher`): the
-single-pattern kinds are one substring search, and ``age = 10`` is one
+On its own, every spec runs as one C-level scan (:meth:`PatternSpec.matcher`):
+the single-pattern kinds are one substring search, and ``age = 10`` is one
 compiled regex scan, ``"age":[^,}]*?10``, with the same window semantics as
 the two-phase search (see :mod:`repro.rawjson.raw_matcher`).  The scan is
 compiled on first use and cached, never by :func:`compile_predicate`, which
 the cost model calls for every candidate clause while planning.
+
+A client running a whole plan (:class:`repro.client.ClientEvaluator`)
+shares work between specs: one window scan per distinct key lists the
+windows after ``"age":``, and each key-value spec on that key is one C-level
+``in`` test on them; each single-pattern spec is one ``in`` test on the
+record.  The shared scan is exact only when the key pattern holds no ``,`` or
+``}`` and cannot overlap itself, and the value pattern is non-empty without
+``,`` or ``}`` (:func:`repro.rawjson.raw_matcher.window_scan_exact`); any
+other key-value spec falls back to its own :meth:`PatternSpec.matcher` scan.
 """
 
 from __future__ import annotations

@@ -17,6 +17,27 @@ of every value pattern :mod:`repro.core.patterns` emits (``-?\\d+``,
 byte sequence earlier in the record (e.g. inside a text field) can only
 *add* windows, never hide the real one.
 
+A client evaluating many key-value clauses on one key shares the key's
+search: :func:`window_finder` lists the windows after each key occurrence
+(one ``re.findall`` of ``"age":([^,}]*)``), and each clause is a substring
+test on those windows joined by ``,``.  ``findall`` takes non-overlapping
+matches, so this equals trying *every* occurrence only when
+:func:`window_scan_exact` holds:
+
+* the key pattern holds no ``,`` or ``}``, so a skipped occurrence that
+  starts inside a listed window also ends inside it, and its window is a
+  suffix of the listed one.  A key with a delimiter (``"a,b":``) can start
+  in one window and reach past its end into a window of its own;
+* the key pattern cannot overlap itself (no proper prefix equals a proper
+  suffix).  Given the first condition this is conservative — an overlapping
+  occurrence's window is a suffix of the listed one too — but it keeps every
+  skipped occurrence inside a listed window by construction;
+* the value pattern is non-empty and holds no ``,`` or ``}``, so it cannot
+  match across the ``,`` joints.
+
+A key-value spec that fails the check keeps its own :func:`key_value_matcher`
+scan per record, the only exact path for it.
+
 Contract (paper §IV-B): **false positives are allowed, false negatives are
 not**.  A ``True`` here means "the record may satisfy the predicate; verify
 after parsing"; a ``False`` means "the record definitely does not satisfy
@@ -33,7 +54,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, List
 
 #: Distinct key-value scans kept compiled; a plan pushes tens of clauses,
 #: and selectivity estimation compiles a workload's candidate pool.
@@ -84,6 +105,32 @@ def key_value_matcher(key_pattern: str,
         return search(raw) is not None
 
     return match
+
+
+def window_scan_exact(key_pattern: str, value_pattern: str) -> bool:
+    """May key-value match use the shared window scan of *key_pattern*?
+
+    True when joining :func:`window_finder`'s non-overlapping windows with
+    ``,`` and searching them for *value_pattern* gives exactly the
+    two-phase answer (see the module docstring); false sends the clause to
+    its own :func:`key_value_matcher` scan.
+    """
+    if not key_pattern or not value_pattern:
+        return False
+    if any(d in key_pattern or d in value_pattern for d in ",}"):
+        return False
+    return not any(key_pattern[:i] == key_pattern[-i:]
+                   for i in range(1, len(key_pattern)))
+
+
+def window_finder(key_pattern: str) -> Callable[[str], List[str]]:
+    """``findall`` of the window after each non-overlapping key occurrence.
+
+    Each window runs from just past the key to the next ``,`` or ``}``
+    (or the end of the record).  Exact for key-value match only where
+    :func:`window_scan_exact` holds.
+    """
+    return re.compile(re.escape(key_pattern) + "([^,}]*)").findall
 
 
 def match_count_estimate(raw: str, pattern: str) -> int:

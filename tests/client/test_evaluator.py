@@ -103,3 +103,20 @@ class TestAnnotateMatchesOracle:
             assert bv.to_bits() == expected, entry.compiled.clause.sql()
             assert report.matches[entry.predicate_id] == sum(expected)
         assert chunk.bitvectors[4].get(n_records - 1)
+
+
+class TestGoldenBits:
+    """On the yelp_pushdown load, annotate ≡ each clause's own matcher."""
+
+    def test_yelp_pushdown_bits_match_matchers(self, yelp_pushdown_plan,
+                                               yelp_pushdown_chunks):
+        entries = yelp_pushdown_plan.entries
+        evaluator = ClientEvaluator(entries)
+        matchers = [entry.compiled.matcher() for entry in entries]
+        for chunk in yelp_pushdown_chunks:
+            report = evaluator.annotate(chunk)
+            for entry, match in zip(entries, matchers):
+                expected = [int(match(raw)) for raw in chunk.records]
+                bits = chunk.bitvectors[entry.predicate_id].to_bits()
+                assert bits == expected, entry.compiled.clause.sql()
+                assert report.matches[entry.predicate_id] == sum(expected)

@@ -1,5 +1,7 @@
 """Unit tests for the chunk wire protocol."""
 
+import hashlib
+
 import pytest
 
 from repro.bitvec import BitVector
@@ -152,3 +154,23 @@ class TestFrameBatching:
         streamed = [c.records for c in decode_chunk_stream(batch)]
         split = [decode_chunk(f).records for f in split_frames(batch)]
         assert streamed == split
+
+
+class TestFrameDigest:
+    """Wire frames of a real load are pinned byte for byte."""
+
+    #: sha256 of one yelp_pushdown load (seed 1, 100-record chunks,
+    #: 34 bit vectors each) framed as one batch.
+    YELP_PUSHDOWN_SHA256 = (
+        "e56b74283bf9df1d77f7e79858f312c75a92b6a3a617d10f98d7257bf24b54c6"
+    )
+
+    def test_yelp_pushdown_frames_are_pinned(self, yelp_pushdown_plan,
+                                             yelp_pushdown_chunks):
+        from repro.client import ClientEvaluator, encode_frame_batch
+
+        evaluator = ClientEvaluator(yelp_pushdown_plan.entries)
+        for chunk in yelp_pushdown_chunks:
+            evaluator.annotate(chunk)
+        batch = encode_frame_batch(yelp_pushdown_chunks)
+        assert hashlib.sha256(batch).hexdigest() == self.YELP_PUSHDOWN_SHA256

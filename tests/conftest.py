@@ -54,10 +54,15 @@ from repro.core import (
     substring,
 )
 from repro.data import make_generator
-from repro.rawjson import dump_record
-from repro.workload import estimate_selectivities
+from repro.rawjson import chunk_records, dump_record
+from repro.workload import estimate_selectivities, table3_workload
 
 TEST_SEED = 1234
+
+#: Yelp Table III workload A and the planning sample, both from one seed:
+#: the plans built from them are the ones the yelp_pushdown (Budget 20)
+#: and yelp_adhoc (Budget 1) benchmark workloads serve.
+GOLDEN_SEED = 20261016
 
 
 @pytest.fixture(scope="session")
@@ -130,3 +135,32 @@ def demo_records():
         {"name": "Bob", "age": 20, "text": "ok"},
     ]
     return records, [dump_record(r) for r in records]
+
+
+@pytest.fixture(scope="session")
+def yelp_golden_optimizer():
+    """The optimizer behind the yelp benchmark plans (``GOLDEN_SEED``)."""
+    planning = make_generator("yelp", GOLDEN_SEED)
+    sample = planning.sample(1000)
+    model = CostModel(DEFAULT_COEFFICIENTS, planning.average_record_length())
+    workload = table3_workload("yelp", "A", seed=GOLDEN_SEED, n_queries=200)
+    sels = estimate_selectivities(workload.candidate_pool, sample)
+    return CiaoOptimizer(workload, sels, model)
+
+
+@pytest.fixture(scope="session")
+def yelp_pushdown_plan(yelp_golden_optimizer):
+    """The yelp_pushdown plan: Budget(20), 34 pushed clauses."""
+    return yelp_golden_optimizer.plan(Budget(20.0))
+
+
+@pytest.fixture(scope="session")
+def yelp_pushdown_records():
+    """The 8,000 seed-1 yelp records one yelp_pushdown load ships."""
+    return list(make_generator("yelp", 1).raw_lines(8000))
+
+
+@pytest.fixture()
+def yelp_pushdown_chunks(yelp_pushdown_records):
+    """Fresh (unannotated) 100-record chunks of the yelp_pushdown load."""
+    return list(chunk_records(yelp_pushdown_records, 100))

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import (
     Budget,
-    CiaoOptimizer,
     CostModel,
     DEFAULT_COEFFICIENTS,
     clause,
@@ -14,8 +13,6 @@ from repro.core import (
     manual_plan,
     substring,
 )
-from repro.data import make_generator
-from repro.workload import estimate_selectivities, table3_workload
 
 
 class TestPlan:
@@ -75,11 +72,6 @@ class TestManualPlan:
         assert plan.total_cost_us() == pytest.approx(plan.budget.us)
 
 
-#: Yelp Table III workload A and the planning sample, both from one seed:
-#: the plans below are the ones the yelp_pushdown (Budget 20) and
-#: yelp_adhoc (Budget 1) benchmark workloads serve.
-GOLDEN_SEED = 20261016
-
 #: Budget -> (pushed SQL in id order, f(S), marginal-gain evaluations).
 GOLDEN_PLANS = {
     20.0: (
@@ -103,24 +95,16 @@ GOLDEN_PLANS = {
 
 
 class TestGoldenPlans:
-    """The planner's output is pinned to the last bit on yelp."""
+    """The planner's output is pinned to the last bit on yelp.
 
-    @pytest.fixture(scope="class")
-    def yelp_optimizer(self):
-        planning = make_generator("yelp", GOLDEN_SEED)
-        sample = planning.sample(1000)
-        model = CostModel(
-            DEFAULT_COEFFICIENTS, planning.average_record_length()
-        )
-        workload = table3_workload("yelp", "A", seed=GOLDEN_SEED,
-                                   n_queries=200)
-        sels = estimate_selectivities(workload.candidate_pool, sample)
-        return CiaoOptimizer(workload, sels, model)
+    The plans are the ones the yelp benchmark workloads serve; see
+    ``GOLDEN_SEED`` in ``conftest``.
+    """
 
     @pytest.mark.parametrize("budget", sorted(GOLDEN_PLANS))
-    def test_plan_matches_golden(self, yelp_optimizer, budget):
+    def test_plan_matches_golden(self, yelp_golden_optimizer, budget):
         sql, objective_value, evaluations = GOLDEN_PLANS[budget]
-        plan = yelp_optimizer.plan(Budget(budget))
+        plan = yelp_golden_optimizer.plan(Budget(budget))
         assert [c.sql() for c in plan.clauses] == sql
         assert plan.predicate_ids == list(range(len(sql)))
         assert plan.selection.objective_value == objective_value

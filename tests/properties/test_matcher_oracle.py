@@ -7,9 +7,11 @@ client ships are what the server loads and skips on.  Records are written
 pair by pair, so they can repeat a key, hold look-alike keys (a longer key
 ending in the same name, or the key's text inside a string value), nest
 objects, end on the key (closing brace) or be cut short with no delimiter.
+Keys ``a,b`` and ``a}`` hold a delimiter, so the client's shared window
+scan is not exact for them and they must take the per-clause scan.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.client import ClientEvaluator
@@ -17,15 +19,18 @@ from repro.core import (
     CostModel,
     DEFAULT_COEFFICIENTS,
     Clause,
+    PredicateKind,
     compile_clause,
     compile_predicate,
     key_value,
     manual_plan,
+    prefix,
+    substring,
 )
 from repro.rawjson import JsonChunk, dumps, key_value_match
 from window_oracle import clause_match, key_value_window_match
 
-KEYS = ["age", "xage", "age_", "Age", "a"]
+KEYS = ["age", "xage", "age_", "Age", "a", "a,b", "a}"]
 
 small_ints = st.integers(min_value=-3, max_value=12)
 
@@ -133,25 +138,82 @@ def test_compiled_clause_matches_window_oracle(case):
 # ClientEvaluator.annotate ≡ the per-record oracle
 # ----------------------------------------------------------------------
 @st.composite
+def raw_texts(draw, planted=None):
+    """Free text over the bytes that decide a window, not JSON at all.
+
+    Quotes, delimiters, digits, the start of a key holding a comma and the
+    key ``"a,b":`` itself, so a key occurrence can start inside the window
+    of the one before it.  With a *planted* key-value predicate, its key
+    and value patterns are frequent tokens too.
+    """
+    tokens = list('"a,b:}0123456789') + ['"a,b":', '"a']
+    if planted is not None:
+        tokens += list(compile_predicate(planted).patterns) * 4
+    return "".join(draw(st.lists(st.sampled_from(tokens), max_size=24)))
+
+
+single_operands = st.sampled_from(["a", "1", "a,b", "b:", "12", "a}"])
+
+single_predicates = st.one_of(
+    st.builds(substring, st.sampled_from(KEYS), single_operands),
+    st.builds(prefix, st.sampled_from(KEYS), single_operands),
+)
+
+
+@st.composite
+def plan_clauses(draw):
+    """1–6 clauses; key-value ones share one or two keys.
+
+    A clause is a key-value predicate, a substring or prefix predicate, or
+    a key-value predicate ORed with a substring or prefix one.
+    """
+    keys = draw(st.lists(st.sampled_from(KEYS), min_size=1, max_size=2,
+                         unique=True))
+    on_keys = st.builds(key_value, st.sampled_from(keys),
+                        st.one_of(st.booleans(), small_ints))
+    one_clause = st.one_of(
+        st.builds(lambda p: Clause((p,)), on_keys),
+        st.builds(lambda p: Clause((p,)), single_predicates),
+        st.builds(lambda p, q: Clause((p, q)), on_keys, single_predicates),
+    )
+    return draw(st.lists(one_clause, min_size=1, max_size=6, unique=True))
+
+
+@st.composite
 def annotate_cases(draw):
-    """A key-value predicate and a chunk of up to 17 records for it."""
-    predicate = draw(key_value_predicates)
+    """A plan's clauses and a chunk of up to 17 records for them.
+
+    Records are serialized objects, some with a pair planted for one of the
+    plan's key-value predicates, or raw text that need not be JSON at all.
+    """
+    clauses = draw(plan_clauses())
+    planted = [None] + [
+        p for c in clauses for p in c.predicates
+        if p.kind is PredicateKind.KEY_VALUE
+    ]
     records = draw(st.lists(
-        st.one_of(raw_records(), raw_records(predicate)),
+        st.sampled_from(planted).flatmap(
+            lambda p: st.one_of(raw_texts(p), raw_records(p))
+        ),
         min_size=1, max_size=17,
     ))
-    return predicate, records
+    return clauses, records
 
 
 @given(annotate_cases())
-@settings(max_examples=100)
+@settings(max_examples=300)
+# A key holding a delimiter: its second occurrence starts inside the first
+# one's window, so only the per-clause scan sees the second window's 1.
+@example(([Clause((key_value("a,b", 1),))], ['"a,b":"a,b":1']))
+@example(([Clause((key_value("a}", 1),))], ['"a}":"a}":1']))
 def test_annotate_equals_oracle_on_generated_records(case):
-    predicate, records = case
-    c = Clause((predicate,))
-    plan = manual_plan([c], {c: 0.5}, CostModel(DEFAULT_COEFFICIENTS, 40))
+    clauses, records = case
+    plan = manual_plan(clauses, {c: 0.5 for c in clauses},
+                       CostModel(DEFAULT_COEFFICIENTS, 40))
     chunk = JsonChunk(0, list(records))
     report = ClientEvaluator(plan.entries).annotate(chunk)
-    (entry,) = plan.entries
-    expected = [int(clause_match(entry.compiled, raw)) for raw in records]
-    assert chunk.bitvectors[entry.predicate_id].to_bits() == expected
-    assert report.matches[entry.predicate_id] == sum(expected)
+    for entry in plan.entries:
+        expected = [int(clause_match(entry.compiled, raw)) for raw in records]
+        bits = chunk.bitvectors[entry.predicate_id].to_bits()
+        assert bits == expected, (entry.compiled.clause.sql(), records)
+        assert report.matches[entry.predicate_id] == sum(expected)
