@@ -1,9 +1,12 @@
 """Compile SQL predicates into raw pattern strings (paper Table I).
 
 A pattern spec tells a client *what bytes to search for* so a predicate can
-be evaluated on serialized JSON without parsing.  The compiler must use the
-same string escaping as :mod:`repro.rawjson.writer` — that is what makes a
-semantic match always imply a raw match (no false negatives):
+be evaluated on serialized JSON without parsing.  Operands are written by
+the writer that stores the records (:mod:`repro.rawjson.writer`): strings
+through its :func:`~repro.rawjson.writer.escape_string`, key-value operands
+through its :func:`~repro.rawjson.writer.dumps`.  A pattern is therefore the
+stored bytes by construction, which makes a semantic match always imply a
+raw match (no false negatives):
 
 ====================  ==========================================
 Predicate             Pattern string(s)
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from ..rawjson import raw_matcher
-from ..rawjson.writer import escape_string
+from ..rawjson.writer import dumps, escape_string
 from .predicates import Clause, PredicateKind, SimplePredicate
 
 
@@ -134,11 +137,7 @@ def compile_predicate(predicate: SimplePredicate) -> PatternSpec:
         return PatternSpec(kind, (f'"{escape_string(predicate.column)}"',))
     if kind is PredicateKind.KEY_VALUE:
         key_pattern = f'"{escape_string(predicate.column)}":'
-        if isinstance(predicate.value, bool):
-            value_pattern = "true" if predicate.value else "false"
-        else:
-            value_pattern = str(predicate.value)
-        return PatternSpec(kind, (key_pattern, value_pattern))
+        return PatternSpec(kind, (key_pattern, dumps(predicate.value)))
     raise AssertionError(f"unhandled kind {kind}")
 
 

@@ -4,8 +4,8 @@ The simulated devices in this repository share memory with the optimizer,
 but a deployed CIAO pushes plans to remote sensors over the wire.  This
 module gives :class:`~repro.core.optimizer.PushdownPlan` a stable JSON
 form — predicate ids, structured clauses, pattern strings, selectivities
-and costs — serialized with the repository's own JSON writer and parsed
-back with its parser, so a plan round-trips through any transport.
+and costs — written by :mod:`repro.rawjson.writer` and parsed back by
+:mod:`repro.rawjson.parser`, so a plan round-trips through any transport.
 
 Pattern strings are *re-derived* from the clauses at load time rather than
 trusted from the payload: the compilation rules are part of the protocol

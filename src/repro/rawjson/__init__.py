@@ -1,7 +1,7 @@
 """Raw-JSON substrate: the strict record parser (the C ``json`` decoder
-behind one front door), the writer whose string escaping the pushed-down
-patterns share, and the no-parse matchers and chunking that CIAO's client
-side is built on."""
+behind one front door), the writer (the C ``json`` encoder behind another,
+whose escaping the pushed-down patterns are built from), and the no-parse
+matchers and chunking that CIAO's client side is built on."""
 
 from .chunks import DEFAULT_CHUNK_SIZE, JsonChunk, chunk_records, concat_chunks
 from .errors import JsonError, JsonSyntaxError

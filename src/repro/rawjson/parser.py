@@ -31,7 +31,8 @@ def _reject_constant(name: str) -> Any:
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 # A \uD800-\uDFFF escape is the only way a lone surrogate gets decoded.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]").search
-_SURROGATE = re.compile("[\ud800-\udfff]")
+#: A lone surrogate code point: the one character that does not UTF-8-encode.
+SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _too_deep(value: Any, depth: int) -> bool:
@@ -46,7 +47,7 @@ def _too_deep(value: Any, depth: int) -> bool:
 
 def _replace_surrogates(value: Any) -> Any:
     if isinstance(value, str):
-        return _SURROGATE.sub("\ufffd", value)
+        return SURROGATE.sub("\ufffd", value)
     if isinstance(value, dict):
         return {_replace_surrogates(k): _replace_surrogates(v)
                 for k, v in value.items()}

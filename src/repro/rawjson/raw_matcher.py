@@ -45,9 +45,9 @@ it".  Queries re-evaluate their full predicate on surviving tuples, so
 correctness never depends on the precision of these matchers.
 
 The pattern strings handed to these functions are produced by
-:mod:`repro.core.patterns`, which escapes operands with the same escaping the
-:mod:`repro.rawjson.writer` applies — that shared escaping is what makes the
-no-false-negative guarantee hold.
+:mod:`repro.core.patterns`, which writes operands with the writer that stores
+the records (:mod:`repro.rawjson.writer`) — that one escaping is what makes
+the no-false-negative guarantee hold.
 """
 
 from __future__ import annotations

@@ -1,57 +1,98 @@
-"""JSON serializer used by the synthetic data generators.
+"""The JSON writer: the C ``json`` encoder behind one front door.
 
-Producing our own writer keeps the substrate self-contained and lets the
-generators control details the experiments rely on: stable key order (so a
-record's raw length is deterministic for the cost model) and ASCII-safe
-escaping (so client-side byte-oriented matching sees exactly what the writer
-produced).
+Every JSON byte the repository writes (generated records, Parquet-lite
+footers, JSON columns, plans, chunk headers) and every pattern string a
+client searches for (:func:`escape_string`) come from one module-level
+:class:`json.JSONEncoder`.  The escaping the patterns search for is the
+escaping the store holds by construction, which is what the paper's
+no-false-negative guarantee (Table I) rests on.
+
+Output is compact, with no insignificant whitespace: the cost model is
+linear in record length, so the writer must not pad ``len(t)``.  Keys keep
+their insertion order unless ``sort_keys`` is asked for, so a generated
+record's raw length is deterministic.  Three guards keep the repository's
+format where the encoder's own differs:
+
+* ``-0.0`` is written ``0.0``;
+* a lone surrogate code point (which does not UTF-8-encode) is written as
+  a lowercase ``\\udXXX`` escape, so the output always UTF-8-encodes; the
+  parser decodes such escapes to U+FFFD, as they do not denote a
+  character;
+* an object key that is not a ``str``, at any depth, raises
+  :class:`TypeError` (the encoder would write it as a string).
+
+NaN and infinities raise :class:`ValueError`; a value of any other type
+raises :class:`TypeError`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+import json
+import re
+from itertools import compress, repeat
+from typing import Any, Dict
 
-_ESCAPE_MAP = {
-    '"': '\\"',
-    "\\": "\\\\",
-    "\b": "\\b",
-    "\f": "\\f",
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-}
+from .parser import SURROGATE
+
+# check_circular=False: the key walk meets a cycle first and raises
+# RecursionError, the writer's error for a cycle, so the encoder's own
+# check would only cost time.
+_OPTIONS: Dict[str, Any] = dict(
+    ensure_ascii=False, separators=(",", ":"), allow_nan=False,
+    check_circular=False,
+)
+_ENCODE = json.JSONEncoder(**_OPTIONS).encode
+_ENCODE_SORTED = json.JSONEncoder(sort_keys=True, **_OPTIONS).encode
+_CONTAINERS = (dict, list, tuple)
+
+
+def _escape_surrogate(match: re.Match[str]) -> str:
+    return f"\\u{ord(match.group()):04x}"
+
+
+def _escape_surrogates(text: str) -> str:
+    if text.isascii():
+        return text
+    return SURROGATE.sub(_escape_surrogate, text)
+
+
+def _check_keys(value: Any) -> None:
+    """Raise :class:`TypeError` on a non-``str`` key anywhere in *value*."""
+    if isinstance(value, dict):
+        if not all(map(isinstance, value, repeat(str))):
+            raise TypeError("JSON object keys must be strings")
+        value = value.values()
+    for item in compress(value, map(isinstance, value, repeat(_CONTAINERS))):
+        _check_keys(item)
+
+
+def _positive_zeros(value: Any) -> Any:
+    """*value* with every float zero written as ``0.0``."""
+    if isinstance(value, float):
+        return 0.0 if value == 0.0 else value
+    if isinstance(value, dict):
+        return {key: _positive_zeros(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_positive_zeros(item) for item in value]
+    return value
 
 
 def escape_string(value: str) -> str:
-    """Escape *value* for embedding inside JSON double quotes.
-
-    Lone surrogate code points (invalid in UTF-8 text) are emitted as
-    ``\\uXXXX`` escapes so the output always UTF-8-encodes; note the
-    parser decodes such escapes to U+FFFD, as they do not denote a
-    character.
-    """
-    pieces: List[str] = []
-    for ch in value:
-        mapped = _ESCAPE_MAP.get(ch)
-        code = ord(ch)
-        if mapped is not None:
-            pieces.append(mapped)
-        elif code < 0x20 or 0xD800 <= code <= 0xDFFF:
-            pieces.append(f"\\u{code:04x}")
-        else:
-            pieces.append(ch)
-    return "".join(pieces)
+    """Escape *value* as the writer stores it between JSON double quotes."""
+    if not isinstance(value, str):
+        raise TypeError(f"cannot escape {type(value).__name__} as a string")
+    return _escape_surrogates(_ENCODE(value)[1:-1])
 
 
 def dumps(value: Any, sort_keys: bool = False) -> str:
-    """Serialize *value* as compact JSON (no insignificant whitespace).
-
-    Compact output matters: the paper's cost model is linear in record
-    length, so the writer must not inject padding that would skew ``len(t)``.
-    """
-    pieces: List[str] = []
-    _write(value, pieces, sort_keys)
-    return "".join(pieces)
+    """Serialize *value* as compact JSON (no insignificant whitespace)."""
+    if isinstance(value, _CONTAINERS):
+        _check_keys(value)
+    encode = _ENCODE_SORTED if sort_keys else _ENCODE
+    text = encode(value)
+    if "-0.0" in text:  # rare; a string or a float like -0.05 also hits
+        text = encode(_positive_zeros(value))
+    return _escape_surrogates(text)
 
 
 def dump_record(record: Dict[str, Any]) -> str:
@@ -59,61 +100,3 @@ def dump_record(record: Dict[str, Any]) -> str:
     if not isinstance(record, dict):
         raise TypeError(f"records must be dicts, got {type(record).__name__}")
     return dumps(record)
-
-
-def _write(value: Any, out: List[str], sort_keys: bool) -> None:
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, str):
-        out.append('"')
-        out.append(escape_string(value))
-        out.append('"')
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        _write_float(value, out)
-    elif isinstance(value, dict):
-        _write_object(value, out, sort_keys)
-    elif isinstance(value, (list, tuple)):
-        _write_array(value, out, sort_keys)
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
-
-
-def _write_float(value: float, out: List[str]) -> None:
-    if value != value or value in (float("inf"), float("-inf")):
-        raise ValueError("NaN and infinities are not valid JSON")
-    if value == int(value) and abs(value) < 1e16:
-        # Keep x.0 so the value round-trips as a float.
-        out.append(f"{int(value)}.0")
-    else:
-        out.append(repr(value))
-
-
-def _write_object(value: Dict[str, Any], out: List[str],
-                  sort_keys: bool) -> None:
-    out.append("{")
-    keys = sorted(value) if sort_keys else list(value)
-    for i, key in enumerate(keys):
-        if not isinstance(key, str):
-            raise TypeError("JSON object keys must be strings")
-        if i:
-            out.append(",")
-        out.append('"')
-        out.append(escape_string(key))
-        out.append('":')
-        _write(value[key], out, sort_keys)
-    out.append("}")
-
-
-def _write_array(value, out: List[str], sort_keys: bool) -> None:
-    out.append("[")
-    for i, item in enumerate(value):
-        if i:
-            out.append(",")
-        _write(item, out, sort_keys)
-    out.append("]")

@@ -6,9 +6,9 @@ bit-vectors** derived from the client chunks whose records were loaded into
 it (paper §VI-A: "we store the bit-vector information of this object into
 the metadata of each data block of the Parquet file").
 
-The footer is serialized as JSON via our own writer/parser — the format is
-self-hosted on the repository's substrates.  Bit-vector payloads are
-hex-encoded strings inside it.
+The footer is JSON, written by :mod:`repro.rawjson.writer` and read by
+:mod:`repro.rawjson.parser`.  Bit-vector payloads are hex-encoded strings
+inside it.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Unit tests for the client-assisted partial loader."""
 
+import hashlib
+
 import pytest
 
 from repro.bitvec import BitVector
@@ -196,3 +198,36 @@ class TestSummary:
         first = loader.finalize()
         second = loader.finalize()
         assert first is second
+
+
+class TestStoredBytes:
+    """The files of a real load are pinned byte for byte."""
+
+    #: sha256 of the one part and the sideline of one yelp_pushdown load
+    #: (Budget(20) plan, 8,000 seed-1 records in 100-record chunks).
+    PART_SHA256 = (
+        "b60b316a909a47b5a703cebbae13603548f676ed89ccdc3fabf0ad88cc07e42d"
+    )
+    SIDELINE_SHA256 = (
+        "56e185dc96081465f4a7b3931fff3536814e3adb2480ce15ceaa8b91e00de467"
+    )
+
+    def test_yelp_pushdown_files_are_pinned(self, tmp_path, yelp_pushdown_plan,
+                                            yelp_pushdown_chunks):
+        from repro.client import ClientEvaluator
+
+        evaluator = ClientEvaluator(yelp_pushdown_plan.entries)
+        side = JsonSideStore(tmp_path / "t.sideline.jsonl")
+        loader = ClientAssistedLoader(
+            tmp_path / "t.pql", side, partial_loading=True,
+            required_predicate_ids=yelp_pushdown_plan.predicate_ids,
+        )
+        for chunk in yelp_pushdown_chunks:
+            evaluator.annotate(chunk)
+            loader.ingest(chunk)
+        loader.finalize()
+        [part] = loader.parquet_paths
+        assert hashlib.sha256(part.read_bytes()).hexdigest() == \
+            self.PART_SHA256
+        assert hashlib.sha256(side.path.read_bytes()).hexdigest() == \
+            self.SIDELINE_SHA256
