@@ -11,18 +11,31 @@ Bits are packed little-endian within each byte: bit ``i`` lives at
 operands; mixing chunk sizes is a logic error and raises ``ValueError``.
 
 The bulk operations (``intersect_update``, ``union_update``, ``slice``,
-``concat``, ``select``, ``count``, ``iter_set``) are implemented as
-word-level kernels over Python big-ints: the whole payload is reinterpreted
-as one little-endian integer and combined with a single C-level ``&``/``|``/
+``concat``, ``count``, ``iter_set``) are implemented as word-level kernels
+over Python big-ints: the whole payload is reinterpreted as one
+little-endian integer and combined with a single C-level ``&``/``|``/
 shift, so cost scales with machine words, not bits.  A 1M-bit intersect is
 two ``int.from_bytes`` calls, one ``&``, and one ``to_bytes`` — orders of
 magnitude faster than a per-byte Python loop
 (``benchmarks/bench_parallel_ingest.py`` tracks the ratio).
+
+Per-position work goes through the vector's *bit string* instead — one
+``'0'``/``'1'`` character per bit, in index order, made and parsed by the
+C-level ``format``/``int(…, 2)``: :func:`selector` gathers positions with
+one ``operator.itemgetter``, and :meth:`BitVector.from_flags` /
+:meth:`BitVector.to_flags` convert from and to one 0/1 byte per bit, the
+form ``bytes(map(...))`` and ``itertools.compress`` speak.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, List, Sequence
+
+#: ``bytes.translate`` tables between 0/1 flag bytes and bit-string digits:
+#: any nonzero flag byte is a set bit.
+_FLAGS_TO_DIGITS = b"0" + b"1" * 255
+_DIGITS_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class BitVector:
@@ -100,6 +113,26 @@ class BitVector:
                 nbytes = (len(chunk) + 7) >> 3
                 start = base >> 3
                 data[start:start + nbytes] = acc.to_bytes(nbytes, "little")
+        return bv
+
+    @classmethod
+    def from_flags(cls, flags: bytes) -> "BitVector":
+        """Build from one byte per bit: bit ``i`` is set iff ``flags[i]``.
+
+        The C-level packer behind page null bitmaps: ``translate`` turns
+        the flags into a bit string and ``int(…, 2)`` packs it, with no
+        Python call per bit.
+        """
+        return cls._from_bit_string(flags.translate(_FLAGS_TO_DIGITS))
+
+    @classmethod
+    def _from_bit_string(cls, digits: bytes | str) -> "BitVector":
+        """Inverse of :meth:`_bit_string` (``'0'``/``'1'`` per bit)."""
+        bv = cls(len(digits))
+        if digits:
+            bv._data[:] = int(digits[::-1], 2).to_bytes(
+                len(bv._data), "little"
+            )
         return bv
 
     @classmethod
@@ -240,6 +273,22 @@ class BitVector:
                 yield base + low.bit_length() - 1
                 word ^= low
 
+    def to_flags(self) -> bytes:
+        """One 0/1 byte per bit, in index order (inverse of :meth:`from_flags`).
+
+        Ready for ``itertools.compress``: the positions of the set bits are
+        ``compress(range(len(bv)), bv.to_flags())``.
+        """
+        return self._bit_string().encode("ascii").translate(_DIGITS_TO_FLAGS)
+
+    def _bit_string(self) -> str:
+        """``'0'``/``'1'`` per bit, character ``i`` being bit ``i``."""
+        if not self._length:
+            return ""
+        return format(
+            int.from_bytes(self._data, "little"), f"0{self._length}b"
+        )[::-1]
+
     def to_bits(self) -> List[int]:
         """Expand to a list of 0/1 ints (small vectors / tests only)."""
         return [1 if self.get(i) else 0 for i in range(self._length)]
@@ -274,22 +323,10 @@ class BitVector:
         primitive behind deriving row-group bit-vectors from chunk vectors:
         the loader keeps only the parsed positions, and the stored vector
         must be re-indexed to the surviving rows.  Out-of-range positions
-        raise ``IndexError``.
+        raise ``IndexError``.  To restrict many vectors to the same
+        positions, build the :func:`selector` once.
         """
-        out = BitVector(len(positions))
-        data = self._data
-        length = self._length
-        gathered = 0
-        for row, position in enumerate(positions):
-            if not 0 <= position < length:
-                raise IndexError(
-                    f"bit {position} out of range for {length} bits"
-                )
-            if data[position >> 3] >> (position & 7) & 1:
-                gathered |= 1 << row
-        if gathered:
-            out._data[:] = gathered.to_bytes(len(out._data), "little")
-        return out
+        return selector(positions)(self)
 
     # ------------------------------------------------------------------
     # Serialization (wire format for the client/server protocol)
@@ -371,6 +408,32 @@ class BitVector:
             raise ValueError(
                 f"length mismatch: {self._length} vs {other._length} bits"
             )
+
+
+def selector(positions: Sequence[int]
+             ) -> Callable[[BitVector], BitVector]:
+    """A reusable :meth:`BitVector.select` for one list of *positions*.
+
+    The gather is one ``operator.itemgetter(*positions)`` over the
+    vector's bit string, built once and applied to every vector of a
+    chunk; the range check is one ``min``/``max``, also done once.
+    """
+    count = len(positions)
+    if not count:
+        return lambda bv: BitVector(0)
+    low, high = min(positions), max(positions)
+    pick = itemgetter(*positions)
+
+    def select(bv: BitVector) -> BitVector:
+        length = bv._length
+        if low < 0 or high >= length:
+            bad = next(p for p in positions if not 0 <= p < length)
+            raise IndexError(f"bit {bad} out of range for {length} bits")
+        # One position makes itemgetter return a bare character, which
+        # "".join passes through unchanged.
+        return BitVector._from_bit_string("".join(pick(bv._bit_string())))
+
+    return select
 
 
 def intersect_all(vectors: Sequence[BitVector]) -> BitVector:

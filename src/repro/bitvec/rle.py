@@ -45,6 +45,8 @@ class RleBitVector:
     @staticmethod
     def _canonicalize(runs: Sequence[int]) -> List[int]:
         """Merge empty interior runs so equal sequences encode equally."""
+        if 0 not in runs[1:]:
+            return list(runs)  # no empty interior or trailing run: canonical
         out: List[int] = []
         for i, run in enumerate(runs):
             if i == 0:
@@ -157,6 +159,11 @@ class RleBitVector:
             raise ValueError("RLE payload shorter than its header")
         length = int.from_bytes(raw[:4], "little")
         nruns = int.from_bytes(raw[4:8], "little")
+        body = raw[8:]
+        if len(body) == nruns and (not body or max(body) < 0x80):
+            # Every run is shorter than 128 (always so for chunks of up to
+            # 127 records): each varint is one byte, the bytes the runs.
+            return cls(length, tuple(body))
         runs: List[int] = []
         pos = 8
         for _ in range(nruns):

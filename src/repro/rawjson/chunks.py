@@ -9,11 +9,15 @@ bit-vectors are carried into Parquet-lite block metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, Iterable, Iterator, List, Sequence
 
 from ..bitvec.bitvector import BitVector, union_all
 
 DEFAULT_CHUNK_SIZE = 1000
+
+#: Flips the 0/1 flag bytes of :meth:`BitVector.to_flags`.
+_NEGATE = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 @dataclass
@@ -84,8 +88,10 @@ class JsonChunk:
         """Partition record indices by *mask*: (selected, rejected)."""
         if len(mask) != len(self.records):
             raise ValueError("mask length does not match chunk size")
-        selected = list(mask.iter_set())
-        rejected = list((~mask).iter_set())
+        flags = mask.to_flags()
+        positions = range(len(flags))
+        selected = list(compress(positions, flags))
+        rejected = list(compress(positions, flags.translate(_NEGATE)))
         return selected, rejected
 
 

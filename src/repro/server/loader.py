@@ -10,7 +10,12 @@ For every received chunk the loader:
    the analogue of the paper's rapidJSON: the expensive step partial
    loading exists to avoid), and writes them as one Parquet-lite row
    group, attaching the *derived* bit-vectors (original vectors restricted
-   to the loaded positions);
+   to the loaded positions).  This write is column-major: the schema is
+   inferred from each column's set of Python types, each column is coerced
+   and paged in bulk, and every derived vector is one ``itemgetter``
+   gather over the chunk vector's bit string — no Python call per value
+   or per bit, except the per-value fallback for types the C decoder
+   never produces (subclasses, values a column cannot store);
 3. appends the rejected records, unparsed, to the raw JSON sideline store.
 
 Malformed-record policy: a selected record that fails to parse is counted
@@ -45,7 +50,7 @@ from pathlib import Path
 from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
                     Tuple)
 
-from ..bitvec.bitvector import BitVector
+from ..bitvec.bitvector import BitVector, selector
 from ..obs.metrics import Metrics, resolve_metrics
 from ..rawjson.chunks import JsonChunk
 from ..rawjson.parser import try_parse
@@ -316,9 +321,8 @@ class ClientAssistedLoader:
         """Restrict chunk bit-vectors to the loaded rows (paper §VI-A).
 
         Row ``i`` of the row group corresponds to ``kept_positions[i]`` of
-        the original chunk.
+        the original chunk.  One :func:`~repro.bitvec.bitvector.selector`
+        (an ``itemgetter`` over the kept positions) restricts every vector.
         """
-        return {
-            pid: bv.select(kept_positions)
-            for pid, bv in chunk.bitvectors.items()
-        }
+        restrict = selector(kept_positions)
+        return {pid: restrict(bv) for pid, bv in chunk.bitvectors.items()}

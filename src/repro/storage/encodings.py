@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import struct
 from enum import Enum
-from typing import Any, List, Sequence, Tuple
+from operator import ne, truth
+from typing import Any, Dict, List, Sequence, Tuple
 
+from ..bitvec.bitvector import BitVector
 from .schema import ColumnType
 
 
@@ -64,9 +66,35 @@ def read_varint(data: bytes, pos: int) -> Tuple[int, int]:
         shift += 7
 
 
+def write_varints(values: Sequence[int]) -> bytes:
+    """Unsigned varints back to back, as :func:`write_varint` writes them.
+
+    Values under 128 are their own one-byte varint, so a block of them is
+    just ``bytes(values)``; only longer varints take a call each.
+    """
+    if not values or max(values) < 0x80:
+        return bytes(values)
+    out = bytearray()
+    for value in values:
+        if value < 0x80:
+            out.append(value)
+        else:
+            write_varint(out, value)
+    return bytes(out)
+
+
+#: One-byte varints, indexed by value: the length prefixes of strings
+#: shorter than 128 bytes.
+_ONE_BYTE_VARINTS = [bytes((value,)) for value in range(0x80)]
+
+
 def zigzag_encode(value: int) -> int:
-    """Map a signed int to unsigned for varint storage."""
-    return (value << 1) ^ (value >> 63) if value >= 0 else ((-value) << 1) - 1
+    """Map a signed int to unsigned for varint storage.
+
+    ``0, -1, 1, -2, …`` map to ``0, 1, 2, 3, …`` for ints of any width:
+    JSON integers are unbounded, so there is no 64-bit sign fold.
+    """
+    return value << 1 if value >= 0 else ((-value) << 1) - 1
 
 
 def zigzag_decode(value: int) -> int:
@@ -79,31 +107,25 @@ def zigzag_decode(value: int) -> int:
 # ----------------------------------------------------------------------
 def _encode_plain_values(values: Sequence[Any],
                          column_type: ColumnType) -> bytes:
-    out = bytearray()
     if column_type in (ColumnType.STRING, ColumnType.JSON):
-        for value in values:
-            raw = value.encode("utf-8")
-            write_varint(out, len(raw))
-            out += raw
-    elif column_type is ColumnType.INT64:
-        for value in values:
-            write_varint(out, zigzag_encode(value))
-    elif column_type is ColumnType.FLOAT64:
-        out += struct.pack(f"<{len(values)}d", *values)
-    elif column_type is ColumnType.BOOL:
-        # Bit-pack, little-endian within bytes.
-        byte = 0
-        for i, value in enumerate(values):
-            if value:
-                byte |= 1 << (i & 7)
-            if i & 7 == 7:
-                out.append(byte)
-                byte = 0
-        if len(values) & 7:
-            out.append(byte)
-    else:
-        raise EncodingError(f"unhandled column type {column_type}")
-    return bytes(out)
+        encoded = [value.encode("utf-8") for value in values]
+        return b"".join([
+            (_ONE_BYTE_VARINTS[len(raw)] if len(raw) < 0x80
+             else write_varints((len(raw),))) + raw
+            for raw in encoded
+        ])
+    if column_type is ColumnType.INT64:
+        return write_varints(
+            [value << 1 if value >= 0 else ((-value) << 1) - 1
+             for value in values]  # zigzag_encode, inlined
+        )
+    if column_type is ColumnType.FLOAT64:
+        return struct.pack(f"<{len(values)}d", *values)
+    if column_type is ColumnType.BOOL:
+        # Bit-packed little-endian within bytes: the BitVector payload.
+        flags = bytes(map(truth, values))
+        return BitVector.from_flags(flags).to_bytes()[4:]
+    raise EncodingError(f"unhandled column type {column_type}")
 
 
 def read_varint_block(data: bytes, limit: int) -> List[int]:
@@ -205,23 +227,14 @@ def decode_plain(data: bytes, count: int,
 def encode_dictionary(values: Sequence[Any],
                       column_type: ColumnType) -> bytes:
     """DICTIONARY: distinct values (plain) + per-row varint indices."""
-    dictionary: List[Any] = []
-    index_of = {}
-    indices: List[int] = []
-    for value in values:
-        slot = index_of.get(value)
-        if slot is None:
-            slot = len(dictionary)
-            index_of[value] = slot
-            dictionary.append(value)
-        indices.append(slot)
+    index_of: Dict[Any, int] = {}
+    indices = [index_of.setdefault(value, len(index_of)) for value in values]
     out = bytearray()
-    write_varint(out, len(dictionary))
-    dict_bytes = _encode_plain_values(dictionary, column_type)
+    write_varint(out, len(index_of))
+    dict_bytes = _encode_plain_values(list(index_of), column_type)
     write_varint(out, len(dict_bytes))
     out += dict_bytes
-    for index in indices:
-        write_varint(out, index)
+    out += write_varints(indices)
     return bytes(out)
 
 
@@ -317,11 +330,12 @@ def choose_encoding(values: Sequence[Any],
         return Encoding.PLAIN
     sample = values if len(values) <= 512 else values[:512]
     distinct = len(set(sample))
-    runs = 1 + sum(
-        1 for a, b in zip(sample, sample[1:]) if a != b
-    )
-    if runs <= len(sample) // 4:
-        return Encoding.RLE
+    # Every distinct value opens at least one run, so runs >= distinct:
+    # count runs only when RLE is still possible.
+    if distinct <= len(sample) // 4:
+        runs = 1 + sum(map(truth, map(ne, sample, sample[1:])))
+        if runs <= len(sample) // 4:
+            return Encoding.RLE
     if (column_type in (ColumnType.STRING, ColumnType.JSON,
                         ColumnType.INT64)
             and distinct <= len(sample) // 2):

@@ -9,11 +9,18 @@ Page layout (all integers varint unless noted):
 
 The null bitmap has one bit per row (1 = present); only present values are
 encoded, Parquet-style.
+
+The writer works on the whole column at once: the presence flags are one
+``bytes(map(is_not, values, repeat(None)))``, packed into the bitmap by
+:meth:`~repro.bitvec.bitvector.BitVector.from_flags` (``translate`` plus
+``int(…, 2)``), and the present values are one ``itertools.compress``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import is_not
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..bitvec.bitvector import BitVector
@@ -58,12 +65,9 @@ def write_page(values: Sequence[Any], column_type: ColumnType,
     ``encoding`` forces a specific encoding (the ablation bench does);
     the default defers to :func:`choose_encoding` over non-null values.
     """
-    presence = BitVector(len(values))
-    non_null: List[Any] = []
-    for i, value in enumerate(values):
-        if value is not None:
-            presence.set(i)
-            non_null.append(value)
+    flags = bytes(map(is_not, values, repeat(None)))
+    non_null = list(compress(values, flags))
+    presence = BitVector.from_flags(flags)
     chosen = encoding or choose_encoding(non_null, column_type)
     payload = encode(non_null, column_type, chosen)
     bitmap = presence.to_bytes()

@@ -3,6 +3,13 @@
 A row group is the skipping granularity: the partial loader emits one row
 group per client chunk so the chunk's bit-vectors map one-to-one onto row
 positions.
+
+The build is column-major: each column is pulled out of the rows once
+(:func:`~repro.storage.schema.column_values`), coerced in one bulk step by
+its exact type set (:func:`~repro.storage.schema.coerce_column`, which
+falls back to the per-value :func:`~repro.storage.schema.coerce_value` for
+any other type set) and written as one page.  No Python call runs per
+value or per bit on the common path.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from ..bitvec.bitvector import BitVector
 from .encodings import Encoding
 from .metadata import ColumnChunkMeta, RowGroupMeta
 from .pages import read_page, write_page
-from .schema import Schema, coerce_value
+from .schema import Schema, coerce_column, column_values
 
 
 def build_row_group(
@@ -38,9 +45,7 @@ def build_row_group(
     )
     block = bytearray()
     for field in schema:
-        values = [
-            coerce_value(row.get(field.name), field.type) for row in rows
-        ]
+        values = coerce_column(column_values(rows, field.name), field.type)
         page, stats = write_page(values, field.type, encoding=encoding)
         meta.columns[field.name] = ColumnChunkMeta(
             offset=base_offset + len(block),

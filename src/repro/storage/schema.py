@@ -11,12 +11,21 @@ schemaless, so the writer infers a schema from the records it sees:
   lossless, queryable after re-parse, exactly how engines handle "schema
   drift" columns;
 * every column is nullable (a JSON object may simply omit the key).
+
+Both inference and coercion are column-major: a column's values are pulled
+once (:func:`column_values`) and judged by their set of exact Python types.
+The types the C JSON decoder produces map directly; any other type (a
+subclass of ``int``, ``float`` or ``str``) keeps ``isinstance`` semantics,
+and :func:`coerce_column` sends any type set it cannot pass through whole
+to the per-value :func:`coerce_value`, so every :class:`SchemaError` is
+the one a value-by-value writer raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..rawjson.writer import dumps
@@ -121,17 +130,33 @@ class Schema:
         return cls(fields)
 
 
-def _classify(value: Any) -> Optional[ColumnType]:
-    """Column type of a single JSON value; None for nulls."""
-    if value is None:
-        return None
-    if isinstance(value, bool):
+#: The types the C JSON decoder produces, mapped without a subclass test.
+_EXACT_TYPES: Dict[type, Optional[ColumnType]] = {
+    type(None): None,
+    str: ColumnType.STRING,
+    int: ColumnType.INT64,
+    float: ColumnType.FLOAT64,
+    bool: ColumnType.BOOL,
+    dict: ColumnType.JSON,
+    list: ColumnType.JSON,
+}
+
+
+def _classify_type(kind: type) -> Optional[ColumnType]:
+    """Column type of the values of one Python type; None for ``None``.
+
+    ``isinstance`` semantics on the type: a ``bool`` is not an INT64, and a
+    subclass of ``int``/``float``/``str`` classifies as its base.
+    """
+    if kind in _EXACT_TYPES:
+        return _EXACT_TYPES[kind]
+    if issubclass(kind, bool):
         return ColumnType.BOOL
-    if isinstance(value, int):
+    if issubclass(kind, int):
         return ColumnType.INT64
-    if isinstance(value, float):
+    if issubclass(kind, float):
         return ColumnType.FLOAT64
-    if isinstance(value, str):
+    if issubclass(kind, str):
         return ColumnType.STRING
     return ColumnType.JSON
 
@@ -141,34 +166,37 @@ _PROMOTIONS = {
 }
 
 
+def column_values(rows: Sequence[Mapping[str, Any]], name: str) -> List[Any]:
+    """Column *name* of *rows*, ``None`` where a row lacks the key."""
+    return [row.get(name) for row in rows]
+
+
 def infer_schema(records: Iterable[Mapping[str, Any]]) -> Schema:
     """Infer the widest schema covering *records*.
 
     Column order is first-appearance order, which for generator output is
-    the stable writer key order.
+    the stable writer key order.  Inference is column-major: each column's
+    values are pulled once and classified by their set of Python types
+    (``set(map(type, column))``), not value by value.  One kind is that
+    kind; INT64 with FLOAT64 promotes to FLOAT64; any other mix is JSON —
+    the same widest type a value-by-value fold reaches in any order.
     """
-    seen: Dict[str, Optional[ColumnType]] = {}
-    order: List[str] = []
-    for record in records:
-        for key, value in record.items():
-            if key not in seen:
-                seen[key] = None
-                order.append(key)
-            kind = _classify(value)
-            if kind is None:
-                continue
-            current = seen[key]
-            if current is None or current == kind:
-                seen[key] = kind
-            else:
-                seen[key] = _PROMOTIONS.get(
-                    frozenset({current, kind}), ColumnType.JSON
-                )
+    rows = records if isinstance(records, list) else list(records)
+    order = dict.fromkeys(chain.from_iterable(rows))
     if not order:
         raise SchemaError("cannot infer a schema from zero records")
-    return Schema(
-        [Field(name, seen[name] or ColumnType.STRING) for name in order]
-    )
+    fields = []
+    for name in order:
+        types = set(map(type, column_values(rows, name)))
+        kinds = {_classify_type(kind) for kind in types} - {None}
+        if not kinds:
+            kind = ColumnType.STRING
+        elif len(kinds) == 1:
+            (kind,) = kinds
+        else:
+            kind = _PROMOTIONS.get(frozenset(kinds), ColumnType.JSON)
+        fields.append(Field(name, kind))
+    return Schema(fields)
 
 
 def schema_covers(current: Schema, needed: Schema) -> bool:
@@ -250,3 +278,36 @@ def coerce_value(value: Any, column_type: ColumnType) -> Any:
         f"cannot store {type(value).__name__} value in a "
         f"{column_type.value} column"
     )
+
+
+#: Exact Python types each scalar column stores (or, for FLOAT64, widens).
+_PHYSICAL_TYPES = {
+    ColumnType.STRING: {str},
+    ColumnType.INT64: {int},
+    ColumnType.BOOL: {bool},
+    ColumnType.FLOAT64: {int, float},
+}
+
+
+def coerce_column(values: List[Any], column_type: ColumnType) -> List[Any]:
+    """:func:`coerce_value` over a whole column, one bulk step per type set.
+
+    The column's exact type set decides: STRING/INT64/BOOL values of
+    exactly ``str``/``int``/``bool`` are already physical, FLOAT64 and JSON
+    take one comprehension, and any other type set (subclasses, a value
+    that does not fit) falls back to :func:`coerce_value` per value — so
+    every :class:`SchemaError` is the one the per-value path raises.
+    """
+    kinds = set(map(type, values))
+    kinds.discard(type(None))
+    if not kinds:
+        return values
+    if column_type is ColumnType.JSON:
+        return [None if value is None else dumps(value) for value in values]
+    if kinds <= _PHYSICAL_TYPES[column_type]:
+        if int in kinds and column_type is ColumnType.FLOAT64:
+            return [None if value is None else float(value)
+                    for value in values]
+        return values
+    return [coerce_value(value, column_type) for value in values]
+

@@ -200,6 +200,44 @@ class TestSummary:
         assert first is second
 
 
+class TestLargeIntegers:
+    def test_integers_beyond_int64_round_trip(self, paths):
+        # JSON integers have no width; a value past 2**63 must read back
+        # exactly, not wrapped into a negative number by the encoder.
+        parquet, side = paths
+        loader = ClientAssistedLoader(parquet, side, partial_loading=False)
+        values = [2**63, 12345678901234567890, 2**64 + 5, -(2**70), 7]
+        loader.ingest(JsonChunk(
+            0, [dump_record({"a": value}) for value in values]
+        ))
+        loader.finalize()
+        with ParquetLiteReader(loader.parquet_paths[0]) as reader:
+            assert [row["a"] for row in reader.read_all()] == values
+
+
+def _pushdown_load(tmp_path, plan, chunks, seal_every=None):
+    """Load *chunks* the yelp_pushdown way; return (parts, sideline path)."""
+    from repro.client import ClientEvaluator
+
+    evaluator = ClientEvaluator(plan.entries)
+    side = JsonSideStore(tmp_path / "t.sideline.jsonl")
+    loader = ClientAssistedLoader(
+        tmp_path / "t.pql", side, partial_loading=True,
+        required_predicate_ids=plan.predicate_ids,
+    )
+    for count, chunk in enumerate(chunks, 1):
+        evaluator.annotate(chunk)
+        loader.ingest(chunk)
+        if seal_every is not None and count % seal_every == 0:
+            loader.seal_part()
+    loader.finalize()
+    return loader.parquet_paths, side.path
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestStoredBytes:
     """The files of a real load are pinned byte for byte."""
 
@@ -211,23 +249,43 @@ class TestStoredBytes:
     SIDELINE_SHA256 = (
         "56e185dc96081465f4a7b3931fff3536814e3adb2480ce15ceaa8b91e00de467"
     )
+    #: The same load sealed every 8 chunks (the benchmark servers'
+    #: ``seal_interval``): one sha256 per part, in part order.
+    SEALED_PART_SHA256 = (
+        "70bdb581bc7cfe0d39d8ee21c4e03729c4876cb95ce16853b22b6ccae7b0cb67",
+        "e57a02db9bff1e53c911da76d9c0dbff1245991afb72af718b0b2f4feb0a8135",
+        "8c4dcf3fe41457823885f7a159751337cd51466b2b96921c9a8d67dea73cdd20",
+        "46cd718802ce2297f613c3fadfba22cef951d65a92f8ff6ad99f8cc9e5d081e2",
+        "5524ab7ac588c595c14517850205ea669a05f7b6cad63c3b0e76d7ee7127e80e",
+        "3a4e550d80ccd3575c84d5eab16e8ff6a63c220214df46eb47cf62d2cd78e6fd",
+        "94d539a532b4e1a673aeecef43b5c7445f8109d42579b3e3b3d70dc14f9b8b06",
+        "1b12421e0b9cf9ce728122d699971fb3d1066d9965299c21d348b2c35d16356c",
+        "0dc400168db27b05d0be4e0753e3d1a0026e0d61934bcb4f4e66555d0b473417",
+        "8190d892b320e198c8dbebafa213a2cfaeb6122fd70fa12f482deaacfba7a8ab",
+    )
+    #: One ``rewrite_parts`` of those ten parts, clustered on ``stars``.
+    COMPACTED_SHA256 = (
+        "849b1f46a6a8f49e061dba48548a4d0f243468eb1e0ed874e1802e5185cad562"
+    )
 
     def test_yelp_pushdown_files_are_pinned(self, tmp_path, yelp_pushdown_plan,
                                             yelp_pushdown_chunks):
-        from repro.client import ClientEvaluator
-
-        evaluator = ClientEvaluator(yelp_pushdown_plan.entries)
-        side = JsonSideStore(tmp_path / "t.sideline.jsonl")
-        loader = ClientAssistedLoader(
-            tmp_path / "t.pql", side, partial_loading=True,
-            required_predicate_ids=yelp_pushdown_plan.predicate_ids,
+        parts, sideline = _pushdown_load(
+            tmp_path, yelp_pushdown_plan, yelp_pushdown_chunks
         )
-        for chunk in yelp_pushdown_chunks:
-            evaluator.annotate(chunk)
-            loader.ingest(chunk)
-        loader.finalize()
-        [part] = loader.parquet_paths
-        assert hashlib.sha256(part.read_bytes()).hexdigest() == \
-            self.PART_SHA256
-        assert hashlib.sha256(side.path.read_bytes()).hexdigest() == \
-            self.SIDELINE_SHA256
+        [part] = parts
+        assert _sha256(part) == self.PART_SHA256
+        assert _sha256(sideline) == self.SIDELINE_SHA256
+
+    def test_sealed_parts_and_their_compaction_are_pinned(
+            self, tmp_path, yelp_pushdown_plan, yelp_pushdown_chunks):
+        from repro.compact import rewrite_parts
+
+        parts, sideline = _pushdown_load(
+            tmp_path, yelp_pushdown_plan, yelp_pushdown_chunks, seal_every=8
+        )
+        assert tuple(map(_sha256, parts)) == self.SEALED_PART_SHA256
+        assert _sha256(sideline) == self.SIDELINE_SHA256
+        compacted = tmp_path / "compacted.pql"
+        rewrite_parts(parts, compacted, cluster_by="stars")
+        assert _sha256(compacted) == self.COMPACTED_SHA256

@@ -53,9 +53,18 @@ class TestVarints:
 
 
 class TestZigzag:
-    @pytest.mark.parametrize("value", [0, 1, -1, 2, -2, 10 ** 12, -(10 ** 12)])
+    @pytest.mark.parametrize("value", [0, 1, -1, 2, -2, 10 ** 12, -(10 ** 12),
+                                       2 ** 63, 2 ** 64 + 5, -(2 ** 70)])
     def test_roundtrip(self, value):
         assert zigzag_decode(zigzag_encode(value)) == value
+
+    def test_int64_range_keeps_its_bytes(self):
+        # The 64-bit sign fold was a no-op below 2**63: fixing it for wider
+        # ints changes no byte of any in-range value.
+        for value in (0, 1, 2 ** 62, 2 ** 63 - 1, -1, -(2 ** 63)):
+            folded = ((value << 1) ^ (value >> 63) if value >= 0
+                      else ((-value) << 1) - 1)
+            assert zigzag_encode(value) == folded
 
     def test_small_magnitudes_encode_small(self):
         assert zigzag_encode(-1) == 1
