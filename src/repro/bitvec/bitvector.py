@@ -436,6 +436,15 @@ def selector(positions: Sequence[int]
     return select
 
 
+def set_bits(value: int) -> Iterator[int]:
+    """Yield the positions of the set bits of a non-negative int, in
+    increasing order (one step per set bit, none per clear bit)."""
+    while value:
+        low = value & -value
+        yield low.bit_length() - 1
+        value ^= low
+
+
 def intersect_all(vectors: Sequence[BitVector]) -> BitVector:
     """AND a non-empty sequence of equal-length vectors.
 

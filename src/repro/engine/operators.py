@@ -5,8 +5,9 @@ COUNT(*)) plus projections, general aggregates, and LIMIT so the examples
 can run realistic analytics.  The CIAO-specific operator is
 :class:`SkippingScan`: it resolves the query's pushed-down predicate ids to
 per-row-group bit-vectors, ANDs them (§VI-B), skips whole row groups whose
-intersection is empty, and keeps the surviving mask as the batch's
-selection vector — no per-row index list is ever materialized.
+intersection is empty (most of them from a per-part summary, without
+visiting them), and keeps the surviving mask as the batch's selection
+vector — no per-row index list is ever materialized.
 
 Execution is columnar: operators exchange
 :class:`~repro.engine.batch.ColumnBatch` objects (decoded column lists +
@@ -31,9 +32,10 @@ from abc import ABC
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
-from ..bitvec.bitvector import BitVector, intersect_all
+from ..bitvec.bitvector import BitVector, intersect_all, set_bits
 from ..storage.columnar import ParquetLiteReader
 from ..storage.jsonstore import JsonSideStore
+from ..storage.rowgroup import RowGroupReader
 from .batch import ColumnBatch
 from .catalog import SidelineCache, sideline_segments
 from .expressions import Expr
@@ -154,16 +156,23 @@ class ParquetScan(Operator):
 class SkippingScan(Operator):
     """Bit-vector data-skipping scan (paper §VI-B).
 
-    For each row group: fetch the bit-vectors of the query's pushed-down
-    predicate ids, AND them, and
+    Skipping is decided per part before any row group is visited: the
+    reader summarizes each predicate id's vectors as ints with one bit per
+    row group, the scan combines its ids' summaries into the groups it
+    must visit
+    (:meth:`~repro.storage.columnar.ParquetLiteReader.candidate_groups`),
+    and every other group is counted as skipped in bulk, with no
+    per-group work.  Each candidate group then:
 
     * if a predicate id has no stored vector in this group (it was pushed
-      after this data was loaded), fall back to scanning the group fully —
-      soundness first;
-    * if the intersection is empty, skip the group without decoding a
-      single column;
-    * otherwise the surviving mask *becomes the batch's selection vector*:
-      survivor counting is a popcount and no index list is built.
+      after this data was loaded), falls back to scanning the group
+      fully unless zone maps prune it — soundness first;
+    * ANDs its vectors and skips the group, still undecoded, if the
+      intersection is empty;
+    * asks the zone-map hook only now, on a bit-vector survivor (a
+      :class:`ParquetScan`, with no vectors, asks it about every group);
+    * otherwise keeps the surviving mask *as the batch's selection
+      vector*: survivor counting is a popcount and no index list is built.
     """
 
     def __init__(self, reader: ParquetLiteReader,
@@ -177,39 +186,47 @@ class SkippingScan(Operator):
         self._columns = list(columns) if columns is not None else None
         self._prune = prune
 
+    def candidates(self, stats: ExecutionStats) -> List[RowGroupReader]:
+        """The row groups the bit vectors cannot rule out, in file order;
+        the rest are counted into *stats* as skipped, in bulk."""
+        reader = self._reader
+        groups = [reader.row_group(index) for index in
+                  set_bits(reader.candidate_groups(self._ids))]
+        skipped = len(reader) - len(groups)
+        stats.row_groups_total += skipped
+        stats.row_groups_skipped += skipped
+        stats.tuples_skipped += reader.total_rows - sum(
+            group.row_count for group in groups
+        )
+        return groups
+
     def batches(self, stats: ExecutionStats) -> Iterator[ColumnBatch]:
         stats.used_data_skipping = True
         names = self._columns if self._columns is not None \
             else self._reader.schema.names
-        for group in self._reader.row_groups():
+        for group in self.candidates(stats):
             stats.row_groups_total += 1
+            stored = group.meta.bitvectors
+            mask = None
+            if all(pid in stored for pid in self._ids):
+                mask = intersect_all([stored[pid] for pid in self._ids])
+                survivors = mask.count()
+                if not survivors:
+                    stats.row_groups_skipped += 1
+                    stats.tuples_skipped += group.row_count
+                    continue
             if self._prune is not None and self._prune(group.meta):
                 stats.row_groups_pruned_by_zonemap += 1
                 stats.tuples_pruned_by_zonemap += group.row_count
                 continue
-            vectors: List[BitVector] = []
-            missing = False
-            for pid in self._ids:
-                bv = group.meta.bitvectors.get(pid)
-                if bv is None:
-                    missing = True
-                    break
-                vectors.append(bv)
-            if missing:
-                columns = group.read_batch(self._columns)
-                group.clear_cache()
+            columns = group.read_batch(self._columns)
+            group.clear_cache()
+            if mask is None:
                 stats.rows_examined += group.row_count
                 yield ColumnBatch.from_columns(columns, group.row_count,
                                                names=names)
                 continue
-            mask = intersect_all(vectors)
-            survivors = mask.count()
             stats.tuples_skipped += group.row_count - survivors
-            if not survivors:
-                stats.row_groups_skipped += 1
-                continue
-            columns = group.read_batch(self._columns)
-            group.clear_cache()
             stats.rows_examined += survivors
             yield ColumnBatch.from_columns(columns, group.row_count,
                                            names=names, sel=mask)

@@ -17,7 +17,11 @@ The decision procedure (paper §VI-B):
 Additionally every Parquet-lite scan carries a **zone-map pruning hook**
 (:mod:`repro.engine.zonemaps`): row groups whose min/max statistics prove
 the WHERE clause unsatisfiable are skipped without decoding — this covers
-range and inequality predicates that CIAO cannot push to clients.
+range and inequality predicates that CIAO cannot push to clients.  A
+:class:`ParquetScan` asks the hook about every row group; a pushed query's
+:class:`SkippingScan` asks it only about the bit-vector survivors (groups
+whose intersection is non-empty, or that lack a vector), since the
+vectors rule most groups out first at no per-group cost.
 """
 
 from __future__ import annotations

@@ -112,32 +112,24 @@ def _scan_parquet(op: ParquetScan, stats: ExecutionStats):
 
 def _scan_skipping(op: SkippingScan, stats: ExecutionStats):
     stats.used_data_skipping = True
-    for group in op._reader.row_groups():
+    for group in op.candidates(stats):
         stats.row_groups_total += 1
+        indices = None
+        if all(pid in group.meta.bitvectors for pid in op._ids):
+            mask = intersect_all(
+                [group.meta.bitvectors[pid] for pid in op._ids]
+            )
+            indices = list(mask.iter_set())
+            if not indices:
+                stats.row_groups_skipped += 1
+                stats.tuples_skipped += group.row_count
+                continue
         if op._prune is not None and op._prune(group.meta):
             stats.row_groups_pruned_by_zonemap += 1
             stats.tuples_pruned_by_zonemap += group.row_count
             continue
-        vectors = []
-        missing = False
-        for pid in op._ids:
-            bv = group.meta.bitvectors.get(pid)
-            if bv is None:
-                missing = True
-                break
-            vectors.append(bv)
-        if missing:
-            for row in group.rows(columns=op._columns):
-                stats.rows_examined += 1
-                yield row
-            group.clear_cache()
-            continue
-        mask = intersect_all(vectors)
-        indices = list(mask.iter_set())
-        stats.tuples_skipped += group.row_count - len(indices)
-        if not indices:
-            stats.row_groups_skipped += 1
-            continue
+        if indices is not None:
+            stats.tuples_skipped += group.row_count - len(indices)
         for row in group.rows(columns=op._columns, indices=indices):
             stats.rows_examined += 1
             yield row

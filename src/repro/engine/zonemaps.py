@@ -6,7 +6,10 @@ per-row-group min/max/null-count per column, and for clustered columns
 (log sequence numbers, timestamps) those statistics prove entire row
 groups irrelevant to range and equality predicates — *including the
 range/inequality predicates CIAO cannot push to clients*, so zone maps
-complement bit-vector skipping rather than replace it.
+complement bit-vector skipping rather than replace it.  A pushed query's
+``SkippingScan`` consults them only on the row groups its bit vectors
+leave (see :mod:`repro.engine.planner`); a ``ParquetScan`` consults them
+on every row group.
 
 The core is :func:`expr_prunes_group`: given a WHERE expression and a row
 group's metadata, decide conservatively whether *no row in the group can

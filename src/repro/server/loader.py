@@ -58,8 +58,9 @@ from ..storage.columnar import ParquetLiteWriter
 from ..storage.jsonstore import JsonSideStore
 from ..storage.schema import (
     Schema,
-    infer_schema,
+    infer_column_schema,
     merge_schemas,
+    pull_columns,
     schema_covers,
 )
 
@@ -226,12 +227,15 @@ class ClientAssistedLoader:
                 malformed_positions.append(position)
 
         if parsed_rows:
-            writer = self._ensure_writer(parsed_rows)
+            # One pull per column feeds both the schema and the pages.
+            columns = pull_columns(parsed_rows)
+            writer = self._ensure_writer(columns)
             derived = self._derive_bitvectors(chunk, kept_positions)
             writer.write_row_group(
                 parsed_rows,
                 bitvectors=derived,
                 source_chunk_id=chunk.chunk_id,
+                columns=columns,
             )
         # Mask-rejected AND malformed records both land in the side store,
         # in arrival order: malformed input is quarantined raw, never
@@ -296,9 +300,9 @@ class ClientAssistedLoader:
         return self.summary
 
     # ------------------------------------------------------------------
-    def _ensure_writer(self, rows: Sequence[Mapping[str, Any]]
+    def _ensure_writer(self, columns: Mapping[str, List[Any]]
                        ) -> ParquetLiteWriter:
-        needed = infer_schema(rows)
+        needed = infer_column_schema(columns)
         if self._schema is None:
             self._schema = needed
         elif not schema_covers(self._schema, needed):

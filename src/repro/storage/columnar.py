@@ -19,7 +19,9 @@ ones.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from ..analysis.sanitizer import make_lock
 from ..bitvec.bitvector import BitVector
@@ -54,8 +56,13 @@ class ParquetLiteWriter:
         rows: Sequence[Mapping[str, Any]],
         bitvectors: Optional[Mapping[int, BitVector]] = None,
         source_chunk_id: Optional[int] = None,
+        columns: Optional[Mapping[str, List[Any]]] = None,
     ) -> RowGroupMeta:
-        """Append one row group with optional predicate bit-vectors."""
+        """Append one row group with optional predicate bit-vectors.
+
+        *columns*: columns already pulled from *rows*, if any (see
+        :func:`~repro.storage.rowgroup.build_row_group`).
+        """
         self._check_open()
         block, meta = build_row_group(
             rows,
@@ -64,6 +71,7 @@ class ParquetLiteWriter:
             source_chunk_id=source_chunk_id,
             bitvectors=bitvectors,
             encoding=self._encoding,
+            columns=columns,
         )
         self._file.write(block)
         self._meta.row_groups.append(meta)
@@ -116,6 +124,25 @@ class ParquetLiteReader:
                            read_lock=read_lock)
             for rg in self.meta.row_groups
         ]
+        # Built once here and never mutated: cached readers are shared by
+        # concurrent queries without a lock.
+        self._all_groups = (1 << len(self._groups)) - 1
+        self._summary = self._vector_summary()
+
+    def _vector_summary(self) -> Dict[int, Tuple[int, int]]:
+        """Per stored predicate id, two ints with one bit per row group:
+        the groups whose vector for the id has a set bit, and the groups
+        that store a vector for the id at all."""
+        nonempty: Dict[int, int] = {}
+        stored: Dict[int, int] = {}
+        for index, rg in enumerate(self.meta.row_groups):
+            bit = 1 << index
+            for pid, bv in rg.bitvectors.items():
+                stored[pid] = stored.get(pid, 0) | bit
+                if bv.any():
+                    nonempty[pid] = nonempty.get(pid, 0) | bit
+        return {pid: (nonempty.get(pid, 0), groups)
+                for pid, groups in stored.items()}
 
     def _read_footer(self) -> FileMeta:
         f = self._file
@@ -169,6 +196,23 @@ class ParquetLiteReader:
     def read_all(self) -> List[Dict[str, Any]]:
         """Materialize the whole file (tests / small files)."""
         return list(self.iter_rows())
+
+    def candidate_groups(self, predicate_ids: Iterable[int]) -> int:
+        """The row groups a scan over *predicate_ids* must visit, as an int
+        with bit ``g`` for group ``g``.
+
+        A group is ruled out only when every id stores a vector there and
+        one of them is empty.  A group missing some id's vector (the
+        predicate was pushed after the group loaded, or never reached this
+        part) may match anything and is scanned in full.
+        """
+        matching = self._all_groups
+        missing = 0
+        for pid in predicate_ids:
+            nonempty, stored = self._summary.get(pid, (0, 0))
+            matching &= nonempty
+            missing |= self._all_groups & ~stored
+        return matching | missing
 
     def bitvector(self, group_index: int,
                   predicate_id: int) -> Optional[BitVector]:

@@ -5,10 +5,11 @@ group per client chunk so the chunk's bit-vectors map one-to-one onto row
 positions.
 
 The build is column-major: each column is pulled out of the rows once
-(:func:`~repro.storage.schema.column_values`), coerced in one bulk step by
-its exact type set (:func:`~repro.storage.schema.coerce_column`, which
-falls back to the per-value :func:`~repro.storage.schema.coerce_value` for
-any other type set) and written as one page.  No Python call runs per
+(:func:`~repro.storage.schema.column_values`, here or by the caller),
+coerced in one bulk step by its exact type set
+(:func:`~repro.storage.schema.coerce_column`, which falls back to the
+per-value :func:`~repro.storage.schema.coerce_value` for any other type
+set) and written as one page.  No Python call runs per
 value or per bit on the common path.
 """
 
@@ -32,11 +33,14 @@ def build_row_group(
     source_chunk_id: Optional[int] = None,
     bitvectors: Optional[Mapping[int, BitVector]] = None,
     encoding: Optional[Encoding] = None,
+    columns: Optional[Mapping[str, List[Any]]] = None,
 ) -> Tuple[bytes, RowGroupMeta]:
     """Encode *rows* into a row-group block positioned at *base_offset*.
 
     Returns the block bytes and its metadata (column chunk offsets are
     absolute file offsets, so the caller passes where the block will land).
+    *columns* may hold columns already pulled from *rows*
+    (:func:`~repro.storage.schema.pull_columns`); the rest are pulled here.
     """
     if not rows:
         raise ValueError("row groups must contain at least one row")
@@ -44,8 +48,12 @@ def build_row_group(
         row_count=len(rows), source_chunk_id=source_chunk_id
     )
     block = bytearray()
+    pulled = columns or {}
     for field in schema:
-        values = coerce_column(column_values(rows, field.name), field.type)
+        values = pulled.get(field.name)
+        if values is None:
+            values = column_values(rows, field.name)
+        values = coerce_column(values, field.type)
         page, stats = write_page(values, field.type, encoding=encoding)
         meta.columns[field.name] = ColumnChunkMeta(
             offset=base_offset + len(block),

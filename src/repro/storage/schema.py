@@ -13,7 +13,7 @@ schemaless, so the writer infers a schema from the records it sees:
 * every column is nullable (a JSON object may simply omit the key).
 
 Both inference and coercion are column-major: a column's values are pulled
-once (:func:`column_values`) and judged by their set of exact Python types.
+once (:func:`pull_columns`) and judged by their set of exact Python types.
 The types the C JSON decoder produces map directly; any other type (a
 subclass of ``int``, ``float`` or ``str``) keeps ``isinstance`` semantics,
 and :func:`coerce_column` sends any type set it cannot pass through whole
@@ -171,24 +171,40 @@ def column_values(rows: Sequence[Mapping[str, Any]], name: str) -> List[Any]:
     return [row.get(name) for row in rows]
 
 
+def pull_columns(rows: Sequence[Mapping[str, Any]]) -> Dict[str, List[Any]]:
+    """Every column of *rows*, each pulled once (:func:`column_values`),
+    keyed in first-appearance order."""
+    return {
+        name: column_values(rows, name)
+        for name in dict.fromkeys(chain.from_iterable(rows))
+    }
+
+
 def infer_schema(records: Iterable[Mapping[str, Any]]) -> Schema:
     """Infer the widest schema covering *records*.
 
     Column order is first-appearance order, which for generator output is
-    the stable writer key order.  Inference is column-major: each column's
-    values are pulled once and classified by their set of Python types
-    (``set(map(type, column))``), not value by value.  One kind is that
-    kind; INT64 with FLOAT64 promotes to FLOAT64; any other mix is JSON —
-    the same widest type a value-by-value fold reaches in any order.
+    the stable writer key order.  See :func:`infer_column_schema`.
     """
     rows = records if isinstance(records, list) else list(records)
-    order = dict.fromkeys(chain.from_iterable(rows))
-    if not order:
+    return infer_column_schema(pull_columns(rows))
+
+
+def infer_column_schema(columns: Mapping[str, List[Any]]) -> Schema:
+    """The widest schema covering already pulled *columns* (in order).
+
+    Inference is column-major: each column is classified by its set of
+    Python types (``set(map(type, column))``), not value by value.  One
+    kind is that kind; INT64 with FLOAT64 promotes to FLOAT64; any other
+    mix is JSON — the same widest type a value-by-value fold reaches in
+    any order.
+    """
+    if not columns:
         raise SchemaError("cannot infer a schema from zero records")
     fields = []
-    for name in order:
-        types = set(map(type, column_values(rows, name)))
-        kinds = {_classify_type(kind) for kind in types} - {None}
+    for name, values in columns.items():
+        kinds = {_classify_type(kind) for kind in set(map(type, values))}
+        kinds.discard(None)
         if not kinds:
             kind = ColumnType.STRING
         elif len(kinds) == 1:

@@ -15,6 +15,7 @@ from repro.engine import (
     SkippingScan,
     parse_sql,
 )
+from repro.engine import operators
 from repro.engine.operators import Operator
 from repro.rawjson import dump_record
 from repro.storage import (
@@ -103,6 +104,49 @@ class TestSkippingScan:
         rows = list(SkippingScan(parquet, [7]).execute(stats))
         assert len(rows) == 20  # soundness first
         assert stats.tuples_skipped == 0
+
+    def test_skipped_part_costs_no_per_group_work(self, tmp_path,
+                                                  monkeypatch):
+        # Predicate 0 is set only in group 0 and predicate 1 only in group
+        # 1: each id's candidate int is non-zero, their AND is 0, so the
+        # scan must decide every group from the per-part summary alone.
+        path = tmp_path / "skip.pql"
+        with ParquetLiteWriter(path, infer_schema(ROWS)) as writer:
+            for group in (0, 1):
+                rows = ROWS[group * 10:group * 10 + 10]
+                first = BitVector.from_bits([1] + [0] * 9)
+                writer.write_row_group(rows, bitvectors={
+                    group: first, 1 - group: BitVector(10),
+                })
+        reader = ParquetLiteReader(path)
+        assert reader.candidate_groups([0, 1]) == 0
+        intersects = []
+        monkeypatch.setattr(
+            operators, "intersect_all",
+            lambda vectors: intersects.append(vectors),
+        )
+        prunes = []
+        scan = SkippingScan(reader, [0, 1],
+                            prune=lambda meta: prunes.append(meta))
+        stats = ExecutionStats()
+        assert list(scan.batches(stats)) == []
+        assert intersects == [] and prunes == []
+        assert stats.row_groups_total == 2
+        assert stats.row_groups_skipped == 2
+        assert stats.tuples_skipped == 20
+        assert stats.rows_examined == 0
+
+    def test_zone_maps_only_on_bit_vector_survivors(self, parquet):
+        # Predicate 1 is empty in group 0: the hook sees only group 1.
+        seen = []
+        scan = SkippingScan(parquet, [1],
+                            prune=lambda meta: seen.append(meta) or True)
+        stats = ExecutionStats()
+        assert list(scan.batches(stats)) == []
+        assert seen == [parquet.meta.row_groups[1]]
+        assert stats.row_groups_skipped == 1
+        assert stats.row_groups_pruned_by_zonemap == 1
+        assert stats.tuples_skipped + stats.tuples_pruned_by_zonemap == 20
 
     def test_requires_predicates(self, parquet):
         with pytest.raises(ValueError):

@@ -78,6 +78,31 @@ class TestBitvectorMetadata:
             assert reader.meta.row_groups[0].source_chunk_id == 11
             assert reader.meta.predicate_ids == [4]
 
+    def test_candidate_groups(self, path):
+        # Predicate 0: set only in group 1, stored everywhere.  Predicate
+        # 1: stored only from group 1 on (pushed after group 0 loaded),
+        # empty in group 2.
+        schema = infer_schema(RECORDS)
+        rows = RECORDS[:4]
+        vectors = [
+            {0: BitVector(4)},
+            {0: BitVector.from_bits([0, 1, 0, 0]),
+             1: BitVector.from_bits([1, 0, 0, 0])},
+            {0: BitVector(4), 1: BitVector(4)},
+        ]
+        with ParquetLiteWriter(path, schema) as writer:
+            for bitvectors in vectors:
+                writer.write_row_group(rows, bitvectors=bitvectors)
+        with ParquetLiteReader(path) as reader:
+            assert reader.candidate_groups([0]) == 0b010
+            assert reader.candidate_groups([1]) == 0b011  # missing: may match
+            # Group 0 lacks predicate 1's vector, so it is scanned in full
+            # even though predicate 0's vector there is empty.
+            assert reader.candidate_groups([0, 1]) == 0b011
+            assert reader.candidate_groups([9]) == 0b111  # stored nowhere
+            assert reader.candidate_groups([0, 9]) == 0b111
+            assert reader.candidate_groups([]) == 0b111
+
     def test_length_validated(self, path):
         schema = infer_schema(RECORDS)
         with ParquetLiteWriter(path, schema) as writer:
