@@ -6,8 +6,8 @@ Three claims are measured, all **single-thread CPU work**:
 1. **Batch speedup** — the same plan trees run under the batch engine
    (``run_plan``: columnar batches, ``evaluate_batch`` selection masks,
    popcount aggregation) and under the preserved row-at-a-time
-   interpreter (``repro.engine.rowpath.run_plan_rows``: dict per row,
-   ``Expr.evaluate`` per tuple — the pre-batch engine).  The bench
+   interpreter (``run_plan_rows`` of ``tests/engine_oracle.py``: dict
+   per row, ``Expr.evaluate`` per tuple — the pre-batch engine).  The bench
    asserts **>= 3x** on the paper's query template (full scan -> filter
    -> COUNT(*)) over >= 100k rows; override the floor with
    ``REPRO_BENCH_MIN_BATCH_SPEEDUP``.  Results are identical rows, same
@@ -41,6 +41,7 @@ import os
 import time
 
 from conftest import run_once
+from engine_oracle import run_plan_rows
 
 from repro.bench import emit, emit_json, format_table
 from repro.engine import (
@@ -51,7 +52,6 @@ from repro.engine import (
     plan_query,
     run_plan,
 )
-from repro.engine.rowpath import run_plan_rows
 from repro.rawjson import JsonChunk, dump_record
 from repro.server import CiaoServer
 from repro.storage import ParquetLiteWriter, infer_schema

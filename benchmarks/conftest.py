@@ -5,16 +5,23 @@ laptop-scale record counts so the whole suite finishes in minutes.  Set
 ``REPRO_SCALE`` (a float multiplier, e.g. ``REPRO_SCALE=10``) to run
 larger.  Every bench prints the paper-style series and archives it under
 ``benchmarks/results/``.
+
+The test tree's oracles (e.g. ``engine_oracle``, the row-at-a-time
+interpreter the query-engine bench times the batch engine against) are
+importable here: ``tests/`` is put on ``sys.path``.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.bench import ExperimentConfig
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 #: Global record-count multiplier.
 SCALE = float(os.environ.get("REPRO_SCALE", "1"))

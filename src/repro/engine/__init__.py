@@ -7,14 +7,10 @@ decode each row group's pages once (``RowGroupReader.read_batch``);
 ``Expr.evaluate_batch`` turns a WHERE clause into one predicate mask per
 batch, ANDed into the selection with ``intersect_update``; aggregates
 fold batches directly, so COUNT(*)-only plans reduce to popcounts and
-never materialize a row dict.
-
-The historical row-at-a-time surface is preserved as a thin adapter:
-``Operator.execute()`` spills batches back into dict rows (and
-row-only ``Operator`` subclasses are wrapped the other way), so planner,
-server, session, and bench code written against row iterators keeps
-working unchanged.  :mod:`repro.engine.rowpath` additionally keeps the
-full pre-batch interpreter runnable as an equivalence oracle and
+never materialize a row dict.  ``batches()`` is the only way to run an
+operator; rows appear once, where ``run_plan`` spills the final batches
+into the result.  The pre-batch row-at-a-time interpreter lives on in
+the test tree (``tests/engine_oracle.py``) as the equivalence oracle and
 benchmark baseline.
 
 Mid-load snapshot queries get incremental aggregation: sealed Parquet
@@ -60,7 +56,6 @@ from .operators import (
     SkippingScan,
 )
 from .planner import PlanInfo, PlannerError, plan_query
-from .rowpath import run_plan_rows
 from .snapcache import SnapshotAggCache, query_fingerprint
 from .sql import ParsedQuery, SelectItem, SqlError, parse_sql
 
@@ -108,6 +103,5 @@ __all__ = [
     "query_fingerprint",
     "query_where_expr",
     "run_plan",
-    "run_plan_rows",
     "to_clause",
 ]

@@ -12,14 +12,13 @@ Two backings exist:
 * **column-backed** (:meth:`ColumnBatch.from_columns`): decoded Parquet
   pages, shared by reference from the row-group reader's cache.
 * **row-backed** (:meth:`ColumnBatch.from_rows`): parsed sideline records
-  or legacy row-only operators.  Columns are gathered lazily on first
+  and aggregate outputs.  Columns are gathered lazily on first
   access; with no projection applied, :meth:`iter_rows` yields the
   *original* dicts, preserving the ragged-key fidelity of raw JSON
   records (a sideline row only carries the keys it actually had).
 
-:meth:`iter_rows` is the compatibility adapter: every batch can always be
-spilled back into the historical dict-per-row stream, which is what keeps
-``Operator.execute()`` working unchanged on top of the batch engine.
+:meth:`iter_rows` spills a batch's selected rows as dicts; the executor
+calls it once per result batch, at the result boundary.
 """
 
 from __future__ import annotations

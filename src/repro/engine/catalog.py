@@ -94,6 +94,16 @@ class TableEntry:
     Parquet parts of an in-flight ingest and the sideline is replaced by
     a bounded loaded-so-far view, so the engine answers queries against a
     consistent prefix of the stream while loading continues.
+
+    Readers are cached per part path for as long as the part stays in
+    :attr:`parquet_paths`: when the view moves, parts still in it keep
+    their open reader (and its skipping summary), new parts open and
+    dropped parts close.  This relies on a listed path never getting new
+    bytes: a sealed part is never rewritten in place, loaders number
+    their parts ``.partN`` upward, and a compactor names each output
+    ``compactN`` by a sequence that only grows, skipping paths that
+    exist.  A path can only come back after it left the view, and then
+    it is opened afresh.
     """
 
     name: str
@@ -101,12 +111,13 @@ class TableEntry:
     side_store: Optional[JsonSideStore] = None
     #: Pushed-down clause → predicate id (empty when nothing was pushed).
     pushdown: Dict[Clause, int] = field(default_factory=dict)
+    #: Open readers by part path (parts of :attr:`parquet_paths` only).
     # guarded-by: _readers_lock
-    _readers: Optional[List[ParquetLiteReader]] = field(
-        default=None, repr=False, compare=False
+    _readers: Dict[str, ParquetLiteReader] = field(
+        default_factory=dict, repr=False, compare=False
     )
     #: Serializes reader-cache population and teardown: concurrent first
-    #: queries must not each open (and then leak) a reader set.
+    #: queries must not each open (and then leak) a reader.
     _readers_lock: object = field(
         default_factory=lambda: make_lock("TableEntry._readers_lock"),
         repr=False, compare=False,
@@ -135,29 +146,38 @@ class TableEntry:
     _sideline_epoch: int = field(default=0, repr=False, compare=False)
 
     def open_readers(self) -> List[ParquetLiteReader]:
-        """Open (and cache) readers for this table's Parquet-lite files.
+        """Readers for this table's Parquet-lite files, in
+        :attr:`parquet_paths` order.
 
-        Files are write-once — the loader seals each file before queries
-        run — so cached readers stay valid until :meth:`invalidate` is
-        called after new files are registered.  Paths that do not exist yet
-        are skipped: a freshly registered table is legitimately empty.
+        Files are write-once and their paths never reused while listed
+        (see the class docstring), so a reader is opened on first use and
+        cached until :meth:`set_parts` drops its path.  Paths that do not
+        exist yet are skipped: a freshly registered table is legitimately
+        empty.
         """
         with self._readers_lock:
-            if self._readers is None:
-                self._readers = [
-                    ParquetLiteReader(path)
-                    for path in self.parquet_paths
-                    if Path(path).exists()
-                ]
-            return self._readers
+            readers = []
+            for path in self.parquet_paths:
+                reader = self._readers.get(str(path))
+                if reader is None and Path(path).exists():
+                    reader = ParquetLiteReader(path)
+                    self._readers[str(path)] = reader
+                if reader is not None:
+                    readers.append(reader)
+            return readers
 
-    def invalidate(self) -> None:
-        """Close cached readers; call after loading new files."""
+    def set_parts(self, parquet_paths: Iterable[Path]) -> None:
+        """Scan *parquet_paths* from now on.
+
+        Parts still listed keep their cached readers; the readers of
+        parts dropped (e.g. replaced by a compaction) close now, new
+        parts open on first use.
+        """
         with self._readers_lock:
-            if self._readers is not None:
-                for reader in self._readers:
-                    reader.close()  # ciaolint: allow[LCK002] -- ParquetLiteReader.close is lock-free; `.close()` name union binds wider
-                self._readers = None
+            self.parquet_paths = [Path(p) for p in parquet_paths]
+            listed = {str(path) for path in self.parquet_paths}
+            for key in [k for k in self._readers if k not in listed]:
+                self._readers.pop(key).close()  # ciaolint: allow[LCK002] -- ParquetLiteReader.close is lock-free; `.close()` name union binds wider
 
     def pushed_id(self, clause: Clause) -> Optional[int]:
         """Predicate id for *clause* if it was pushed down."""
@@ -173,15 +193,13 @@ class TableEntry:
         *version* is the snapshot's change token — any equatable value
         that changes whenever the scanned parts or sideline do (the
         owning server uses the part and sideline lists themselves).
-        Reapplying an unchanged version is a no-op, so cached readers
-        survive across queries between ingest progress.
-        Sealed snapshot parts are immutable, which is what makes
-        caching them safe.
+        Parts in both the old and the new view keep their cached readers
+        (sealed snapshot parts are immutable, which is what makes caching
+        them safe); reapplying an unchanged version is a no-op.
         """
         if self._snapshot_version == version:
             return
-        self.invalidate()
-        self.parquet_paths = [Path(p) for p in parquet_paths]
+        self.set_parts(parquet_paths)
         self._snapshot_side = side_view
         self._snapshot_version = version
         segments = sideline_segments(side_view) \
@@ -197,7 +215,6 @@ class TableEntry:
     def clear_snapshot(self) -> None:
         """Leave snapshot-scan mode (the load finalized or was reset)."""
         if self._snapshot_version is not None:
-            self.invalidate()
             self._snapshot_side = None
             self._snapshot_version = None
             self._snapshot_cache = None

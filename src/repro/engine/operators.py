@@ -16,10 +16,10 @@ batches`.  Scans decode each row group's pages exactly once
 (``RowGroupReader.read_batch``); filters narrow the selection with
 ``Expr.evaluate_batch`` + ``intersect_update``; aggregates consume batches
 directly, so a COUNT(*)-only plan is selection-vector popcounts all the
-way down and never materializes a row dict.  The historical row-at-a-time
-surface survives as a thin adapter: :meth:`Operator.execute` spills
-batches back into dict rows, and subclasses that only implement
-``execute()`` (legacy or test operators) are wrapped the other way.
+way down and never materializes a row dict.  Batches are the only
+execution surface: rows exist only where a caller spills a batch with
+:meth:`~repro.engine.batch.ColumnBatch.iter_rows` (the executor's result
+boundary).
 
 Every operator reports into a shared :class:`ExecutionStats`, which is how
 the experiment harness measures tuples skipped, groups skipped, and
@@ -28,11 +28,11 @@ sideline parsing.
 
 from __future__ import annotations
 
-from abc import ABC
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
-from ..bitvec.bitvector import BitVector, intersect_all, set_bits
+from ..bitvec.bitvector import BitVector, set_bits
 from ..storage.columnar import ParquetLiteReader
 from ..storage.jsonstore import JsonSideStore
 from ..storage.rowgroup import RowGroupReader
@@ -72,45 +72,13 @@ class ExecutionStats:
     used_data_skipping: bool = False
     scanned_sideline: bool = False
 
-    def merge(self, other: "ExecutionStats") -> None:
-        """Fold another stats object into this one."""
-        self.rows_examined += other.rows_examined
-        self.rows_emitted += other.rows_emitted
-        self.row_groups_total += other.row_groups_total
-        self.row_groups_skipped += other.row_groups_skipped
-        self.row_groups_pruned_by_zonemap += \
-            other.row_groups_pruned_by_zonemap
-        self.tuples_skipped += other.tuples_skipped
-        self.tuples_pruned_by_zonemap += other.tuples_pruned_by_zonemap
-        self.sideline_records_parsed += other.sideline_records_parsed
-        self.sideline_records_cached += other.sideline_records_cached
-        self.used_data_skipping |= other.used_data_skipping
-        self.scanned_sideline |= other.scanned_sideline
-
 
 class Operator(ABC):
-    """A node producing columnar batches (and, via adapter, dict rows).
+    """A plan node producing columnar batches."""
 
-    Implement :meth:`batches` (the engine's native surface).  Subclasses
-    that predate the batch engine may instead implement :meth:`execute`;
-    their row stream is wrapped into single-row batches, preserving the
-    exact per-row laziness of the old volcano interpreter.
-    """
-
+    @abstractmethod
     def batches(self, stats: ExecutionStats) -> Iterator[ColumnBatch]:
         """Yield columnar batches, accounting into *stats*."""
-        if type(self).execute is Operator.execute:
-            raise TypeError(
-                f"{type(self).__name__} implements neither batches() "
-                f"nor execute()"
-            )
-        for row in self.execute(stats):
-            yield ColumnBatch.from_rows([row])
-
-    def execute(self, stats: ExecutionStats) -> Iterator[Dict[str, Any]]:
-        """Yield result rows — the ``rows()`` adapter over batches."""
-        for batch in self.batches(stats):
-            yield from batch.iter_rows()
 
     def describe(self) -> str:
         """One-line plan description."""
@@ -167,8 +135,9 @@ class SkippingScan(Operator):
     * if a predicate id has no stored vector in this group (it was pushed
       after this data was loaded), falls back to scanning the group
       fully unless zone maps prune it — soundness first;
-    * ANDs its vectors and skips the group, still undecoded, if the
-      intersection is empty;
+    * ANDs its vectors
+      (:meth:`~repro.storage.metadata.RowGroupMeta.survivor_mask`) and
+      skips the group, still undecoded, if the intersection is empty;
     * asks the zone-map hook only now, on a bit-vector survivor (a
       :class:`ParquetScan`, with no vectors, asks it about every group);
     * otherwise keeps the surviving mask *as the batch's selection
@@ -206,10 +175,8 @@ class SkippingScan(Operator):
             else self._reader.schema.names
         for group in self.candidates(stats):
             stats.row_groups_total += 1
-            stored = group.meta.bitvectors
-            mask = None
-            if all(pid in stored for pid in self._ids):
-                mask = intersect_all([stored[pid] for pid in self._ids])
+            mask = group.meta.survivor_mask(self._ids)
+            if mask is not None:
                 survivors = mask.count()
                 if not survivors:
                     stats.row_groups_skipped += 1

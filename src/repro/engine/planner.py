@@ -22,6 +22,11 @@ range and inequality predicates that CIAO cannot push to clients.  A
 :class:`SkippingScan` asks it only about the bit-vector survivors (groups
 whose intersection is non-empty, or that lack a vector), since the
 vectors rule most groups out first at no per-group cost.
+
+Steps 2–4 and the zone-map hook are decided in one place,
+:func:`plan_scans`; :func:`plan_query` puts the residual filter,
+projection and LIMIT above its scans, and the snapshot aggregate cache
+(:mod:`repro.engine.snapcache`) runs the same scans one part at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..storage.columnar import ParquetLiteReader
 from .catalog import TableEntry
 from .expressions import Expr, conjuncts, to_clause
 from .operators import (
@@ -79,37 +85,46 @@ def zone_prune_hook(where: Optional[Expr]) -> Optional[Callable]:
     return prune
 
 
+def plan_scans(parsed: ParsedQuery, table: TableEntry
+               ) -> Tuple[List[Tuple[ParquetLiteReader, Operator]],
+                          Optional[Operator], PlanInfo]:
+    """Choose the scan of each part of *table*, and the sideline scan.
+
+    Returns ``(parts, sideline, info)``: one ``(reader, scan)`` pair per
+    Parquet-lite part in catalog order — a :class:`SkippingScan` over the
+    matched predicate ids if any conjunct matched a pushed predicate, a
+    :class:`ParquetScan` otherwise, both with the zone-map hook — and a
+    :class:`SidelineScan`, or ``None`` when a match rules the sideline
+    out or there is none.  Raises :class:`PlannerError` for select
+    shapes the engine cannot run.
+    """
+    _check_select(parsed)
+    ids = match_pushdown(parsed.where, table)
+    columns = scan_columns_for(parsed)
+    prune = zone_prune_hook(parsed.where)
+    info = PlanInfo(matched_predicate_ids=ids, used_skipping=bool(ids),
+                    uses_zonemaps=prune is not None)
+    parts: List[Tuple[ParquetLiteReader, Operator]] = [
+        (reader, SkippingScan(reader, ids, columns=columns, prune=prune)
+         if ids else ParquetScan(reader, columns=columns, prune=prune))
+        for reader in table.open_readers()
+    ]
+    sideline: Optional[Operator] = None
+    if not ids and table.has_sideline:
+        info.scans_sideline = True
+        sideline = SidelineScan(table.scan_side_store, table.sideline_cache)
+    return parts, sideline, info
+
+
 def plan_query(parsed: ParsedQuery, table: TableEntry
                ) -> Tuple[Operator, PlanInfo]:
     """Build the operator tree for *parsed* against *table*."""
-    info = PlanInfo()
-    matched_ids = match_pushdown(parsed.where, table)
-    info.matched_predicate_ids = matched_ids
-
-    readers = table.open_readers()
-    scan_columns = scan_columns_for(parsed)
-    prune = zone_prune_hook(parsed.where)
-    if prune is not None:
-        info.uses_zonemaps = True
-
-    scans: List[Operator] = []
-    if matched_ids:
-        info.used_skipping = True
-        for reader in readers:
-            scans.append(SkippingScan(reader, matched_ids,
-                                      columns=scan_columns, prune=prune))
-    else:
-        for reader in readers:
-            scans.append(ParquetScan(reader, columns=scan_columns,
-                                     prune=prune))
-        if table.has_sideline:
-            info.scans_sideline = True
-            scans.append(SidelineScan(table.scan_side_store,
-                                       table.sideline_cache))
+    parts, sideline, info = plan_scans(parsed, table)
+    scans = [scan for _, scan in parts]
+    if sideline is not None:
+        scans.append(sideline)
     if not scans:
-        # Empty table: an empty parquet scan equivalent.
         scans.append(_EmptyScan())
-
     plan: Operator = scans[0] if len(scans) == 1 else ChainScan(scans)
     if parsed.where is not None:
         plan = Filter(plan, parsed.where)
@@ -153,7 +168,8 @@ def scan_columns_for(parsed: ParsedQuery) -> Optional[Sequence[str]]:
     return sorted(needed) if needed else []
 
 
-def _projection(plan: Operator, parsed: ParsedQuery) -> Operator:
+def _check_select(parsed: ParsedQuery) -> None:
+    """Reject select lists that mix bare columns into an aggregate."""
     if parsed.group_by:
         bad = [
             item.column for item in parsed.select
@@ -164,13 +180,17 @@ def _projection(plan: Operator, parsed: ParsedQuery) -> Operator:
                 f"columns {bad} appear in SELECT but are neither "
                 f"aggregated nor in GROUP BY"
             )
+    elif parsed.is_aggregate and any(
+            item.aggregate is None for item in parsed.select):
+        raise PlannerError(
+            "mixing aggregates and bare columns requires GROUP BY"
+        )
+
+
+def _projection(plan: Operator, parsed: ParsedQuery) -> Operator:
+    if parsed.group_by:
         return GroupedAggregate(plan, parsed.group_by, parsed.select)
     if parsed.is_aggregate:
-        bare = [item for item in parsed.select if item.aggregate is None]
-        if bare:
-            raise PlannerError(
-                "mixing aggregates and bare columns requires GROUP BY"
-            )
         return Aggregate(plan, parsed.select)
     if len(parsed.select) == 1 and parsed.select[0].column == "*":
         return plan
@@ -181,9 +201,6 @@ class _EmptyScan(Operator):
     """Zero-row scan for empty tables."""
 
     def batches(self, stats):
-        return iter(())
-
-    def execute(self, stats):
         return iter(())
 
     def describe(self) -> str:

@@ -36,16 +36,13 @@ from .operators import (
     ExecutionStats,
     Filter,
     Operator,
-    ParquetScan,
-    SidelineScan,
-    SkippingScan,
     _AggState,
     accumulate_grouped,
     accumulate_simple,
     finalize_grouped,
     merge_states,
 )
-from .planner import plan_query, scan_columns_for, zone_prune_hook
+from .planner import plan_scans
 from .sql import ParsedQuery
 
 __all__ = ["SnapshotAggCache", "execute_snapshot_aggregate",
@@ -126,31 +123,20 @@ def execute_snapshot_aggregate(parsed: ParsedQuery, table,
     """
     from .executor import QueryResult  # deferred: executor imports us
 
-    # plan_query validates the select shape and produces the same
-    # PlanInfo a cold plan would carry; its operator tree is discarded in
-    # favour of per-part sub-scans.
-    _plan, info = plan_query(parsed, table)
+    # The same scans (and PlanInfo) a cold plan_query would chain, run
+    # one part at a time.
+    parts, sideline, info = plan_scans(parsed, table)
     fingerprint = query_fingerprint(parsed)
-    matched_ids = info.matched_predicate_ids
-    scan_columns = scan_columns_for(parsed)
-    prune = zone_prune_hook(parsed.where)
-
     agg_items = [i for i in parsed.select if i.aggregate is not None]
     grouped = bool(parsed.group_by)
 
     stats = ExecutionStats()
     start = time.perf_counter()
     partials: List[_PartPartial] = []
-    for reader in table.open_readers():
+    for reader, scan in parts:
         key = str(reader.path)
         partial = cache.get(key, fingerprint)
         if partial is None:
-            scan: Operator = (
-                SkippingScan(reader, matched_ids, columns=scan_columns,
-                             prune=prune)
-                if matched_ids
-                else ParquetScan(reader, columns=scan_columns, prune=prune)
-            )
             partial = _accumulate_partial(scan, parsed, agg_items,
                                           grouped, stats)
             cache.put(key, fingerprint, partial)
@@ -166,21 +152,21 @@ def execute_snapshot_aggregate(parsed: ParsedQuery, table,
     # sideline cache keeps each shard file's parsed prefix, so this scan
     # parses only the delta.  Pushdown-matched queries skip it entirely
     # (a sidelined record is invalid for the matched predicate).
-    if not matched_ids and table.has_sideline:
-        partials.append(
-            _accumulate_partial(SidelineScan(table.scan_side_store,
-                                             table.sideline_cache),
-                                parsed, agg_items, grouped, stats)
-        )
+    if sideline is not None:
+        partials.append(_accumulate_partial(sideline, parsed, agg_items,
+                                            grouped, stats))
 
     rows = _merge_partials(parsed, agg_items, grouped, partials)
     if parsed.limit is not None:
         rows = rows[:parsed.limit]
     elapsed = time.perf_counter() - start
     stats.rows_emitted = len(rows)
+    scans = [scan for _, scan in parts] + \
+        ([sideline] if sideline is not None else [])
     info.description = (
         f"SnapshotAggCache(hits={info.snapshot_cache_hits}, "
-        f"misses={info.snapshot_cache_misses}) <- {info.description}"
+        f"misses={info.snapshot_cache_misses}) <- "
+        + " + ".join(scan.describe() for scan in scans)
     )
     return QueryResult(rows=rows, stats=stats, plan_info=info,
                        wall_seconds=elapsed)

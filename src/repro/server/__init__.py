@@ -16,7 +16,6 @@ from .skipping import (
     SkippingEstimate,
     estimate_skipping,
     query_predicate_ids,
-    resolve_group_mask,
     skipping_benefit_fractions,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "SkippingEstimate",
     "estimate_skipping",
     "query_predicate_ids",
-    "resolve_group_mask",
     "skipping_benefit_fractions",
     "validate_server_options",
 ]

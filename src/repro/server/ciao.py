@@ -616,13 +616,13 @@ class CiaoServer:
 
         A finalized table gets the view's part list.  A streaming one
         scans the view in snapshot mode; the view itself is the change
-        token, so an unchanged view keeps its cached readers while a
-        newly sealed part or a committed compaction always registers.
+        token, so a newly sealed part or a committed compaction always
+        registers.  Either way parts still in the view keep their cached
+        readers and the readers of replaced parts close.
         """
         state, parts, sidelines, _ = self._view()
         if state == "finalized":
-            self._table.invalidate()
-            self._table.parquet_paths = parts
+            self._table.set_parts(parts)
             return
         self._table.apply_snapshot(
             (tuple(parts), tuple(sidelines)),

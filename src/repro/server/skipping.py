@@ -9,12 +9,11 @@ many tuples and row groups would bit-vector intersection eliminate?
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from ..bitvec.bitvector import BitVector, intersect_all
+from ..bitvec.bitvector import set_bits
 from ..core.predicates import Query
 from ..engine.catalog import TableEntry
-from ..storage.columnar import ParquetLiteReader
 
 
 @dataclass(frozen=True)
@@ -53,46 +52,34 @@ def query_predicate_ids(query: Query, table: TableEntry) -> List[int]:
     return sorted(set(ids))
 
 
-def resolve_group_mask(reader: ParquetLiteReader, group_index: int,
-                       predicate_ids: Sequence[int]) -> Optional[BitVector]:
-    """AND the stored vectors for *predicate_ids* in one row group.
-
-    Returns None when any id lacks a stored vector (scan must not skip).
-    """
-    meta = reader.meta.row_groups[group_index]
-    vectors: List[BitVector] = []
-    for pid in predicate_ids:
-        bv = meta.bitvectors.get(pid)
-        if bv is None:
-            return None
-        vectors.append(bv)
-    if not vectors:
-        return None
-    return intersect_all(vectors)
-
-
 def estimate_skipping(query: Query, table: TableEntry) -> SkippingEstimate:
-    """Predict skipping effectiveness without executing the query."""
+    """Predict skipping effectiveness without executing the query.
+
+    Counts what a :class:`~repro.engine.operators.SkippingScan` without a
+    zone-map hook would skip: every group outside the reader's
+    :meth:`~repro.storage.columnar.ParquetLiteReader.candidate_groups`,
+    and within a candidate the rows outside its
+    :meth:`~repro.storage.metadata.RowGroupMeta.survivor_mask`.
+    """
     ids = query_predicate_ids(query, table)
     total = 0
     surviving = 0
     groups = 0
     skippable = 0
     for reader in table.open_readers():
-        for index in range(len(reader)):
+        groups += len(reader)
+        total += reader.total_rows
+        if not ids:
+            surviving += reader.total_rows
+            continue
+        candidates = list(set_bits(reader.candidate_groups(ids)))
+        skippable += len(reader) - len(candidates)
+        for index in candidates:
             meta = reader.meta.row_groups[index]
-            groups += 1
-            total += meta.row_count
-            if not ids:
-                surviving += meta.row_count
-                continue
-            mask = resolve_group_mask(reader, index, ids)
-            if mask is None:
-                surviving += meta.row_count
-                continue
-            alive = mask.count()
+            mask = meta.survivor_mask(ids)
+            alive = meta.row_count if mask is None else mask.count()
             surviving += alive
-            if alive == 0:
+            if not alive:
                 skippable += 1
     return SkippingEstimate(
         predicate_ids=ids,

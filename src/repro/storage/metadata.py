@@ -14,9 +14,9 @@ inside it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
-from ..bitvec.bitvector import BitVector
+from ..bitvec.bitvector import BitVector, intersect_all
 from ..rawjson.parser import loads
 from ..rawjson.writer import dumps
 from .pages import PageStats
@@ -77,6 +77,20 @@ class RowGroupMeta:
                 f"{self.row_count} rows"
             )
         self.bitvectors[predicate_id] = bv
+
+    def survivor_mask(self, predicate_ids: Iterable[int]
+                      ) -> Optional[BitVector]:
+        """The rows every id's stored vector admits: the AND of the ids'
+        vectors (§VI-B).
+
+        ``None`` when an id stores no vector here (it was pushed after
+        this group loaded) or no id is given: the group may match
+        anything and must be scanned in full.
+        """
+        vectors = [self.bitvectors.get(pid) for pid in predicate_ids]
+        if not vectors or any(bv is None for bv in vectors):
+            return None
+        return intersect_all(vectors)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON form for the footer."""

@@ -50,6 +50,36 @@ def serial_reference(tmp_path, chunks, tag="ref"):
     return server
 
 
+class TestReaderLifetime:
+    def test_advance_keeps_readers_and_swap_closes_replaced(self, tmp_path):
+        chunks = make_chunks()
+        server = streaming_server(tmp_path, "stream")
+        for chunk in chunks[:4]:
+            server.ingest(chunk)
+        server.quiesce()
+        answers(server)
+        before = {str(r.path): r for r in server.table.open_readers()}
+        for chunk in chunks[4:8]:
+            server.ingest(chunk)
+        server.quiesce()
+        answers(server)
+        after = {str(r.path): r for r in server.table.open_readers()}
+        # A snapshot advance opens only the newly sealed parts.
+        assert set(before) < set(after)
+        assert all(after[path] is reader for path, reader in before.items())
+        comp = Compactor(server, config=CompactionConfig(min_observations=1))
+        assert comp.run_once() is not None
+        # The commit closes exactly the readers of the parts it replaced.
+        live = {str(p) for p in server.sealed_parts()}
+        replaced = [r for path, r in after.items() if path not in live]
+        assert replaced and all(r._file.closed for r in replaced)
+        assert not any(r._file.closed for path, r in after.items()
+                       if path in live)
+        assert answers(server) == answers(
+            serial_reference(tmp_path, chunks[:8]))
+        server.finalize_loading()
+
+
 class TestMidLoadCompaction:
     def test_swap_preserves_answers_and_load_continues(self, tmp_path):
         chunks = make_chunks()

@@ -1,5 +1,5 @@
 """Unit tests for the columnar batch engine: ColumnBatch, vectorized
-expressions, batch operators, and the rows() compatibility adapter."""
+expressions and batch operators."""
 
 import pytest
 
@@ -27,6 +27,7 @@ from repro.storage import (
     ParquetLiteWriter,
     infer_schema,
 )
+from engine_helpers import collect
 
 ROWS = [{"i": i, "name": f"u{i}", "flag": i % 2 == 0} for i in range(20)]
 
@@ -183,16 +184,34 @@ class TestBatchScans:
         assert 3 * Filter.SPARSE_SELECTION_DIVISOR <= 64  # sparse path
         stats = ExecutionStats()
         plan = Filter(SkippingScan(reader, [0]), where)
-        got = [r["i"] for r in plan.execute(stats)]
+        got = [r["i"] for r in collect(plan, stats)]
         assert got == [3, 41]  # false positive 40 removed, order kept
 
     def test_sideline_scan_batches_preserve_record_dicts(self, tmp_path):
         store = JsonSideStore(tmp_path / "s.jsonl")
         store.append(0, [dump_record({"a": 1}), dump_record({"b": 2})])
         stats = ExecutionStats()
-        rows = list(SidelineScan(store).execute(stats))
+        rows = collect(SidelineScan(store), stats)
         assert rows == [{"a": 1}, {"b": 2}]  # ragged keys intact
         assert stats.sideline_records_parsed == 2
+
+    def test_count_only_plan_never_touches_columns(self, parquet):
+        """COUNT(*) without WHERE decodes no pages at all."""
+        stats = ExecutionStats()
+        q = parse_sql("SELECT COUNT(*) FROM t")
+        scan = ParquetScan(parquet, columns=[])
+        (row,) = collect(Aggregate(scan, q.select), stats)
+        assert row == {"count(*)": 20}
+        for group in parquet.row_groups():
+            assert group._cache == {}  # nothing was decoded
+
+    def test_operator_must_implement_batches(self):
+        class Nothing(Operator):
+            def describe(self):
+                return "Nothing"
+
+        with pytest.raises(TypeError, match="batches"):
+            Nothing()
 
 
 class TestLimitEarlyTermination:
@@ -212,7 +231,7 @@ class TestLimitEarlyTermination:
         reader = self._wide_parquet(tmp_path)
         stats = ExecutionStats()
         plan = Limit(ParquetScan(reader), 3)
-        rows = list(plan.execute(stats))
+        rows = collect(plan, stats)
         assert [r["i"] for r in rows] == [0, 1, 2]
         # Only the first row group was examined, not all 100 rows.
         assert stats.rows_examined == 10
@@ -234,7 +253,7 @@ class TestLimitEarlyTermination:
             5,
         )
         stats = ExecutionStats()
-        rows = list(plan.execute(stats))
+        rows = collect(plan, stats)
         assert len(rows) == 5
         # One group of reader_a satisfies the limit; reader_b untouched.
         assert stats.row_groups_total == 1
@@ -243,53 +262,5 @@ class TestLimitEarlyTermination:
     def test_limit_zero_examines_nothing(self, tmp_path):
         reader = self._wide_parquet(tmp_path)
         stats = ExecutionStats()
-        assert list(Limit(ParquetScan(reader), 0).execute(stats)) == []
+        assert collect(Limit(ParquetScan(reader), 0), stats) == []
         assert stats.rows_examined == 0
-
-
-class TestAdapters:
-    def test_row_only_operator_is_wrapped(self):
-        class RowsOnly(Operator):
-            def execute(self, stats):
-                for row in ROWS[:4]:
-                    stats.rows_examined += 1
-                    yield row
-
-            def describe(self):
-                return "RowsOnly"
-
-        stats = ExecutionStats()
-        batches = list(RowsOnly().batches(stats))
-        assert len(batches) == 4  # one row per batch: laziness preserved
-        assert [next(b.iter_rows())["i"] for b in batches] == [0, 1, 2, 3]
-
-    def test_neither_surface_raises(self):
-        class Nothing(Operator):
-            def describe(self):
-                return "Nothing"
-
-        with pytest.raises(TypeError, match="neither"):
-            list(Nothing().batches(ExecutionStats()))
-
-    def test_aggregate_over_row_only_child(self):
-        class RowsOnly(Operator):
-            def execute(self, stats):
-                yield from ROWS
-
-            def describe(self):
-                return "RowsOnly"
-
-        q = parse_sql("SELECT COUNT(*), SUM(i) FROM t")
-        stats = ExecutionStats()
-        (row,) = Aggregate(RowsOnly(), q.select).execute(stats)
-        assert row == {"count(*)": 20, "sum(i)": sum(r["i"] for r in ROWS)}
-
-    def test_count_only_plan_never_touches_columns(self, parquet):
-        """COUNT(*) without WHERE decodes no pages at all."""
-        stats = ExecutionStats()
-        q = parse_sql("SELECT COUNT(*) FROM t")
-        scan = ParquetScan(parquet, columns=[])
-        (row,) = Aggregate(scan, q.select).execute(stats)
-        assert row == {"count(*)": 20}
-        for group in parquet.row_groups():
-            assert group._cache == {}  # nothing was decoded

@@ -1,4 +1,4 @@
-"""Unit tests for the volcano operators, especially SkippingScan."""
+"""Unit tests for the batch operators, especially SkippingScan."""
 
 import pytest
 
@@ -15,8 +15,6 @@ from repro.engine import (
     SkippingScan,
     parse_sql,
 )
-from repro.engine import operators
-from repro.engine.operators import Operator
 from repro.rawjson import dump_record
 from repro.storage import (
     JsonSideStore,
@@ -24,23 +22,10 @@ from repro.storage import (
     ParquetLiteWriter,
     infer_schema,
 )
+from repro.storage import metadata
+from engine_helpers import ListScan, collect
 
 ROWS = [{"i": i, "name": f"u{i}", "flag": i % 2 == 0} for i in range(20)]
-
-
-class ListScan(Operator):
-    """Test helper: scan over in-memory rows."""
-
-    def __init__(self, rows):
-        self._rows = rows
-
-    def execute(self, stats):
-        for row in self._rows:
-            stats.rows_examined += 1
-            yield row
-
-    def describe(self):
-        return "ListScan"
 
 
 @pytest.fixture()
@@ -68,40 +53,40 @@ def parquet(tmp_path):
 class TestParquetScan:
     def test_full_scan(self, parquet):
         stats = ExecutionStats()
-        rows = list(ParquetScan(parquet).execute(stats))
+        rows = collect(ParquetScan(parquet), stats)
         assert len(rows) == 20
         assert stats.rows_examined == 20
         assert stats.row_groups_total == 2
 
     def test_projection(self, parquet):
         stats = ExecutionStats()
-        rows = list(ParquetScan(parquet, columns=["i"]).execute(stats))
+        rows = collect(ParquetScan(parquet, columns=["i"]), stats)
         assert set(rows[0]) == {"i"}
 
 
 class TestSkippingScan:
     def test_single_predicate(self, parquet):
         stats = ExecutionStats()
-        rows = list(SkippingScan(parquet, [0]).execute(stats))
+        rows = collect(SkippingScan(parquet, [0]), stats)
         assert sorted(r["i"] for r in rows) == [0, 5, 10, 15]
         assert stats.tuples_skipped == 16
         assert stats.used_data_skipping
 
     def test_intersection_of_two_predicates(self, parquet):
         stats = ExecutionStats()
-        rows = list(SkippingScan(parquet, [0, 1]).execute(stats))
+        rows = collect(SkippingScan(parquet, [0, 1]), stats)
         assert sorted(r["i"] for r in rows) == [10, 15]
 
     def test_whole_group_skipped(self, parquet):
         # Predicate 1 is all-zero in the first row group.
         stats = ExecutionStats()
-        rows = list(SkippingScan(parquet, [1]).execute(stats))
+        rows = collect(SkippingScan(parquet, [1]), stats)
         assert sorted(r["i"] for r in rows) == list(range(10, 20))
         assert stats.row_groups_skipped == 1
 
     def test_missing_vector_falls_back_to_full_scan(self, parquet):
         stats = ExecutionStats()
-        rows = list(SkippingScan(parquet, [7]).execute(stats))
+        rows = collect(SkippingScan(parquet, [7]), stats)
         assert len(rows) == 20  # soundness first
         assert stats.tuples_skipped == 0
 
@@ -122,7 +107,7 @@ class TestSkippingScan:
         assert reader.candidate_groups([0, 1]) == 0
         intersects = []
         monkeypatch.setattr(
-            operators, "intersect_all",
+            metadata, "intersect_all",
             lambda vectors: intersects.append(vectors),
         )
         prunes = []
@@ -158,7 +143,7 @@ class TestSidelineScan:
         store = JsonSideStore(tmp_path / "s.jsonl")
         store.append(0, [dump_record(r) for r in ROWS[:3]])
         stats = ExecutionStats()
-        rows = list(SidelineScan(store).execute(stats))
+        rows = collect(SidelineScan(store), stats)
         assert len(rows) == 3
         assert stats.sideline_records_parsed == 3
         assert stats.scanned_sideline
@@ -168,32 +153,28 @@ class TestComposition:
     def test_filter(self):
         stats = ExecutionStats()
         q = parse_sql("SELECT * FROM t WHERE i = 3")
-        rows = list(Filter(ListScan(ROWS), q.where).execute(stats))
+        rows = collect(Filter(ListScan(ROWS), q.where), stats)
         assert [r["i"] for r in rows] == [3]
 
     def test_project(self):
         stats = ExecutionStats()
-        rows = list(
-            Project(ListScan(ROWS), ["name"]).execute(stats)
-        )
+        rows = collect(Project(ListScan(ROWS), ["name"]), stats)
         assert rows[0] == {"name": "u0"}
 
     def test_limit(self):
         stats = ExecutionStats()
-        rows = list(Limit(ListScan(ROWS), 4).execute(stats))
+        rows = collect(Limit(ListScan(ROWS), 4), stats)
         assert len(rows) == 4
         assert stats.rows_examined == 4  # early termination
 
     def test_limit_zero(self):
         stats = ExecutionStats()
-        assert list(Limit(ListScan(ROWS), 0).execute(stats)) == []
+        assert collect(Limit(ListScan(ROWS), 0), stats) == []
 
     def test_chain(self):
         stats = ExecutionStats()
-        rows = list(
-            ChainScan([ListScan(ROWS[:5]), ListScan(ROWS[5:])])
-            .execute(stats)
-        )
+        chain = ChainScan([ListScan(ROWS[:5]), ListScan(ROWS[5:])])
+        rows = collect(chain, stats)
         assert len(rows) == 20
 
     def test_describe_compose(self, parquet):
@@ -209,7 +190,7 @@ class TestAggregate:
     def test_count_star_counts_everything(self):
         stats = ExecutionStats()
         q = parse_sql("SELECT COUNT(*) FROM t")
-        (row,) = Aggregate(ListScan(ROWS), q.select).execute(stats)
+        (row,) = collect(Aggregate(ListScan(ROWS), q.select), stats)
         assert row == {"count(*)": 20}
 
     def test_column_aggregates_ignore_nulls(self):
@@ -217,7 +198,7 @@ class TestAggregate:
         q = parse_sql("SELECT COUNT(x), SUM(x), AVG(x), MIN(x), MAX(x) "
                       "FROM t")
         stats = ExecutionStats()
-        (row,) = Aggregate(ListScan(rows), q.select).execute(stats)
+        (row,) = collect(Aggregate(ListScan(rows), q.select), stats)
         assert row["count(x)"] == 2
         assert row["sum(x)"] == 4
         assert row["avg(x)"] == 2
@@ -227,7 +208,7 @@ class TestAggregate:
     def test_empty_input_aggregates(self):
         q = parse_sql("SELECT COUNT(*), SUM(x), MIN(x) FROM t")
         stats = ExecutionStats()
-        (row,) = Aggregate(ListScan([]), q.select).execute(stats)
+        (row,) = collect(Aggregate(ListScan([]), q.select), stats)
         assert row["count(*)"] == 0
         assert row["sum(x)"] is None
         assert row["min(x)"] is None
@@ -236,13 +217,3 @@ class TestAggregate:
         q = parse_sql("SELECT a FROM t")
         with pytest.raises(ValueError):
             Aggregate(ListScan(ROWS), q.select)
-
-
-class TestStatsMerge:
-    def test_merge_accumulates(self):
-        a = ExecutionStats(rows_examined=3, used_data_skipping=True)
-        b = ExecutionStats(rows_examined=4, tuples_skipped=7)
-        a.merge(b)
-        assert a.rows_examined == 7
-        assert a.tuples_skipped == 7
-        assert a.used_data_skipping

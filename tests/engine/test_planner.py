@@ -1,5 +1,8 @@
 """Unit tests for the query planner's skipping decision."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.bitvec import BitVector
@@ -19,6 +22,7 @@ from repro.storage import (
     ParquetLiteWriter,
     infer_schema,
 )
+from engine_helpers import collect
 
 ROWS = [{"name": f"u{i}", "age": i % 4, "city": f"c{i % 3}"}
         for i in range(12)]
@@ -100,9 +104,7 @@ class TestPlanShapes:
                            parquet_paths=[tmp_path / "missing.pql"])
         parsed = parse_sql("SELECT COUNT(*) FROM empty")
         plan, _ = plan_query(parsed, entry)
-        from repro.engine.operators import ExecutionStats
-
-        assert list(plan.execute(ExecutionStats()))[0]["count(*)"] == 0
+        assert collect(plan)[0]["count(*)"] == 0
 
 
 class TestCatalog:
@@ -137,9 +139,53 @@ class TestCatalog:
         assert result.scalar() == 1  # only the sidelined record
         assert result.stats.sideline_records_parsed == 1
 
-    def test_reader_cache_invalidation(self, table):
-        readers_a = table.open_readers()
-        assert table.open_readers() is readers_a
-        table.invalidate()
-        readers_b = table.open_readers()
-        assert readers_b is not readers_a
+    def test_reader_cache_invalidation(self, table, tmp_path):
+        (first,) = table.open_readers()
+        assert table.open_readers() == [first]
+        second_path = tmp_path / "t2.pql"
+        with ParquetLiteWriter(second_path, infer_schema(ROWS)) as writer:
+            writer.write_row_group(ROWS)
+        table.set_parts([table.parquet_paths[0], second_path])
+        kept, second = table.open_readers()
+        assert kept is first and second.path == second_path
+        # Dropping a part closes its reader at once; the kept one stays.
+        table.set_parts([second_path])
+        assert first._file.closed and not second._file.closed
+        assert table.open_readers() == [second]
+        # A path listed again after it left the view is opened afresh.
+        table.set_parts([first.path, second_path])
+        reopened, again = table.open_readers()
+        assert reopened is not first and again is second
+        assert table.open_readers()[0].total_rows == len(ROWS)
+
+    def test_concurrent_queries_share_one_reader_per_part(self, table,
+                                                          tmp_path):
+        paths = list(table.parquet_paths)
+        for k in range(7):
+            path = tmp_path / f"extra{k}.pql"
+            with ParquetLiteWriter(path, infer_schema(ROWS)) as writer:
+                writer.write_row_group(ROWS)
+            paths.append(path)
+        table.set_parts(paths)
+        seen = []
+        start = threading.Barrier(8)
+
+        def query():
+            start.wait(timeout=30)
+            for _ in range(50):
+                seen.append(tuple(map(id, table.open_readers())))
+
+        threads = [threading.Thread(target=query) for _ in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        # Every first query raced to open the parts; one reader each won.
+        assert len(seen) == 400 and len(set(seen)) == 1
+        assert len(seen[0]) == 8

@@ -11,6 +11,7 @@ from repro.engine.operators import ExecutionStats
 from repro.obs import Metrics, QueryLog
 from repro.rawjson import dump_record
 from repro.storage import CompositeSidelineView, JsonSideStore, SidelineView
+from engine_helpers import collect
 
 
 def lines(lo, hi):
@@ -19,7 +20,7 @@ def lines(lo, hi):
 
 def scan(store, cache):
     stats = ExecutionStats()
-    rows = list(SidelineScan(store, cache).execute(stats))
+    rows = collect(SidelineScan(store, cache), stats)
     return rows, stats
 
 

@@ -131,8 +131,7 @@ class TestIncrementalAggregation:
         table.clear_snapshot()
         assert table._snapshot_cache is None
         # Finalized-table queries plan cold (no snapshot mode).
-        table.parquet_paths = sealed
-        table.invalidate()
+        table.set_parts(sealed)
         result = executor.execute(AGG_SQL)
         assert result.stats.row_groups_total == 8
 

@@ -1,9 +1,10 @@
-"""Reference row-at-a-time interpreter over the same operator trees.
+"""Reference row-at-a-time interpreter over the engine's operator trees.
 
-This is the engine's pre-batch volcano semantics, preserved verbatim as
-an *oracle*: every operator materializes dict rows and evaluates
-expressions per tuple, exactly like the historical ``execute()``
-implementations.  It exists for two jobs:
+This is the engine's pre-batch volcano semantics, kept as an *oracle*:
+every operator materializes dict rows and evaluates expressions per
+tuple, and the skipping scan ANDs each group's vectors itself rather
+than through the storage helper the engine uses.  It exists for two
+jobs:
 
 * the equivalence property tests assert the batch engine returns
   identical rows (values **and** ordering) to this interpreter across
@@ -12,8 +13,11 @@ implementations.  It exists for two jobs:
   speedup against it — the row path *is* the baseline being optimized
   away, so keeping it runnable keeps the claim honest.
 
-It is deliberately not wired into any production path; plan trees built
-by :func:`repro.engine.planner.plan_query` are interpreted structurally.
+It is not part of the library; plan trees built by
+:func:`repro.engine.planner.plan_query` are interpreted structurally.
+Import it as ``engine_oracle``: pytest puts this directory on
+``sys.path`` for the test suite, and ``benchmarks/conftest.py`` adds it
+for the benchmarks.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Iterator, List
 
-from ..bitvec.bitvector import intersect_all
-from .executor import QueryResult
-from .operators import (
+from repro.bitvec.bitvector import intersect_all
+from repro.engine.executor import QueryResult
+from repro.engine.operators import (
     Aggregate,
     ChainScan,
     ExecutionStats,
@@ -38,7 +42,7 @@ from .operators import (
     _AggState,
     _update_state,
 )
-from .planner import PlanInfo
+from repro.engine.planner import PlanInfo
 
 
 def iter_rows(op: Operator, stats: ExecutionStats
@@ -80,9 +84,10 @@ def iter_rows(op: Operator, stats: ExecutionStats
     elif isinstance(op, GroupedAggregate):
         yield from _grouped(op, stats)
     else:
-        # Unknown operator (e.g. _EmptyScan, test doubles): its own row
-        # surface is already row-at-a-time.
-        yield from op.execute(stats)
+        # Unknown operator (e.g. _EmptyScan, test doubles): spill its
+        # batches.
+        for batch in op.batches(stats):
+            yield from batch.iter_rows()
 
 
 def run_plan_rows(plan: Operator, info: PlanInfo) -> QueryResult:

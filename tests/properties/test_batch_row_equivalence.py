@@ -5,7 +5,7 @@ optional predicate bit-vectors with injected false positives, and a pool
 of query shapes covering ParquetScan / SkippingScan / aggregates /
 GROUP BY / LIKE / LIMIT.  For every draw:
 
-* ``run_plan`` (batch) and ``run_plan_rows`` (row oracle) return
+* ``run_plan`` (batch) and ``engine_oracle.run_plan_rows`` (row oracle) return
   identical rows — values **and** ordering;
 * the stats invariants agree (identical counters without LIMIT; the
   row path never examines more than the batch path under LIMIT);
@@ -27,8 +27,8 @@ from repro.engine import (
     plan_query,
     run_plan,
 )
-from repro.engine.rowpath import run_plan_rows
 from repro.storage import ParquetLiteWriter, infer_schema
+from engine_oracle import run_plan_rows
 
 NAMES = ["Ann", "Bob", "Cat", ""]
 TEXTS = ["kw", "has kw inside", "plain", ""]

@@ -8,8 +8,8 @@ and the table is recovered into a new generation's store.  After every
 step:
 
 * each cached answer (plan → ``SidelineScan`` through the table's
-  cache, or the snapshot aggregate path) equals the ``rowpath`` cold
-  oracle, which parses the sideline afresh;
+  cache, or the snapshot aggregate path) equals the cold row oracle
+  (``engine_oracle``), which parses the sideline afresh;
 * every line is parsed exactly once: across a sequence of queries the
   records parsed add up to the well-formed lines in view;
 * the cache holds at most one entry per line in view.
@@ -23,9 +23,9 @@ from hypothesis import strategies as st
 
 from repro.engine import Catalog, Executor, TableEntry, parse_sql, plan_query
 from repro.engine.catalog import sideline_segments
-from repro.engine.rowpath import run_plan_rows
 from repro.rawjson import dump_record
 from repro.storage import CompositeSidelineView, JsonSideStore, SidelineView
+from engine_oracle import run_plan_rows
 
 MALFORMED = ["{broken", "[1, 2]", "not json", '"text"', '{"u": }']
 

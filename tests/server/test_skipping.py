@@ -8,7 +8,6 @@ from repro.engine import TableEntry
 from repro.server import (
     estimate_skipping,
     query_predicate_ids,
-    resolve_group_mask,
     skipping_benefit_fractions,
 )
 from repro.storage import ParquetLiteReader, ParquetLiteWriter, infer_schema
@@ -50,19 +49,18 @@ class TestQueryPredicateIds:
 
 
 class TestResolveGroupMask:
+    """A group's mask is the storage helper both the scan and the
+    estimate resolve it with."""
+
     def test_intersection(self, table):
-        reader = table.open_readers()[0]
-        mask = resolve_group_mask(reader, 0, [0, 1])
-        expected = (
-            reader.meta.row_groups[0].bitvectors[0]
-            & reader.meta.row_groups[0].bitvectors[1]
-        )
-        assert mask == expected
+        meta = table.open_readers()[0].meta.row_groups[0]
+        mask = meta.survivor_mask([0, 1])
+        assert mask == meta.bitvectors[0] & meta.bitvectors[1]
 
     def test_missing_id_returns_none(self, table):
-        reader = table.open_readers()[0]
-        assert resolve_group_mask(reader, 0, [0, 9]) is None
-        assert resolve_group_mask(reader, 0, []) is None
+        meta = table.open_readers()[0].meta.row_groups[0]
+        assert meta.survivor_mask([0, 9]) is None
+        assert meta.survivor_mask([]) is None
 
 
 class TestEstimate:

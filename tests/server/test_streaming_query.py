@@ -128,8 +128,7 @@ class TestStreamingQueryEquivalence:
             pipeline.submit(chunk)
         pipeline.finalize()
         table.clear_snapshot()
-        table.parquet_paths = pipeline.parquet_paths
-        table.invalidate()
+        table.set_parts(pipeline.parquet_paths)
         full = serial_reference(tmp_path, chunks, "full")
         got = [executor.execute(sql).scalar() for sql in QUERIES]
         assert got == answers(full)
