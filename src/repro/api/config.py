@@ -6,7 +6,7 @@ one loader), ``sharded`` (one client, fanned across shard workers), or
 the client/fleet tuning knobs.  :class:`DeploymentConfig` carries every
 server construction option and validates everything through a single
 path at construction, reusing
-:func:`repro.server.ciao.validate_server_options` for the knobs the
+:func:`repro.server.pipeline.validate_server_options` for the knobs the
 server also checks — so a bad option raises the same error no matter
 which layer it entered through.
 """
@@ -21,8 +21,7 @@ from ..core.budgets import Budget
 from ..fleet.coordinator import DEFAULT_MAX_PENDING
 from ..fleet.population import ClientPopulation
 from ..rawjson.chunks import DEFAULT_CHUNK_SIZE
-from ..server.ciao import validate_server_options
-from ..server.pipeline import DEFAULT_SEAL_INTERVAL
+from ..server.pipeline import DEFAULT_SEAL_INTERVAL, validate_server_options
 from ..transport import ChannelLike
 from ..storage.schema import Schema
 

@@ -90,13 +90,6 @@ class RunMetrics:
         """Prefilter + loading + query, wall-clock."""
         return self.prefilter_wall_s + self.loading_wall_s + self.query_wall_s
 
-    @property
-    def end_to_end_model_s(self) -> float:
-        """Model-based client time + measured server time."""
-        return (
-            self.prefilter_model_s + self.loading_wall_s + self.query_wall_s
-        )
-
 
 class EndToEndRunner:
     """Run the CIAO pipeline repeatedly over one generated dataset."""

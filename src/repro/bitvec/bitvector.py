@@ -143,11 +143,6 @@ class BitVector:
             bv.set(i)
         return bv
 
-    @classmethod
-    def from_bools(cls, bools: Iterable[bool]) -> "BitVector":
-        """Alias of :meth:`from_bits` reading better at call sites."""
-        return cls.from_bits(bools)
-
     # ------------------------------------------------------------------
     # Single-bit access
     # ------------------------------------------------------------------

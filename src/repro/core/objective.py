@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
-from .predicates import Clause, Query, Workload
+from .predicates import Clause, Workload
 
 ClauseSet = FrozenSet[Clause]
 #: One query as the hot path sees it: (normalized frequency, its clauses).
@@ -78,14 +78,6 @@ class SelectionObjective:
         """sel(p) for one clause."""
         return self._sel[clause]
 
-    def query_benefit(self, query: Query, selected: ClauseSet) -> float:
-        """f(q, S): probability a tuple is filtered for *query*."""
-        product = 1.0
-        for c in query.clauses:
-            if c in selected:
-                product *= self._sel[c]
-        return 1.0 - product
-
     def value(self, selected: Iterable[Clause]) -> float:
         """f(S): expected filtering benefit across the workload."""
         selected_set = (
@@ -118,12 +110,6 @@ class SelectionObjective:
             # selectivity, so the query's benefit rises by product·(1−sel).
             gain += freq * product * (1.0 - candidate_sel)
         return gain
-
-
-def is_monotone_step(objective: SelectionObjective, selected: ClauseSet,
-                     candidate: Clause) -> bool:
-    """Check f(S ∪ {p}) ≥ f(S) for one step (monotonicity witness)."""
-    return objective.marginal_gain(selected, candidate) >= -1e-12
 
 
 def is_submodular_on(objective: SelectionObjective,

@@ -1,4 +1,4 @@
-"""Catalog: tables as (Parquet-lite files + sideline store + pushdown map).
+"""Catalog: tables as (Parquet-lite parts + sideline segments + pushdown map).
 
 A CIAO table is not just files: it also remembers *which predicates were
 pushed down* (clause → predicate id), because that mapping is what lets the
@@ -15,7 +15,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from ..analysis.sanitizer import make_lock
 from ..core.predicates import Clause
 from ..storage.columnar import ParquetLiteReader
-from ..storage.jsonstore import JsonSideStore, SidelineView
+from ..storage.jsonstore import SidelineView
 
 
 class CatalogError(KeyError):
@@ -35,13 +35,6 @@ class ParsedPrefix:
     offset: int = 0
 
 
-def sideline_segments(store) -> List[Tuple[Path, int]]:
-    """The ``(path, limit)`` file prefixes a sideline store-like scans:
-    one for a store or view, one per shard for a composite view."""
-    return [(view.path, view.record_count)
-            for view in getattr(store, "views", (store,))]
-
-
 class SidelineCache:
     """Parsed prefixes of the sideline files a table's queries scan.
 
@@ -51,7 +44,8 @@ class SidelineCache:
     without parsing and parses only the lines past it (appending them),
     so each line is parsed once and a streaming snapshot query parses
     only the sideline delta.  Filled by queries only; bounded by one
-    entry per sideline line read.
+    entry per sideline line read.  A table drops a file's prefix when
+    the file leaves its view (:meth:`retain`), the only invalidation.
     """
 
     def __init__(self) -> None:
@@ -85,32 +79,46 @@ class SidelineCache:
 
 @dataclass
 class TableEntry:
-    """One queryable table.
+    """One queryable table: its view and its pushdown map.
 
-    A table is normally *sealed*: its file list and sideline are fixed
-    until the next load session.  During a streaming load the owning
-    server instead drives the entry in **snapshot-scan mode**
-    (:meth:`apply_snapshot`): the scanned files become the sealed-so-far
-    Parquet parts of an in-flight ingest and the sideline is replaced by
-    a bounded loaded-so-far view, so the engine answers queries against a
-    consistent prefix of the stream while loading continues.
+    The view is one value: the ordered Parquet-lite part paths, the
+    sideline as ``(path, records)`` segments — the first *records* lines
+    of each listed file — and whether the load behind it is still
+    ``live``.  A finalized table lists its parts and its one sideline
+    store; during a streaming load the owning server re-points the
+    table (:meth:`set_view`) at the sealed-so-far parts and the shard
+    sideline prefixes at their watermarks, so the engine answers queries
+    against a consistent prefix of the stream while loading continues.
 
-    Readers are cached per part path for as long as the part stays in
-    :attr:`parquet_paths`: when the view moves, parts still in it keep
-    their open reader (and its skipping summary), new parts open and
-    dropped parts close.  This relies on a listed path never getting new
-    bytes: a sealed part is never rewritten in place, loaders number
-    their parts ``.partN`` upward, and a compactor names each output
-    ``compactN`` by a sequence that only grows, skipping paths that
-    exist.  A path can only come back after it left the view, and then
-    it is opened afresh.
+    Everything a table caches rests on two invariants of the listed
+    paths:
+
+    * **A listed part path never gets new bytes.**  A sealed part is
+      never rewritten in place, loaders number their parts ``.partN``
+      upward, and a compactor names each output ``compactN`` by a
+      sequence that only grows, skipping paths that exist.  A path can
+      only come back after it left the view, and then it is opened
+      afresh.  So readers (and their skipping summaries) are cached per
+      part path while the part stays listed, and — while ``live`` —
+      partial aggregates per part (:attr:`snapshot_cache`).
+    * **A listed sideline path never changes its first *records*
+      lines.**  Sideline files are append-only; shard files are unlinked
+      at finalize and never recreated, and the main file carries the
+      server's generation suffix, so a recovered server never writes
+      into a file an older view listed.  So parsed prefixes are cached
+      per sideline path (:attr:`sideline_cache`) while the path stays
+      listed.
     """
 
     name: str
     parquet_paths: List[Path] = field(default_factory=list)
-    side_store: Optional[JsonSideStore] = None
+    #: ``(path, records)`` sideline segments, in scan order.
+    sidelines: List[Tuple[Path, int]] = field(default_factory=list)
     #: Pushed-down clause → predicate id (empty when nothing was pushed).
     pushdown: Dict[Clause, int] = field(default_factory=dict)
+    #: True while the view is a mid-load snapshot of a streaming load;
+    #: set only through :meth:`set_view`.
+    live: bool = field(default=False, init=False)
     #: Open readers by part path (parts of :attr:`parquet_paths` only).
     # guarded-by: _readers_lock
     _readers: Dict[str, ParquetLiteReader] = field(
@@ -122,28 +130,19 @@ class TableEntry:
         default_factory=lambda: make_lock("TableEntry._readers_lock"),
         repr=False, compare=False,
     )
-    #: Snapshot-scan mode state: the sideline view queries should scan
-    #: instead of ``side_store``, and the snapshot version it came from.
-    _snapshot_side: Optional[object] = field(
-        default=None, repr=False, compare=False
-    )
-    _snapshot_version: Optional[object] = field(
-        default=None, repr=False, compare=False
-    )
     #: Incremental snapshot-scan cache: per-part partial aggregates keyed
-    #: by (part identity, query fingerprint).  Lives exactly as long as
-    #: snapshot-scan mode does — sealed parts are immutable, so partials
-    #: stay valid across snapshot versions and successive mid-load
-    #: aggregate queries only scan newly sealed parts.
+    #: by (part identity, query fingerprint).  Lives while the view is
+    #: ``live`` — sealed parts are immutable, so partials stay valid
+    #: across views and successive mid-load aggregate queries only scan
+    #: newly sealed parts.
     _snapshot_cache: Optional[object] = field(
         default=None, repr=False, compare=False
     )
-    #: Parse-once sideline cache (see :attr:`sideline_cache`) and the
-    #: ``side_store`` epoch it was filled under.
-    _sideline_cache: SidelineCache = field(
-        default_factory=SidelineCache, repr=False, compare=False
+    #: Parsed prefixes of the listed sideline files, filled by queries.
+    sideline_cache: SidelineCache = field(
+        default_factory=SidelineCache, init=False, repr=False,
+        compare=False,
     )
-    _sideline_epoch: int = field(default=0, repr=False, compare=False)
 
     def open_readers(self) -> List[ParquetLiteReader]:
         """Readers for this table's Parquet-lite files, in
@@ -151,7 +150,7 @@ class TableEntry:
 
         Files are write-once and their paths never reused while listed
         (see the class docstring), so a reader is opened on first use and
-        cached until :meth:`set_parts` drops its path.  Paths that do not
+        cached until :meth:`set_view` drops its path.  Paths that do not
         exist yet are skipped: a freshly registered table is legitimately
         empty.
         """
@@ -166,66 +165,46 @@ class TableEntry:
                     readers.append(reader)
             return readers
 
-    def set_parts(self, parquet_paths: Iterable[Path]) -> None:
-        """Scan *parquet_paths* from now on.
+    def set_view(self, parquet_paths: Iterable[Path],
+                 sidelines: Iterable[Tuple[Path, int]],
+                 live: bool = False) -> None:
+        """Scan *parquet_paths* and the *sidelines* segments from now on.
 
-        Parts still listed keep their cached readers; the readers of
-        parts dropped (e.g. replaced by a compaction) close now, new
-        parts open on first use.
+        An unchanged view is a no-op.  Otherwise parts still listed keep
+        their cached readers, the readers of dropped parts (e.g. replaced
+        by a compaction) close now and new parts open on first use; the
+        parsed prefixes of sideline files that left the view are
+        dropped.  A *live* view keeps the cached partial aggregates of
+        the parts it kept; a final one drops the snapshot cache.
         """
+        parts = [Path(p) for p in parquet_paths]
+        segments = [(Path(path), int(records)) for path, records in sidelines]
+        if (parts, segments, live) == (self.parquet_paths, self.sidelines,
+                                       self.live):
+            return
         with self._readers_lock:
-            self.parquet_paths = [Path(p) for p in parquet_paths]
-            listed = {str(path) for path in self.parquet_paths}
+            self.parquet_paths = parts
+            listed = {str(path) for path in parts}
             for key in [k for k in self._readers if k not in listed]:
                 self._readers.pop(key).close()  # ciaolint: allow[LCK002] -- ParquetLiteReader.close is lock-free; `.close()` name union binds wider
+        self.sidelines = segments
+        self.live = live
+        self.sideline_cache.retain(path for path, _ in segments)
+        if not live:
+            self._snapshot_cache = None
+        elif self._snapshot_cache is not None:
+            self._snapshot_cache.retain_parts(listed)
 
     def pushed_id(self, clause: Clause) -> Optional[int]:
         """Predicate id for *clause* if it was pushed down."""
         return self.pushdown.get(clause)
 
-    # ------------------------------------------------------------------
-    # Snapshot-scan mode
-    # ------------------------------------------------------------------
-    def apply_snapshot(self, version: object, parquet_paths: List[Path],
-                       side_view: Optional[object]) -> None:
-        """Point queries at a loaded-so-far snapshot of an in-flight load.
-
-        *version* is the snapshot's change token — any equatable value
-        that changes whenever the scanned parts or sideline do (the
-        owning server uses the part and sideline lists themselves).
-        Parts in both the old and the new view keep their cached readers
-        (sealed snapshot parts are immutable, which is what makes caching
-        them safe); reapplying an unchanged version is a no-op.
-        """
-        if self._snapshot_version == version:
-            return
-        self.set_parts(parquet_paths)
-        self._snapshot_side = side_view
-        self._snapshot_version = version
-        segments = sideline_segments(side_view) \
-            if side_view is not None else []
-        self._sideline_cache.retain(path for path, _ in segments)
-        if self._snapshot_cache is not None:
-            # Parts normally only accumulate; pruning is a cheap guard
-            # against providers that replace their part set.
-            self._snapshot_cache.retain_parts(
-                str(p) for p in self.parquet_paths
-            )
-
-    def clear_snapshot(self) -> None:
-        """Leave snapshot-scan mode (the load finalized or was reset)."""
-        if self._snapshot_version is not None:
-            self._snapshot_side = None
-            self._snapshot_version = None
-            self._snapshot_cache = None
-            self._sideline_cache = SidelineCache()
-
     @property
     def snapshot_cache(self):
-        """The incremental aggregate cache for this snapshot session.
+        """The incremental aggregate cache of a live view.
 
-        Created on first use; dropped with :meth:`clear_snapshot` (the
-        finalized table is a different scan surface).
+        Created on first use; dropped when the view stops being live
+        (the finalized table is a different scan surface).
         """
         if self._snapshot_cache is None:
             from .snapcache import SnapshotAggCache  # deferred: no cycle
@@ -238,37 +217,9 @@ class TableEntry:
             self._snapshot_cache.clear()
 
     @property
-    def sideline_cache(self) -> SidelineCache:
-        """The parsed-sideline cache queries scan the sideline through.
-
-        A new one starts when the store was cleared (its ``epoch``
-        moved) and when :meth:`clear_snapshot` ends a snapshot session;
-        :meth:`apply_snapshot` drops the files a new view no longer
-        scans, and a replaced table takes its cache with it.
-        """
-        epoch = self.side_store.epoch if self.side_store is not None else 0
-        if epoch != self._sideline_epoch:
-            self._sideline_cache = SidelineCache()
-            self._sideline_epoch = epoch
-        return self._sideline_cache
-
-    @property
-    def in_snapshot_mode(self) -> bool:
-        """True while queries scan a mid-load snapshot view."""
-        return self._snapshot_version is not None
-
-    @property
-    def scan_side_store(self):
-        """The sideline queries should scan: snapshot view or the store."""
-        if self._snapshot_version is not None:
-            return self._snapshot_side
-        return self.side_store
-
-    @property
     def has_sideline(self) -> bool:
-        """True if a (non-empty) raw sideline exists for this table."""
-        store = self.scan_side_store
-        return store is not None and store.record_count > 0
+        """True if the view lists any sideline record."""
+        return any(records > 0 for _, records in self.sidelines)
 
 
 class Catalog:

@@ -2,7 +2,7 @@
 
 ``run_plan`` drives the batch engine: the operator tree exchanges
 columnar batches and rows are only materialized once, at the result
-boundary.  Mid-load aggregate queries against a snapshot-mode table are
+boundary.  Mid-load aggregate queries against a live table view are
 routed through the incremental snapshot cache
 (:mod:`repro.engine.snapcache`), which reuses per-part partial aggregates
 across successive snapshots instead of rescanning sealed parts.
@@ -100,7 +100,7 @@ class Executor:
                        sql: str = "") -> QueryResult:
         """Run an already-parsed statement.
 
-        Aggregate queries over a table in snapshot-scan mode go through
+        Aggregate queries over a live (mid-load) table view go through
         the incremental snapshot cache: sealed parts are immutable, so
         repeated mid-load aggregates only scan newly sealed parts plus
         the sideline delta.  Everything else plans and runs cold.
@@ -115,7 +115,7 @@ class Executor:
         return result
 
     def _run(self, parsed: ParsedQuery, table) -> QueryResult:
-        if table.in_snapshot_mode and parsed.is_aggregate:
+        if table.live and parsed.is_aggregate:
             from .snapcache import execute_snapshot_aggregate
             with self.tracer.trace("engine.aggregate"):
                 return execute_snapshot_aggregate(parsed, table,

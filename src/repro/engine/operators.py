@@ -30,14 +30,16 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from pathlib import Path
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ..bitvec.bitvector import BitVector, set_bits
 from ..storage.columnar import ParquetLiteReader
-from ..storage.jsonstore import JsonSideStore
 from ..storage.rowgroup import RowGroupReader
 from .batch import ColumnBatch
-from .catalog import SidelineCache, sideline_segments
+from .catalog import SidelineCache
 from .expressions import Expr
 
 
@@ -206,29 +208,28 @@ class SkippingScan(Operator):
 
 
 class SidelineScan(Operator):
-    """Parse-once scan of the raw JSON sideline store.
+    """Parse-once scan of a table's raw JSON sideline segments.
 
-    Accepts anything with the store's read interface — the table's
-    :class:`JsonSideStore` (one ``(path, record_count)`` segment) or the
-    loaded-so-far composite view snapshot queries scan during a
-    streaming ingest (one segment per shard).  Each segment is read
-    through the table's :class:`SidelineCache`: the cached parsed prefix
-    comes back without parsing and only the lines past it are parsed
-    just in time, so a sideline line is parsed by the first query that
-    reaches it and later queries parse only the delta.  Without a table
-    cache the scan gets a private one and parses everything.  Records
-    are grouped into row-backed batches, so their ragged key sets
-    survive materialization untouched.
+    *segments* are ``(path, records)`` file prefixes in scan order — the
+    table's one store once finalized, one per shard mid-load.  Each
+    segment is read through the table's :class:`SidelineCache`: the
+    cached parsed prefix comes back without parsing and only the lines
+    past it are parsed just in time, so a sideline line is parsed by the
+    first query that reaches it and later queries parse only the delta.
+    Without a table cache the scan gets a private one and parses
+    everything.  Records are grouped into row-backed batches, so their
+    ragged key sets survive materialization untouched.
     """
 
-    def __init__(self, store: JsonSideStore,
+    def __init__(self, segments: Sequence[Tuple[Path, int]],
                  cache: Optional[SidelineCache] = None):
-        self._store = store
+        self._segments = [(Path(path), records)
+                          for path, records in segments]
         self._cache = cache if cache is not None else SidelineCache()
 
     def batches(self, stats: ExecutionStats) -> Iterator[ColumnBatch]:
         stats.scanned_sideline = True
-        for path, limit in sideline_segments(self._store):
+        for path, limit in self._segments:
             start = 0
             while start < limit:
                 entries, parsed = self._cache.parsed_lines(
@@ -245,7 +246,8 @@ class SidelineScan(Operator):
                     yield ColumnBatch.from_rows(records)
 
     def describe(self) -> str:
-        return f"SidelineScan({self._store.path.name})"
+        names = ", ".join(path.name for path, _ in self._segments)
+        return f"SidelineScan({names})"
 
 
 class ChainScan(Operator):

@@ -112,7 +112,7 @@ def plan_scans(parsed: ParsedQuery, table: TableEntry
     sideline: Optional[Operator] = None
     if not ids and table.has_sideline:
         info.scans_sideline = True
-        sideline = SidelineScan(table.scan_side_store, table.sideline_cache)
+        sideline = SidelineScan(table.sidelines, table.sideline_cache)
     return parts, sideline, info
 
 

@@ -101,9 +101,9 @@ class SnapshotAggCache:
         self._partials.clear()
 
     def retain_parts(self, parts: Iterable[str]) -> None:
-        """Drop partials for parts no longer in the snapshot's part list
-        (normally a no-op — sealed parts only accumulate — but it bounds
-        memory if a snapshot provider replaces its part set)."""
+        """Drop partials for parts no longer in the view's part list
+        (sealed parts only accumulate, but a committed compaction
+        replaces its inputs)."""
         keep = set(parts)
         stale = [key for key in self._partials if key[0] not in keep]
         for key in stale:
@@ -115,10 +115,10 @@ class SnapshotAggCache:
 # ----------------------------------------------------------------------
 def execute_snapshot_aggregate(parsed: ParsedQuery, table,
                                cache: SnapshotAggCache) -> "QueryResult":
-    """Answer an aggregate query against a snapshot-mode table, scanning
+    """Answer an aggregate query against a live table view, scanning
     only parts whose partials are not yet cached (plus the sideline).
 
-    The table must be in snapshot-scan mode and *parsed* must aggregate
+    The table's view must be ``live`` and *parsed* must aggregate
     (``parsed.is_aggregate``); the executor routes accordingly.
     """
     from .executor import QueryResult  # deferred: executor imports us

@@ -46,10 +46,6 @@ class TraceContext:
     trace_id: str
     span_id: str
 
-    def to_header(self) -> Dict[str, str]:
-        """The wire representation (see ``wire.attach_trace``)."""
-        return {"trace_id": self.trace_id, "parent_id": self.span_id}
-
 
 @dataclass
 class Span:

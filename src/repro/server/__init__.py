@@ -1,16 +1,13 @@
 """Server-side substrate: partial loading, data skipping, and the CIAO
 server facade."""
 
-from .ciao import (
-    CiaoServer,
-    IngestSession,
-    validate_server_options,
-)
+from .ciao import CiaoServer, IngestSession
 from .loader import ClientAssistedLoader, LoadReport, LoadSummary
 from .pipeline import (
     IngestPipelineError,
     LoadSnapshot,
     ShardedIngestPipeline,
+    validate_server_options,
 )
 from .skipping import (
     SkippingEstimate,

@@ -41,48 +41,14 @@ from ..recovery.ledger import IngestLedger
 from ..recovery.manifest import Manifest
 from ..transport import Channel
 from ..storage.columnar import ParquetLiteError, ParquetLiteReader
-from ..storage.jsonstore import (
-    CompositeSidelineView,
-    JsonSideStore,
-    SidelineView,
-)
+from ..storage.jsonstore import JsonSideStore, SidelineView
 from ..storage.schema import Schema
 from .loader import ClientAssistedLoader, LoadSummary
-from .pipeline import DEFAULT_SEAL_INTERVAL, ShardedIngestPipeline
-
-_SHARD_MODES = ("process", "thread")
-_DISPATCH_MODES = ("work-stealing", "round-robin")
-_PARTIAL_LOADING_MODES = ("auto", "on", "off")
-
-
-def validate_server_options(shard_mode: str = "process",
-                            dispatch: str = "work-stealing",
-                            partial_loading: str = "auto",
-                            n_shards: int = 1) -> None:
-    """The single validation path for server deployment knobs.
-
-    Shared by the :class:`CiaoServer` constructor and the
-    deployment-level :class:`repro.api.DeploymentConfig`, so an invalid
-    option produces the same error message no matter which layer it
-    entered through — the two paths cannot drift apart.
-    """
-    if shard_mode not in _SHARD_MODES:
-        raise ValueError(
-            f"shard_mode must be one of {_SHARD_MODES}, "
-            f"got {shard_mode!r}"
-        )
-    if dispatch not in _DISPATCH_MODES:
-        raise ValueError(
-            f"dispatch must be one of {_DISPATCH_MODES}, "
-            f"got {dispatch!r}"
-        )
-    if partial_loading not in _PARTIAL_LOADING_MODES:
-        raise ValueError(
-            f"partial_loading must be 'auto', 'on' or 'off', "
-            f"got {partial_loading!r}"
-        )
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+from .pipeline import (
+    DEFAULT_SEAL_INTERVAL,
+    ShardedIngestPipeline,
+    validate_server_options,
+)
 
 
 class IngestSession:
@@ -274,8 +240,6 @@ class CiaoServer:
         self.catalog = Catalog()
         self._table = TableEntry(
             name=table_name,
-            parquet_paths=[],
-            side_store=self._side_store,
             pushdown=(
                 {e.clause: e.predicate_id for e in plan.entries}
                 if plan is not None else {}
@@ -546,9 +510,8 @@ class CiaoServer:
                 session.close()  # ciaolint: allow[LCK002] -- IngestSession.close only flips a flag; `.close()` name union binds wider
             summary = self._summary_baseline.merged(self._sink.finalize())
             if not self._loading_finalized:
-                self._table.clear_snapshot()
                 self._loading_finalized = True
-                self._refresh_snapshot()
+                self._refresh_view()
             if self._manifest is not None:
                 self._write_manifest_locked("finalized")
             return summary
@@ -585,8 +548,11 @@ class CiaoServer:
         once finalized, the pipeline's sealed snapshot while streaming,
         nothing yet for a serial (or non-streaming) server still loading
         — resolved through the compaction remap.  Sidelines are
-        ``(path, records)`` prefixes of append-only files; the summary
-        counts exactly what the parts and sidelines cover.
+        ``(path, records)`` prefixes of append-only files, passed through
+        from the pipeline snapshot unchanged: the recovered prefix of
+        this generation's main file, then the shard files mid-load; the
+        whole main file once finalized.  The summary counts exactly what
+        the parts and sidelines cover.
         """
         store = self._side_store
         if self._loading_finalized:
@@ -601,8 +567,7 @@ class CiaoServer:
             if self._streaming:
                 snap = self._pipeline.snapshot()
                 parts, summary = snap.parquet_paths, snap.summary
-                sidelines.extend((view.path, view.record_count)
-                                 for view in snap.sideline_views)
+                sidelines.extend(snap.sidelines)
         return (
             self.state,
             self._remap_parts(self._recovered_parts + list(parts)),
@@ -611,26 +576,17 @@ class CiaoServer:
         )
 
     @guarded_by("_lifecycle_lock")
-    def _refresh_snapshot(self) -> None:
+    def _refresh_view(self) -> None:
         """Point the catalog table at the current view.
 
-        A finalized table gets the view's part list.  A streaming one
-        scans the view in snapshot mode; the view itself is the change
-        token, so a newly sealed part or a committed compaction always
-        registers.  Either way parts still in the view keep their cached
-        readers and the readers of replaced parts close.
+        One call in either state: the table compares the view with the
+        one it scans and ignores an unchanged one, so parts still in it
+        keep their cached readers (and, mid-load, partial aggregates)
+        and sideline files still in it their parsed prefixes.  A newly
+        sealed part or a committed compaction always registers.
         """
         state, parts, sidelines, _ = self._view()
-        if state == "finalized":
-            self._table.set_parts(parts)
-            return
-        self._table.apply_snapshot(
-            (tuple(parts), tuple(sidelines)),
-            parts,
-            CompositeSidelineView(self._side_store.path, [
-                SidelineView(path, records) for path, records in sidelines
-            ]),
-        )
+        self._table.set_view(parts, sidelines, live=state != "finalized")
 
     @guarded_by("_lifecycle_lock")
     def _remap_parts(self, parquet_paths: Iterable[Path]) -> List[Path]:
@@ -682,7 +638,7 @@ class CiaoServer:
         with self._lifecycle_lock:
             if not self._loading_finalized:
                 if self._streaming:
-                    self._refresh_snapshot()
+                    self._refresh_view()
                 else:
                     self.finalize_loading()
             return self._executor.execute(sql)
@@ -725,7 +681,7 @@ class CiaoServer:
                 self._compaction_remap[key] = output
             self._compaction_epoch += 1
             if self._loading_finalized or self._streaming:
-                self._refresh_snapshot()
+                self._refresh_view()
             if self._manifest is not None:
                 # A compactor running remove_inputs=True may unlink
                 # manifest-listed parts; refresh the manifest past the
@@ -910,9 +866,9 @@ class CiaoServer:
         server._manifest.revision = manifest.revision
         server._recovered_parts = parts
         # Materialize the durable sideline prefix into this generation's
-        # main store: CompositeSidelineView scans views, not the raw
-        # file, so the recovered records must be a view over data this
-        # generation owns (shard folding appends after them).
+        # main store: the table's view lists segments of files this
+        # generation owns, so the recovered records become the first
+        # segment (shard folding appends after them).
         pairs: List[Tuple[int, str]] = []
         expected = 0
         for record in doc.get("sideline", []):
@@ -939,7 +895,7 @@ class CiaoServer:
             server._manifest_events = list(doc.get("events", []))
             if doc.get("state") == "finalized":
                 server._loading_finalized = True
-                server._refresh_snapshot()
+                server._refresh_view()
             event = f"recovered generation={generation}"
             if quarantined:
                 event += f" quarantined={','.join(quarantined)}"

@@ -97,7 +97,7 @@ from ..analysis.sanitizer import make_lock
 from ..client.protocol import decode_chunk
 from ..obs.metrics import Metrics, resolve_metrics
 from ..rawjson.chunks import JsonChunk
-from ..storage.jsonstore import JsonSideStore, SidelineView
+from ..storage.jsonstore import JsonSideStore
 from ..storage.schema import Schema
 from .loader import ClientAssistedLoader, LoadReport, LoadSummary
 
@@ -132,6 +132,42 @@ _GRAB_BATCH = 4
 _ABANDON_GRACE_SECONDS = 5.0
 
 
+_SHARD_MODES = ("process", "thread")
+_DISPATCH_MODES = ("work-stealing", "round-robin")
+_PARTIAL_LOADING_MODES = ("auto", "on", "off")
+
+
+def validate_server_options(shard_mode: str = "process",
+                            dispatch: str = "work-stealing",
+                            partial_loading: str = "auto",
+                            n_shards: int = 1) -> None:
+    """The single validation path for server deployment knobs.
+
+    Shared by :class:`ShardedIngestPipeline`, the
+    :class:`~repro.server.ciao.CiaoServer` constructor and the
+    deployment-level :class:`repro.api.DeploymentConfig`, so an invalid
+    option produces the same error message no matter which layer it
+    entered through — the paths cannot drift apart.
+    """
+    if shard_mode not in _SHARD_MODES:
+        raise ValueError(
+            f"shard_mode must be one of {_SHARD_MODES}, "
+            f"got {shard_mode!r}"
+        )
+    if dispatch not in _DISPATCH_MODES:
+        raise ValueError(
+            f"dispatch must be one of {_DISPATCH_MODES}, "
+            f"got {dispatch!r}"
+        )
+    if partial_loading not in _PARTIAL_LOADING_MODES:
+        raise ValueError(
+            f"partial_loading must be 'auto', 'on' or 'off', "
+            f"got {partial_loading!r}"
+        )
+    if n_shards < 1:
+        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+
+
 class IngestPipelineError(RuntimeError):
     """One or more shard workers failed during a parallel load."""
 
@@ -145,8 +181,10 @@ class LoadSnapshot:
             identical view, so readers can cache derived state.
         parquet_paths: Sealed (immutable, footer-written) Parquet-lite
             parts, shard-major order.
-        sideline_views: Per-shard prefix views of the shard sideline
-            files, bounded at each shard's published watermark.
+        sidelines: ``(path, records)`` segments of the shard sideline
+            files, each ending at the shard's published watermark —
+            the sideline part of the table's view (see
+            :class:`repro.engine.catalog.TableEntry`).
         summary: Merged accounting for exactly the covered chunks, with
             reports in submission order — what serial ingest of those
             chunks would report (modulo wall time).
@@ -156,7 +194,7 @@ class LoadSnapshot:
 
     version: int
     parquet_paths: List[Path] = field(default_factory=list)
-    sideline_views: List[SidelineView] = field(default_factory=list)
+    sidelines: List[Tuple[Path, int]] = field(default_factory=list)
     summary: LoadSummary = field(default_factory=LoadSummary)
     submitted: int = 0
 
@@ -361,17 +399,8 @@ class ShardedIngestPipeline:
                  seal_interval: Optional[int] = DEFAULT_SEAL_INTERVAL,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH,
                  metrics: Optional[Metrics] = None):
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if mode not in ("process", "thread"):
-            raise ValueError(
-                f"mode must be 'process' or 'thread', got {mode!r}"
-            )
-        if dispatch not in ("work-stealing", "round-robin"):
-            raise ValueError(
-                f"dispatch must be 'work-stealing' or 'round-robin', "
-                f"got {dispatch!r}"
-            )
+        validate_server_options(shard_mode=mode, dispatch=dispatch,
+                                n_shards=n_shards)
         if seal_interval is not None and seal_interval < 1:
             raise ValueError(
                 f"seal_interval must be >= 1 or None, got {seal_interval}"
@@ -530,8 +559,8 @@ class ShardedIngestPipeline:
                 for shard_id in sorted(self._progress)
                 for path in self._progress[shard_id][0]
             ]
-            views = [
-                SidelineView(self._sideline_paths[shard_id], watermark)
+            sidelines = [
+                (self._sideline_paths[shard_id], watermark)
                 for shard_id in sorted(self._progress)
                 for watermark in (self._progress[shard_id][1],)
                 if watermark > 0
@@ -539,7 +568,7 @@ class ShardedIngestPipeline:
             self._snapshot_cache = LoadSnapshot(
                 version=self._version,
                 parquet_paths=paths,
-                sideline_views=views,
+                sidelines=sidelines,
                 summary=LoadSummary.from_sequenced(
                     pair for _, _, reports in self._progress.values()
                     for pair in reports

@@ -8,7 +8,7 @@ from .columnar import (
     write_records,
 )
 from .encodings import Encoding, EncodingError, choose_encoding
-from .jsonstore import CompositeSidelineView, JsonSideStore, SidelineView
+from .jsonstore import JsonSideStore, SidelineView
 from .metadata import MAGIC, ColumnChunkMeta, FileMeta, RowGroupMeta
 from .pages import PageStats, page_encoding, read_page, write_page
 from .rowgroup import RowGroupReader, build_row_group
@@ -24,7 +24,6 @@ from .schema import (
 __all__ = [
     "ColumnChunkMeta",
     "ColumnType",
-    "CompositeSidelineView",
     "Encoding",
     "EncodingError",
     "Field",

@@ -5,15 +5,21 @@ Parquet-lite; they are appended here in their original serialized form
 (paper §III: "the other is left in a raw JSON format, which requires later
 parsing and conversion to analyze the unprocessed records").  Queries whose
 predicates were all pushed down never touch this store; any other query
-must scan it, parsing records just in time -- once: the files are
-append-only, so queries read through a per-table cache of parsed prefixes
-(:class:`repro.engine.catalog.SidelineCache`) and parse only the delta.
+must scan it, parsing records just in time -- once.
+
+A table sees its sideline as ``(path, records)`` segments: the first
+*records* lines of each listed file (the table's own store, or one shard
+file per shard mid-load).  :class:`JsonSideStore` writes a file;
+:class:`SidelineView` reads one such prefix.  The files are append-only,
+so a segment's lines never change and queries read them through a
+per-table cache of parsed prefixes
+(:class:`repro.engine.catalog.SidelineCache`), parsing only the delta.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Tuple
+from typing import Any, Dict, Iterable, Iterator, Tuple
 
 from ..rawjson.parser import try_parse
 
@@ -21,12 +27,12 @@ from ..rawjson.parser import try_parse
 class SidelineView:
     """Read-only view of the first *limit* records of a sideline file.
 
-    The streaming ingest pipeline publishes, per shard, a watermark of how
-    many sideline records were durably written when the shard last sealed a
-    Parquet part.  Reading only up to that watermark gives queries a
-    sideline view consistent with the sealed parts even while the shard
-    worker keeps appending — the store is append-only with a single
-    writer, so the first *limit* records never change.
+    The reader of one ``(path, records)`` segment.  Mid-load a shard's
+    segment ends at the watermark it published when it last sealed a
+    Parquet part, so reading only that far stays consistent with the
+    sealed parts while the shard worker keeps appending — the file is
+    append-only with a single writer, so the first *limit* records never
+    change.
     """
 
     def __init__(self, path: str | Path, limit: int):
@@ -90,24 +96,22 @@ class JsonSideStore(SidelineView):
 
     Each line is ``<chunk_id>\\t<raw json>`` so just-in-time loading can
     trace a record back to its origin chunk.  Reading is the view of all
-    :attr:`record_count` records of the store's own file.
+    :attr:`record_count` records of the store's own file.  The store is
+    only ever appended to: the records behind a ``(path, records)``
+    segment a table lists never change, which is what lets queries
+    cache them parsed.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._records = 0
-        self._bytes = 0
-        #: Bumped by :meth:`clear`; parsed prefixes cached under an older
-        #: epoch describe content the file no longer has.
-        self.epoch = 0
         if self.path.exists():
-            # Recover counts from an existing store (restart tolerance).
+            # Recover the count from an existing store (restart tolerance).
             with open(self.path, "r", encoding="utf-8") as f:
                 for line in f:
                     if line.strip():
                         self._records += 1
-                        self._bytes += len(line)
         else:
             self.path.touch()
 
@@ -116,11 +120,6 @@ class JsonSideStore(SidelineView):
     def limit(self) -> int:
         """Number of sidelined records (the whole file is in view)."""
         return self._records
-
-    @property
-    def byte_size(self) -> int:
-        """Approximate store size in bytes."""
-        return self._bytes
 
     def append(self, chunk_id: int, raw_records: Iterable[str]) -> int:
         """Append raw records from one chunk; returns how many."""
@@ -138,45 +137,7 @@ class JsonSideStore(SidelineView):
             for chunk_id, raw in pairs:
                 if "\n" in raw:
                     raise ValueError("raw records must be single-line JSON")
-                line = f"{chunk_id}\t{raw}\n"
-                f.write(line)
+                f.write(f"{chunk_id}\t{raw}\n")
                 self._records += 1
-                self._bytes += len(line)
                 count += 1
         return count
-
-    def scan_with_errors(self) -> Tuple[List[Dict[str, Any]], int]:
-        """Parse everything; returns (records, malformed_count)."""
-        records = list(self.iter_parsed())
-        return records, self._records - len(records)
-
-    def clear(self) -> None:
-        """Empty the store (used when re-loading from scratch)."""
-        open(self.path, "w", encoding="utf-8").close()
-        self._records = 0
-        self._bytes = 0
-        self.epoch += 1
-
-
-class CompositeSidelineView:
-    """Several sideline views presented as one store-like object.
-
-    Used by snapshot-scan mode: during a sharded load each shard owns its
-    own sideline file, so a consistent loaded-so-far sideline is the union
-    of per-shard prefix views.  Exposes the read interface the engine's
-    ``SidelineScan`` needs (``record_count``/``iter_parsed``/``path``, and
-    ``views``: the per-file segments it scans); ``path`` is the table's
-    canonical sideline path, used only for plan descriptions.
-    """
-
-    def __init__(self, path: str | Path, views: Iterable[SidelineView]):
-        self.path = Path(path)
-        self.views = list(views)
-
-    @property
-    def record_count(self) -> int:
-        return sum(view.record_count for view in self.views)
-
-    def iter_parsed(self) -> Iterator[Dict[str, Any]]:
-        for view in self.views:
-            yield from view.iter_parsed()

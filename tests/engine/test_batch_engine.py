@@ -191,7 +191,8 @@ class TestBatchScans:
         store = JsonSideStore(tmp_path / "s.jsonl")
         store.append(0, [dump_record({"a": 1}), dump_record({"b": 2})])
         stats = ExecutionStats()
-        rows = collect(SidelineScan(store), stats)
+        rows = collect(SidelineScan([(store.path, store.record_count)]),
+                       stats)
         assert rows == [{"a": 1}, {"b": 2}]  # ragged keys intact
         assert stats.sideline_records_parsed == 2
 

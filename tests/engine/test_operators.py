@@ -143,7 +143,8 @@ class TestSidelineScan:
         store = JsonSideStore(tmp_path / "s.jsonl")
         store.append(0, [dump_record(r) for r in ROWS[:3]])
         stats = ExecutionStats()
-        rows = collect(SidelineScan(store), stats)
+        rows = collect(SidelineScan([(store.path, store.record_count)]),
+                       stats)
         assert len(rows) == 3
         assert stats.sideline_records_parsed == 3
         assert stats.scanned_sideline

@@ -47,7 +47,7 @@ def table(tmp_path):
     return TableEntry(
         name="t",
         parquet_paths=[path],
-        side_store=store,
+        sidelines=[(store.path, store.record_count)],
         pushdown={C_NAME: 0, C_AGE: 1},
     )
 
@@ -145,15 +145,16 @@ class TestCatalog:
         second_path = tmp_path / "t2.pql"
         with ParquetLiteWriter(second_path, infer_schema(ROWS)) as writer:
             writer.write_row_group(ROWS)
-        table.set_parts([table.parquet_paths[0], second_path])
+        table.set_view([table.parquet_paths[0], second_path],
+                       table.sidelines)
         kept, second = table.open_readers()
         assert kept is first and second.path == second_path
         # Dropping a part closes its reader at once; the kept one stays.
-        table.set_parts([second_path])
+        table.set_view([second_path], table.sidelines)
         assert first._file.closed and not second._file.closed
         assert table.open_readers() == [second]
         # A path listed again after it left the view is opened afresh.
-        table.set_parts([first.path, second_path])
+        table.set_view([first.path, second_path], table.sidelines)
         reopened, again = table.open_readers()
         assert reopened is not first and again is second
         assert table.open_readers()[0].total_rows == len(ROWS)
@@ -166,7 +167,7 @@ class TestCatalog:
             with ParquetLiteWriter(path, infer_schema(ROWS)) as writer:
                 writer.write_row_group(ROWS)
             paths.append(path)
-        table.set_parts(paths)
+        table.set_view(paths, table.sidelines)
         seen = []
         start = threading.Barrier(8)
 

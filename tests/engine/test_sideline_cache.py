@@ -10,7 +10,7 @@ from repro.engine.catalog import SidelineCache
 from repro.engine.operators import ExecutionStats
 from repro.obs import Metrics, QueryLog
 from repro.rawjson import dump_record
-from repro.storage import CompositeSidelineView, JsonSideStore, SidelineView
+from repro.storage import JsonSideStore
 from engine_helpers import collect
 
 
@@ -18,10 +18,23 @@ def lines(lo, hi):
     return [dump_record({"i": k, "g": f"g{k % 3}"}) for k in range(lo, hi)]
 
 
-def scan(store, cache):
+def whole(store):
+    """The one ``(path, records)`` segment covering all of *store*."""
+    return [(store.path, store.record_count)]
+
+
+def scan(segments, cache):
     stats = ExecutionStats()
-    rows = collect(SidelineScan(store, cache), stats)
+    rows = collect(SidelineScan(segments, cache), stats)
     return rows, stats
+
+
+def executor_over(store):
+    """An executor over a table whose view is all of *store* now."""
+    table = TableEntry(name="t", sidelines=whole(store))
+    catalog = Catalog()
+    catalog.register(table)
+    return Executor(catalog), table
 
 
 @pytest.fixture()
@@ -29,20 +42,12 @@ def store(tmp_path):
     return JsonSideStore(tmp_path / "side.jsonl")
 
 
-@pytest.fixture()
-def executor_table(store):
-    table = TableEntry(name="t", side_store=store)
-    catalog = Catalog()
-    catalog.register(table)
-    return Executor(catalog), table
-
-
 class TestParseOnce:
     def test_second_scan_parses_nothing(self, store):
         store.append(0, lines(0, 5))
         cache = SidelineCache()
-        first, stats1 = scan(store, cache)
-        second, stats2 = scan(store, cache)
+        first, stats1 = scan(whole(store), cache)
+        second, stats2 = scan(whole(store), cache)
         assert first == second == [{"i": k, "g": f"g{k % 3}"}
                                    for k in range(5)]
         assert (stats1.sideline_records_parsed,
@@ -54,9 +59,9 @@ class TestParseOnce:
     def test_appended_lines_are_the_only_parse(self, store):
         cache = SidelineCache()
         store.append(0, lines(0, 4))
-        scan(store, cache)
+        scan(whole(store), cache)
         store.append(1, lines(4, 7))
-        rows, stats = scan(store, cache)
+        rows, stats = scan(whole(store), cache)
         assert [r["i"] for r in rows] == list(range(7))
         assert (stats.sideline_records_parsed,
                 stats.sideline_records_cached) == (3, 4)
@@ -64,10 +69,10 @@ class TestParseOnce:
     def test_malformed_lines_cached_as_skipped(self, store):
         cache = SidelineCache()
         store.append(0, [lines(0, 1)[0], "{broken", "[1]", lines(1, 2)[0]])
-        rows, stats = scan(store, cache)
+        rows, stats = scan(whole(store), cache)
         assert [r["i"] for r in rows] == [0, 1]
         assert stats.sideline_records_parsed == 2
-        rows, stats = scan(store, cache)
+        rows, stats = scan(whole(store), cache)
         assert [r["i"] for r in rows] == [0, 1]
         assert (stats.sideline_records_parsed,
                 stats.sideline_records_cached) == (0, 2)
@@ -75,68 +80,66 @@ class TestParseOnce:
     def test_shorter_view_reads_the_cached_prefix(self, store):
         store.append(0, lines(0, 6))
         cache = SidelineCache()
-        scan(store, cache)
-        rows, stats = scan(SidelineView(store.path, 2), cache)
+        scan(whole(store), cache)
+        rows, stats = scan([(store.path, 2)], cache)
         assert [r["i"] for r in rows] == [0, 1]
         assert stats.sideline_records_cached == 2
 
     def test_limit_stops_parsing_early(self, store, monkeypatch):
         monkeypatch.setattr(operators, "SIDELINE_BATCH_ROWS", 4)
         store.append(0, lines(0, 20))
-        catalog = Catalog()
-        catalog.register(TableEntry(name="t", side_store=store))
-        result = Executor(catalog).execute("SELECT * FROM t LIMIT 2")
+        executor, _ = executor_over(store)
+        result = executor.execute("SELECT * FROM t LIMIT 2")
         assert [r["i"] for r in result.rows] == [0, 1]
         assert result.stats.sideline_records_parsed == 4
 
 
 class TestLifetime:
-    def test_clear_drops_the_cache(self, store, executor_table):
-        executor, _ = executor_table
+    def test_new_file_starts_cold(self, tmp_path, store):
         store.append(0, lines(0, 5))
+        executor, table = executor_over(store)
         assert executor.execute("SELECT SUM(i) FROM t").scalar() == 10
-        store.clear()
-        store.append(0, lines(100, 102))
+        # The next generation's file: the old one left the view.
+        regenerated = JsonSideStore(tmp_path / "side.g1.jsonl")
+        regenerated.append(0, lines(100, 102))
+        table.set_view([], whole(regenerated))
+        assert table.sideline_cache._prefixes == {}
         result = executor.execute("SELECT SUM(i) FROM t")
         assert result.scalar() == 201
         assert result.stats.sideline_records_parsed == 2
         assert result.stats.sideline_records_cached == 0
 
     def test_snapshot_keeps_only_viewed_files(self, tmp_path, store):
-        table = TableEntry(name="t", side_store=store)
         shards = [JsonSideStore(tmp_path / f"s{i}.jsonl") for i in range(2)]
         for i, shard in enumerate(shards):
             shard.append(i, lines(10 * i, 10 * i + 3))
+        executor, table = executor_over(store)
 
         def view(*counts):
-            return CompositeSidelineView(store.path, [
-                SidelineView(shard.path, n)
-                for shard, n in zip(shards, counts)
-            ])
+            return [(shard.path, n) for shard, n in zip(shards, counts)]
 
-        catalog = Catalog()
-        catalog.register(table)
-        executor = Executor(catalog)
-        table.apply_snapshot(1, [], view(3, 3))
+        table.set_view([], view(3, 3), live=True)
         assert executor.execute("SELECT COUNT(*) FROM t").scalar() == 6
         cache = table.sideline_cache
         assert sorted(cache._prefixes) == sorted(
             str(s.path) for s in shards)
-        table.apply_snapshot(2, [], view(2))
+        table.set_view([], view(2), live=True)
         assert sorted(cache._prefixes) == [str(shards[0].path)]
         result = executor.execute("SELECT COUNT(*) FROM t")
         assert result.scalar() == 2
         assert result.stats.sideline_records_parsed == 0
-        table.clear_snapshot()
+        # The final view lists only the main store: no shard prefix
+        # survives.
+        table.set_view([], whole(store))
         assert table.sideline_cache._prefixes == {}
 
     def test_replaced_table_starts_cold(self, store):
         store.append(0, lines(0, 3))
         catalog = Catalog()
-        catalog.register(TableEntry(name="t", side_store=store))
+        catalog.register(TableEntry(name="t", sidelines=whole(store)))
         executor = Executor(catalog)
         executor.execute("SELECT COUNT(*) FROM t")
-        catalog.register(TableEntry(name="t", side_store=store))
+        catalog.register(TableEntry(name="t", sidelines=whole(store)))
         result = executor.execute("SELECT COUNT(*) FROM t")
         assert result.stats.sideline_records_parsed == 3
 
@@ -145,7 +148,7 @@ class TestObservability:
     def test_counters_and_query_log(self, store):
         store.append(0, lines(0, 4))
         catalog = Catalog()
-        catalog.register(TableEntry(name="t", side_store=store))
+        catalog.register(TableEntry(name="t", sidelines=whole(store)))
         metrics, log = Metrics(), QueryLog()
         executor = Executor(catalog, metrics=metrics, query_log=log)
         for _ in range(3):
@@ -159,11 +162,10 @@ class TestObservability:
 
 
 class TestResultIsolation:
-    def test_mutating_rows_cannot_reach_the_cache(self, store,
-                                                  executor_table):
-        executor, _ = executor_table
+    def test_mutating_rows_cannot_reach_the_cache(self, store):
         store.append(0, [dump_record({"i": 1, "tags": ["a"], "m": {"k": 1}}),
                          dump_record({"i": 2})])
+        executor, _ = executor_over(store)
         before = executor.execute("SELECT * FROM t").rows
         for row in before:
             row["i"] = -1

@@ -6,6 +6,7 @@ identical to a cold scan of the same snapshot — rows, ordering, floats.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.engine import (
 )
 from repro.rawjson import JsonChunk, dump_record
 from repro.server import CiaoServer
-from repro.storage import ParquetLiteWriter, infer_schema
+from repro.storage import JsonSideStore, ParquetLiteWriter, infer_schema
 
 
 def _records(lo, hi):
@@ -38,24 +39,23 @@ def _write_part(path, records, group_rows=10):
 
 @pytest.fixture()
 def snapshot_table(tmp_path):
-    """A table in snapshot-scan mode over two immutable parts, plus a
-    grower to seal more parts (the streaming-ingest shape, minus the
-    threads)."""
+    """A table with a live view of two immutable parts, plus a grower to
+    seal more parts (the streaming-ingest shape, minus the threads)."""
     parts = [
         _write_part(tmp_path / "part0.pql", _records(0, 40)),
         _write_part(tmp_path / "part1.pql", _records(40, 80)),
     ]
     table = TableEntry(name="t")
-    table.apply_snapshot(1, list(parts), None)
+    table.set_view(parts, [], live=True)
     catalog = Catalog()
     catalog.register(table)
 
-    def grow(version, lo, hi):
+    def grow(lo, hi):
         parts.append(
             _write_part(tmp_path / f"part{len(parts)}.pql",
                         _records(lo, hi))
         )
-        table.apply_snapshot(version, list(parts), None)
+        table.set_view(parts, [], live=True)
 
     return table, Executor(catalog), grow
 
@@ -77,7 +77,7 @@ class TestIncrementalAggregation:
     def test_growth_scans_only_new_parts(self, snapshot_table):
         table, executor, grow = snapshot_table
         executor.execute(AGG_SQL)
-        grow(2, 80, 120)
+        grow(80, 120)
         warm = executor.execute(AGG_SQL)
         assert warm.plan_info.snapshot_cache_hits == 2
         assert warm.plan_info.snapshot_cache_misses == 1
@@ -91,7 +91,7 @@ class TestIncrementalAggregation:
     def test_group_by_order_matches_cold_scan(self, snapshot_table):
         table, executor, grow = snapshot_table
         warm_seed = executor.execute(GROUP_SQL)
-        grow(2, 80, 120)
+        grow(80, 120)
         warm = executor.execute(GROUP_SQL)
         table.clear_snapshot_cache()
         cold = executor.execute(GROUP_SQL)
@@ -127,11 +127,10 @@ class TestIncrementalAggregation:
         executor.execute(AGG_SQL)
         cache = table.snapshot_cache
         assert len(cache) == 2
-        sealed = list(table.parquet_paths)
-        table.clear_snapshot()
-        assert table._snapshot_cache is None
-        # Finalized-table queries plan cold (no snapshot mode).
-        table.set_parts(sealed)
+        # The same parts as a final view: no live view, no cache, and
+        # queries plan cold.
+        table.set_view(table.parquet_paths, [])
+        assert not table.live and table._snapshot_cache is None
         result = executor.execute(AGG_SQL)
         assert result.stats.row_groups_total == 8
 
@@ -144,6 +143,56 @@ class TestIncrementalAggregation:
         cache.retain_parts(["b.pql"])
         assert cache.get("a.pql", "f") is None
         assert cache.get("b.pql", "f") is not None
+
+
+class TestView:
+    """``set_view`` keeps what an unchanged view still scans and drops
+    only what left it."""
+
+    @pytest.fixture()
+    def sideline(self, tmp_path):
+        store = JsonSideStore(tmp_path / "side.jsonl")
+        store.append(0, [dump_record(r) for r in _records(80, 83)])
+        return [(store.path, store.record_count)]
+
+    def test_unchanged_view_keeps_every_cache(self, snapshot_table,
+                                              sideline):
+        table, executor, _ = snapshot_table
+        table.set_view(table.parquet_paths, sideline, live=True)
+        executor.execute(AGG_SQL)
+        readers = table.open_readers()
+        cache = table.snapshot_cache
+        partials = dict(cache._partials)
+        prefixes = dict(table.sideline_cache._prefixes)
+        assert len(partials) == 2 and len(prefixes) == 1
+        # An equal view built from fresh objects is the same view.
+        table.set_view([Path(p) for p in table.parquet_paths],
+                       [(Path(path), n) for path, n in sideline], live=True)
+        assert all(a is b for a, b in zip(table.open_readers(), readers))
+        assert table.snapshot_cache is cache
+        assert cache._partials.keys() == partials.keys()
+        assert all(cache._partials[k] is v for k, v in partials.items())
+        assert table.sideline_cache._prefixes.keys() == prefixes.keys()
+        assert all(table.sideline_cache._prefixes[k] is v
+                   for k, v in prefixes.items())
+        warm = executor.execute(AGG_SQL)
+        assert warm.plan_info.snapshot_cache_misses == 0
+        assert warm.stats.sideline_records_parsed == 0
+
+    def test_dropped_part_closes_reader_and_drops_partials(
+            self, snapshot_table):
+        table, executor, _ = snapshot_table
+        executor.execute(AGG_SQL)
+        dropped, kept = table.open_readers()
+        cache = table.snapshot_cache
+        table.set_view([kept.path], [], live=True)
+        assert dropped._file.closed and not kept._file.closed
+        assert table.open_readers() == [kept]
+        assert table.snapshot_cache is cache
+        assert [part for part, _ in cache._partials] == [str(kept.path)]
+        warm = executor.execute(AGG_SQL)
+        assert warm.plan_info.snapshot_cache_hits == 1
+        assert warm.plan_info.snapshot_cache_misses == 0
 
 
 class TestFingerprint:
@@ -208,7 +257,7 @@ class TestServerIntegration:
             server.ingest(chunk)
         server.quiesce()
         server.query("SELECT COUNT(*) FROM t")
-        assert server.table.in_snapshot_mode
+        assert server.table.live
         server.finalize_loading()
-        assert not server.table.in_snapshot_mode
+        assert not server.table.live
         assert server.table._snapshot_cache is None

@@ -43,6 +43,7 @@ from repro.engine.operators import (
     _update_state,
 )
 from repro.engine.planner import PlanInfo
+from repro.storage import SidelineView
 
 
 def iter_rows(op: Operator, stats: ExecutionStats
@@ -54,10 +55,11 @@ def iter_rows(op: Operator, stats: ExecutionStats
         yield from _scan_skipping(op, stats)
     elif isinstance(op, SidelineScan):
         stats.scanned_sideline = True
-        for record in op._store.iter_parsed():
-            stats.sideline_records_parsed += 1
-            stats.rows_examined += 1
-            yield record
+        for path, records in op._segments:
+            for record in SidelineView(path, records).iter_parsed():
+                stats.sideline_records_parsed += 1
+                stats.rows_examined += 1
+                yield record
     elif isinstance(op, ChainScan):
         for child in op._children:
             yield from iter_rows(child, stats)

@@ -162,7 +162,7 @@ def test_snapshot_cache_equals_cold_scan(table, data, tmp_path_factory):
     records, group_rows, annotate, fp_rate = table
     workdir = tmp_path_factory.mktemp("snap")
 
-    # Split the stream into two sealed parts + apply as a snapshot.
+    # Split the stream into two sealed parts, viewed live.
     cut = data.draw(st.integers(min_value=0, max_value=len(records)))
     parts = []
     for index, span in enumerate((records[:cut], records[cut:])):
@@ -173,7 +173,7 @@ def test_snapshot_cache_equals_cold_scan(table, data, tmp_path_factory):
         parts.append(part.parquet_paths[0])
     entry = TableEntry(name="t",
                        pushdown=dict(PUSHDOWN) if annotate else {})
-    entry.apply_snapshot(1, parts, None)
+    entry.set_view(parts, [], live=True)
     catalog = Catalog()
     catalog.register(entry)
     executor = Executor(catalog)

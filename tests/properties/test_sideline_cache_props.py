@@ -3,9 +3,9 @@
 Chunks of sideline lines (malformed ones included) are appended to two
 shard files while snapshot queries read loaded-so-far views at rising
 watermarks, each taken before the chunk in flight lands.  The load then
-finalizes into the table's store, the store is cleared and re-appended,
-and the table is recovered into a new generation's store.  After every
-step:
+finalizes into the table's store, the table's view moves to a new
+generation's store holding other records, and the table is recovered
+into a further generation's store.  After every step:
 
 * each cached answer (plan → ``SidelineScan`` through the table's
   cache, or the snapshot aggregate path) equals the cold row oracle
@@ -22,9 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Catalog, Executor, TableEntry, parse_sql, plan_query
-from repro.engine.catalog import sideline_segments
 from repro.rawjson import dump_record
-from repro.storage import CompositeSidelineView, JsonSideStore, SidelineView
+from repro.storage import JsonSideStore, SidelineView
 from engine_oracle import run_plan_rows
 
 MALFORMED = ["{broken", "[1, 2]", "not json", '"text"', '{"u": }']
@@ -47,14 +46,19 @@ chunks = st.lists(st.lists(lines, min_size=1, max_size=6),
                   min_size=1, max_size=8)
 
 
-def well_formed(store_like) -> int:
-    return sum(1 for _ in store_like.iter_parsed())
+def whole(store: JsonSideStore):
+    return [(store.path, store.record_count)]
+
+
+def well_formed(segments) -> int:
+    return sum(1 for path, records in segments
+               for _ in SidelineView(path, records).iter_parsed())
 
 
 def check(executor: Executor, table: TableEntry) -> int:
     """Assert warm ≡ cold for every query; return records parsed."""
     parsed = 0
-    in_view = well_formed(table.scan_side_store)
+    in_view = well_formed(table.sidelines)
     for sql in QUERIES:
         warm = executor.execute(sql)
         plan, info = plan_query(parse_sql(sql), table)
@@ -66,13 +70,12 @@ def check(executor: Executor, table: TableEntry) -> int:
                 + stats.sideline_records_cached == in_view, sql
     entries = sum(len(prefix.entries)
                   for prefix in table.sideline_cache._prefixes.values())
-    assert entries <= sum(
-        limit for _, limit in sideline_segments(table.scan_side_store))
+    assert entries <= sum(limit for _, limit in table.sidelines)
     return parsed
 
 
 def fresh_table(store: JsonSideStore):
-    table = TableEntry(name="t", side_store=store)
+    table = TableEntry(name="t", sidelines=whole(store))
     catalog = Catalog()
     catalog.register(table)
     return table, Executor(catalog)
@@ -96,32 +99,32 @@ def test_cached_scans_match_cold_oracle(chunks, snapshot_every, refill):
             watermarks = [shard.record_count for shard in shards]
             shards[i % 2].append(i, chunk)
             if i % snapshot_every == 0:
-                table.apply_snapshot(tuple(watermarks), [],
-                                     CompositeSidelineView(store.path, [
-                                         SidelineView(shard.path, n)
-                                         for shard, n in zip(shards,
-                                                             watermarks)
-                                     ]))
+                table.set_view([], [
+                    (shard.path, n) for shard, n in zip(shards, watermarks)
+                ], live=True)
                 parsed += check(executor, table)
-        if table.in_snapshot_mode:
-            assert parsed == well_formed(table.scan_side_store)
+        if table.live:
+            assert parsed == well_formed(table.sidelines)
 
         # Finalize: the shard sidelines fold into the table's store.
-        table.clear_snapshot()
         for shard in shards:
             store.append_pairs(shard.iter_raw())
-        assert check(executor, table) == well_formed(store)
+        table.set_view([], whole(store))
+        assert check(executor, table) == well_formed(whole(store))
         assert check(executor, table) == 0
 
-        # clear() and re-append: nothing cached before may be served.
+        # A new generation's store with other records replaces the
+        # view: nothing cached for the old file may be served.
         raw = list(store.iter_raw())
-        store.clear()
-        store.append_pairs(reversed(raw[:refill]))
-        assert check(executor, table) == well_formed(store)
+        regenerated = JsonSideStore(root / "t.g1.sideline.jsonl")
+        regenerated.append_pairs(reversed(raw[:refill]))
+        table.set_view([], whole(regenerated))
+        assert str(store.path) not in table.sideline_cache._prefixes
+        assert check(executor, table) == well_formed(whole(regenerated))
 
-        # Recover into a new generation: a new store and a new table.
-        recovered = JsonSideStore(root / "t.g1.sideline.jsonl")
-        recovered.append_pairs(store.iter_raw())
+        # Recover into a further generation: a new store and table.
+        recovered = JsonSideStore(root / "t.g2.sideline.jsonl")
+        recovered.append_pairs(regenerated.iter_raw())
         table, executor = fresh_table(recovered)
-        assert check(executor, table) == well_formed(recovered)
+        assert check(executor, table) == well_formed(whole(recovered))
         assert check(executor, table) == 0

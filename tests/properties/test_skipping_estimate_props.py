@@ -92,4 +92,4 @@ def test_estimate_equals_executed_scan(parts, pushed, unpushed):
         assert estimate.skippable_row_groups == stats.row_groups_skipped
         assert estimate.row_groups == stats.row_groups_total
         assert estimate.surviving_rows == stats.rows_examined
-        table.set_parts([])
+        table.set_view([], [])

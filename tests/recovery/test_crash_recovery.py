@@ -8,11 +8,13 @@ ledger makes client replay exactly-once.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.api import CiaoSession
 from repro.api.config import DeploymentConfig
+from repro.bitvec import BitVector
 from repro.client.protocol import encode_chunk
 from repro.obs.metrics import Metrics
 from repro.rawjson.chunks import JsonChunk
@@ -193,6 +195,48 @@ class TestRecovery:
         assert summary.received == 8 * 4
         rows = recovered.query("SELECT COUNT(*) FROM t").rows
         assert rows == [{"count(*)": 32}]
+
+    def test_finalize_keeps_the_recovered_sideline_parsed(self, tmp_path):
+        # One record per batch is loaded (bit 0 set); the rest sideline.
+        def sidelining_batch(i, rows=4):
+            chunk = JsonChunk(chunk_id=i, records=[
+                json.dumps({"k": f"v{i % 3}", "n": i * rows + r})
+                for r in range(rows)
+            ])
+            chunk.attach(0, BitVector.from_bits(
+                [r == 0 for r in range(rows)]))
+            return encode_chunk(chunk)
+
+        def feed_sidelining(server, seqs):
+            session = server.open_ingest_session("src")
+            for seq in seqs:
+                session.ingest_sequenced(sidelining_batch(seq), seq=seq,
+                                         client_id="c1")
+
+        sql = "SELECT COUNT(*) FROM t"
+        server = durable_server(tmp_path, partial_loading="on")
+        feed_sidelining(server, range(1, 7))
+        assert server.checkpoint() is True
+        recovered = CiaoServer.recover(tmp_path)
+        assert recovered.state == "loading"
+        feed_sidelining(recovered, range(7, 11))
+        recovered.quiesce()
+        mid = recovered.query(sql)
+        assert mid.scalar() == 40
+        # Mid-load the view parsed the recovered prefix (6 batches × 3
+        # sidelined) and the 4 new batches' shard records.
+        assert mid.stats.sideline_records_parsed == 30
+        recovered.finalize_loading()
+        final = recovered.query(sql)
+        assert final.scalar() == 40
+        # Finalize folded the shard records into the main file after the
+        # recovered prefix: only they are parsed again.
+        assert final.stats.sideline_records_parsed == 12
+        assert final.stats.sideline_records_cached == 18
+        cached = list(recovered.table.sideline_cache._prefixes)
+        assert cached == [str(path)
+                          for path, _ in recovered.table.sidelines]
+        assert all(Path(path).exists() for path in cached)
 
     def test_recover_without_manifest_raises(self, tmp_path):
         with pytest.raises(ManifestError):

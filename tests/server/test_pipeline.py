@@ -23,7 +23,7 @@ from repro.server import (
 )
 from repro.server import pipeline as pipeline_module
 from repro.server.loader import ClientAssistedLoader
-from repro.storage import JsonSideStore
+from repro.storage import JsonSideStore, SidelineView
 from repro.workload import estimate_selectivities, table3_workload
 
 SEED = 777
@@ -134,9 +134,11 @@ class TestShardEquivalence:
         sharded_server, _, _ = run_server(
             tmp_path / "sharded", plan, workload, payloads, n_shards=4
         )
-        serial_lines = sorted(serial_server.table.side_store.iter_raw())
-        sharded_lines = sorted(sharded_server.table.side_store.iter_raw())
-        assert sharded_lines == serial_lines
+        def sideline(server):
+            return sorted(pair for path, records in server.table.sidelines
+                          for pair in SidelineView(path, records).iter_raw())
+
+        assert sideline(sharded_server) == sideline(serial_server)
 
     def test_process_mode_matches_serial(self, tmp_path, workload_setup):
         plan, workload, payloads = workload_setup

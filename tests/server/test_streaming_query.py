@@ -14,7 +14,7 @@ from repro.bitvec import BitVector
 from repro.client import encode_chunk
 from repro.rawjson import JsonChunk, dump_record
 from repro.server import CiaoServer
-from repro.storage import JsonSideStore
+from repro.storage import JsonSideStore, SidelineView
 from repro.server.pipeline import ShardedIngestPipeline
 
 SEED = 4242
@@ -95,12 +95,11 @@ class TestStreamingQueryEquivalence:
         assert server.load_summary.received == full.load_summary.received
 
     def test_one_shard_pipeline_streams_via_snapshot_scan(self, tmp_path):
-        """1-shard arm, driven at the engine level: pipeline snapshots
-        applied to a TableEntry in snapshot-scan mode must answer like
-        serial ingest of the prefix."""
+        """1-shard arm, driven at the engine level: a pipeline snapshot
+        set as a TableEntry's live view must answer like serial ingest
+        of the prefix."""
         from repro.engine.catalog import Catalog, TableEntry
         from repro.engine.executor import Executor
-        from repro.storage import CompositeSidelineView
 
         chunks = make_chunks()
         prefix = 5
@@ -109,26 +108,22 @@ class TestStreamingQueryEquivalence:
             tmp_path / "t.pql", side, n_shards=1, partial_loading=False,
             mode="thread", seal_interval=2,
         )
-        table = TableEntry(name="t", side_store=side)
+        table = TableEntry(name="t")
         catalog = Catalog()
         catalog.register(table)
         executor = Executor(catalog)
         for chunk in chunks[:prefix]:
             pipeline.submit(chunk)
         snap = pipeline.quiesce()
-        table.apply_snapshot(
-            snap.version, snap.parquet_paths,
-            CompositeSidelineView(side.path, snap.sideline_views),
-        )
-        assert table.in_snapshot_mode
+        table.set_view(snap.parquet_paths, snap.sidelines, live=True)
         reference = serial_reference(tmp_path, chunks[:prefix], "ref")
         got = [executor.execute(sql).scalar() for sql in QUERIES]
         assert got == answers(reference)
         for chunk in chunks[prefix:]:
             pipeline.submit(chunk)
         pipeline.finalize()
-        table.clear_snapshot()
-        table.set_parts(pipeline.parquet_paths)
+        table.set_view(pipeline.parquet_paths,
+                       [(side.path, side.record_count)])
         full = serial_reference(tmp_path, chunks, "full")
         got = [executor.execute(sql).scalar() for sql in QUERIES]
         assert got == answers(full)
@@ -186,9 +181,9 @@ class TestStreamingQueryEquivalence:
         assert snap.complete
         assert snap.summary.loaded == 6 * 5
         assert snap.summary.sidelined == 6 * 15
-        # The sideline views expose exactly the sidelined records.
-        viewed = sum(1 for view in snap.sideline_views
-                     for _ in view.iter_raw())
+        # The sideline segments hold exactly the sidelined records.
+        viewed = sum(1 for path, records in snap.sidelines
+                     for _ in SidelineView(path, records).iter_raw())
         assert viewed == snap.summary.sidelined
         pipeline.finalize()
 

@@ -19,7 +19,6 @@ class TestAppendAndIterate:
         assert store.append(0, LINES[:4]) == 4
         assert store.append(1, LINES[4:]) == 2
         assert store.record_count == 6
-        assert store.byte_size > 0
 
     def test_iter_raw_preserves_chunk_ids_and_order(self, store):
         store.append(3, LINES[:2])
@@ -39,14 +38,11 @@ class TestAppendAndIterate:
 
 class TestMalformedHandling:
     def test_malformed_lines_skipped_in_iteration(self, store):
-        store.append(0, [LINES[0], "{broken", LINES[1]])
-        assert len(list(store.iter_parsed())) == 2
-
-    def test_scan_with_errors_counts(self, store):
+        # A malformed line and a non-object line are both skipped.
         store.append(0, [LINES[0], "{broken", "[1]", LINES[1]])
-        records, errors = store.scan_with_errors()
-        assert len(records) == 2
-        assert errors == 2  # malformed + non-object
+        assert list(store.iter_parsed()) == [{"i": 0, "s": "v0"},
+                                             {"i": 1, "s": "v1"}]
+        assert store.record_count == 4
 
 
 class TestPersistence:
@@ -57,9 +53,3 @@ class TestPersistence:
         reopened = JsonSideStore(path)
         assert reopened.record_count == 6
         assert list(reopened.iter_parsed()) == list(store.iter_parsed())
-
-    def test_clear(self, store):
-        store.append(0, LINES)
-        store.clear()
-        assert store.record_count == 0
-        assert list(store.iter_raw()) == []
