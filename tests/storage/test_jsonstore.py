@@ -44,6 +44,15 @@ class TestMalformedHandling:
                                              {"i": 1, "s": "v1"}]
         assert store.record_count == 4
 
+    def test_scan_with_errors_counts(self, store):
+        # Skipped lines still count as stored records: the error count of
+        # a scan is the stored records minus the parsed ones.
+        store.append(0, [LINES[0], "{broken", "[1]", LINES[1]])
+        records = list(store.iter_parsed())
+        errors = store.record_count - len(records)
+        assert len(records) == 2
+        assert errors == 2  # malformed + non-object
+
 
 class TestPersistence:
     def test_counts_recovered_on_reopen(self, tmp_path):
