@@ -72,13 +72,15 @@ MIN_BATCH_SPEEDUP = float(
 TEMPLATE_SQL = "SELECT COUNT(*) FROM t WHERE cat = 'c3'"
 
 #: The rest of the surface is reported (not asserted): COUNT-only fast
-#: path, multi-aggregate, string matching, and GROUP BY.
+#: path, multi-aggregate, string matching, and GROUP BY (with a SUM, and
+#: COUNT-only, which counts keys with one ``Counter`` per batch).
 REPORTED_SQL = [
     TEMPLATE_SQL,
     "SELECT COUNT(*) FROM t",
     "SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM t WHERE cat = 'c3'",
     "SELECT COUNT(*) FROM t WHERE text LIKE '%kw%' AND v > 500",
     "SELECT cat, COUNT(*), SUM(v) FROM t GROUP BY cat",
+    "SELECT cat, COUNT(*) FROM t GROUP BY cat",
 ]
 
 # Streaming-cache stream.

@@ -12,8 +12,12 @@ Two backings exist:
 * **column-backed** (:meth:`ColumnBatch.from_columns`): decoded Parquet
   pages, shared by reference from the row-group reader's cache.
 * **row-backed** (:meth:`ColumnBatch.from_rows`): parsed sideline records
-  and aggregate outputs.  Columns are gathered lazily on first
-  access; with no projection applied, :meth:`iter_rows` yields the
+  and aggregate outputs.  A column is fetched on first access, once
+  per batch, by the batch's *pull*: a sideline batch asks the table's
+  :class:`~repro.engine.catalog.SidelineCache`, which keeps each column
+  it pulled from a file's parsed records, so later queries take it
+  without touching a record; any other row-backed batch pulls from its
+  own rows.  With no projection applied, :meth:`iter_rows` yields the
   *original* dicts, preserving the ragged-key fidelity of raw JSON
   records (a sideline row only carries the keys it actually had).
 
@@ -23,9 +27,13 @@ calls it once per result batch, at the result boundary.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
+from functools import partial
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence,
+)
 
 from ..bitvec.bitvector import BitVector
+from ..storage.schema import column_values
 
 __all__ = ["BatchRowView", "ColumnBatch"]
 
@@ -53,14 +61,16 @@ class BatchRowView:
 class ColumnBatch:
     """Equal-length column lists + a selection vector over their rows."""
 
-    __slots__ = ("_columns", "_rows", "num_rows", "sel", "names")
+    __slots__ = ("_columns", "_rows", "_pull", "num_rows", "sel", "names")
 
     def __init__(self, columns: Dict[str, List[Any]], num_rows: int,
                  sel: Optional[BitVector] = None,
                  names: Optional[Sequence[str]] = None,
-                 rows: Optional[List[Mapping[str, Any]]] = None):
+                 rows: Optional[List[Mapping[str, Any]]] = None,
+                 pull: Optional[Callable[[str], List[Any]]] = None):
         self._columns = columns
         self._rows = rows
+        self._pull = pull
         self.num_rows = num_rows
         self.sel = sel if sel is not None else BitVector.ones(num_rows)
         if len(self.sel) != num_rows:
@@ -86,9 +96,14 @@ class ColumnBatch:
 
     @classmethod
     def from_rows(cls, rows: List[Mapping[str, Any]],
-                  names: Optional[Sequence[str]] = None) -> "ColumnBatch":
-        """Batch over row dicts; columns are gathered lazily on demand."""
-        return cls({}, len(rows), names=names, rows=list(rows))
+                  names: Optional[Sequence[str]] = None,
+                  pull: Optional[Callable[[str], List[Any]]] = None
+                  ) -> "ColumnBatch":
+        """Batch over row dicts; a column is fetched on first access by
+        *pull* (name → values of *rows*), or pulled from *rows*."""
+        rows = list(rows)
+        return cls({}, len(rows), names=names, rows=rows,
+                   pull=pull or partial(column_values, rows))
 
     # ------------------------------------------------------------------
     # Column access
@@ -98,12 +113,12 @@ class ColumnBatch:
 
         Missing columns read as all nulls, mirroring
         :meth:`repro.storage.rowgroup.RowGroupReader.column`; the list is
-        cached so repeated expression references decode/gather once.
+        cached so repeated expression references fetch it once.
         """
         values = self._columns.get(name)
         if values is None:
-            if self._rows is not None:
-                values = [row.get(name) for row in self._rows]
+            if self._pull is not None:
+                values = self._pull(name)
             else:
                 values = [None] * self.num_rows
             self._columns[name] = values
@@ -130,14 +145,14 @@ class ColumnBatch:
         out = ColumnBatch(
             self._columns, self.num_rows,
             sel=BitVector.from_indices(self.num_rows, indices),
-            names=self.names, rows=self._rows,
+            names=self.names, rows=self._rows, pull=self._pull,
         )
         return out
 
     def project(self, names: Sequence[str]) -> "ColumnBatch":
         """Restrict materialization to *names* (shares column storage)."""
         return ColumnBatch(self._columns, self.num_rows, sel=self.sel,
-                           names=names, rows=self._rows)
+                           names=names, rows=self._rows, pull=self._pull)
 
     @property
     def row_backed(self) -> bool:

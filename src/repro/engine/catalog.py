@@ -8,14 +8,16 @@ predicate hashmap of Fig. 2, server side.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..analysis.sanitizer import make_lock
 from ..core.predicates import Clause
 from ..storage.columnar import ParquetLiteReader
 from ..storage.jsonstore import SidelineView
+from ..storage.schema import column_values
 
 
 class CatalogError(KeyError):
@@ -24,15 +26,56 @@ class CatalogError(KeyError):
 
 @dataclass
 class ParsedPrefix:
-    """The parsed first ``len(entries)`` lines of one sideline file.
+    """The parsed first :attr:`lines` lines of one sideline file.
 
-    One entry per line: the record, or ``None`` for a malformed line the
-    scans skip.  ``offset`` is the byte offset just after the last
-    entry's line, where the next read resumes.
+    ``records`` holds the records of those lines in line order;
+    ``malformed`` the numbers of the lines that held no JSON object,
+    which scans skip.  ``offset`` is the byte offset just after line
+    :attr:`lines`, where the next read resumes.  ``columns`` holds, per
+    column a query asked for, its values in the first ``len(values)``
+    records, each pulled once; a list grows only when a query needs
+    records past its end.
     """
 
-    entries: List[Optional[Dict[str, Any]]] = field(default_factory=list)
+    records: List[Dict[str, Any]] = field(default_factory=list)
+    malformed: List[int] = field(default_factory=list)
     offset: int = 0
+    columns: Dict[str, List[Any]] = field(default_factory=dict)
+
+    @property
+    def lines(self) -> int:
+        """Lines parsed: records plus malformed lines."""
+        return len(self.records) + len(self.malformed)
+
+    def add(self, record: Optional[Dict[str, Any]], offset: int) -> None:
+        """Append the next line's *record* (``None`` if malformed),
+        which ends at byte *offset*."""
+        if record is None:
+            self.malformed.append(self.lines)
+        else:
+            self.records.append(record)
+        self.offset = offset
+
+    def records_before(self, line: int) -> int:
+        """How many records the lines before *line* hold."""
+        return line - bisect_left(self.malformed, line)
+
+
+class SidelineWindow(NamedTuple):
+    """Lines ``[start, start + lines)`` of one sideline file, as one
+    :meth:`SidelineCache.window` call found them: records ``[lo, hi)``
+    of *prefix*, of which this call parsed *parsed*."""
+
+    prefix: ParsedPrefix
+    lines: int
+    lo: int
+    hi: int
+    parsed: int
+
+    @property
+    def records(self) -> List[Dict[str, Any]]:
+        """The window's records (a copy of the list, sharing the dicts)."""
+        return self.prefix.records[self.lo:self.hi]
 
 
 class SidelineCache:
@@ -43,34 +86,58 @@ class SidelineCache:
     them with the offset after line *k*; a scan takes the cached prefix
     without parsing and parses only the lines past it (appending them),
     so each line is parsed once and a streaming snapshot query parses
-    only the sideline delta.  Filled by queries only; bounded by one
-    entry per sideline line read.  A table drops a file's prefix when
-    the file leaves its view (:meth:`retain`), the only invalidation.
+    only the sideline delta.  Next to each prefix it keeps the columns
+    queries pulled from its records (:meth:`window_column`), so a
+    column is pulled from a record at most once.  Filled by queries
+    only; bounded by one record per sideline line read plus one value
+    per record and queried column.  A table drops a file's prefix, columns included,
+    when the file leaves its view (:meth:`retain`), the only
+    invalidation.
     """
 
     def __init__(self) -> None:
         self._lock = make_lock("SidelineCache._lock")
         self._prefixes: Dict[str, ParsedPrefix] = {}  # guarded-by: _lock
 
-    def parsed_lines(self, path: Path, start: int, stop: int
-                     ) -> Tuple[List[Optional[Dict[str, Any]]], int]:
-        """Entries of lines ``[start, stop)`` of *path*, and how many of
-        their records this call parsed.
+    def window(self, path: Path, start: int, stop: int) -> SidelineWindow:
+        """Lines ``[start, stop)`` of *path*, parsing those not cached.
 
-        Fewer entries than asked means the file has no more lines yet.
+        Fewer lines than asked means the file has no more lines yet.
         Parsing happens under the lock, so concurrent first readers
         wait for one parse instead of each repeating it.
         """
         with self._lock:
             prefix = self._prefixes.setdefault(str(path), ParsedPrefix())
             parsed = 0
-            if len(prefix.entries) < stop:
+            if prefix.lines < stop:
                 for _ in SidelineView(path, stop).iter_parsed(prefix):
                     parsed += 1
-            return prefix.entries[start:stop], parsed
+            stop = min(stop, prefix.lines)
+            return SidelineWindow(prefix, max(0, stop - start),
+                                  prefix.records_before(start),
+                                  prefix.records_before(stop), parsed)
+
+    def window_column(self, window: SidelineWindow,
+                      name: str) -> List[Any]:
+        """Column *name* of *window*'s records.
+
+        Values come from the prefix's kept column, which is first pulled
+        (:func:`~repro.storage.schema.column_values`) over only the
+        records past its end.  Pulling happens under the lock, so
+        concurrent first readers pull each value once.
+        """
+        prefix = window.prefix
+        with self._lock:
+            values = prefix.columns.setdefault(name, [])
+            pulled = len(values)
+            if pulled < window.hi:
+                values.extend(column_values(
+                    prefix.records[pulled:window.hi], name))
+            return values[window.lo:window.hi]
 
     def retain(self, paths: Iterable[Path]) -> None:
-        """Drop the prefixes of files outside *paths*."""
+        """Drop the prefixes (and their columns) of files outside
+        *paths*."""
         keep = {str(path) for path in paths}
         with self._lock:
             for key in [k for k in self._prefixes if k not in keep]:
@@ -108,6 +175,21 @@ class TableEntry:
       into a file an older view listed.  So parsed prefixes are cached
       per sideline path (:attr:`sideline_cache`) while the path stays
       listed.
+
+    The caches of a view, each filled only by queries and each dropped
+    with the part or file it belongs to when :meth:`set_view` takes
+    that out of the view:
+
+    * one open reader per listed part, with its skipping summaries;
+    * the decoded columns of each reader's row groups, kept by the
+      reader: bounded by the part rows in view times the columns
+      queried;
+    * while ``live``, partial aggregates per part and query fingerprint
+      (:attr:`snapshot_cache`); a final view drops them all;
+    * per listed sideline file, the parsed records of the lines read
+      (bounded by the sideline records in view, as the file holds them)
+      and the columns pulled from them: bounded by the sideline records
+      in view times the columns queried.
     """
 
     name: str

@@ -16,7 +16,13 @@ batches`.  Scans decode each row group's pages exactly once
 (``RowGroupReader.read_batch``); filters narrow the selection with
 ``Expr.evaluate_batch`` + ``intersect_update``; aggregates consume batches
 directly, so a COUNT(*)-only plan is selection-vector popcounts all the
-way down and never materializes a row dict.  Batches are the only
+way down and never materializes a row dict.  Decoded pages stay cached
+in the part's row-group readers while the part is in the table's view,
+so a page is decoded once however many queries read it; sideline
+columns likewise come once from the table's
+:class:`~repro.engine.catalog.SidelineCache`.  Aggregates fold each
+batch's selected values with builtins (:func:`fold_values`) where the
+values' exact type set allows it.  Batches are the only
 execution surface: rows exist only where a caller spills a batch with
 :meth:`~repro.engine.batch.ColumnBatch.iter_rows` (the executor's result
 boundary).
@@ -29,10 +35,15 @@ sideline parsing.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial, reduce
+from itertools import chain, compress
+from operator import add
 from pathlib import Path
 from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
+    Tuple,
 )
 
 from ..bitvec.bitvector import BitVector, set_bits
@@ -112,7 +123,6 @@ class ParquetScan(Operator):
                 stats.tuples_pruned_by_zonemap += group.row_count
                 continue
             columns = group.read_batch(self._columns)
-            group.clear_cache()
             stats.rows_examined += group.row_count
             yield ColumnBatch.from_columns(columns, group.row_count,
                                            names=names)
@@ -189,7 +199,6 @@ class SkippingScan(Operator):
                 stats.tuples_pruned_by_zonemap += group.row_count
                 continue
             columns = group.read_batch(self._columns)
-            group.clear_cache()
             if mask is None:
                 stats.rows_examined += group.row_count
                 yield ColumnBatch.from_columns(columns, group.row_count,
@@ -218,7 +227,9 @@ class SidelineScan(Operator):
     first query that reaches it and later queries parse only the delta.
     Without a table cache the scan gets a private one and parses
     everything.  Records are grouped into row-backed batches, so their
-    ragged key sets survive materialization untouched.
+    ragged key sets survive materialization untouched; a batch's columns
+    come from the cache (:meth:`SidelineCache.window_column`), pulled
+    from the records once for all queries.
     """
 
     def __init__(self, segments: Sequence[Tuple[Path, int]],
@@ -229,21 +240,24 @@ class SidelineScan(Operator):
 
     def batches(self, stats: ExecutionStats) -> Iterator[ColumnBatch]:
         stats.scanned_sideline = True
+        cache = self._cache
         for path, limit in self._segments:
             start = 0
             while start < limit:
-                entries, parsed = self._cache.parsed_lines(
+                window = cache.window(
                     path, start, min(limit, start + SIDELINE_BATCH_ROWS)
                 )
-                if not entries:
+                if not window.lines:
                     break
-                start += len(entries)
-                records = [r for r in entries if r is not None]
-                stats.sideline_records_parsed += parsed
-                stats.sideline_records_cached += len(records) - parsed
+                start += window.lines
+                records = window.records
+                stats.sideline_records_parsed += window.parsed
+                stats.sideline_records_cached += len(records) - window.parsed
                 stats.rows_examined += len(records)
                 if records:
-                    yield ColumnBatch.from_rows(records)
+                    yield ColumnBatch.from_rows(
+                        records, pull=partial(cache.window_column, window)
+                    )
 
     def describe(self) -> str:
         names = ", ".join(path.name for path, _ in self._segments)
@@ -404,6 +418,45 @@ def _update_state(state: _AggState, value: Any) -> None:
         state.maximum = value
 
 
+#: Exact value types :func:`fold_values` folds with builtins.
+_NUMBER_TYPES = frozenset({int, float})
+
+_NONE_TYPE = type(None)
+
+
+def fold_values(state: _AggState, values: List[Any]) -> None:
+    """Fold *values* into *state*, skipping nulls: the same state, bit
+    for bit, as :func:`_update_state` over each non-null value in order.
+
+    The fold is picked by the values' exact type set, the way
+    :func:`~repro.storage.schema.coerce_column` picks a coercion.  Plain
+    ints and floats take builtins: the total is one sequential
+    ``reduce(add, ...)`` from the running total (``sum`` would add big
+    ints exactly and, from Python 3.12, compensate float sums), and
+    ``min``/``max`` start from the running extreme, keeping the first
+    of equal values as the strict comparisons of the per-value fold do.
+    Any other type set (bools, strings, containers, subclasses) takes
+    :func:`_update_state` per value, so every answer and error stays.
+    """
+    kinds = set(map(type, values))
+    if _NONE_TYPE in kinds:
+        kinds.discard(_NONE_TYPE)
+        values = [value for value in values if value is not None]
+    if not values:
+        return
+    if not kinds <= _NUMBER_TYPES:
+        for value in values:
+            _update_state(state, value)
+        return
+    state.count += len(values)
+    state.total = reduce(add, values, state.total)
+    if state.minimum is None:
+        state.minimum, state.maximum = min(values), max(values)
+    else:
+        state.minimum = min(chain((state.minimum,), values))
+        state.maximum = max(chain((state.maximum,), values))
+
+
 def merge_states(into: _AggState, other: _AggState) -> None:
     """Fold a partial aggregate into an accumulator (cache merges)."""
     into.count += other.count
@@ -421,31 +474,25 @@ def accumulate_simple(items: Sequence, batches: Iterator[ColumnBatch]
     """Fold *batches* into one aggregate state per select item.
 
     COUNT(*) items are pure selection-vector popcounts; per-column items
-    walk the decoded column list over selected positions only.  This is
+    fold the column's selected values (:func:`fold_values`).  This is
     shared by :class:`Aggregate` and the incremental snapshot cache's
     per-part partials.
     """
     states = [_AggState() for _ in items]
     for batch in batches:
         full = batch.sel.all()
-        positions: Optional[List[int]] = None  # shared across items
+        flags: Optional[bytes] = None  # shared across items
         for item, state in zip(items, states):
             if item.column == "*":
                 state.count += batch.num_rows if full \
                     else batch.selected_count()
                 continue
             values = batch.column(item.column)
-            if full:
-                for value in values:
-                    if value is not None:
-                        _update_state(state, value)
-            else:
-                if positions is None:
-                    positions = list(batch.sel.iter_set())
-                for index in positions:
-                    value = values[index]
-                    if value is not None:
-                        _update_state(state, value)
+            if not full:
+                if flags is None:
+                    flags = batch.sel.to_flags()
+                values = list(compress(values, flags))
+            fold_values(state, values)
     return states
 
 
@@ -455,12 +502,34 @@ def accumulate_grouped(group_columns: Sequence[str], agg_items: Sequence,
 
     Returns ``(order, groups)`` where *order* lists key tuples in first
     appearance order (the engine's deterministic output order) and
-    *groups* maps each key to one state per aggregate item.
+    *groups* maps each key to one state per aggregate item.  When every
+    item is COUNT(*), a batch's selected keys are counted by one
+    ``Counter``, merged in its first-appearance order; other items fold
+    value by value.
     """
     groups: Dict[tuple, List[_AggState]] = {}
     order: List[tuple] = []
+    count_only = all(item.column == "*" for item in agg_items)
     for batch in batches:
         key_columns = [batch.column(c) for c in group_columns]
+        if count_only:
+            # One key column is counted by value, not by 1-tuple: the
+            # same groups in the same order, with no tuple per row.
+            single = len(key_columns) == 1
+            keys: Iterable = key_columns[0] if single else zip(*key_columns)
+            if not batch.sel.all():
+                keys = compress(keys, batch.sel.to_flags())
+            for key, n in Counter(keys).items():
+                if single:
+                    key = (key,)
+                states = groups.get(key)
+                if states is None:
+                    states = [_AggState() for _ in agg_items]
+                    groups[key] = states
+                    order.append(key)
+                for state in states:
+                    state.count += n
+            continue
         value_columns = [
             batch.column(item.column) if item.column != "*" else None
             for item in agg_items

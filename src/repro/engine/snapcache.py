@@ -121,7 +121,8 @@ def execute_snapshot_aggregate(parsed: ParsedQuery, table,
     The table's view must be ``live`` and *parsed* must aggregate
     (``parsed.is_aggregate``); the executor routes accordingly.
     """
-    from .executor import QueryResult  # deferred: executor imports us
+    # deferred: executor imports us
+    from .executor import QueryResult, _detach
 
     # The same scans (and PlanInfo) a cold plan_query would chain, run
     # one part at a time.
@@ -159,6 +160,9 @@ def execute_snapshot_aggregate(parsed: ParsedQuery, table,
     rows = _merge_partials(parsed, agg_items, grouped, partials)
     if parsed.limit is not None:
         rows = rows[:parsed.limit]
+    # A MIN/MAX (or group key) may be a value of a cached sideline
+    # record, or of a cached partial: callers get copies.
+    rows = [_detach(row) for row in rows]
     elapsed = time.perf_counter() - start
     stats.rows_emitted = len(rows)
     scans = [scan for _, scan in parts] + \

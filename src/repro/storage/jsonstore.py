@@ -76,17 +76,16 @@ class SidelineView:
 
         Skipping (rather than raising) quarantines producer corruption the
         same way the eager loader would have.  With *prefix* (a cached
-        ``ParsedPrefix``), only lines past its entries are read, and each
-        is appended to it: the record, or ``None`` if malformed.
+        ``ParsedPrefix``), only lines past its ``lines`` are read, and
+        each is added to it: the record, or ``None`` if malformed.
         """
         skip, offset = (0, 0) if prefix is None \
-            else (len(prefix.entries), prefix.offset)
+            else (prefix.lines, prefix.offset)
         for _, raw, end in self._lines(skip, offset):
             value, ok = try_parse(raw)
             record = value if ok and isinstance(value, dict) else None
             if prefix is not None:
-                prefix.entries.append(record)
-                prefix.offset = end
+                prefix.add(record, end)
             if record is not None:
                 yield record
 

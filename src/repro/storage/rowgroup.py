@@ -119,6 +119,15 @@ class RowGroupReader:
     def column(self, name: str) -> List[Any]:
         """Decode (and cache) one column.
 
+        The decoded list is kept until :meth:`clear_cache` or until this
+        reader is dropped: the query engine never clears it, so a page is
+        decoded once for every query that reads it while the table
+        caches this file's reader (as long as the part stays in the
+        table's view).  Callers must not mutate the list.  The cache is
+        not locked: concurrent first readers of a column may each decode
+        the page, and each gets a correct list; the last one stays
+        cached.
+
         A column missing from this file's schema reads as all nulls — a
         query may reference keys that no loaded record ever had, or that
         only appear in a later, wider file of the same table.
@@ -165,5 +174,12 @@ class RowGroupReader:
         ]
 
     def clear_cache(self) -> None:
-        """Drop decoded column caches (memory control for big scans)."""
+        """Drop decoded column caches.
+
+        For one-pass readers of a whole file (a compaction rewrite,
+        :meth:`~repro.storage.columnar.ParquetLiteReader.iter_rows`), so
+        memory holds one group at a time.  The query engine does not
+        call it: its decoded columns live as long as the table keeps
+        the reader.
+        """
         self._cache.clear()

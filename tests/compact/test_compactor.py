@@ -1,7 +1,9 @@
 """Compactor against live servers: swaps, crash safety, session, STATS."""
 
+import gc
 import json
 import time
+import weakref
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.compact import compactor as compactor_module
 from repro.obs import Metrics, QueryLog
 from repro.rawjson import JsonChunk, dump_record
 from repro.server import CiaoServer
+from repro.storage import rowgroup
 
 QUERIES = [
     "SELECT COUNT(*) FROM t",
@@ -78,6 +81,41 @@ class TestReaderLifetime:
         assert answers(server) == answers(
             serial_reference(tmp_path, chunks[:8]))
         server.finalize_loading()
+
+
+    def test_repeated_queries_decode_each_page_once(self, tmp_path,
+                                                    monkeypatch):
+        server = serial_reference(tmp_path, make_chunks())
+        decoded = []
+        real = rowgroup.read_page
+
+        def counting(page, column_type):
+            decoded.append(column_type)
+            return real(page, column_type)
+
+        monkeypatch.setattr(rowgroup, "read_page", counting)
+        first = answers(server)
+        groups = sum(len(reader) for reader in server.table.open_readers())
+        # The queries touch k and v: each page of each group, once.
+        assert groups and len(decoded) == 2 * groups
+        for _ in range(3):
+            assert answers(server) == first
+        assert len(decoded) == 2 * groups
+
+    def test_dropped_part_releases_its_decoded_columns(self, tmp_path):
+        server = serial_reference(tmp_path, make_chunks())
+        table = server.table
+        parts = list(table.parquet_paths)
+        first = answers(server)
+        (reader,) = table.open_readers()
+        assert all(group._cache for group in reader.row_groups())
+        released = weakref.ref(reader)
+        del reader
+        table.set_view([], table.sidelines)
+        gc.collect()
+        assert released() is None
+        table.set_view(parts, table.sidelines)
+        assert answers(server) == first
 
 
 class TestMidLoadCompaction:

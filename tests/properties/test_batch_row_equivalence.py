@@ -1,12 +1,17 @@
 """Property: the batch engine ≡ the row-at-a-time interpreter, always.
 
-Random records (nulls, bools, ragged keys), random row-group splits,
-optional predicate bit-vectors with injected false positives, and a pool
-of query shapes covering ParquetScan / SkippingScan / aggregates /
+Random records (nulls, bools, ragged keys, and one column mixing ints,
+floats, bools, strings and nulls), random row-group splits, optional
+predicate bit-vectors with injected false positives, an optional raw
+JSON sideline holding the last records, and a pool of query shapes
+covering ParquetScan / SkippingScan / SidelineScan / aggregates /
 GROUP BY / LIKE / LIMIT.  For every draw:
 
 * ``run_plan`` (batch) and ``engine_oracle.run_plan_rows`` (row oracle) return
-  identical rows — values **and** ordering;
+  identical rows — values, types **and** ordering — or raise the same
+  error; the batch engine runs each query twice on the same table, so
+  the second run reads the decoded pages and sideline columns the
+  first one kept;
 * the stats invariants agree (identical counters without LIMIT; the
   row path never examines more than the batch path under LIMIT);
 * snapshot-cache answers equal a cold scan of the same snapshot.
@@ -27,7 +32,8 @@ from repro.engine import (
     plan_query,
     run_plan,
 )
-from repro.storage import ParquetLiteWriter, infer_schema
+from repro.rawjson import dump_record
+from repro.storage import JsonSideStore, ParquetLiteWriter, infer_schema
 from engine_oracle import run_plan_rows
 
 NAMES = ["Ann", "Bob", "Cat", ""]
@@ -61,12 +67,38 @@ QUERY_POOL = [
     "SELECT name, COUNT(*), SUM(age) FROM t GROUP BY name",
     "SELECT name, age, COUNT(*) FROM t WHERE text LIKE '%kw%' "
     "GROUP BY name, age",
+    "SELECT mix, COUNT(*) FROM t GROUP BY mix",
+    "SELECT mix, COUNT(*), SUM(mix), MIN(mix) FROM t GROUP BY mix",
+    "SELECT SUM(mix) FROM t",
+    "SELECT MIN(mix), MAX(mix) FROM t WHERE age >= 1",
+    "SELECT COUNT(mix), AVG(mix) FROM t",
+    "SELECT COUNT(*), SUM(mix), MIN(mix), MAX(mix), AVG(mix) FROM t "
+    "WHERE name = 'Ann'",
+    "SELECT name, mix FROM t WHERE age = 2",
+]
+
+#: Values of the mixed-type column.  Each table draws which kinds it
+#: holds, so some columns stay numeric (the builtin folds) and others
+#: mix kinds (the per-value fold, or an error both engines raise).
+MIX_KINDS = {
+    "int": st.one_of(st.integers(min_value=-3, max_value=3),
+                     st.sampled_from([2 ** 53 + 1, -(2 ** 60)])),
+    "float": st.sampled_from([0.5, -0.0, 0.0, 2.25, 1e16, -3.0]),
+    "bool": st.booleans(),
+    "str": st.sampled_from(["a", "b", ""]),
+    "null": st.none(),
+}
+MIX_SETS = [
+    ("int",), ("float",), ("int", "float"), ("int", "float", "null"),
+    ("int", "bool"), ("str", "null"), tuple(MIX_KINDS),
 ]
 
 
 @st.composite
 def tables(draw):
     n = draw(st.integers(min_value=1, max_value=60))
+    mix = st.one_of(*(MIX_KINDS[kind]
+                      for kind in draw(st.sampled_from(MIX_SETS))))
     records = []
     for _ in range(n):
         record = {
@@ -77,6 +109,8 @@ def tables(draw):
         }
         if draw(st.booleans()):
             record["email"] = draw(st.sampled_from(["e@x", None]))
+        if draw(st.integers(min_value=0, max_value=5)):
+            record["mix"] = draw(mix)
         records.append(record)
     group_rows = draw(st.sampled_from([3, 7, 25]))
     annotate = draw(st.booleans())
@@ -115,36 +149,61 @@ def _build_table(tmp_path, records, group_rows, annotate, fp_rate, seed):
     )
 
 
+def _run(run, parsed, entry):
+    """The result of *run* over a fresh plan, or the error it raised."""
+    try:
+        return run(*plan_query(parsed, entry)), None
+    except (TypeError, OverflowError) as exc:
+        return None, (type(exc), str(exc))
+
+
 @given(table=tables(), data=st.data())
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_batch_equals_row_engine(table, data, tmp_path_factory):
     records, group_rows, annotate, fp_rate = table
     workdir = tmp_path_factory.mktemp("eq")
-    entry = _build_table(workdir, records, group_rows, annotate, fp_rate,
+    # The last records may sit in a raw JSON sideline instead; at least
+    # one stays in the part.
+    sidelined = data.draw(st.integers(min_value=0,
+                                      max_value=len(records) - 1))
+    loaded = records[:len(records) - sidelined]
+    entry = _build_table(workdir, loaded, group_rows, annotate, fp_rate,
                          seed=len(records))
+    if sidelined:
+        store = JsonSideStore(workdir / "side.jsonl")
+        store.append(0, [dump_record(r) for r in records[len(loaded):]])
+        entry.set_view(entry.parquet_paths,
+                       [(store.path, store.record_count)])
     sql = data.draw(st.sampled_from(QUERY_POOL))
     parsed = parse_sql(sql)
 
-    batch = run_plan(*plan_query(parsed, entry))
-    row = run_plan_rows(*plan_query(parsed, entry))
-
-    assert batch.rows == row.rows, (
-        f"{sql}: batch != row (annotate={annotate}, fp={fp_rate})"
-    )
-    assert batch.stats.rows_emitted == row.stats.rows_emitted
-    if parsed.limit is None:
-        # Without LIMIT the two engines do identical work.
-        assert batch.stats.rows_examined == row.stats.rows_examined
-        assert batch.stats.row_groups_total == row.stats.row_groups_total
-        assert batch.stats.tuples_skipped == row.stats.tuples_skipped
-        assert batch.stats.row_groups_skipped == \
-            row.stats.row_groups_skipped
-    else:
-        # The row oracle is maximally lazy; the batch engine decodes at
-        # row-group granularity but never more groups than the oracle.
-        assert row.stats.rows_examined <= batch.stats.rows_examined
-        assert batch.stats.row_groups_total <= \
-            len(entry.open_readers()[0].meta.row_groups)
+    row, row_error = _run(run_plan_rows, parsed, entry)
+    # The second batch run reads the pages and sideline columns the
+    # first one decoded and pulled.
+    for _ in range(2):
+        batch, batch_error = _run(run_plan, parsed, entry)
+        assert batch_error == row_error, sql
+        if row_error is not None:
+            continue
+        assert repr(batch.rows) == repr(row.rows), (
+            f"{sql}: batch != row (annotate={annotate}, fp={fp_rate})"
+        )
+        assert batch.stats.rows_emitted == row.stats.rows_emitted
+        if parsed.limit is None:
+            # Without LIMIT the two engines do identical work.
+            assert batch.stats.rows_examined == row.stats.rows_examined
+            assert batch.stats.row_groups_total == \
+                row.stats.row_groups_total
+            assert batch.stats.tuples_skipped == row.stats.tuples_skipped
+            assert batch.stats.row_groups_skipped == \
+                row.stats.row_groups_skipped
+        else:
+            # The row oracle is maximally lazy; the batch engine decodes
+            # at row-group granularity but never more groups than the
+            # oracle.
+            assert row.stats.rows_examined <= batch.stats.rows_examined
+            assert batch.stats.row_groups_total <= \
+                len(entry.open_readers()[0].meta.row_groups)
 
 
 AGG_POOL = [

@@ -68,7 +68,7 @@ def check(executor: Executor, table: TableEntry) -> int:
         if "LIMIT" not in sql:
             assert stats.sideline_records_parsed \
                 + stats.sideline_records_cached == in_view, sql
-    entries = sum(len(prefix.entries)
+    entries = sum(prefix.lines
                   for prefix in table.sideline_cache._prefixes.values())
     assert entries <= sum(limit for _, limit in table.sidelines)
     return parsed
