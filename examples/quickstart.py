@@ -8,7 +8,7 @@ column batches with bit-vector selection masks, so a COUNT(*) like these
 is page decodes + popcounts, never a Python dict per row.  Row-shaped
 results (``result.rows``) come from the thin ``rows()`` adapter over the
 final batch, so nothing here changes as the engine vectorizes further
-(see ``repro.engine``).  On sharded deployments, repeated mid-load
+(see ``repro.engine``).  In every deployment, repeated mid-load
 ``job.snapshot_query(...)`` aggregates are incremental: sealed parts are
 served from cached partial aggregates and only newly loaded data is
 scanned.

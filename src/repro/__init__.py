@@ -19,11 +19,12 @@ in three calls::
         report = session.load(n_records=10_000).result()
         count = session.query("SELECT COUNT(*) FROM t").scalar()
 
+Query *while* loading via ``job.snapshot_query(...)`` in any mode.
 Swap the session's :class:`~repro.api.DeploymentConfig` to go sharded
-(``mode="sharded"`` — query *while* loading via
-``job.snapshot_query(...)``) or to a coordinated heterogeneous fleet
-(``mode="fleet"`` — per-client budgets, backpressure, straggler
-reassignment, declarative — optionally lossy — channels).  To serve a
+(``mode="sharded"`` — shard workers parse in parallel) or to a
+coordinated heterogeneous fleet (``mode="fleet"`` — per-client budgets,
+backpressure, straggler reassignment, declarative — optionally lossy —
+channels).  To serve a
 session over a real socket to concurrent remote clients, wrap it in a
 :class:`~repro.service.CiaoService` and dial in with
 :class:`~repro.service.RemoteSession` (see :mod:`repro.service`).

@@ -54,8 +54,8 @@ class DeploymentConfig:
             :data:`DEFAULT_N_SHARDS` otherwise).
         shard_mode: ``'process'`` | ``'thread'`` shard workers.
         dispatch: ``'work-stealing'`` | ``'round-robin'`` chunk dispatch.
-        seal_interval: Streaming-query seal cadence (``None`` disables
-            mid-load snapshots).
+        seal_interval: Chunks each loader ingests between part seals —
+            the cadence at which mid-load snapshots advance.
         chunk_size: Records per client chunk.
         ship_batch: Chunk frames concatenated per channel message.
         channel: Transport spec (see
@@ -94,7 +94,7 @@ class DeploymentConfig:
     n_shards: Optional[int] = None
     shard_mode: str = "process"
     dispatch: str = "work-stealing"
-    seal_interval: Optional[int] = DEFAULT_SEAL_INTERVAL
+    seal_interval: int = DEFAULT_SEAL_INTERVAL
     chunk_size: int = DEFAULT_CHUNK_SIZE
     ship_batch: int = DEFAULT_SHIP_BATCH
     channel: ChannelLike = None
@@ -120,6 +120,7 @@ class DeploymentConfig:
             dispatch=self.dispatch,
             partial_loading=self.partial_loading,
             n_shards=self.resolved_n_shards,
+            seal_interval=self.seal_interval,
         )
         if self.mode == "serial" and (self.n_shards or 1) != 1:
             raise ValueError(
@@ -178,8 +179,3 @@ class DeploymentConfig:
     def with_mode(self, mode: str, **changes) -> "DeploymentConfig":
         """This config re-targeted to another deployment mode."""
         return replace(self, mode=mode, **changes)
-
-    @property
-    def streaming_queries(self) -> bool:
-        """Can this deployment answer queries mid-load?"""
-        return self.resolved_n_shards > 1 and self.seal_interval is not None

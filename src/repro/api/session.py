@@ -72,7 +72,7 @@ class LoadJob:
 
     The load runs on a background thread, so the caller keeps control
     while data flows: poll :meth:`progress`, answer analytics mid-load
-    with :meth:`snapshot_query` (sharded deployments), and collect the
+    with :meth:`snapshot_query`, and collect the
     unified :class:`~repro.api.report.LoadReport` with :meth:`result` —
     which joins the load, finalizes the server, and enforces the
     accounting invariant's visibility in every mode.
@@ -141,10 +141,9 @@ class LoadJob:
     def snapshot_query(self, sql: str) -> QueryResult:
         """Answer *sql* against the loaded-so-far snapshot, mid-load.
 
-        Only sharded deployments with streaming enabled can expose a
-        consistent mid-load view (sealed shard parts + sideline
-        watermarks); serial deployments and ``seal_interval=None`` raise
-        ``RuntimeError`` — finalize via :meth:`result` and query then.
+        Every deployment exposes a consistent mid-load view: the parts
+        its loaders sealed so far plus their sideline watermarks.  The
+        load keeps running; :meth:`result` finalizes it.
 
         Polling the same aggregate repeatedly is cheap: the engine keeps
         per-part partial aggregates keyed by (sealed part, query
@@ -153,14 +152,6 @@ class LoadJob:
         ``result.plan_info.snapshot_cache_hits`` — with answers
         identical to a cold scan of the same snapshot.
         """
-        if not self.config.streaming_queries:
-            raise RuntimeError(
-                f"snapshot_query() needs a sharded deployment with "
-                f"streaming enabled (n_shards >= 2 and a seal_interval); "
-                f"this job runs mode={self.config.mode!r} with "
-                f"n_shards={self.config.resolved_n_shards} — call "
-                f"result() and query the session instead"
-            )
         return self.server.query(sql)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
@@ -618,19 +609,18 @@ class CiaoSession:
 
         The manifest records how the crashed deployment really ran
         (shards, dispatch, seal cadence); the session's own config may
-        disagree, and mid-load snapshot gating must follow the server
-        that exists, not the one the caller imagined.
+        disagree, and future loads must follow the server that exists,
+        not the one the caller imagined.
         """
         options = server.deployment_options
         n_shards = int(options.get("n_shards", 1) or 1)
-        seal = options.get("seal_interval")
         return replace(
             self.config,
             mode="sharded" if n_shards > 1 else "serial",
             n_shards=n_shards if n_shards > 1 else None,
             shard_mode=str(options.get("shard_mode", self.config.shard_mode)),
             dispatch=str(options.get("dispatch", self.config.dispatch)),
-            seal_interval=int(seal) if seal is not None else None,
+            seal_interval=int(options["seal_interval"]),
             partial_loading=str(
                 options.get("partial_loading", self.config.partial_loading)
             ),
@@ -732,8 +722,7 @@ class CiaoSession:
         """Execute *sql* against the loaded table.
 
         Waits for an in-flight load to finish first (final answers);
-        for mid-load answers use :meth:`LoadJob.snapshot_query` on a
-        sharded deployment.
+        for mid-load answers use :meth:`LoadJob.snapshot_query`.
         """
         self._check_open()
         job = self.last_job
@@ -748,10 +737,9 @@ class CiaoSession:
         """Answer *sql* against the loaded-so-far snapshot, mid-load.
 
         The session-level convenience over
-        :meth:`LoadJob.snapshot_query`: while a streaming-capable load is
-        in flight this answers from the consistent loaded-so-far view
-        without waiting; once the load is done (or when the deployment
-        cannot stream) it behaves exactly like :meth:`query`.
+        :meth:`LoadJob.snapshot_query`: while a load is in flight this
+        answers from the consistent loaded-so-far view without waiting;
+        once the load is done it behaves exactly like :meth:`query`.
         """
         self._check_open()
         job = self.last_job
@@ -759,7 +747,7 @@ class CiaoSession:
             raise RuntimeError(
                 "nothing loaded on this session yet: call load() first"
             )
-        if not job.done and self.config.streaming_queries:
+        if not job.done:
             return job.snapshot_query(sql)
         return self.query(sql)
 

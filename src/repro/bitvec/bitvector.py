@@ -82,38 +82,16 @@ class BitVector:
         bv._mask_tail()
         return bv
 
-    #: Bits packed per accumulator word in :meth:`from_bits`.  4096 bits
-    #: keeps each big-int update on a 512-byte integer (cheap to shift and
-    #: OR) while amortizing the ``to_bytes`` flush across many elements.
-    _PACK_CHUNK = 4096
-
     @classmethod
     def from_bits(cls, bits: Sequence[int] | Iterable[int]) -> "BitVector":
         """Build from an iterable of truthy/falsy values.
 
         This is the batch engine's selection-vector builder (one call per
         predicate per :class:`~repro.engine.batch.ColumnBatch`), so like
-        the other bulk operations it works word-level: truthy positions
-        are accumulated into a chunked big-int and flushed with a single
-        ``to_bytes`` per chunk instead of per-bit byte indexing.
+        the other bulk operations it packs at C level: one ``bool`` per
+        value into a flag byte, then :meth:`from_flags`.
         """
-        if not isinstance(bits, (list, tuple)):
-            bits = list(bits)
-        n = len(bits)
-        bv = cls(n)
-        data = bv._data
-        chunk_size = cls._PACK_CHUNK
-        for base in range(0, n, chunk_size):
-            acc = 0
-            chunk = bits[base:base + chunk_size]
-            for offset, bit in enumerate(chunk):
-                if bit:
-                    acc |= 1 << offset
-            if acc:
-                nbytes = (len(chunk) + 7) >> 3
-                start = base >> 3
-                data[start:start + nbytes] = acc.to_bytes(nbytes, "little")
-        return bv
+        return cls.from_flags(bytes(map(bool, bits)))
 
     @classmethod
     def from_flags(cls, flags: bytes) -> "BitVector":

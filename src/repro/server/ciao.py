@@ -7,9 +7,9 @@ Wires the whole server side together (Fig. 1, right):
 * ingests encoded chunks from a channel — or :class:`JsonChunk` objects
   directly — through the client-assisted loader;
 * registers the loaded table in a catalog and answers SQL through the mini
-  engine, with bit-vector skipping planned automatically — for sharded
-  servers even *while* loading, against a consistent loaded-so-far
-  snapshot of the ingest stream.
+  engine, with bit-vector skipping planned automatically — even *while*
+  loading, against a consistent loaded-so-far snapshot of the ingest
+  stream.
 
 Partial-loading policy (``partial_loading='auto'``): enabled iff the plan
 covers every query of the prospective workload, i.e. each query has at
@@ -26,8 +26,8 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..analysis.annotations import guarded_by
-from ..analysis.sanitizer import make_lock, make_rlock
-from ..client.protocol import decode_chunk_stream, split_frames
+from ..analysis.sanitizer import make_lock
+from ..client.protocol import split_frames
 from ..core.optimizer import PushdownPlan
 from ..core.plan_io import dumps_plan, loads_plan
 from ..core.predicates import Query, Workload
@@ -47,8 +47,16 @@ from .loader import ClientAssistedLoader, LoadSummary
 from .pipeline import (
     DEFAULT_SEAL_INTERVAL,
     ShardedIngestPipeline,
+    StreamingLoader,
     validate_server_options,
 )
+
+
+def _storage_paths(data_dir: Path, table_name: str,
+                   generation: int) -> Tuple[Path, Path]:
+    """``(parquet base, main sideline)`` paths of one generation's files."""
+    stem = f"{table_name}.g{generation}" if generation else table_name
+    return data_dir / f"{stem}.pql", data_dir / f"{stem}.sideline.jsonl"
 
 
 class IngestSession:
@@ -145,21 +153,26 @@ class IngestSession:
 class CiaoServer:
     """One CIAO server instance managing one table.
 
-    With ``n_shards > 1`` ingestion runs through a
-    :class:`~repro.server.pipeline.ShardedIngestPipeline`: encoded chunks
-    are fanned across shard workers (decode + parse + write each, pulled
-    from a shared work-stealing deque by default) and the shard outputs
-    are merged into the catalog at :meth:`finalize_loading`.  Query
-    results are identical to serial ingest.
+    Ingestion runs through one
+    :class:`~repro.server.pipeline.StreamingLoader` per shard: a serial
+    server (``n_shards=1``) drives its loader inline, so a bad payload
+    raises ``ProtocolError`` at ingest; with ``n_shards > 1`` a
+    :class:`~repro.server.pipeline.ShardedIngestPipeline` fans encoded
+    chunks across shard workers (decode + parse + write each, pulled
+    from a shared work-stealing deque by default) and merges their
+    outputs into the catalog at :meth:`finalize_loading`.  Either way a
+    loader seals its Parquet part every *seal_interval* chunks and
+    publishes it, and query results are identical to serial ingest.
 
     Lifecycle: a server starts in state ``"loading"`` and moves to
     ``"finalized"`` at :meth:`finalize_loading`; ingesting into a
     finalized server raises ``RuntimeError`` (its storage is sealed — a
-    new server/session is needed to load more data).  Sharded servers are
+    new server/session is needed to load more data).  Every server is
     queryable *while* loading: :meth:`query` scans a consistent
-    loaded-so-far snapshot (sealed shard parts + sideline watermarks),
-    matching serial ingest of exactly the covered chunks.  ``load_summary``
-    is only complete once loading has finalized in sharded mode.
+    loaded-so-far snapshot (sealed parts + sideline watermarks),
+    matching serial ingest of exactly the covered chunks, and
+    :meth:`quiesce` makes it cover everything ingested so far.
+    ``load_summary`` counts the covered chunks until loading finalizes.
     """
 
     def __init__(self, data_dir: str | Path,
@@ -171,7 +184,7 @@ class CiaoServer:
                  n_shards: int = 1,
                  shard_mode: str = "process",
                  dispatch: str = "work-stealing",
-                 seal_interval: Optional[int] = DEFAULT_SEAL_INTERVAL,
+                 seal_interval: int = DEFAULT_SEAL_INTERVAL,
                  metrics: Optional[Metrics] = None,
                  tracer: Optional[Tracer] = None,
                  query_log: Optional[QueryLog] = None,
@@ -182,6 +195,7 @@ class CiaoServer:
             dispatch=dispatch,
             partial_loading=partial_loading,
             n_shards=n_shards,
+            seal_interval=seal_interval,
         )
         if generation < 0:
             raise ValueError(f"generation must be >= 0, got {generation}")
@@ -198,17 +212,14 @@ class CiaoServer:
         self.partial_loading_enabled = self._decide_partial_loading(
             partial_loading
         )
-        gen_stem = (
-            f"{table_name}.g{generation}" if generation else table_name
+        self._parquet_path, sideline_path = _storage_paths(
+            self.data_dir, table_name, generation
         )
-        self._side_store = JsonSideStore(
-            self.data_dir / f"{gen_stem}.sideline.jsonl"
-        )
-        self._parquet_path = self.data_dir / f"{gen_stem}.pql"
+        self._side_store = JsonSideStore(sideline_path)
         required_ids = plan.predicate_ids if plan is not None else None
         #: The loader or pipeline that owns this generation's storage;
         #: ``_pipeline`` is the same object when sharded.
-        self._sink: Union[ClientAssistedLoader, ShardedIngestPipeline]
+        self._sink: Union[StreamingLoader, ShardedIngestPipeline]
         self._pipeline: Optional[ShardedIngestPipeline] = None
         if n_shards > 1:
             self._sink = self._pipeline = ShardedIngestPipeline(
@@ -224,18 +235,17 @@ class CiaoServer:
                 metrics=metrics,
             )
         else:
-            self._sink = ClientAssistedLoader(
-                self._parquet_path,
-                self._side_store,
-                partial_loading=self.partial_loading_enabled,
-                schema=schema,
-                required_predicate_ids=required_ids,
-                metrics=metrics,
+            self._sink = StreamingLoader(
+                ClientAssistedLoader(
+                    self._parquet_path,
+                    self._side_store,
+                    partial_loading=self.partial_loading_enabled,
+                    schema=schema,
+                    required_predicate_ids=required_ids,
+                    metrics=metrics,
+                ),
+                seal_interval,
             )
-        #: Sharded with sealing on: mid-load state is queryable and
-        #: checkpointable.
-        self._streaming = (self._pipeline is not None
-                           and seal_interval is not None)
         self._sessions: Dict[str, IngestSession] = {}  # guarded-by: _ingest_lock
         self.catalog = Catalog()
         self._table = TableEntry(
@@ -260,16 +270,14 @@ class CiaoServer:
         # Serializes query() against finalize_loading(): a loading
         # server may be queried from one thread while another thread
         # finalizes (session load jobs, fleet coordinators), and the
-        # finalize mutates the catalog entry a query scans.  Reentrant
-        # because a serial query() auto-finalizes through the same lock.
-        self._lifecycle_lock = make_rlock("CiaoServer._lifecycle_lock")
-        # Serializes chunk submission: the serial loader buffers rows and
-        # the sharded pipeline's submit() assumes one submitting thread,
-        # but remote serving (CiaoService) ingests from one router thread
-        # per connection.  Also guards _sessions registration and the
-        # ingest ledger.  Ordering: finalize_loading() and checkpoint()
-        # take _lifecycle_lock then _ingest_lock; ingest paths take
-        # _ingest_lock alone — the graph stays acyclic.
+        # finalize mutates the catalog entry a query scans.
+        self._lifecycle_lock = make_lock("CiaoServer._lifecycle_lock")
+        # Serializes chunk submission: both loaders assume one submitting
+        # thread, but remote serving (CiaoService) ingests from one router
+        # thread per connection.  Also guards _sessions registration and
+        # the ingest ledger.  Ordering: finalize_loading() and checkpoint()
+        # take _lifecycle_lock then _ingest_lock; ingest paths and
+        # quiesce() take _ingest_lock alone — the graph stays acyclic.
         self._ingest_lock = make_lock("CiaoServer._ingest_lock")
         self._schema = schema
         self._metrics = resolve_metrics(metrics)
@@ -299,11 +307,9 @@ class CiaoServer:
         #: cut clients may safely prune their replay buffers to.
         # guarded-by: _ingest_lock
         self._durable_seqs: Dict[Tuple[str, str], int] = {}
-        #: Parts, sideline records and load counts inherited from a
-        #: previous generation via recover(); fixed for this server's
-        #: lifetime.
+        #: Parts and load counts inherited from a previous generation via
+        #: recover() (its sideline opens this generation's main file).
         self._recovered_parts: List[Path] = []
-        self._recovered_sideline = 0
         self._summary_baseline = LoadSummary()
         self._manifest_events: List[str] = []  # guarded-by: _lifecycle_lock
         self._manifest: Optional[Manifest] = None
@@ -362,10 +368,9 @@ class CiaoServer:
 
         *payload* is a decoded chunk or an encoded, possibly batched,
         payload (*framed*: a single frame already split off a batch).
-        Sharded servers forward encoded frames verbatim — the shard
-        worker decodes them off the submitting thread; the serial
-        loader decodes strictly here, so a malformed payload raises
-        ``ProtocolError``.
+        Encoded frames go to the loader verbatim: a shard worker decodes
+        them off the submitting thread, the serial loader strictly here,
+        so there a malformed payload raises ``ProtocolError``.
 
         Safe to call from many threads: remote serving ingests from one
         router thread per connection, while the serial loader and the
@@ -382,16 +387,10 @@ class CiaoServer:
                     not self._ledger.admit(client_id, source, seq):
                 self._m_duplicates.inc()
                 return 0, True
-            if self._pipeline is not None:
-                units = ([payload] if single or framed
-                         else split_frames(payload))
-                submit = self._pipeline.submit
-            else:
-                units = [payload] if single else decode_chunk_stream(payload)
-                submit = self._sink.ingest
+            units = [payload] if single or framed else split_frames(payload)
             count = 0
             for unit in units:
-                submit(unit)
+                self._sink.submit(unit)
                 count += 1
             if seq is not None:
                 self._ledger.advance(client_id, source, seq)
@@ -499,7 +498,7 @@ class CiaoServer:
             )
 
     def finalize_loading(self) -> LoadSummary:
-        """Seal storage and make the table queryable; idempotent.
+        """Seal storage and make the whole table queryable; idempotent.
 
         For a sharded server this is the merge point: shard loaders are
         sealed, their Parquet parts registered (shard-major order) and
@@ -520,16 +519,14 @@ class CiaoServer:
     def load_summary(self) -> LoadSummary:
         """Loading statistics so far.
 
-        Mid-load a sharded-streaming server reports the chunks covered by
-        the current snapshot (the same view queries see); once finalized,
-        the complete merged summary.  With streaming disabled
-        (``seal_interval=None``) the sharded summary stays empty until
-        :meth:`finalize_loading` has run.
+        Mid-load, the chunks covered by the current snapshot (the same
+        view queries see; :meth:`quiesce` covers everything ingested);
+        once finalized, the complete merged summary.
         """
-        if self._streaming and not self._loading_finalized:
-            summary = self._pipeline.snapshot().summary
-        else:
+        if self._loading_finalized:
             summary = self._sink.summary
+        else:
+            summary = self._sink.snapshot().summary
         return self._summary_baseline.merged(summary)
 
     # ------------------------------------------------------------------
@@ -544,30 +541,23 @@ class CiaoServer:
         The single answer to "which parts and sideline segments make up
         the table now", read by queries, compaction, checkpoints and
         recovery alike.  Parts are the recovered base followed by this
-        generation's live source — the final loader or pipeline parts
-        once finalized, the pipeline's sealed snapshot while streaming,
-        nothing yet for a serial (or non-streaming) server still loading
-        — resolved through the compaction remap.  Sidelines are
-        ``(path, records)`` prefixes of append-only files, passed through
-        from the pipeline snapshot unchanged: the recovered prefix of
-        this generation's main file, then the shard files mid-load; the
-        whole main file once finalized.  The summary counts exactly what
-        the parts and sidelines cover.
+        generation's own — the loader's or pipeline's published snapshot
+        while loading, every part once finalized — resolved through the
+        compaction remap.  Sidelines are ``(path, records)`` prefixes of
+        append-only files, passed through from the snapshot unchanged
+        while loading (this generation's main file, which opens with
+        the recovered records, then any shard files); the whole main
+        file once finalized.  The summary counts exactly what the parts
+        and sidelines cover.
         """
-        store = self._side_store
         if self._loading_finalized:
+            store = self._side_store
             parts, summary = self._sink.parquet_paths, self._sink.summary
             sidelines = [(store.path, store.record_count)]
         else:
-            # Records materialized into this generation's main sideline
-            # file by recover(); shard folding only appends after them.
-            sidelines = ([(store.path, self._recovered_sideline)]
-                         if self._recovered_sideline else [])
-            parts, summary = [], LoadSummary()
-            if self._streaming:
-                snap = self._pipeline.snapshot()
-                parts, summary = snap.parquet_paths, snap.summary
-                sidelines.extend(snap.sidelines)
+            snap = self._sink.snapshot()
+            parts, summary = snap.parquet_paths, snap.summary
+            sidelines = snap.sidelines
         return (
             self.state,
             self._remap_parts(self._recovered_parts + list(parts)),
@@ -614,22 +604,19 @@ class CiaoServer:
     def query(self, sql: str) -> QueryResult:
         """Execute one SQL statement against the loaded table.
 
-        Sharded servers answer queries **while loading**: the statement
-        runs against a consistent loaded-so-far snapshot (sealed shard
-        parts plus per-shard sideline watermarks), so results equal serial
-        ingest of exactly the chunks covered so far — no auto-finalize,
-        and ingestion keeps running.  Repeated mid-load *aggregate*
-        queries are incremental: sealed parts are immutable, so the
-        engine caches per-part partial aggregates by (part, query
-        fingerprint) and each successive snapshot query scans only the
-        parts sealed since it last ran plus the sideline delta
-        (:mod:`repro.engine.snapcache`; answers are identical to a cold
-        scan of the same snapshot).  Serial (``n_shards=1``) servers —
-        and sharded servers with streaming disabled
-        (``seal_interval=None``) — keep the historical convenience
-        behavior: the first query finalizes loading, because without
-        sealed parts there is nothing consistent to scan mid-load.  Call
-        :meth:`finalize_loading` explicitly to seal either kind.
+        Every server answers queries **while loading**: the statement
+        runs against a consistent loaded-so-far snapshot (sealed parts
+        plus sideline watermarks), so results equal serial ingest of
+        exactly the chunks covered so far, and ingestion keeps running;
+        a query never finalizes.  Chunks ingested since the last seal
+        are absent until the next one (or :meth:`quiesce`).  Repeated
+        mid-load *aggregate* queries are incremental: sealed parts are
+        immutable, so the engine caches per-part partial aggregates by
+        (part, query fingerprint) and each successive snapshot query
+        scans only the parts sealed since it last ran plus the sideline
+        delta (:mod:`repro.engine.snapcache`; answers are identical to a
+        cold scan of the same snapshot).  Call :meth:`finalize_loading`
+        to seal the load and query the whole table.
 
         Queries serialize against a concurrent :meth:`finalize_loading`
         (and against each other): a statement sees either a consistent
@@ -637,10 +624,7 @@ class CiaoServer:
         """
         with self._lifecycle_lock:
             if not self._loading_finalized:
-                if self._streaming:
-                    self._refresh_view()
-                else:
-                    self.finalize_loading()
+                self._refresh_view()
             return self._executor.execute(sql)
 
     # ------------------------------------------------------------------
@@ -650,11 +634,9 @@ class CiaoServer:
         """The immutable parts a compactor may rewrite right now.
 
         The current view's parts: the full part list once finalized,
-        the sealed snapshot while streaming (through the compaction
-        remap, so already-replaced parts never reappear), and only
-        recovered parts for a still-loading serial server — or a
-        sharded one with streaming disabled — whose own storage has no
-        sealed immutable parts yet.
+        the published snapshot's sealed parts while loading — both
+        through the compaction remap, so already-replaced parts never
+        reappear.
         """
         with self._lifecycle_lock:
             return self._view()[1]
@@ -680,8 +662,7 @@ class CiaoServer:
             for key in replaced:
                 self._compaction_remap[key] = output
             self._compaction_epoch += 1
-            if self._loading_finalized or self._streaming:
-                self._refresh_view()
+            self._refresh_view()
             if self._manifest is not None:
                 # A compactor running remove_inputs=True may unlink
                 # manifest-listed parts; refresh the manifest past the
@@ -703,35 +684,31 @@ class CiaoServer:
     def checkpoint(self, timeout: float = 30.0) -> bool:
         """Write a durable manifest revision; returns True if one landed.
 
-        The durable cut: quiesce the pipeline — a flush barrier that
-        makes every shard seal and publish everything submitted before
-        it — so every submitted chunk is sealed or sidelined, then
+        The durable cut: quiesce the load (:meth:`quiesce`: the loader
+        or every shard seals and publishes everything submitted before
+        it), so every submitted chunk is sealed or sidelined, then
         atomically record the sealed parts, sideline watermarks, ledger,
         and summary *as of that moment*.  A kill -9 after this call
-        loses nothing at or before it.  Returns ``False`` when there is
-        nothing checkpointable: a non-durable server, or a mid-load
-        server whose storage has no sealed mid-load state (serial, or
-        streaming disabled).  Raises
+        loses nothing at or before it.  Returns ``False`` on a
+        non-durable server, which has nothing to write.  Raises
         :class:`TimeoutError` (counted in ``recovery.checkpoint_timeouts``)
-        when the flush does not complete within *timeout* — a dead or
-        wedged shard.
+        when a sharded flush does not complete within *timeout* — a
+        dead or wedged shard.
         """
         if self._manifest is None:
             return False
         with self._lifecycle_lock:
-            if not (self._loading_finalized or self._streaming):
-                return False
             self._checkpoint_locked("checkpoint", timeout)
             self._m_checkpoints.inc()
             return True
 
     @guarded_by("_lifecycle_lock")
     def _checkpoint_locked(self, event: str, timeout: float = 30.0) -> None:
-        """Quiesce a streaming load (if one runs), then persist the view."""
+        """Quiesce the load (if one runs), then persist the view."""
         with self._ingest_lock:
-            if self._streaming and not self._loading_finalized:
+            if not self._loading_finalized:
                 try:
-                    self._pipeline.quiesce(timeout)
+                    self._sink.quiesce(timeout)
                 except TimeoutError:
                     self._m_checkpoint_timeouts.inc()
                     raise
@@ -846,10 +823,31 @@ class CiaoServer:
         plan_text = doc.get("plan")
         schema_doc = doc.get("schema")
         generation = int(doc.get("generation", 0)) + 1
+        # Materialize the durable sideline prefix into this generation's
+        # main store before the server opens it: the table's view lists
+        # segments of files this generation owns, so the recovered
+        # records open that file and the load appends after them.
+        pairs: List[Tuple[int, str]] = []
+        expected = 0
+        for record in doc.get("sideline", []):
+            records = int(record.get("records", 0))
+            expected += records
+            view_path = data_dir / str(record.get("path", ""))
+            if view_path.exists():
+                pairs.extend(SidelineView(view_path, records).iter_raw())
+        if len(pairs) < expected:
+            m_sideline_lost.inc(expected - len(pairs))
+        if pairs:
+            _, sideline_path = _storage_paths(data_dir, table_name,
+                                              generation)
+            JsonSideStore(sideline_path).append_pairs(pairs)
         # The manifest's options are the constructor's own keywords;
-        # the defaults only fill in for keys a manifest lacks.
+        # the defaults only fill in for keys a manifest lacks (older
+        # servers, which could switch sealing off, wrote a null interval).
         options = {"partial_loading": "off", "shard_mode": "thread",
-                   "seal_interval": None, **doc.get("options", {})}
+                   **doc.get("options", {})}
+        options["seal_interval"] = (options.get("seal_interval")
+                                    or DEFAULT_SEAL_INTERVAL)
         server = cls(
             data_dir,
             plan=loads_plan(plan_text) if plan_text else None,
@@ -865,23 +863,6 @@ class CiaoServer:
         )
         server._manifest.revision = manifest.revision
         server._recovered_parts = parts
-        # Materialize the durable sideline prefix into this generation's
-        # main store: the table's view lists segments of files this
-        # generation owns, so the recovered records become the first
-        # segment (shard folding appends after them).
-        pairs: List[Tuple[int, str]] = []
-        expected = 0
-        for record in doc.get("sideline", []):
-            records = int(record.get("records", 0))
-            expected += records
-            view_path = data_dir / str(record.get("path", ""))
-            if view_path.exists():
-                pairs.extend(SidelineView(view_path, records).iter_raw())
-        if len(pairs) < expected:
-            m_sideline_lost.inc(expected - len(pairs))
-        if pairs:
-            server._side_store.append_pairs(pairs)
-        server._recovered_sideline = server._side_store.record_count
         # A recovered server's own loader/pipeline sees only this
         # generation's chunks; the baseline carries the counts the
         # manifest proved durable, so totals cover the whole table.
@@ -903,18 +884,18 @@ class CiaoServer:
         return server
 
     def quiesce(self, timeout: float = 30.0) -> None:
-        """Wait until every ingested chunk is visible to queries.
+        """Make every ingested chunk visible to queries.
 
-        Flushes the shard workers (see
+        Seals and publishes the open part: inline on a serial server,
+        through a flush of the shard workers on a sharded one (see
         :meth:`ShardedIngestPipeline.quiesce`), so it costs the flush
         work, not an idle wait.  Useful to make "query the prefix
-        ingested so far" deterministic in tests and benchmarks.  A serial server is always caught up; a
-        sharded server with streaming disabled (``seal_interval=None``)
-        cannot expose mid-load state, so quiescing it raises
-        ``RuntimeError`` (finalize instead).
+        ingested so far" deterministic in tests and benchmarks.  The
+        server stays ``"loading"``; a no-op once finalized.
         """
-        if self._pipeline is not None and not self._loading_finalized:
-            self._pipeline.quiesce(timeout)
+        with self._ingest_lock:
+            if not self._loading_finalized:
+                self._sink.quiesce(timeout)
 
     def run_workload(self, queries: Iterable[Query]
                      ) -> List[QueryResult]:

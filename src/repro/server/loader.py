@@ -280,16 +280,6 @@ class ClientAssistedLoader:
             self._writer = None
             self._m_seals.inc()
 
-    @property
-    def sealed_paths(self) -> List[Path]:
-        """Parquet parts already sealed (footer written, safe to read).
-
-        Excludes the part currently being written, if any.
-        """
-        if self._writer is None:
-            return list(self.parquet_paths)
-        return [p for p in self.parquet_paths if p != self._writer.path]
-
     def finalize(self) -> LoadSummary:
         """Seal the Parquet-lite file; idempotent."""
         if not self._finalized:

@@ -40,17 +40,18 @@ Architecture::
   ``dispatch="round-robin"`` restores the old deterministic mapping (chunk
   *k* → shard ``k % n_shards``, reproducible shard files) for layout tests
   and as the bench baseline.
-* **Streaming snapshots** (``seal_interval``).  Workers seal their current
-  Parquet part every *seal_interval* chunks and whenever their queue goes
-  idle (so snapshots stay fresh while the submitter pauses), then publish
+* **Streaming snapshots** (``seal_interval``).  Each worker drives a
+  :class:`StreamingLoader` — the same one a serial
+  :class:`~repro.server.ciao.CiaoServer` runs inline — which seals its
+  current Parquet part every *seal_interval* chunks and publishes
   ``(sealed part paths, sideline record watermark, per-chunk reports)``.
-  :meth:`snapshot` merges those publications under a lock into a
-  :class:`LoadSnapshot` — a consistent loaded-so-far view the query
-  engine can scan mid-load: every covered chunk has *all* its rows
-  either in a sealed part or below the sideline watermark, exactly as
-  serial ingest of those chunks would have placed them.  ``seal_interval=
-  None`` disables sealing/publishing (legacy batch behavior, deterministic
-  part layout under round-robin).
+  Workers also publish whenever their queue goes idle, so snapshots stay
+  fresh while the submitter pauses.  :meth:`snapshot` merges those
+  publications under a lock into a :class:`LoadSnapshot` — a consistent
+  loaded-so-far view the query engine can scan mid-load: every covered
+  chunk has *all* its rows either in a sealed part or below the sideline
+  watermark, exactly as serial ingest of those chunks would have placed
+  them.
 * **Flush barrier** (:meth:`~ShardedIngestPipeline.quiesce`).  A durable
   checkpoint needs "everything submitted is covered" now, not after the
   workers next go idle.  quiesce queues one flush token per shard behind
@@ -90,7 +91,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.annotations import guarded_by
 from ..analysis.sanitizer import make_lock
@@ -104,7 +105,7 @@ from .loader import ClientAssistedLoader, LoadReport, LoadSummary
 #: Bounded per-shard queue depth: backpressure instead of unbounded RAM.
 DEFAULT_QUEUE_DEPTH = 64
 
-#: Chunks a worker ingests between part seals when streaming is on.
+#: Chunks a streaming loader ingests between part seals.
 DEFAULT_SEAL_INTERVAL = 8
 
 #: How long a worker blocks on its queue before treating itself as idle
@@ -140,7 +141,9 @@ _PARTIAL_LOADING_MODES = ("auto", "on", "off")
 def validate_server_options(shard_mode: str = "process",
                             dispatch: str = "work-stealing",
                             partial_loading: str = "auto",
-                            n_shards: int = 1) -> None:
+                            n_shards: int = 1,
+                            seal_interval: int = DEFAULT_SEAL_INTERVAL
+                            ) -> None:
     """The single validation path for server deployment knobs.
 
     Shared by :class:`ShardedIngestPipeline`, the
@@ -166,6 +169,8 @@ def validate_server_options(shard_mode: str = "process",
         )
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+    if seal_interval < 1:
+        raise ValueError(f"seal_interval must be >= 1, got {seal_interval}")
 
 
 class IngestPipelineError(RuntimeError):
@@ -174,22 +179,22 @@ class IngestPipelineError(RuntimeError):
 
 @dataclass
 class LoadSnapshot:
-    """A consistent loaded-so-far view of an in-flight sharded load.
+    """A consistent loaded-so-far view of an in-flight load.
 
     Attributes:
         version: Monotonic change counter — equal versions mean an
             identical view, so readers can cache derived state.
         parquet_paths: Sealed (immutable, footer-written) Parquet-lite
             parts, shard-major order.
-        sidelines: ``(path, records)`` segments of the shard sideline
-            files, each ending at the shard's published watermark —
-            the sideline part of the table's view (see
+        sidelines: ``(path, records)`` segments of the sideline files,
+            each ending at its writer's published watermark — the
+            sideline part of the table's view (see
             :class:`repro.engine.catalog.TableEntry`).
         summary: Merged accounting for exactly the covered chunks, with
             reports in submission order — what serial ingest of those
             chunks would report (modulo wall time).
-        submitted: Chunks submitted to the pipeline when the snapshot was
-            taken; ``submitted - summary.chunks`` are still in flight.
+        submitted: Chunks submitted when the snapshot was taken;
+            ``submitted - summary.chunks`` are still in flight.
     """
 
     version: int
@@ -209,6 +214,97 @@ class LoadSnapshot:
         return self.summary.chunks == self.submitted
 
 
+class StreamingLoader:
+    """A loader that seals and publishes a part every *seal_interval* chunks.
+
+    The one mechanism that makes a load queryable while it runs: a serial
+    :class:`~repro.server.ciao.CiaoServer` drives one inline, and each
+    shard worker of :class:`ShardedIngestPipeline` drives its own.  A
+    *publication* (every *seal_interval* chunks, and on :meth:`publish`)
+    seals the open part and fixes the sealed parts, the sideline
+    watermark and the covered chunks' reports; :meth:`snapshot` is the
+    last one, a :class:`LoadSnapshot` assigned whole at the seal, so a
+    reader on another thread never sees half a chunk.  Records the side
+    store held before the load (a recovered prefix) are covered from the
+    start.  *on_publish* gets each publication's delta ``(new parts,
+    watermark, new (seq, report) pairs)``.
+    """
+
+    def __init__(self, loader: ClientAssistedLoader, seal_interval: int,
+                 on_publish: Optional[Callable[
+                     [List[Path], int, List[Tuple[int, LoadReport]]], None
+                 ]] = None):
+        self.loader = loader
+        self.seal_interval = seal_interval
+        self._on_publish = on_publish
+        #: ``(seq, report)`` of every ingested chunk, in ingest order.
+        self.reports: List[Tuple[int, LoadReport]] = []
+        side = loader.side_store
+        self._snapshot = LoadSnapshot(
+            version=0,
+            sidelines=[(side.path, side.record_count)]
+            if side.record_count else [],
+        )
+
+    def submit(self, payload: Union[JsonChunk, bytes, bytearray, memoryview],
+               seq: Optional[int] = None) -> None:
+        """Ingest one chunk, decoding an encoded one (strictly).
+
+        *seq* orders the report among a pipeline's shards; by default
+        chunks are numbered in ingest order.
+        """
+        if not isinstance(payload, JsonChunk):
+            payload = decode_chunk(payload)
+        seq = len(self.reports) if seq is None else seq
+        self.reports.append((seq, self.loader.ingest(payload)))
+        if len(self.reports) - self._snapshot.chunks >= self.seal_interval:
+            self.publish()
+
+    def publish(self) -> None:
+        """Seal and publish the chunks since the last publication, if any."""
+        snap = self._snapshot
+        new_reports = self.reports[snap.chunks:]
+        if not new_reports:
+            return
+        self.loader.seal_part()
+        new_parts = self.loader.parquet_paths[len(snap.parquet_paths):]
+        side = self.loader.side_store
+        watermark = side.record_count
+        self._snapshot = LoadSnapshot(
+            version=snap.version + 1,
+            parquet_paths=snap.parquet_paths + new_parts,
+            sidelines=[(side.path, watermark)] if watermark else [],
+            summary=snap.summary.merged(
+                LoadSummary.from_sequenced(new_reports)
+            ),
+            submitted=len(self.reports),
+        )
+        if self._on_publish is not None:
+            self._on_publish(new_parts, watermark, new_reports)
+
+    def snapshot(self) -> LoadSnapshot:
+        """The last publication (read-only)."""
+        return self._snapshot
+
+    def quiesce(self, timeout: float = 30.0) -> None:
+        """Publish every ingested chunk; nothing is in flight to wait for."""
+        self.publish()
+
+    def finalize(self) -> LoadSummary:
+        """Seal the last part; idempotent."""
+        return self.loader.finalize()
+
+    @property
+    def parquet_paths(self) -> List[Path]:
+        """Every part written so far, in order."""
+        return self.loader.parquet_paths
+
+    @property
+    def summary(self) -> LoadSummary:
+        """Accounting for every ingested chunk, published or not."""
+        return self.loader.summary
+
+
 def _run_shard(shard_id: int,
                in_queue,
                out_queue,
@@ -217,7 +313,7 @@ def _run_shard(shard_id: int,
                partial_loading: bool,
                schema: Optional[Schema],
                required_ids: Optional[frozenset],
-               seal_interval: Optional[int],
+               seal_interval: int,
                barrier) -> None:
     """Shard worker loop: decode + parse + write until the sentinel.
 
@@ -225,14 +321,15 @@ def _run_shard(shard_id: int,
     draining its queue (a bounded queue with a dead consumer would deadlock
     the submitter) and reports the error at shutdown.
 
-    With *seal_interval* set the worker periodically seals its current
-    Parquet part and publishes a ``("progress", shard_id, new_paths,
-    sideline_watermark, new_reports)`` message carrying only what was
-    sealed/ingested *since its last publication* (the sideline watermark
-    is absolute but O(1)).  Deltas keep streaming IPC linear in load
-    size; the merge can simply append because the out-queue preserves
-    each producer's message order.  The terminal ``"done"`` message
-    carries the full final state and supersedes all progress.
+    The worker's :class:`StreamingLoader` publishes a ``("progress",
+    shard_id, new_paths, sideline_watermark, new_reports)`` message
+    carrying only what was sealed/ingested *since its last publication*
+    (the sideline watermark is absolute but O(1)).  Deltas keep streaming
+    IPC linear in load size; the merge can simply append because the
+    out-queue preserves each producer's message order.  At the stop
+    sentinel the worker publishes its last chunks, so the terminal
+    ``("done", shard_id)`` follows a publication of the shard's whole
+    output.
 
     A flush token (:data:`_FLUSH`, queued by
     :meth:`ShardedIngestPipeline.quiesce`) makes the worker publish what
@@ -244,12 +341,7 @@ def _run_shard(shard_id: int,
     released.  A broken (aborted) barrier releases at once.
     """
     error: Optional[str] = None
-    reports: List[Tuple[int, LoadReport]] = []
-    unpublished = 0
-    published_paths = 0
-    published_reports = 0
-    loader: Optional[ClientAssistedLoader] = None
-    side: Optional[JsonSideStore] = None
+    loader: Optional[StreamingLoader] = None
 
     def fail(what: str) -> str:
         """Record the first error and announce it eagerly.
@@ -262,56 +354,38 @@ def _run_shard(shard_id: int,
         out_queue.put(("failing", shard_id, message))
         return message
 
+    def post(paths: List[Path], watermark: int, reports) -> None:
+        out_queue.put(("progress", shard_id, [str(p) for p in paths],
+                       watermark, reports))
+
     try:
-        side = JsonSideStore(sideline_path)
-        loader = ClientAssistedLoader(
-            parquet_path,
-            side,
-            partial_loading=partial_loading,
-            schema=schema,
-            required_predicate_ids=required_ids,
+        loader = StreamingLoader(
+            ClientAssistedLoader(
+                parquet_path,
+                JsonSideStore(sideline_path),
+                partial_loading=partial_loading,
+                schema=schema,
+                required_predicate_ids=required_ids,
+            ),
+            seal_interval,
+            on_publish=post,
         )
     except Exception:  # ciaolint: allow[API006] -- shard isolation: any init failure becomes a reported per-shard error
         error = fail("failed to initialize")
 
-    def publish() -> None:
-        """Seal the open part and post what's new since the last publish."""
-        nonlocal unpublished, published_paths, published_reports
-        loader.seal_part()
-        # sealed_paths only ever grows at the tail (parts are opened and
-        # sealed in order), so a slice is the delta.
-        sealed = loader.sealed_paths
-        out_queue.put((
-            "progress",
-            shard_id,
-            [str(p) for p in sealed[published_paths:]],
-            side.record_count,
-            list(reports[published_reports:]),
-        ))
-        published_paths = len(sealed)
-        published_reports = len(reports)
-        unpublished = 0
-
     def process(item) -> None:
-        nonlocal error, unpublished
+        nonlocal error
         if error is not None:
             return
         seq, payload = item
         try:
-            if isinstance(payload, (bytes, bytearray)):
-                chunk = decode_chunk(payload)
-            else:
-                chunk = payload
-            reports.append((seq, loader.ingest(chunk)))
-            unpublished += 1
-            if seal_interval is not None and unpublished >= seal_interval:
-                publish()
+            loader.submit(payload, seq)
         except Exception:  # ciaolint: allow[API006] -- shard isolation: a poison chunk must not kill the drain loop
             error = fail(f"failed on chunk #{seq}")
 
     def publish_pending() -> None:
-        if seal_interval is not None and error is None and unpublished:
-            publish()
+        if error is None:
+            loader.publish()
 
     # The drain loop must run no matter what happened above: a bounded
     # queue with a dead consumer would block submit() forever.
@@ -348,21 +422,15 @@ def _run_shard(shard_id: int,
                     pass  # quiesce() gave up on this flush; keep draining
             else:
                 process(item)
-    paths: List[str] = []
     try:
+        publish_pending()
         if loader is not None:
             loader.finalize()
-            paths = [str(p) for p in loader.parquet_paths]
     except Exception:  # ciaolint: allow[API006] -- shard isolation: finalize failure is reported via the out queue
         if error is None:
             error = fail("failed to finalize")
-    if error is not None:
-        out_queue.put(("error", shard_id, error))
-    else:
-        out_queue.put((
-            "done", shard_id, paths, list(reports),
-            side.record_count if side is not None else 0,
-        ))
+    out_queue.put(("done", shard_id) if error is None
+                  else ("error", shard_id, error))
 
 
 class ShardedIngestPipeline:
@@ -372,7 +440,9 @@ class ShardedIngestPipeline:
         parquet_path: Base table path; shard *K* writes
             ``<stem>.shardK<suffix>`` parts next to it.
         side_store: The table's sideline store.  Shards write shard-local
-            sidelines during the load; :meth:`finalize` folds them in here.
+            sidelines during the load; :meth:`finalize` folds them in here,
+            after the records it already held, which snapshots cover from
+            the start.
         n_shards: Worker count (1 is legal and equivalent to one loader
             behind a queue).
         partial_loading / schema / required_predicate_ids: Forwarded to
@@ -381,8 +451,7 @@ class ShardedIngestPipeline:
         dispatch: ``"work-stealing"`` (shared deque, default) or
             ``"round-robin"`` (chunk *k* → shard ``k % n_shards``,
             deterministic shard files).
-        seal_interval: Chunks between streaming part seals; ``None``
-            disables mid-load snapshots.
+        seal_interval: Chunks between streaming part seals.
         queue_depth: Per-shard bound of the input queue(s) (backpressure);
             the shared work-stealing deque is bounded at
             ``queue_depth * n_shards``.
@@ -396,15 +465,12 @@ class ShardedIngestPipeline:
                  required_predicate_ids: Optional[Sequence[int]] = None,
                  mode: str = "process",
                  dispatch: str = "work-stealing",
-                 seal_interval: Optional[int] = DEFAULT_SEAL_INTERVAL,
+                 seal_interval: int = DEFAULT_SEAL_INTERVAL,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH,
                  metrics: Optional[Metrics] = None):
         validate_server_options(shard_mode=mode, dispatch=dispatch,
-                                n_shards=n_shards)
-        if seal_interval is not None and seal_interval < 1:
-            raise ValueError(
-                f"seal_interval must be >= 1 or None, got {seal_interval}"
-            )
+                                n_shards=n_shards,
+                                seal_interval=seal_interval)
         self.parquet_path = Path(parquet_path)
         self.side_store = side_store
         self.n_shards = n_shards
@@ -414,9 +480,6 @@ class ShardedIngestPipeline:
         self.summary = LoadSummary()
         self._seq = 0
         self._finalized = False
-        # guarded-by: _lock
-        self._shard_parquet_paths: List[List[Path]] = [[] for _ in
-                                                       range(n_shards)]
         self._parquet_paths: List[Path] = []
         self._errors: List[str] = []  # guarded-by: _lock
         # Streaming snapshot state, guarded by _lock: the latest published
@@ -426,30 +489,30 @@ class ShardedIngestPipeline:
         # guarded-by: _lock
         self._progress: Dict[int, Tuple[List[Path], int,
                                         List[Tuple[int, LoadReport]]]] = {}
-        # guarded-by: _lock
-        self._final_reports: Dict[int, List[Tuple[int, LoadReport]]] = {}
+        self._done: set = set()  # guarded-by: _lock
         self._terminal: set = set()  # guarded-by: _lock
         self._version = 0  # guarded-by: _lock
         # guarded-by: _lock
         self._snapshot_cache: Optional[LoadSnapshot] = None
         # Parent-side instrumentation only: worker processes cannot share
         # a registry, so seals/ingests are counted as their publications
-        # arrive.  Per-shard counted totals avoid double counting when a
-        # terminal message supersedes earlier progress deltas.
+        # arrive.
         metrics = resolve_metrics(metrics)
         self._m_submitted = metrics.counter("pipeline.chunks_submitted")
         self._m_ingested = metrics.counter("pipeline.chunks_ingested")
         self._m_sealed = metrics.counter("pipeline.parts_sealed")
         self._m_snapshots = metrics.counter("pipeline.snapshots")
         self._m_finalize = metrics.histogram("pipeline.finalize_seconds")
-        self._counted_paths: Dict[int, int] = {}  # guarded-by: _lock
-        self._counted_reports: Dict[int, int] = {}  # guarded-by: _lock
 
         required = (
             frozenset(required_predicate_ids)
             if required_predicate_ids is not None else None
         )
         side_path = side_store.path
+        self._base_sideline = (
+            [(side_path, side_store.record_count)]
+            if side_store.record_count else []
+        )
         self._sideline_paths = [
             side_path.parent / f"{side_path.stem}.shard{i}{side_path.suffix}"
             for i in range(n_shards)
@@ -531,20 +594,16 @@ class ShardedIngestPipeline:
         """The current consistent loaded-so-far view (lock-protected).
 
         Merges any worker publications that arrived since the last call
-        and returns the covered state: sealed Parquet parts, per-shard
+        and returns the covered state: sealed Parquet parts, the table
+        store's records from before the load followed by per-shard
         sideline views bounded at their watermarks, and a summary whose
         reports are in submission order.  Chunks still in flight (or
         sealed but not yet published) are simply absent — they appear in
-        a later snapshot.  Requires ``seal_interval`` (streaming) to be
-        enabled.  Raises :class:`IngestPipelineError` as soon as any
+        a later snapshot.  Raises :class:`IngestPipelineError` as soon as any
         shard has reported a failure — a failed load has no trustworthy
         loaded-so-far view.  The returned snapshot is cached until the
         next publication arrives; treat it as read-only.
         """
-        if self.seal_interval is None:
-            raise RuntimeError(
-                "streaming snapshots are disabled (seal_interval=None)"
-            )
         self._m_snapshots.inc()
         with self._lock:
             self._pump_messages()
@@ -559,7 +618,7 @@ class ShardedIngestPipeline:
                 for shard_id in sorted(self._progress)
                 for path in self._progress[shard_id][0]
             ]
-            sidelines = [
+            sidelines = self._base_sideline + [
                 (self._sideline_paths[shard_id], watermark)
                 for shard_id in sorted(self._progress)
                 for watermark in (self._progress[shard_id][1],)
@@ -684,12 +743,6 @@ class ShardedIngestPipeline:
                 self._version += 1
                 self._m_sealed.inc(len(paths))
                 self._m_ingested.inc(len(reports))
-                self._counted_paths[shard_id] = (
-                    self._counted_paths.get(shard_id, 0) + len(paths)
-                )
-                self._counted_reports[shard_id] = (
-                    self._counted_reports.get(shard_id, 0) + len(reports)
-                )
             elif kind == "failing":
                 # Eager (non-terminal) announcement of a shard error; the
                 # worker repeats the same text in its terminal message.
@@ -700,25 +753,9 @@ class ShardedIngestPipeline:
                     self._errors.append(message[2])
                 self._terminal.add(message[1])
             else:
-                _, shard_id, paths, reports, watermark = message
-                self._shard_parquet_paths[shard_id] = [
-                    Path(p) for p in paths
-                ]
-                # The final state supersedes any progress publication.
-                self._progress[shard_id] = (
-                    [Path(p) for p in paths], watermark, list(reports)
-                )
-                self._final_reports[shard_id] = list(reports)
-                self._version += 1
-                self._terminal.add(shard_id)
-                self._m_sealed.inc(max(
-                    0, len(paths) - self._counted_paths.get(shard_id, 0)
-                ))
-                self._m_ingested.inc(max(
-                    0, len(reports) - self._counted_reports.get(shard_id, 0)
-                ))
-                self._counted_paths[shard_id] = len(paths)
-                self._counted_reports[shard_id] = len(reports)
+                # "done": the shard's last publication holds its output.
+                self._done.add(message[1])
+                self._terminal.add(message[1])
 
     # ------------------------------------------------------------------
     def finalize(self) -> LoadSummary:
@@ -793,14 +830,16 @@ class ShardedIngestPipeline:
                             worker.terminate()
         for worker in self._workers:
             worker.join(timeout=5.0)
-        # Merge: parquet parts in shard order, reports in submission order,
-        # shard sidelines folded into the table's store (then removed).
+        # Merge the shards that finished: parquet parts in shard order,
+        # reports in submission order, shard sidelines folded into the
+        # table's store (then removed).
+        outputs = [self._progress.get(shard_id, ([], 0, []))
+                   for shard_id in sorted(self._done)]
         self._parquet_paths = [
-            path for paths in self._shard_parquet_paths for path in paths
+            path for paths, _, _ in outputs for path in paths
         ]
         self.summary = LoadSummary.from_sequenced(
-            pair for reports in self._final_reports.values()
-            for pair in reports
+            pair for _, _, reports in outputs for pair in reports
         )
         for sideline_path in self._sideline_paths:
             if sideline_path.exists():

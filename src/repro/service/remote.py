@@ -78,8 +78,8 @@ class RemoteSession:
             decorated (lossy/latent/faulty) channel here for fault
             testing.  A session built this way cannot reconnect.
         channel_factory: A zero-argument callable dialing a fresh
-            channel; called once at construction and again on every
-            reconnect.  This is how chaos tests compose
+            channel; called at construction (under *retry*) and again
+            on every reconnect.  This is how chaos tests compose
             :func:`repro.transport.faults.faulty_dialer` with a real
             socket service.
         client_id: Identity used for admission fairness, ingest-ledger
@@ -103,7 +103,8 @@ class RemoteSession:
             :class:`~repro.transport.base.ChannelTimeout` (see
             :class:`~repro.transport.sockets.SocketChannel`).
 
-    The constructor performs the HELLO/WELCOME handshake, so a
+    The constructor dials and performs the HELLO/WELCOME handshake
+    through the reconnect path, under the retry policy, so a
     constructed session is known-good.  Context-manager friendly.
     """
 
@@ -134,9 +135,10 @@ class RemoteSession:
                 return SocketChannel.connect(
                     address, metrics=metrics, recv_deadline=recv_deadline,
                 )
-        if channel is None:
-            channel = channel_factory()
-        self.channel = channel
+        if channel is None and retry is None:
+            channel = channel_factory()  # fail-fast: a refusal raises as is
+        #: ``None`` until the first dial, which then runs under *retry*.
+        self.channel: Optional[Channel] = channel
         self.tracer = resolve_tracer(tracer)
         self.client_id = client_id
         self.chunk_size = chunk_size
@@ -163,15 +165,13 @@ class RemoteSession:
         self._ingest_active = False
         self._ingest_ended = False
         # True once the *current* channel has completed its handshake
-        # and (if an ingest stream is open) its RESUME replay.  The
-        # constructor's own channel starts ready: its HELLO below is
-        # the handshake.
-        self._session_ready = True
-        welcome = self._request(wire.HELLO, {
-            "client_id": client_id,
-            "protocol": wire.PROTOCOL_VERSION,
-        }, expect=wire.WELCOME)
-        self.server_mode: str = str(welcome.header.get("mode", ""))
+        # and (if an ingest stream is open) its RESUME replay.
+        self._session_ready = False
+        self.server_mode = ""
+        if retry is None:
+            self._ensure_connected()
+        else:
+            self._with_policy(lambda _deadline: self._ensure_connected())
 
     # ------------------------------------------------------------------
     def _request_once(self, tag: int,
@@ -222,20 +222,30 @@ class RemoteSession:
         ``max_attempts`` sends and ``max_attempts ** 2`` reconnect
         tries, all inside the policy's ``deadline``.
         """
-        policy = self.retry
-        if policy is None:
+        if self.retry is None:
             return self._request_once(tag, header, body, expect)
+
+        def connect_then_send(op_deadline: Optional[float]) -> Message:
+            self._retrying(self._ensure_connected, op_deadline)
+            return self._request_once(tag, header, body, expect)
+
+        return self._with_policy(connect_then_send)
+
+    def _with_policy(self, operation: Callable[[Optional[float]], Any]
+                     ) -> Any:
+        """Run *operation* on the retry schedule; count a give-up.
+
+        *operation* receives the operation's absolute deadline
+        (``None``: the policy sets none).
+        """
+        policy = self.retry
         op_deadline = (
             time.monotonic() + policy.deadline
             if policy.deadline is not None else None
         )
-
-        def connect_then_send() -> Message:
-            self._retrying(self._ensure_connected, op_deadline)
-            return self._request_once(tag, header, body, expect)
-
         try:
-            return self._retrying(connect_then_send, op_deadline)
+            return self._retrying(lambda: operation(op_deadline),
+                                  op_deadline)
         except (RemoteBusyError,) + self._RETRYABLE:
             self._m_giveups.inc()
             raise
@@ -263,7 +273,8 @@ class RemoteSession:
                 self._m_busy_retries.inc()
             except self._RETRYABLE as exc:
                 last_exc = exc
-                if isinstance(exc, (TransportError, RemoteTimeoutError)):
+                if (isinstance(exc, (TransportError, RemoteTimeoutError))
+                        and self.channel is not None):
                     # The conversation's state is unknown; drop the
                     # channel so the next attempt redials cleanly.
                     self.channel.close()
@@ -274,7 +285,7 @@ class RemoteSession:
     # Reconnect and resume
     # ------------------------------------------------------------------
     def _ensure_connected(self) -> None:
-        """Redial, re-handshake, and resume ingest after a drop.
+        """Dial (first or after a drop), handshake, and resume ingest.
 
         Readiness is tracked separately from the channel being open: a
         handshake or RESUME that failed with a *retryable* error leaves
@@ -282,18 +293,20 @@ class RemoteSession:
         attempt must finish establishing it before resending the
         caller's request.
         """
-        if self.channel.closed:
+        if self.channel is None or self.channel.closed:
             if self._channel_factory is None:
                 raise RemoteError(
                     "connection lost and this session has no way to "
                     "redial; construct with address= or "
                     "channel_factory= to enable reconnects"
                 )
+            redial = self.channel is not None
             try:
                 self.channel = self._channel_factory()
             except OSError as exc:
-                raise TransportError(f"redial failed: {exc}") from exc
-            self._m_reconnects.inc()
+                raise TransportError(f"dial failed: {exc}") from exc
+            if redial:
+                self._m_reconnects.inc()
             self._session_ready = False
         if self._session_ready:
             return
@@ -370,8 +383,7 @@ class RemoteSession:
         count.  Returns the number of chunk frames the service accepted.
 
         Call :meth:`commit` (after all participating clients finish) to
-        seal the load; on streaming deployments, :meth:`snapshot_query`
-        works before the commit.
+        seal the load; :meth:`snapshot_query` works before the commit.
         """
         # Imported here (not at module top): source coercion pulls in the
         # api layer, which imports transport; keep the client-facing

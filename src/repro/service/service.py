@@ -663,7 +663,7 @@ class CiaoService:
         session = self.session
         job = session.last_job
         if job is not None and not job.done:
-            if snapshot and session.config.streaming_queries:
+            if snapshot:
                 return job.snapshot_query(sql)
             if job._external:
                 # A plain query would wait for a COMMIT that may never
@@ -671,6 +671,6 @@ class CiaoService:
                 # admission slot.
                 raise RuntimeError(
                     "a remote load is in flight: COMMIT it first, or "
-                    "use snapshot queries on a streaming deployment"
+                    "use a snapshot query"
                 )
         return session.query(sql)

@@ -13,6 +13,7 @@ BAD_SERVER_OPTIONS = [
     ("dispatch", "lottery"),
     ("partial_loading", "maybe"),
     ("n_shards", 0),
+    ("seal_interval", 0),
 ]
 
 
@@ -21,19 +22,31 @@ class TestValidation:
         config = DeploymentConfig()
         assert config.mode == "serial"
         assert config.resolved_n_shards == 1
-        assert not config.streaming_queries
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode must be one of"):
             DeploymentConfig(mode="clustered")
 
-    def test_server_options_same_error_as_server_layer(self):
+    def test_server_options_same_error_as_server_layer(self, tmp_path):
         """The facade reuses the server's validation — messages match."""
         with pytest.raises(ValueError) as via_config:
             DeploymentConfig(shard_mode="fiber")
         with pytest.raises(ValueError) as via_server:
             validate_server_options(shard_mode="fiber")
         assert str(via_config.value) == str(via_server.value)
+        # seal_interval is checked up front in every mode, serial too.
+        with pytest.raises(ValueError) as via_helper:
+            validate_server_options(seal_interval=0)
+        for build in (
+                lambda: DeploymentConfig(seal_interval=0),
+                lambda: DeploymentConfig(mode="sharded", n_shards=2,
+                                         seal_interval=0),
+                lambda: CiaoServer(tmp_path, seal_interval=0)):
+            with pytest.raises(ValueError) as caught:
+                build()
+            assert str(caught.value) == str(via_helper.value)
+        with pytest.raises(ValueError, match="seal_interval must be >= 1"):
+            DeploymentConfig(mode="sharded", n_shards=2, seal_interval=-3)
 
     def test_bad_dispatch(self):
         with pytest.raises(ValueError, match="dispatch must be one of"):
@@ -54,7 +67,6 @@ class TestValidation:
     def test_sharded_default_shards(self):
         config = DeploymentConfig(mode="sharded")
         assert config.resolved_n_shards >= 2
-        assert config.streaming_queries
 
     def test_fleet_knobs_rejected_outside_fleet_mode(self):
         with pytest.raises(ValueError, match="aggregate_budget"):

@@ -6,8 +6,8 @@ much code* a deployment takes, never *what it produces*.
 * Per mode, a session run must write **byte-identical** catalog files
   (Parquet-lite parts + raw-JSON sideline) to a hand-wired run of the
   low-level constructors on the same seeded input — proven for serial,
-  sharded (round-robin, streaming off → deterministic layout), and a
-  deterministic one-client fleet.
+  sharded (round-robin, idle seals held off → deterministic layout), and
+  a deterministic one-client fleet.
 * Across modes, serial, sharded, and fleet must agree on the **canonical
   catalog content**: the same multiset of loaded rows and the same
   multiset of sidelined raw records (file layout differs by design —
@@ -31,6 +31,7 @@ from repro.client import SimulatedClient
 from repro.data import make_generator
 from repro.fleet import FleetCoordinator
 from repro.server import CiaoServer
+from repro.server import pipeline as pipeline_module
 from repro.storage.columnar import ParquetLiteReader
 from repro.rawjson.writer import dumps
 from repro.workload import estimate_selectivities, table3_workload
@@ -51,6 +52,16 @@ def setup():
     model = CostModel(DEFAULT_COEFFICIENTS, 160)
     plan = CiaoOptimizer(workload, sels, model).plan(Budget(4.0))
     return lines, workload, plan, sels
+
+
+@pytest.fixture(autouse=True)
+def fixed_part_layout(monkeypatch):
+    """Hold off the shard workers' idle seal for the whole test.
+
+    Three round-robin chunks per shard stay under the seal interval, so
+    each shard then writes exactly one part, whatever the timing.
+    """
+    monkeypatch.setattr(pipeline_module, "_IDLE_POLL_SECONDS", 10.0)
 
 
 def catalog_files(server):
@@ -116,7 +127,6 @@ def hand_sharded(tmp_path, setup):
     server = CiaoServer(
         tmp_path / "hand-sharded", plan=plan, workload=workload,
         n_shards=2, shard_mode="thread", dispatch="round-robin",
-        seal_interval=None,
     )
     client = SimulatedClient("hand", plan=plan, chunk_size=CHUNK_SIZE)
     for chunk in client.process(iter(lines)):
@@ -130,7 +140,6 @@ def hand_fleet(tmp_path, setup, population):
     server = CiaoServer(
         tmp_path / "hand-fleet", plan=plan, workload=workload,
         n_shards=2, shard_mode="thread", dispatch="round-robin",
-        seal_interval=None,
     )
     coordinator = FleetCoordinator(
         server, population, global_plan=plan,
@@ -154,15 +163,13 @@ SERIAL = DeploymentConfig(mode="serial", chunk_size=CHUNK_SIZE,
                           ship_batch=1)
 SHARDED = DeploymentConfig(mode="sharded", n_shards=2,
                            shard_mode="thread", dispatch="round-robin",
-                           seal_interval=None, chunk_size=CHUNK_SIZE,
-                           ship_batch=1)
+                           chunk_size=CHUNK_SIZE, ship_batch=1)
 
 
 def fleet_cfg():
     return DeploymentConfig(
         mode="fleet", n_shards=2, shard_mode="thread",
-        dispatch="round-robin", seal_interval=None,
-        chunk_size=CHUNK_SIZE, ship_batch=1,
+        dispatch="round-robin", chunk_size=CHUNK_SIZE, ship_batch=1,
         population=solo_population(),
     )
 

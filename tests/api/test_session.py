@@ -108,13 +108,16 @@ class TestLoadJob:
             assert progress.state == "done"
             assert progress.records_shipped == N_RECORDS
 
-    def test_snapshot_query_rejected_on_serial(self, yelp_workload):
+    def test_snapshot_query_on_serial(self, yelp_workload):
         with CiaoSession(yelp_workload, source="yelp",
                          seed=SEED) as session:
             job = session.load(n_records=N_RECORDS)
-            with pytest.raises(RuntimeError, match="snapshot_query"):
-                job.snapshot_query("SELECT COUNT(*) FROM t")
-            job.result()
+            mid = job.snapshot_query("SELECT COUNT(*) FROM t").scalar()
+            assert 0 <= mid <= N_RECORDS
+            report = job.result()
+            assert report.mode == "serial"
+            assert session.query("SELECT COUNT(*) FROM t").scalar() \
+                == N_RECORDS
 
     def test_snapshot_query_on_sharded(self, yelp_workload):
         config = DeploymentConfig(

@@ -40,9 +40,9 @@ def answers(server):
     return [server.query(sql).scalar() for sql in QUERIES]
 
 
-def streaming_server(tmp_path, tag, **kwargs):
-    return CiaoServer(tmp_path / tag, n_shards=2, shard_mode="thread",
-                      seal_interval=1, **kwargs)
+def streaming_server(tmp_path, tag, n_shards=2, **kwargs):
+    return CiaoServer(tmp_path / tag, n_shards=n_shards,
+                      shard_mode="thread", seal_interval=1, **kwargs)
 
 
 def serial_reference(tmp_path, chunks, tag="ref"):
@@ -107,13 +107,16 @@ class TestReaderLifetime:
         table = server.table
         parts = list(table.parquet_paths)
         first = answers(server)
-        (reader,) = table.open_readers()
-        assert all(group._cache for group in reader.row_groups())
-        released = weakref.ref(reader)
-        del reader
+        # A serial load seals a part every 8 chunks: 12 chunks, 2 parts.
+        readers = table.open_readers()
+        assert len(readers) == len(parts) == 2
+        assert all(group._cache for reader in readers
+                   for group in reader.row_groups())
+        released = [weakref.ref(reader) for reader in readers]
+        del readers
         table.set_view([], table.sidelines)
         gc.collect()
-        assert released() is None
+        assert all(ref() is None for ref in released)
         table.set_view(parts, table.sidelines)
         assert answers(server) == first
 
@@ -147,6 +150,31 @@ class TestMidLoadCompaction:
         assert answers(server) == answers(reference)
         server.finalize_loading()
         assert answers(server) == answers(reference)
+
+    def test_serial_swap_preserves_answers_and_load_continues(self,
+                                                              tmp_path):
+        # A serial load seals every chunk here: its parts compact mid-load
+        # like a shard's, and the loader keeps writing new parts.
+        chunks = make_chunks()
+        qlog = QueryLog()
+        server = streaming_server(tmp_path, "serial", n_shards=1,
+                                  query_log=qlog)
+        for chunk in chunks[:8]:
+            server.ingest(chunk)
+        before = answers(server)
+        assert len(server.sealed_parts()) == 8
+        comp = Compactor(server, config=CompactionConfig(
+            min_observations=1), query_log=qlog)
+        assert comp.run_once() is not None
+        assert len(server.sealed_parts()) < 8
+        assert answers(server) == before
+        for chunk in chunks[8:]:
+            server.ingest(chunk)
+        reference = serial_reference(tmp_path, chunks)
+        assert answers(server) == answers(reference)
+        server.finalize_loading()
+        assert answers(server) == answers(reference)
+        assert server.state == "finalized"
 
     def test_warm_snapcache_equals_cold_after_swap(self, tmp_path):
         chunks = make_chunks()

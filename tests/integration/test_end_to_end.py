@@ -97,6 +97,7 @@ class TestFullPipeline:
         client.ship(lines, channel)
         server = CiaoServer(tmp_path / "srv", plan=plan, workload=workload)
         assert server.ingest_channel(channel) == 3
+        server.finalize_loading()
         counts = [
             server.query(q.sql("t")).scalar() for q in workload.queries
         ]
@@ -116,6 +117,7 @@ class TestFullPipeline:
             lines[half:], channel
         )
         server.ingest_channel(channel)
+        server.finalize_loading()
         counts = [
             server.query(q.sql("t")).scalar() for q in workload.queries
         ]

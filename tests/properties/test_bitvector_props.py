@@ -20,6 +20,44 @@ def test_from_bits_roundtrip(bits):
     assert BitVector.from_bits(bits).to_bits() == [int(b) for b in bits]
 
 
+#: Truthy and falsy values of many types, as engine predicates return.
+mixed_values = st.sampled_from(
+    [True, False, 0, 1, -2, 7, None, "", "x", 0.0, 0.5, [], [None], b""]
+)
+
+#: Lengths on and around the byte and 4,096-bit boundaries.
+edge_lengths = st.sampled_from(
+    [0, 1, 7, 8, 9, 15, 16, 17, 4095, 4096, 4097, 8191, 8192, 8193]
+)
+
+
+def per_bit_reference(values):
+    bv = BitVector(len(values))
+    for index, value in enumerate(values):
+        if value:
+            bv.set(index)
+    return bv
+
+
+@given(st.lists(mixed_values, max_size=300))
+def test_from_bits_matches_per_bit_reference(values):
+    assert BitVector.from_bits(values) == per_bit_reference(values)
+    assert BitVector.from_bits(iter(values)) == per_bit_reference(values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(edge_lengths, st.data())
+def test_from_bits_matches_reference_at_boundaries(length, data):
+    # Hypothesis caps list sizes below 8 K: draw a palette, then pick
+    # each position from it with a drawn random.
+    palette = data.draw(st.lists(mixed_values, min_size=1, max_size=16))
+    rnd = data.draw(st.randoms(use_true_random=False))
+    values = [rnd.choice(palette) for _ in range(length)]
+    bv = BitVector.from_bits(values)
+    assert len(bv) == length
+    assert bv == per_bit_reference(values)
+
+
 @given(bit_lists)
 def test_serialization_roundtrip(bits):
     bv = BitVector.from_bits(bits)

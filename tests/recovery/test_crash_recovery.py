@@ -20,6 +20,7 @@ from repro.obs.metrics import Metrics
 from repro.rawjson.chunks import JsonChunk
 from repro.recovery import Manifest, ManifestError
 from repro.server import pipeline as pipeline_module
+from repro.server.pipeline import DEFAULT_SEAL_INTERVAL
 from repro.server.ciao import CiaoServer
 from repro.server.loader import LoadSummary
 from repro.service import CiaoService, RemoteSession
@@ -56,6 +57,23 @@ def feed(server, seqs, client_id="c1", source_id="src"):
     for seq in seqs:
         session.ingest_sequenced(batch(seq), seq=seq, client_id=client_id)
     return session
+
+
+def sidelining_batch(i, rows=4):
+    """One record per batch is loaded (bit 0 set); the rest sideline."""
+    chunk = JsonChunk(chunk_id=i, records=[
+        json.dumps({"k": f"v{i % 3}", "n": i * rows + r})
+        for r in range(rows)
+    ])
+    chunk.attach(0, BitVector.from_bits([r == 0 for r in range(rows)]))
+    return encode_chunk(chunk)
+
+
+def feed_sidelining(server, seqs):
+    session = server.open_ingest_session("src")
+    for seq in seqs:
+        session.ingest_sequenced(sidelining_batch(seq), seq=seq,
+                                 client_id="c1")
 
 
 class TestDurableManifest:
@@ -197,22 +215,6 @@ class TestRecovery:
         assert rows == [{"count(*)": 32}]
 
     def test_finalize_keeps_the_recovered_sideline_parsed(self, tmp_path):
-        # One record per batch is loaded (bit 0 set); the rest sideline.
-        def sidelining_batch(i, rows=4):
-            chunk = JsonChunk(chunk_id=i, records=[
-                json.dumps({"k": f"v{i % 3}", "n": i * rows + r})
-                for r in range(rows)
-            ])
-            chunk.attach(0, BitVector.from_bits(
-                [r == 0 for r in range(rows)]))
-            return encode_chunk(chunk)
-
-        def feed_sidelining(server, seqs):
-            session = server.open_ingest_session("src")
-            for seq in seqs:
-                session.ingest_sequenced(sidelining_batch(seq), seq=seq,
-                                         client_id="c1")
-
         sql = "SELECT COUNT(*) FROM t"
         server = durable_server(tmp_path, partial_loading="on")
         feed_sidelining(server, range(1, 7))
@@ -237,6 +239,71 @@ class TestRecovery:
         assert cached == [str(path)
                           for path, _ in recovered.table.sidelines]
         assert all(Path(path).exists() for path in cached)
+
+    def test_serial_midload_checkpoint_recovers_and_resumes(self, tmp_path):
+        server = durable_server(tmp_path / "durable", n_shards=1)
+        feed(server, range(1, 6))
+        assert server.checkpoint() is True
+        assert server.state == "loading"
+        recovered = CiaoServer.recover(tmp_path / "durable")
+        assert recovered.state == "loading"
+        assert recovered.deployment_options["n_shards"] == 1
+        assert recovered.ledger_last("c1", "src") == 5
+        sql = "SELECT COUNT(*) FROM t"
+        assert recovered.query(sql).scalar() == 5 * 4
+        replay = recovered.resume_ingest_session("src")
+        for seq in range(4, 10):  # replays past the watermark dedupe
+            replay.ingest_sequenced(batch(seq), seq=seq, client_id="c1")
+        summary = recovered.finalize_loading()
+        assert summary.received == 9 * 4
+        serial = CiaoServer(tmp_path / "serial")
+        for seq in range(1, 10):
+            serial.ingest(batch(seq))
+        serial.finalize_loading()
+        for sql in ("SELECT COUNT(*) FROM t",
+                    "SELECT k, COUNT(*), SUM(n) FROM t GROUP BY k"):
+            assert sorted_rows(recovered.query(sql)) == \
+                sorted_rows(serial.query(sql))
+
+    def test_serial_recovered_sideline_is_one_segment(self, tmp_path):
+        # The serial loader appends to the main sideline file right
+        # after the recovered records: the view lists that file once.
+        sql = "SELECT COUNT(*) FROM t"
+        server = durable_server(tmp_path, n_shards=1, partial_loading="on")
+        feed_sidelining(server, range(1, 7))
+        assert server.checkpoint() is True
+        recovered = CiaoServer.recover(tmp_path)
+        main = recovered._side_store.path
+        assert recovered.query(sql).scalar() == 24
+        assert recovered.table.sidelines == [(main, 18)]
+        feed_sidelining(recovered, range(7, 11))
+        recovered.quiesce()
+        mid = recovered.query(sql)
+        assert mid.scalar() == 40
+        assert recovered.table.sidelines == [(main, 30)]
+        assert mid.stats.sideline_records_parsed == 12
+        recovered.finalize_loading()
+        final = recovered.query(sql)
+        assert final.scalar() == 40
+        assert final.stats.sideline_records_parsed == 0
+        assert final.stats.sideline_records_cached == 30
+
+    @pytest.mark.parametrize("stored", [{"seal_interval": None}, {}])
+    def test_manifest_without_seal_interval_gets_the_default(self, tmp_path,
+                                                            stored):
+        # Servers that could switch sealing off wrote a null (or, older
+        # still, no) seal_interval into their manifests.
+        server = durable_server(tmp_path, n_shards=1)
+        feed(server, range(1, 4))
+        server.checkpoint()
+        manifest, doc = Manifest.load(Manifest.path_for(tmp_path, "t"))
+        del doc["options"]["seal_interval"]
+        doc["options"].update(stored)
+        manifest.write(doc)
+        recovered = CiaoServer.recover(tmp_path)
+        assert recovered.deployment_options["seal_interval"] == \
+            DEFAULT_SEAL_INTERVAL
+        assert recovered.query("SELECT COUNT(*) FROM t").scalar() == 3 * 4
 
     def test_recover_without_manifest_raises(self, tmp_path):
         with pytest.raises(ManifestError):

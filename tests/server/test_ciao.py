@@ -103,6 +103,7 @@ class TestIngestAndQuery:
         client = SimulatedClient("c", plan=plan, chunk_size=25)
         for chunk in client.process(LINES):
             server.ingest(chunk)
+        server.finalize_loading()
         results = server.run_workload(WORKLOAD.queries)
         assert [r.scalar() for r in results] == [10, 10]
         assert all(r.plan_info.used_skipping for r in results)
@@ -111,12 +112,15 @@ class TestIngestAndQuery:
         server = CiaoServer(tmp_path)
         chunk = JsonChunk(0, LINES[:10])
         server.ingest(chunk)
+        # A query no longer finalizes (it answers the sealed prefix).
+        server.finalize_loading()
         result = server.query("SELECT COUNT(*) FROM t")
         assert result.scalar() == 10
 
     def test_table_name_respected(self, tmp_path):
         server = CiaoServer(tmp_path, table_name="events")
         server.ingest(JsonChunk(0, LINES[:5]))
+        server.finalize_loading()
         assert server.query(
             "SELECT COUNT(*) FROM events"
         ).scalar() == 5

@@ -192,12 +192,14 @@ class TestPipelineBehavior:
         assert summary.loaded == 60
         assert summary.sidelined == 60
 
-    def test_round_robin_assignment_is_deterministic(self, tmp_path):
-        # Round-robin dispatch (with streaming seals off) still promises
-        # reproducible shard files; work-stealing trades that for load
-        # balance, so the layout contract is opt-in now.
+    def test_round_robin_assignment_is_deterministic(self, tmp_path,
+                                                     monkeypatch):
+        # Round-robin dispatch (with the idle seal held off) still
+        # promises reproducible shard files; work-stealing trades that
+        # for load balance, so the layout contract is opt-in now.
+        monkeypatch.setattr(pipeline_module, "_IDLE_POLL_SECONDS", 10.0)
         pipeline, _ = self.make_pipeline(
-            tmp_path, n_shards=2, dispatch="round-robin", seal_interval=None
+            tmp_path, n_shards=2, dispatch="round-robin"
         )
         for chunk in self.simple_chunks(n_chunks=4):
             pipeline.submit(chunk)

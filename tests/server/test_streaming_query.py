@@ -1,9 +1,9 @@
 """Query-during-load: streaming snapshots, work stealing, and lifecycle.
 
-The contract under test: a sharded server answers queries *while loading*,
-and every mid-load answer equals what serial ingest of exactly the covered
-chunks would answer; after finalize, answers equal serial ingest of the
-whole stream.  Plus the lifecycle fixes that make the seam safe — explicit
+The contract under test: a server — serial or sharded — answers queries
+*while loading*, and every mid-load answer equals what serial ingest of
+exactly the covered chunks would answer; after finalize, answers equal
+serial ingest of the whole stream.  Plus the lifecycle fixes that make the seam safe — explicit
 ``loading → finalized`` states and loud errors on ingest-after-finalize.
 """
 
@@ -203,6 +203,103 @@ class TestStreamingQueryEquivalence:
         assert answers(server) == answers(full)
 
 
+class TestSerialMidLoad:
+    """A serial server seals and publishes like a one-shard load."""
+
+    def test_quiesced_prefix_equals_finalized_serial(self, tmp_path):
+        chunks = make_chunks()
+        prefix = 5
+        server = CiaoServer(tmp_path / "live")
+        for chunk in chunks[:prefix]:
+            server.ingest(chunk)
+        server.quiesce()
+        reference = serial_reference(tmp_path, chunks[:prefix], "ref")
+        assert answers(server) == answers(reference)
+        assert server.state == "loading"
+        assert server.load_summary.received == \
+            reference.load_summary.received
+        for chunk in chunks[prefix:]:
+            server.ingest(chunk)
+        server.finalize_loading()
+        full = serial_reference(tmp_path, chunks, "full")
+        assert answers(server) == answers(full)
+
+    def test_query_sees_only_sealed_chunks(self, tmp_path):
+        server = CiaoServer(tmp_path, seal_interval=4)
+        for chunk in make_chunks():
+            server.ingest(chunk)
+        # Two seals cover eight chunks; the last two wait for the next.
+        assert server.query("SELECT COUNT(*) FROM t").scalar() \
+            == 8 * CHUNK_RECORDS
+        assert server.load_summary.chunks == 8
+        assert len(server.sealed_parts()) == 2
+        server.finalize_loading()
+        assert server.query("SELECT COUNT(*) FROM t").scalar() \
+            == N_CHUNKS * CHUNK_RECORDS
+        assert len(server.table.parquet_paths) == 3
+
+    def test_mid_load_sideline_is_covered_once(self, tmp_path):
+        """Sealed parts + the main sideline file's watermark, together."""
+        n = 20
+        chunks = []
+        for cid in range(6):
+            chunk = JsonChunk(
+                cid, [dump_record({"i": cid * n + k}) for k in range(n)]
+            )
+            chunk.attach(
+                0, BitVector.from_bits([k % 4 == 0 for k in range(n)])
+            )
+            chunks.append(chunk)
+        server = CiaoServer(tmp_path, partial_loading="on", seal_interval=4)
+        for chunk in chunks:
+            server.ingest(chunk)
+        mid = server.query("SELECT COUNT(*) FROM t")
+        assert mid.scalar() == 4 * n
+        assert mid.stats.sideline_records_parsed == 4 * 15
+        assert server.table.sidelines == [(server._side_store.path, 4 * 15)]
+        server.quiesce()
+        assert server.query("SELECT COUNT(*) FROM t").scalar() == 6 * n
+        assert server.load_summary.sidelined == 6 * 15
+
+    def test_concurrent_queries_see_whole_publications(self, tmp_path):
+        """Queries racing the ingest thread see only whole seals."""
+        import sys
+        import threading
+
+        chunks = make_chunks(n_chunks=40)
+        server = CiaoServer(tmp_path, seal_interval=2)
+        seen = {i: [] for i in range(4)}
+        done = threading.Event()
+
+        def reader(i):
+            while not done.is_set():
+                seen[i].append(
+                    server.query("SELECT COUNT(*) FROM t").scalar()
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            readers = [threading.Thread(target=reader, args=(i,))
+                       for i in range(4)]
+            for thread in readers:
+                thread.start()
+            for chunk in chunks:
+                server.ingest(chunk)
+            done.set()
+            for thread in readers:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        for counts in seen.values():
+            assert all(c % (2 * CHUNK_RECORDS) == 0 for c in counts), counts
+            assert counts == sorted(counts)
+        assert server.query("SELECT COUNT(*) FROM t").scalar() \
+            == 40 * CHUNK_RECORDS
+        assert server.state == "loading"
+
+
 class TestWorkStealing:
     @pytest.mark.parametrize("mode", ["thread", "process"])
     def test_equivalent_to_round_robin_on_skewed_chunks(self, tmp_path,
@@ -276,28 +373,6 @@ class TestLifecycle:
         assert server.state == "loading"
         server.ingest(make_chunks(2)[1])  # still accepts data
         server.finalize_loading()
-        assert server.state == "finalized"
-
-    def test_streaming_disabled_falls_back_to_auto_finalize(self, tmp_path):
-        # seal_interval=None opts out of streaming; a mid-load query then
-        # behaves like the legacy sharded server (finalize on first
-        # query) instead of crashing on an impossible snapshot.
-        server = CiaoServer(tmp_path, n_shards=2, shard_mode="thread",
-                            seal_interval=None)
-        server.ingest(make_chunks(1)[0])
-        assert server.query("SELECT COUNT(*) FROM t").scalar() \
-            == CHUNK_RECORDS
-        assert server.state == "finalized"
-        with pytest.raises(RuntimeError):
-            CiaoServer(tmp_path / "q", n_shards=2, shard_mode="thread",
-                       seal_interval=None).quiesce(timeout=1)
-
-    def test_serial_query_still_auto_finalizes(self, tmp_path):
-        # Documented serial-mode behavior: a half-written Parquet part has
-        # no footer, so the first query seals loading.
-        server = CiaoServer(tmp_path)
-        server.ingest(make_chunks(1)[0])
-        server.query("SELECT COUNT(*) FROM t")
         assert server.state == "finalized"
 
     def test_finalize_idempotent_and_summary_stable(self, tmp_path):

@@ -160,6 +160,30 @@ class TestRetryMechanics:
         assert counters(metrics)["retry.reconnects"] >= 1
         remote.close()
 
+    def test_first_dial_retries_under_the_policy(self, served):
+        """A refused first dial backs off and redials like a reconnect."""
+        _, service = served
+        metrics = Metrics()
+        refusals = {"left": 2}
+
+        def dial():
+            if refusals["left"]:
+                refusals["left"] -= 1
+                raise ConnectionRefusedError("service not up yet")
+            return SocketChannel.connect(service.address)
+
+        remote = RemoteSession(channel_factory=dial, retry=quick_policy(),
+                               metrics=metrics)
+        assert refusals["left"] == 0
+        assert remote.ping() is True
+        assert counters(metrics)["retry.attempts"] == 2
+        assert counters(metrics).get("retry.giveups", 0) == 0
+        remote.close()
+        # Without a policy the first refusal raises at once.
+        refusals["left"] = 1
+        with pytest.raises(ConnectionRefusedError):
+            RemoteSession(channel_factory=dial)
+
     def test_reconnect_faults_do_not_spend_request_attempts(self, served):
         """Re-handshakes retry on their own budget, not the request's."""
         _, service = served

@@ -119,6 +119,7 @@ class TestLoaderRotation:
         server = CiaoServer(tmp_path)
         server.ingest(JsonChunk(0, [dump_record({"a": 1})]))
         server.ingest(JsonChunk(1, [dump_record({"a": 2, "b": "x"})]))
+        server.finalize_loading()
         assert server.query("SELECT COUNT(*) FROM t").scalar() == 2
         assert server.query(
             "SELECT COUNT(*) FROM t WHERE b = 'x'"
@@ -133,6 +134,7 @@ class TestLoaderRotation:
 
         server = CiaoServer(tmp_path)
         server.ingest(JsonChunk(0, [dump_record({"a": 1})]))
+        server.finalize_loading()
         assert server.query(
             "SELECT COUNT(*) FROM t WHERE ghost = 'x'"
         ).scalar() == 0
