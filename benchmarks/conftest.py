@@ -4,7 +4,8 @@ Scale: the paper ran 5–27 GB datasets; these benches default to
 laptop-scale record counts so the whole suite finishes in minutes.  Set
 ``REPRO_SCALE`` (a float multiplier, e.g. ``REPRO_SCALE=10``) to run
 larger.  Every bench prints the paper-style series and archives it under
-``benchmarks/results/``.
+``benchmarks/results/``; a smoke (``REPRO_BENCH_SMOKE=1``) or down-scaled
+(``REPRO_SCALE`` < 1) run writes to a temporary directory instead.
 
 The test tree's oracles (e.g. ``engine_oracle``, the row-at-a-time
 interpreter the query-engine bench times the batch engine against) are
@@ -29,6 +30,10 @@ SCALE = float(os.environ.get("REPRO_SCALE", "1"))
 #: Where bench outputs are archived.
 RESULTS = Path(__file__).parent / "results"
 
+#: Smoke runs (``REPRO_BENCH_SMOKE``) and down-scaled runs shrink the
+#: inputs, so their numbers must not replace the archived full runs.
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+
 
 def config_for(dataset: str, n_records: int, n_queries: int,
                chunk_size: int = 500) -> dict:
@@ -47,8 +52,10 @@ def config_for(dataset: str, n_records: int, n_queries: int,
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    """Archive directory for bench outputs."""
+def results_dir(tmp_path_factory) -> Path:
+    """Archive directory for bench outputs (a temporary one when shrunk)."""
+    if SMOKE or SCALE < 1:
+        return tmp_path_factory.mktemp("results")
     RESULTS.mkdir(parents=True, exist_ok=True)
     return RESULTS
 

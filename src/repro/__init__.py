@@ -37,72 +37,7 @@ overview and EXPERIMENTS.md for the paper-versus-measured record of every
 table and figure.
 """
 
-from .api import (
-    AsyncSession,
-    CiaoSession,
-    DataSource,
-    DeploymentConfig,
-    LoadJob,
-    LoadProgress,
-    LoadReport,
-    as_source,
-)
-from .core import (
-    APPROXIMATION_GUARANTEE,
-    Budget,
-    CiaoOptimizer,
-    Clause,
-    ClientProfile,
-    CostCoefficients,
-    CostModel,
-    DEFAULT_COEFFICIENTS,
-    PredicateKind,
-    PushdownEntry,
-    PushdownPlan,
-    Query,
-    SelectionObjective,
-    SelectionResult,
-    SimplePredicate,
-    UnsupportedPredicateError,
-    Workload,
-    allocate_budgets,
-    clause,
-    exact,
-    key_present,
-    key_value,
-    prefix,
-    select_predicates,
-    substring,
-    suffix,
-)
-from .client import ClientEvaluator, SimulatedClient
-from .fleet import (
-    ClientPopulation,
-    ClientRunReport,
-    FleetClientSpec,
-    FleetCoordinator,
-    FleetReport,
-)
-from .obs import Metrics, QueryLog, Tracer
-from .server import (
-    CiaoServer,
-    ClientAssistedLoader,
-    IngestSession,
-    LoadSummary,
-)
-from .service import CiaoService, RemoteSession
-from .transport import (
-    Channel,
-    ChannelSpec,
-    FileChannel,
-    LatencyChannel,
-    LinkModel,
-    LossyChannel,
-    MemoryChannel,
-    SocketChannel,
-    SocketListener,
-    make_channel,
-)
+from . import _lazy
 
 __version__ = "1.2.0"
 
@@ -169,3 +104,29 @@ __all__ = [
     "substring",
     "suffix",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".api": (
+        "AsyncSession", "CiaoSession", "DataSource", "DeploymentConfig",
+        "LoadJob", "LoadProgress", "LoadReport", "as_source"),
+    ".core": (
+        "APPROXIMATION_GUARANTEE", "Budget", "CiaoOptimizer", "Clause",
+        "ClientProfile", "CostCoefficients", "CostModel",
+        "DEFAULT_COEFFICIENTS", "PredicateKind", "PushdownEntry",
+        "PushdownPlan", "Query", "SelectionObjective", "SelectionResult",
+        "SimplePredicate", "UnsupportedPredicateError", "Workload",
+        "allocate_budgets", "clause", "exact", "key_present", "key_value",
+        "prefix", "select_predicates", "substring", "suffix"),
+    ".client": ("ClientEvaluator", "SimulatedClient"),
+    ".fleet": (
+        "ClientPopulation", "ClientRunReport", "FleetClientSpec",
+        "FleetCoordinator", "FleetReport"),
+    ".obs": ("Metrics", "QueryLog", "Tracer"),
+    ".server": (
+        "CiaoServer", "ClientAssistedLoader", "IngestSession", "LoadSummary"),
+    ".service": ("CiaoService", "RemoteSession"),
+    ".transport": (
+        "Channel", "ChannelSpec", "FileChannel", "LatencyChannel", "LinkModel",
+        "LossyChannel", "MemoryChannel", "SocketChannel", "SocketListener",
+        "make_channel"),
+})

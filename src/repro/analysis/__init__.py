@@ -12,23 +12,7 @@ wrappers when ``CIAO_LOCKSAN=1`` — the observed acquisition orders are
 checked against the static lock graph at test-session teardown.
 """
 
-from repro.analysis.annotations import guarded_by
-from repro.analysis.cli import AnalysisResult, main, run_analysis
-from repro.analysis.findings import Finding
-from repro.analysis.lockgraph import (
-    LockGraph,
-    build_lock_graph,
-    build_lock_graph_from_paths,
-)
-from repro.analysis.model import Project
-from repro.analysis.registry import Checker, all_checkers, register
-from repro.analysis.sanitizer import (
-    LockOrderError,
-    make_condition,
-    make_lock,
-    make_rlock,
-    verify_consistent,
-)
+from .. import _lazy
 
 __all__ = [
     "AnalysisResult",
@@ -49,3 +33,17 @@ __all__ = [
     "run_analysis",
     "verify_consistent",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".annotations": ("guarded_by",),
+    # all_checkers is taken through cli, whose import registers them.
+    ".cli": ("AnalysisResult", "all_checkers", "main", "run_analysis"),
+    ".findings": ("Finding",),
+    ".lockgraph": (
+        "LockGraph", "build_lock_graph", "build_lock_graph_from_paths"),
+    ".model": ("Project",),
+    ".registry": ("Checker", "register"),
+    ".sanitizer": (
+        "LockOrderError", "make_condition", "make_lock", "make_rlock",
+        "verify_consistent"),
+})

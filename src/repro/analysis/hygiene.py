@@ -21,7 +21,9 @@ Rules:
             ``# ciaolint: allow[...] -- reason`` justification.
 
 ``from . import submodule`` bindings are ignored for API003 — they bind
-modules, which the public-surface contract has never covered.
+modules, which the public-surface contract has never covered.  Names a
+package exports lazily, through the literal table it hands
+``_lazy.lazy_exports``, count as bound.
 """
 
 from __future__ import annotations
@@ -65,6 +67,23 @@ def _literal_all(tree: ast.Module) -> Optional[Tuple[List[str], int]]:
     return None
 
 
+def _lazy_table_names(value: ast.expr) -> Set[str]:
+    """Names a ``_lazy.lazy_exports(__name__, {...})`` table exports."""
+    if not (isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Attribute)
+            and value.func.attr == "lazy_exports"
+            and len(value.args) == 2
+            and isinstance(value.args[1], ast.Dict)):
+        return set()
+    return {
+        elt.value
+        for names in value.args[1].values
+        if isinstance(names, (ast.Tuple, ast.List))
+        for elt in names.elts
+        if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+    }
+
+
 def _top_level_bindings(tree: ast.Module) -> Set[str]:
     """Names bound at module top level (symbols, not submodules)."""
     bound: Set[str] = set()
@@ -83,6 +102,7 @@ def _top_level_bindings(tree: ast.Module) -> Set[str]:
                                ast.ClassDef)):
             bound.add(stmt.name)
         elif isinstance(stmt, ast.Assign):
+            bound.update(_lazy_table_names(stmt.value))
             for target in stmt.targets:
                 parts = (target.elts
                          if isinstance(target, (ast.Tuple, ast.List))

@@ -25,51 +25,7 @@ Commonly-needed core symbols (budgets, workload building blocks) are
 re-exported so a quickstart needs only ``repro.api`` imports.
 """
 
-from ..core.budgets import Budget
-from ..core.cost_model import DEFAULT_COEFFICIENTS, CostCoefficients, CostModel
-from ..core.optimizer import CiaoOptimizer, PushdownPlan
-from ..core.predicates import (
-    Query,
-    Workload,
-    clause,
-    exact,
-    key_present,
-    key_value,
-    prefix,
-    substring,
-    suffix,
-)
-from ..fleet.population import ClientPopulation, FleetClientSpec
-from ..server.ciao import CiaoServer
-from ..transport import (
-    Channel,
-    ChannelSpec,
-    FileChannel,
-    LatencyChannel,
-    LinkModel,
-    LossyChannel,
-    MemoryChannel,
-    make_channel,
-    per_client_channels,
-)
-from .aio import AsyncSession
-from .config import (
-    DEFAULT_N_CLIENTS,
-    DEFAULT_N_SHARDS,
-    DEPLOYMENT_MODES,
-    DeploymentConfig,
-)
-from .report import LoadReport
-from .session import CiaoSession, LoadJob, LoadProgress
-from .source import (
-    CsvFileSource,
-    DataSource,
-    GeneratorSource,
-    JsonFileSource,
-    LimitedSource,
-    LineSource,
-    as_source,
-)
+from .. import _lazy
 
 __all__ = [
     "AsyncSession",
@@ -116,3 +72,28 @@ __all__ = [
     "substring",
     "suffix",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    "..core.budgets": ("Budget",),
+    "..core.cost_model": (
+        "DEFAULT_COEFFICIENTS", "CostCoefficients", "CostModel"),
+    "..core.optimizer": ("CiaoOptimizer", "PushdownPlan"),
+    "..core.predicates": (
+        "Query", "Workload", "clause", "exact", "key_present", "key_value",
+        "prefix", "substring", "suffix"),
+    "..fleet.population": ("ClientPopulation", "FleetClientSpec"),
+    "..server.ciao": ("CiaoServer",),
+    "..transport": (
+        "Channel", "ChannelSpec", "FileChannel", "LatencyChannel", "LinkModel",
+        "LossyChannel", "MemoryChannel", "make_channel",
+        "per_client_channels"),
+    ".aio": ("AsyncSession",),
+    ".config": (
+        "DEFAULT_N_CLIENTS", "DEFAULT_N_SHARDS", "DEPLOYMENT_MODES",
+        "DeploymentConfig"),
+    ".report": ("LoadReport",),
+    ".session": ("CiaoSession", "LoadJob", "LoadProgress"),
+    ".source": (
+        "CsvFileSource", "DataSource", "GeneratorSource", "JsonFileSource",
+        "LimitedSource", "LineSource", "as_source"),
+})

@@ -14,16 +14,18 @@ which layer it entered through.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..client.device import DEFAULT_SHIP_BATCH
+from ..client.protocol import DEFAULT_SHIP_BATCH
 from ..core.budgets import Budget
-from ..fleet.coordinator import DEFAULT_MAX_PENDING
-from ..fleet.population import ClientPopulation
 from ..rawjson.chunks import DEFAULT_CHUNK_SIZE
 from ..server.pipeline import DEFAULT_SEAL_INTERVAL, validate_server_options
-from ..transport import ChannelLike
 from ..storage.schema import Schema
+from ..transport.base import DEFAULT_MAX_PENDING
+
+if TYPE_CHECKING:
+    from ..fleet.population import ClientPopulation
+    from ..transport.spec import ChannelLike
 
 #: The deployment shapes a session can run.
 DEPLOYMENT_MODES = ("serial", "sharded", "fleet")
@@ -35,7 +37,7 @@ DEFAULT_N_SHARDS = 2
 DEFAULT_N_CLIENTS = 8
 
 #: Query-side per-client backpressure bound, mirroring the ingest-side
-#: :data:`~repro.fleet.coordinator.DEFAULT_MAX_PENDING`: a remote client
+#: :data:`~repro.transport.base.DEFAULT_MAX_PENDING`: a remote client
 #: may have at most this many queries queued before the service answers
 #: BUSY instead of accepting more.
 DEFAULT_QUERY_MAX_PENDING = 8

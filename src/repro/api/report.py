@@ -14,11 +14,13 @@ of how the data got there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..client.device import ClientStats
-from ..fleet.report import FleetReport
 from ..server.loader import LoadSummary
+
+if TYPE_CHECKING:
+    from ..client.device import ClientStats
+    from ..fleet.report import FleetReport
 
 
 @dataclass(kw_only=True)

@@ -27,31 +27,33 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+                    Mapping, Optional, Union)
 
 from ..analysis.sanitizer import make_lock
-from ..client.device import SimulatedClient
-from ..compact import Compactor, resolve_compaction
 from ..core.budgets import Budget
 from ..core.cost_model import DEFAULT_COEFFICIENTS, CostModel
 from ..core.optimizer import CiaoOptimizer, PushdownPlan
 from ..core.predicates import Query, Workload
-from ..data import DEFAULT_SEED
-from ..data.randomness import derive_seed
+from ..data.randomness import DEFAULT_SEED, derive_seed
 from ..engine.executor import QueryResult
-from ..fleet.coordinator import FleetCoordinator
 from ..obs.metrics import Metrics, resolve_metrics
 from ..obs.querylog import QueryLog, QueryLogRecord, resolve_query_log
 from ..obs.tracing import Tracer, resolve_tracer
-from ..fleet.population import ClientPopulation
 from ..recovery.manifest import ManifestError
 from ..server.ciao import CiaoServer
-from ..transport import Channel, make_channel, per_client_channels
 from ..workload.selectivity import estimate_selectivities
 from .config import DeploymentConfig
 from .report import LoadReport
 from .source import DataSource, SourceLike, as_source
+
+# Local loads, fleets and compaction import what they drive when they
+# start, so a session that only serves never loads them.
+if TYPE_CHECKING:
+    from ..client.device import SimulatedClient
+    from ..compact.compactor import Compactor
+    from ..fleet.coordinator import FleetCoordinator
+    from ..transport.base import Channel
 
 
 @dataclass(frozen=True)
@@ -308,7 +310,11 @@ class CiaoSession:
         self._metrics = resolve_metrics(metrics)
         self._tracer = resolve_tracer(tracer)
         self._query_log = resolve_query_log(query_log)
-        self._compaction = resolve_compaction(compaction)
+        self._compaction = None
+        if compaction is not None and compaction is not False:
+            from ..compact.policy import resolve_compaction
+
+            self._compaction = resolve_compaction(compaction)
         self._compactor: Optional[Compactor] = None
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
         if data_dir is None:
@@ -642,6 +648,8 @@ class CiaoSession:
         """
         if self._compaction is None:
             return
+        from ..compact.compactor import Compactor
+
         if self._compactor is not None:
             self._compactor.close()
         self._compactor = Compactor(
@@ -654,6 +662,9 @@ class CiaoSession:
         self._compactor.start()
 
     def _start_serial(self, job: LoadJob, src: DataSource) -> None:
+        from ..client.device import SimulatedClient
+        from ..transport.spec import make_channel
+
         client = SimulatedClient(
             "session-client",
             plan=self._plan,
@@ -681,6 +692,10 @@ class CiaoSession:
         job._start(run)
 
     def _start_fleet(self, job: LoadJob, src: DataSource) -> None:
+        from ..fleet.coordinator import FleetCoordinator
+        from ..fleet.population import ClientPopulation
+        from ..transport.spec import per_client_channels
+
         population = self.config.population
         if population is None:
             population = ClientPopulation.generate(

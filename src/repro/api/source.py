@@ -22,13 +22,16 @@ from __future__ import annotations
 
 from itertools import islice
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
+                    Optional, Union)
 
-from ..data import DEFAULT_SEED, make_generator
 from ..data.base import DatasetGenerator
-from ..rawcsv.codec import CsvCodec
+from ..data.randomness import DEFAULT_SEED
 from ..rawjson.parser import loads
 from ..rawjson.writer import dump_record
+
+if TYPE_CHECKING:
+    from ..rawcsv.codec import CsvCodec
 
 
 class DataSource:
@@ -242,6 +245,8 @@ def as_source(obj: SourceLike, *,
         if isinstance(obj, str) and not path.exists():
             # Dataset names resolve through the generator registry;
             # make_generator raises a helpful KeyError for unknown ones.
+            from ..data.registry import make_generator
+
             generator = make_generator(obj, seed=seed)
             return GeneratorSource(generator, n_records or DEFAULT_N_RECORDS)
         if path.suffix.lower() == ".csv":

@@ -1,7 +1,6 @@
 """Bit-vector substrate: packed and run-length encoded validity vectors."""
 
-from .bitvector import BitVector, intersect_all, union_all
-from .rle import RleBitVector, best_encoding
+from .. import _lazy
 
 __all__ = [
     "BitVector",
@@ -10,3 +9,8 @@ __all__ = [
     "intersect_all",
     "union_all",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".bitvector": ("BitVector", "intersect_all", "union_all"),
+    ".rle": ("RleBitVector", "best_encoding"),
+})

@@ -1,17 +1,6 @@
 """Client-side substrate: raw-record evaluation, chunk protocol, devices."""
 
-from .device import DEFAULT_SHIP_BATCH, ClientStats, SimulatedClient
-from .evaluator import ClientEvaluator, EvaluationReport
-from .protocol import (
-    MAGIC,
-    ProtocolError,
-    bitvector_overhead,
-    decode_chunk,
-    decode_chunk_stream,
-    encode_chunk,
-    encode_frame_batch,
-    split_frames,
-)
+from .. import _lazy
 
 __all__ = [
     "ClientEvaluator",
@@ -28,3 +17,12 @@ __all__ = [
     "encode_frame_batch",
     "split_frames",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".device": ("ClientStats", "SimulatedClient"),
+    ".evaluator": ("ClientEvaluator", "EvaluationReport"),
+    ".protocol": (
+        "DEFAULT_SHIP_BATCH", "MAGIC", "ProtocolError", "bitvector_overhead",
+        "decode_chunk", "decode_chunk_stream", "encode_chunk",
+        "encode_frame_batch", "split_frames"),
+})

@@ -22,15 +22,6 @@ from ..transport import Channel
 from .evaluator import ClientEvaluator, EvaluationReport
 from .protocol import encode_chunk
 
-#: Default chunk frames concatenated per channel message.  Measured in
-#: ``benchmarks/bench_parallel_ingest.py`` (see
-#: ``benchmarks/results/batched_framing.txt``): per-message overhead is a
-#: fixed cost, so batching wins in proportion to how small messages are —
-#: ~2.1× transport time on the file-spool channel (the paper's
-#: deployment) at 25-record chunks, ~1.1× at 250 — while the in-memory
-#: delta is noise next to parse cost.  Returns diminish past ~8 frames.
-DEFAULT_SHIP_BATCH = 8
-
 
 @dataclass
 class ClientStats:

@@ -13,9 +13,7 @@ to :class:`repro.api.CiaoSession` for the background worker, or drive
 :class:`Compactor.run_once` / :func:`rewrite_parts` directly.
 """
 
-from .compactor import Compactor
-from .policy import CompactionConfig, CompactionPlan, CompactionPolicy
-from .rewrite import DEFAULT_ROW_GROUP_ROWS, RewriteStats, rewrite_parts
+from .. import _lazy
 
 __all__ = [
     "CompactionConfig",
@@ -28,20 +26,10 @@ __all__ = [
     "rewrite_parts",
 ]
 
-
-def resolve_compaction(value) -> "CompactionConfig | None":
-    """Normalize a session's ``compaction=`` argument.
-
-    ``None``/``False`` → disabled; ``True`` → default config; a
-    :class:`CompactionConfig` passes through.
-    """
-    if value is None or value is False:
-        return None
-    if value is True:
-        return CompactionConfig()
-    if isinstance(value, CompactionConfig):
-        return value
-    raise TypeError(
-        f"compaction must be a CompactionConfig, True, False or None; "
-        f"got {type(value).__name__}"
-    )
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".compactor": ("Compactor",),
+    ".policy": (
+        "CompactionConfig", "CompactionPlan", "CompactionPolicy",
+        "resolve_compaction"),
+    ".rewrite": ("DEFAULT_ROW_GROUP_ROWS", "RewriteStats", "rewrite_parts"),
+})

@@ -105,6 +105,24 @@ class CompactionConfig:
             )
 
 
+def resolve_compaction(value) -> Optional[CompactionConfig]:
+    """Normalize a session's ``compaction=`` argument.
+
+    ``None``/``False`` → disabled; ``True`` → default config; a
+    :class:`CompactionConfig` passes through.
+    """
+    if value is None or value is False:
+        return None
+    if value is True:
+        return CompactionConfig()
+    if isinstance(value, CompactionConfig):
+        return value
+    raise TypeError(
+        f"compaction must be a CompactionConfig, True, False or None; "
+        f"got {type(value).__name__}"
+    )
+
+
 @dataclass(frozen=True)
 class CompactionPlan:
     """One decided rewrite: which parts, and an optional sort column."""

@@ -1,73 +1,7 @@
 """CIAO's core contribution: predicate model, cost model, and the
 budgeted submodular predicate-selection optimizer."""
 
-from .adaptive import (
-    AdaptiveReplanner,
-    FrequencyTracker,
-    ReplanDecision,
-)
-from .budgets import (
-    Budget,
-    ClientProfile,
-    allocate_budgets,
-    budget_sweep,
-    observed_speed_factors,
-)
-from .calibration import (
-    CalibrationReport,
-    Observation,
-    fit,
-    measure_search_costs,
-    predict,
-    r_squared,
-)
-from .cost_model import (
-    DEFAULT_COEFFICIENTS,
-    CostCoefficients,
-    CostModel,
-    total_cost,
-)
-from .objective import SelectionObjective, all_subsets, is_submodular_on
-from .optimizer import CiaoOptimizer, PushdownEntry, PushdownPlan, manual_plan
-from .plan_io import (
-    PLAN_FORMAT,
-    PlanFormatError,
-    dumps_plan,
-    loads_plan,
-    plan_from_dict,
-    plan_to_dict,
-)
-from .patterns import (
-    CompiledClause,
-    PatternSpec,
-    compile_clause,
-    compile_clauses,
-    compile_predicate,
-)
-from .predicates import (
-    Clause,
-    PredicateKind,
-    Query,
-    SimplePredicate,
-    UnsupportedPredicateError,
-    Workload,
-    clause,
-    exact,
-    key_present,
-    key_value,
-    prefix,
-    substring,
-    suffix,
-)
-from .selection import (
-    APPROXIMATION_GUARANTEE,
-    SelectionResult,
-    celf_greedy,
-    exhaustive_optimum,
-    naive_greedy,
-    ratio_greedy,
-    select_predicates,
-)
+from .. import _lazy
 
 __all__ = [
     "APPROXIMATION_GUARANTEE",
@@ -127,3 +61,32 @@ __all__ = [
     "suffix",
     "total_cost",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".adaptive": ("AdaptiveReplanner", "FrequencyTracker", "ReplanDecision"),
+    ".budgets": (
+        "Budget", "ClientProfile", "allocate_budgets", "budget_sweep",
+        "observed_speed_factors"),
+    ".calibration": (
+        "CalibrationReport", "Observation", "fit", "measure_search_costs",
+        "predict", "r_squared"),
+    ".cost_model": (
+        "DEFAULT_COEFFICIENTS", "CostCoefficients", "CostModel", "total_cost"),
+    ".objective": ("SelectionObjective", "all_subsets", "is_submodular_on"),
+    ".optimizer": (
+        "CiaoOptimizer", "PushdownEntry", "PushdownPlan", "manual_plan"),
+    ".plan_io": (
+        "PLAN_FORMAT", "PlanFormatError", "dumps_plan", "loads_plan",
+        "plan_from_dict", "plan_to_dict"),
+    ".patterns": (
+        "CompiledClause", "PatternSpec", "compile_clause", "compile_clauses",
+        "compile_predicate"),
+    ".predicates": (
+        "Clause", "PredicateKind", "Query", "SimplePredicate",
+        "UnsupportedPredicateError", "Workload", "clause", "exact",
+        "key_present", "key_value", "prefix", "substring", "suffix"),
+    ".selection": (
+        "APPROXIMATION_GUARANTEE", "SelectionResult", "celf_greedy",
+        "exhaustive_optimum", "naive_greedy", "ratio_greedy",
+        "select_predicates"),
+})

@@ -219,6 +219,29 @@ class Clause:
         object.__setattr__(
             self, "predicates", tuple(sorted(set(self.predicates)))
         )
+        self._cache_hash()
+
+    # Planning looks clauses up in sets and dicts tens of thousands of
+    # times; the generated hash re-hashed every predicate (enum member
+    # included) on each lookup.  The value is the one the dataclass
+    # would compute, computed once.
+    def _cache_hash(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.predicates,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    # ``str`` hashes are salted per process, so the cached hash must not
+    # travel in a pickle: a stale one makes equal clauses miss each
+    # other in the next process's dicts.
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["_hash"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._cache_hash()
 
     def __lt__(self, other: "Clause") -> bool:
         if not isinstance(other, Clause):

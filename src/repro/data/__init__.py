@@ -1,29 +1,6 @@
 """Synthetic dataset generators substituting the paper's three datasets."""
 
-from .base import DatasetGenerator
-from .randomness import DEFAULT_SEED, SeedSequence, derive_seed, rng_stream
-from .winlog import WinLogGenerator
-from .ycsb import YcsbGenerator
-from .yelp import YelpGenerator
-from .zipf import WeightedSampler, ZipfSampler, zipf_choice, zipf_weights
-
-#: Registry keyed by the dataset names used throughout benches and docs.
-GENERATORS = {
-    "yelp": YelpGenerator,
-    "winlog": WinLogGenerator,
-    "ycsb": YcsbGenerator,
-}
-
-
-def make_generator(name: str, seed: int = DEFAULT_SEED) -> DatasetGenerator:
-    """Instantiate a dataset generator by name ('yelp'/'winlog'/'ycsb')."""
-    try:
-        cls = GENERATORS[name]
-    except KeyError:
-        known = ", ".join(sorted(GENERATORS))
-        raise KeyError(f"unknown dataset {name!r}; known: {known}") from None
-    return cls(seed)
-
+from .. import _lazy
 
 __all__ = [
     "DEFAULT_SEED",
@@ -41,3 +18,14 @@ __all__ = [
     "zipf_choice",
     "zipf_weights",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".base": ("DatasetGenerator",),
+    ".randomness": (
+        "DEFAULT_SEED", "SeedSequence", "derive_seed", "rng_stream"),
+    ".registry": ("GENERATORS", "make_generator"),
+    ".winlog": ("WinLogGenerator",),
+    ".ycsb": ("YcsbGenerator",),
+    ".yelp": ("YelpGenerator",),
+    ".zipf": ("WeightedSampler", "ZipfSampler", "zipf_choice", "zipf_weights"),
+})

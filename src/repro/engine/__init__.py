@@ -20,44 +20,7 @@ snapshot queries only scan newly sealed parts plus the sideline delta
 (:mod:`repro.engine.snapcache`).
 """
 
-from .batch import ColumnBatch
-from .catalog import Catalog, CatalogError, TableEntry
-from .executor import Executor, QueryResult, run_plan
-from .expressions import (
-    And,
-    Column,
-    Comparison,
-    Expr,
-    IsNotNull,
-    IsNull,
-    LikeExpr,
-    Literal,
-    Not,
-    Or,
-    clause_to_expr,
-    compile_like,
-    conjuncts,
-    like_match,
-    predicate_to_expr,
-    query_where_expr,
-    to_clause,
-)
-from .operators import (
-    Aggregate,
-    ChainScan,
-    ExecutionStats,
-    Filter,
-    GroupedAggregate,
-    Limit,
-    Operator,
-    ParquetScan,
-    Project,
-    SidelineScan,
-    SkippingScan,
-)
-from .planner import PlanInfo, PlannerError, plan_query
-from .snapcache import SnapshotAggCache, query_fingerprint
-from .sql import ParsedQuery, SelectItem, SqlError, parse_sql
+from .. import _lazy
 
 __all__ = [
     "Aggregate",
@@ -105,3 +68,21 @@ __all__ = [
     "run_plan",
     "to_clause",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".batch": ("ColumnBatch",),
+    ".catalog": ("Catalog", "CatalogError", "TableEntry"),
+    ".executor": ("Executor", "QueryResult", "run_plan"),
+    ".expressions": (
+        "And", "Column", "Comparison", "Expr", "IsNotNull", "IsNull",
+        "LikeExpr", "Literal", "Not", "Or", "clause_to_expr", "compile_like",
+        "conjuncts", "like_match", "predicate_to_expr", "query_where_expr",
+        "to_clause"),
+    ".operators": (
+        "Aggregate", "ChainScan", "ExecutionStats", "Filter",
+        "GroupedAggregate", "Limit", "Operator", "ParquetScan", "Project",
+        "SidelineScan", "SkippingScan"),
+    ".planner": ("PlanInfo", "PlannerError", "plan_query"),
+    ".snapcache": ("SnapshotAggCache", "query_fingerprint"),
+    ".sql": ("ParsedQuery", "SelectItem", "SqlError", "parse_sql"),
+})

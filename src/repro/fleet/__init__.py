@@ -41,18 +41,7 @@ each client a budget-restricted *prefix* of it:
    flows to survivors.
 """
 
-from .allocation import (
-    FleetAllocation,
-    FleetBudgetAllocator,
-    uniform_allocation,
-)
-from .coordinator import DEFAULT_MAX_PENDING, FleetCoordinator
-from .population import (
-    REFERENCE_PLATFORM,
-    ClientPopulation,
-    FleetClientSpec,
-)
-from .report import ClientRunReport, FleetReport
+from .. import _lazy
 
 __all__ = [
     "ClientPopulation",
@@ -66,3 +55,13 @@ __all__ = [
     "REFERENCE_PLATFORM",
     "uniform_allocation",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".allocation": (
+        "FleetAllocation", "FleetBudgetAllocator", "uniform_allocation"),
+    ".coordinator": ("FleetCoordinator",),
+    ".population": (
+        "REFERENCE_PLATFORM", "ClientPopulation", "FleetClientSpec"),
+    ".report": ("ClientRunReport", "FleetReport"),
+    "..transport.base": ("DEFAULT_MAX_PENDING",),
+})

@@ -48,20 +48,18 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, \
 
 from ..analysis.annotations import guarded_by
 from ..analysis.sanitizer import make_condition
-from ..client.device import DEFAULT_SHIP_BATCH, SimulatedClient
-from ..client.protocol import encode_chunk
+from ..client.device import SimulatedClient
+from ..client.protocol import DEFAULT_SHIP_BATCH, encode_chunk
 from ..core.budgets import Budget, ClientProfile
 from ..core.optimizer import PushdownPlan
 from ..server.ciao import CiaoServer, IngestSession
 from ..transport import Channel, ChannelLike, per_client_channels
+from ..transport.base import DEFAULT_MAX_PENDING
 from ..simulate.runtime import LOADING, PREFILTERING, CostLedger
 from .allocation import FleetAllocation, FleetBudgetAllocator, \
     uniform_allocation
 from .population import ClientPopulation, FleetClientSpec
 from .report import ClientRunReport, FleetReport
-
-#: Undelivered messages a channel may hold before its sender blocks.
-DEFAULT_MAX_PENDING = 8
 
 #: Sleep while waiting out backpressure or an empty work pool.
 _POLL_SECONDS = 0.0005
@@ -126,7 +124,7 @@ class FleetCoordinator:
         chunk_size: Records per chunk.
         batch_size: Chunk frames concatenated per channel message
             (framing amortization; measured default
-            :data:`~repro.client.device.DEFAULT_SHIP_BATCH`).
+            :data:`~repro.client.protocol.DEFAULT_SHIP_BATCH`).
         max_pending: Per-channel backpressure bound, in messages.
         max_active: Admission control — concurrently running client
             workers (``None`` = all at once).

@@ -15,24 +15,7 @@ down (``CiaoSession(metrics=Metrics(), ...)``).
 * :mod:`repro.obs.export` — Prometheus-text and JSON renderers.
 """
 
-from .export import metrics_json, prometheus_text
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    Metrics,
-    NullMetrics,
-    resolve_metrics,
-)
-from .querylog import (
-    NullQueryLog,
-    QueryLog,
-    QueryLogRecord,
-    client_scope,
-    current_client_id,
-    resolve_query_log,
-)
-from .tracing import NullTracer, Span, TraceContext, Tracer, resolve_tracer
+from .. import _lazy
 
 __all__ = [
     "Counter",
@@ -55,3 +38,15 @@ __all__ = [
     "resolve_query_log",
     "resolve_tracer",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".export": ("metrics_json", "prometheus_text"),
+    ".metrics": (
+        "Counter", "Gauge", "Histogram", "Metrics", "NullMetrics",
+        "resolve_metrics"),
+    ".querylog": (
+        "NullQueryLog", "QueryLog", "QueryLogRecord", "client_scope",
+        "current_client_id", "resolve_query_log"),
+    ".tracing": (
+        "NullTracer", "Span", "TraceContext", "Tracer", "resolve_tracer"),
+})

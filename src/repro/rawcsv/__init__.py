@@ -7,21 +7,7 @@ predicates on serialized CSV lines without parsing them, under the same
 one-sided-error contract as the JSON matchers.
 """
 
-from .codec import (
-    CsvCodec,
-    CsvDialect,
-    CsvError,
-    escape_field,
-    parse_line,
-    parse_line_details,
-    write_row,
-)
-from .matcher import (
-    CompiledCsvClause,
-    CsvUnsupportedError,
-    compile_csv_clause,
-    compile_csv_predicate,
-)
+from .. import _lazy
 
 __all__ = [
     "CompiledCsvClause",
@@ -36,3 +22,12 @@ __all__ = [
     "parse_line_details",
     "write_row",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".codec": (
+        "CsvCodec", "CsvDialect", "CsvError", "escape_field", "parse_line",
+        "parse_line_details", "write_row"),
+    ".matcher": (
+        "CompiledCsvClause", "CsvUnsupportedError", "compile_csv_clause",
+        "compile_csv_predicate"),
+})

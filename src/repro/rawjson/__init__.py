@@ -3,11 +3,7 @@ behind one front door), the writer (the C ``json`` encoder behind another,
 whose escaping the pushed-down patterns are built from), and the no-parse
 matchers and chunking that CIAO's client side is built on."""
 
-from .chunks import DEFAULT_CHUNK_SIZE, JsonChunk, chunk_records, concat_chunks
-from .errors import JsonError, JsonSyntaxError
-from .parser import loads, parse_object, try_parse
-from .raw_matcher import contains, key_present, key_value_match
-from .writer import dump_record, dumps, escape_string
+from .. import _lazy
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
@@ -26,3 +22,12 @@ __all__ = [
     "parse_object",
     "try_parse",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".chunks": (
+        "DEFAULT_CHUNK_SIZE", "JsonChunk", "chunk_records", "concat_chunks"),
+    ".errors": ("JsonError", "JsonSyntaxError"),
+    ".parser": ("loads", "parse_object", "try_parse"),
+    ".raw_matcher": ("contains", "key_present", "key_value_match"),
+    ".writer": ("dump_record", "dumps", "escape_string"),
+})

@@ -35,14 +35,20 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]").search
 SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def _too_deep(value: Any, depth: int) -> bool:
-    if depth > MAX_DEPTH:
-        return True
-    if isinstance(value, dict):
-        value = value.values()
-    elif not isinstance(value, list):
-        return False
-    return any(_too_deep(item, depth + 1) for item in value)
+def _too_deep(container: Any, depth: int) -> bool:
+    """True if a value under *container*, itself at *depth*, sits too deep.
+
+    Only containers are visited: a scalar can be too deep only as an item
+    of a non-empty container at :data:`MAX_DEPTH`.  A Parquet-lite footer
+    is mostly scalars, so this walk no longer calls down into each one.
+    """
+    items = container.values() if isinstance(container, dict) else container
+    if depth >= MAX_DEPTH:
+        return len(items) > 0
+    for item in items:
+        if isinstance(item, (dict, list)) and _too_deep(item, depth + 1):
+            return True
+    return False
 
 
 def _replace_surrogates(value: Any) -> Any:
@@ -66,7 +72,8 @@ def loads(text: str) -> Any:
         # A rejected constant, an integer over the digit limit, or nesting
         # past the C recursion limit.
         raise JsonSyntaxError(str(exc), 0) from None
-    if text.count("{") + text.count("[") > MAX_DEPTH and _too_deep(value, 0):
+    if (text.count("{") + text.count("[") > MAX_DEPTH
+            and isinstance(value, (dict, list)) and _too_deep(value, 0)):
         raise JsonSyntaxError("maximum nesting depth exceeded", 0)
     if _SURROGATE_ESCAPE(text):
         value = _replace_surrogates(value)

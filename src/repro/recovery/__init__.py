@@ -13,9 +13,7 @@ server's sealed state (:mod:`repro.recovery.manifest`), the
 the combination lives in :mod:`repro.transport.faults`.
 """
 
-from .ledger import IngestLedger, LedgerError
-from .manifest import MANIFEST_FORMAT, Manifest, ManifestError
-from .retry import RetryPolicy
+from .. import _lazy
 
 __all__ = [
     "IngestLedger",
@@ -25,3 +23,9 @@ __all__ = [
     "ManifestError",
     "RetryPolicy",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".ledger": ("IngestLedger", "LedgerError"),
+    ".manifest": ("MANIFEST_FORMAT", "Manifest", "ManifestError"),
+    ".retry": ("RetryPolicy",),
+})

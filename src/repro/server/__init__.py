@@ -1,20 +1,7 @@
 """Server-side substrate: partial loading, data skipping, and the CIAO
 server facade."""
 
-from .ciao import CiaoServer, IngestSession
-from .loader import ClientAssistedLoader, LoadReport, LoadSummary
-from .pipeline import (
-    IngestPipelineError,
-    LoadSnapshot,
-    ShardedIngestPipeline,
-    validate_server_options,
-)
-from .skipping import (
-    SkippingEstimate,
-    estimate_skipping,
-    query_predicate_ids,
-    skipping_benefit_fractions,
-)
+from .. import _lazy
 
 __all__ = [
     "CiaoServer",
@@ -31,3 +18,14 @@ __all__ = [
     "skipping_benefit_fractions",
     "validate_server_options",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".ciao": ("CiaoServer", "IngestSession"),
+    ".loader": ("ClientAssistedLoader", "LoadReport", "LoadSummary"),
+    ".pipeline": (
+        "IngestPipelineError", "LoadSnapshot", "ShardedIngestPipeline",
+        "validate_server_options"),
+    ".skipping": (
+        "SkippingEstimate", "estimate_skipping", "query_predicate_ids",
+        "skipping_benefit_fractions"),
+})

@@ -84,7 +84,6 @@ which keeps tests fast and would parallelize on free-threaded builds.
 
 from __future__ import annotations
 
-import multiprocessing
 import queue
 import threading
 import time
@@ -523,6 +522,10 @@ class ShardedIngestPipeline:
             for i in range(n_shards)
         ]
         if mode == "process":
+            # Only process shards need it; thread-sharded servers skip
+            # the import.
+            import multiprocessing
+
             ctx = multiprocessing.get_context("fork")
             make_queue = ctx.Queue
             make_worker = ctx.Process

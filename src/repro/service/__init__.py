@@ -10,32 +10,7 @@ matching client.  Query admission mirrors the ingest side's
 ``max_active``/``max_pending`` discipline with round-robin fairness.
 """
 
-from .admission import (
-    AdmissionSaturated,
-    AdmissionStats,
-    QueryAdmission,
-)
-from ..recovery.retry import RetryPolicy
-from .remote import (
-    RemoteBusyError,
-    RemoteError,
-    RemoteRetryableError,
-    RemoteSession,
-    RemoteTimeoutError,
-)
-from .results import (
-    RESULT_FORMAT,
-    ResultFormatError,
-    canonical_result_bytes,
-    result_from_payload,
-    result_to_payload,
-)
-from .service import (
-    DEFAULT_IDLE_TIMEOUT,
-    DEFAULT_MAX_CONNECTIONS,
-    STATS_FORMAT,
-    CiaoService,
-)
+from .. import _lazy
 
 __all__ = [
     "AdmissionSaturated",
@@ -57,3 +32,17 @@ __all__ = [
     "result_from_payload",
     "result_to_payload",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".admission": ("AdmissionSaturated", "AdmissionStats", "QueryAdmission"),
+    "..recovery.retry": ("RetryPolicy",),
+    ".remote": (
+        "RemoteBusyError", "RemoteError", "RemoteRetryableError",
+        "RemoteSession", "RemoteTimeoutError"),
+    ".results": (
+        "RESULT_FORMAT", "ResultFormatError", "canonical_result_bytes",
+        "result_from_payload", "result_to_payload"),
+    ".service": (
+        "DEFAULT_IDLE_TIMEOUT", "DEFAULT_MAX_CONNECTIONS", "STATS_FORMAT",
+        "CiaoService"),
+})

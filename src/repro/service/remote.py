@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from ..client.device import DEFAULT_SHIP_BATCH, SimulatedClient
-from ..client.protocol import encode_frame_batch
+from ..client.protocol import DEFAULT_SHIP_BATCH, encode_frame_batch
 from ..core.optimizer import PushdownPlan
 from ..core.plan_io import loads_plan
 from ..data.randomness import DEFAULT_SEED
@@ -46,6 +45,9 @@ from ..transport.sockets import SocketChannel
 from ..transport import wire
 from ..transport.wire import Message, WireError, encode_message
 from .results import result_from_payload
+
+if TYPE_CHECKING:
+    from ..client.device import SimulatedClient
 
 
 class RemoteError(RuntimeError):
@@ -387,8 +389,10 @@ class RemoteSession:
         """
         # Imported here (not at module top): source coercion pulls in the
         # api layer, which imports transport; keep the client-facing
-        # entry lazy so service/* never creates an import cycle.
+        # entry lazy so service/* never creates an import cycle.  The
+        # client device is needed only by a session that loads.
         from ..api.source import as_source
+        from ..client.device import SimulatedClient
 
         src = as_source(source, seed=self.seed, n_records=n_records)
         plan = self.fetch_plan()

@@ -3,15 +3,7 @@
 The channel stack that once lived here is :mod:`repro.transport`.
 """
 
-from .clock import ClockWindow, VirtualClock
-from .hardware import (
-    GaussianNoise,
-    HardwareProfile,
-    HypervisorNoise,
-    PLATFORMS,
-    synthesize_observations,
-)
-from .runtime import ACCOUNTS, LOADING, PREFILTERING, QUERY, CostLedger
+from .. import _lazy
 
 __all__ = [
     "ACCOUNTS",
@@ -27,3 +19,11 @@ __all__ = [
     "VirtualClock",
     "synthesize_observations",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".clock": ("ClockWindow", "VirtualClock"),
+    ".hardware": (
+        "GaussianNoise", "HardwareProfile", "HypervisorNoise", "PLATFORMS",
+        "synthesize_observations"),
+    ".runtime": ("ACCOUNTS", "LOADING", "PREFILTERING", "QUERY", "CostLedger"),
+})

@@ -1,25 +1,7 @@
 """Parquet-lite: the from-scratch columnar storage substrate, plus the raw
 JSON sideline store used by partial loading."""
 
-from .columnar import (
-    ParquetLiteError,
-    ParquetLiteReader,
-    ParquetLiteWriter,
-    write_records,
-)
-from .encodings import Encoding, EncodingError, choose_encoding
-from .jsonstore import JsonSideStore, SidelineView
-from .metadata import MAGIC, ColumnChunkMeta, FileMeta, RowGroupMeta
-from .pages import PageStats, page_encoding, read_page, write_page
-from .rowgroup import RowGroupReader, build_row_group
-from .schema import (
-    ColumnType,
-    Field,
-    Schema,
-    SchemaError,
-    coerce_value,
-    infer_schema,
-)
+from .. import _lazy
 
 __all__ = [
     "ColumnChunkMeta",
@@ -48,3 +30,17 @@ __all__ = [
     "write_page",
     "write_records",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".columnar": (
+        "ParquetLiteError", "ParquetLiteReader", "ParquetLiteWriter",
+        "write_records"),
+    ".encodings": ("Encoding", "EncodingError", "choose_encoding"),
+    ".jsonstore": ("JsonSideStore", "SidelineView"),
+    ".metadata": ("MAGIC", "ColumnChunkMeta", "FileMeta", "RowGroupMeta"),
+    ".pages": ("PageStats", "page_encoding", "read_page", "write_page"),
+    ".rowgroup": ("RowGroupReader", "build_row_group"),
+    ".schema": (
+        "ColumnType", "Field", "Schema", "SchemaError", "coerce_value",
+        "infer_schema"),
+})

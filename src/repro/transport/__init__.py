@@ -11,25 +11,7 @@ over any base transport — a seeded lossy link behaves identically over
 an in-memory queue and a live socket.
 """
 
-from .base import (
-    Channel,
-    ChannelDecorator,
-    ChannelStats,
-    ChannelTimeout,
-    MemoryChannel,
-    TransportError,
-)
-from .decorators import LatencyChannel, LinkModel, LossyChannel
-from .faults import FaultEvent, FaultPlan, FaultyChannel, OpCounter, faulty_dialer
-from .file import FileChannel
-from .sockets import (
-    MAX_FRAME_BYTES,
-    SocketChannel,
-    SocketListener,
-    socket_pair,
-)
-from .spec import ChannelLike, ChannelSpec, make_channel, per_client_channels
-from .wire import Message, WireError, decode_message, encode_message
+from .. import _lazy
 
 __all__ = [
     "Channel",
@@ -60,3 +42,19 @@ __all__ = [
     "per_client_channels",
     "socket_pair",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".base": (
+        "Channel", "ChannelDecorator", "ChannelStats", "ChannelTimeout",
+        "MemoryChannel", "TransportError"),
+    ".decorators": ("LatencyChannel", "LinkModel", "LossyChannel"),
+    ".faults": (
+        "FaultEvent", "FaultPlan", "FaultyChannel", "OpCounter",
+        "faulty_dialer"),
+    ".file": ("FileChannel",),
+    ".sockets": (
+        "MAX_FRAME_BYTES", "SocketChannel", "SocketListener", "socket_pair"),
+    ".spec": (
+        "ChannelLike", "ChannelSpec", "make_channel", "per_client_channels"),
+    ".wire": ("Message", "WireError", "decode_message", "encode_message"),
+})

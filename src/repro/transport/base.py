@@ -23,6 +23,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Iterable, Iterator, Optional, Sequence
 
+#: Undelivered messages a channel may hold before its sender blocks.
+DEFAULT_MAX_PENDING = 8
+
 #: Sleep between polls in the generic :meth:`Channel.receive_wait` loop.
 _POLL_SECONDS = 0.0005
 

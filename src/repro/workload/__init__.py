@@ -1,41 +1,7 @@
 """Workload substrate: Table II templates, predicate pools, selectivity
 estimation, query generation, and the canonical experiment workloads."""
 
-from .generator import (
-    SelectionDistribution,
-    UNIFORM,
-    fixed_size_query,
-    generate_query,
-    generate_workload,
-    overlap_statistics,
-    zipfian,
-)
-from .pool import PredicatePool
-from .selectivity import (
-    MIN_SELECTIVITY,
-    estimate_selectivities,
-    estimate_selectivity,
-    false_positive_rates,
-    measure_raw_hit_rates,
-)
-from .skewness import (
-    multiplicities_for_skew,
-    skewness_factor,
-    workload_skewness,
-    workload_with_skewness,
-)
-from .templates import PredicateTemplate, table2_summary, templates_for
-from .workloads import (
-    OVERLAP_LEVELS,
-    SELECTIVITY_LEVELS,
-    SKEWNESS_LEVELS,
-    TABLE3_SPECS,
-    WorkloadSpec,
-    overlap_workload,
-    selectivity_workload,
-    skewness_workload,
-    table3_workload,
-)
+from .. import _lazy
 
 __all__ = [
     "MIN_SELECTIVITY",
@@ -68,3 +34,22 @@ __all__ = [
     "workload_with_skewness",
     "zipfian",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".generator": (
+        "SelectionDistribution", "UNIFORM", "fixed_size_query",
+        "generate_query", "generate_workload", "overlap_statistics",
+        "zipfian"),
+    ".pool": ("PredicatePool",),
+    ".selectivity": (
+        "MIN_SELECTIVITY", "estimate_selectivities", "estimate_selectivity",
+        "false_positive_rates", "measure_raw_hit_rates"),
+    ".skewness": (
+        "multiplicities_for_skew", "skewness_factor", "workload_skewness",
+        "workload_with_skewness"),
+    ".templates": ("PredicateTemplate", "table2_summary", "templates_for"),
+    ".workloads": (
+        "OVERLAP_LEVELS", "SELECTIVITY_LEVELS", "SKEWNESS_LEVELS",
+        "TABLE3_SPECS", "WorkloadSpec", "overlap_workload",
+        "selectivity_workload", "skewness_workload", "table3_workload"),
+})

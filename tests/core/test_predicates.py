@@ -1,5 +1,10 @@
 """Unit tests for the predicate model."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core import (
@@ -134,6 +139,38 @@ class TestClause:
             clause(key_present("a")),
         ]
         assert sorted(mixed)  # must not raise
+
+    def test_pickled_clause_rehashes_in_the_next_process(self, tmp_path):
+        # ``str`` hashes are salted per process (PYTHONHASHSEED), so a
+        # clause's cached hash must be recomputed when it is unpickled.
+        build = ("clause(exact('city', 'Las Vegas'), substring('name', 'Pub'),"
+                 " key_value('stars', 5))")
+        path = tmp_path / "clause.pkl"
+        dump = (
+            "import pickle, sys\n"
+            "from repro.core import clause, exact, key_value, substring\n"
+            f"c = {build}\n"
+            "hash(c)\n"
+            "pickle.dump(c, open(sys.argv[1], 'wb'))\n"
+        )
+        load = (
+            "import pickle, sys\n"
+            "from repro.core import clause, exact, key_value, substring\n"
+            "c = pickle.load(open(sys.argv[1], 'rb'))\n"
+            f"fresh = {build}\n"
+            "assert c == fresh\n"
+            "assert hash(c) == hash(fresh), (hash(c), hash(fresh))\n"
+            "assert {fresh: 'found'}.get(c) == 'found'\n"
+            "assert c in {fresh}\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        for script, seed in ((dump, "1"), (load, "2")):
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(path)], env=env,
+                capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
 
 
 class TestQuery:

@@ -252,6 +252,29 @@ class TestErrors:
         with pytest.raises(JsonSyntaxError):
             loads('{"a":' * 129 + "1" + "}" * 129)
 
+    @staticmethod
+    def _nested(levels, kinds):
+        # A scalar inside *levels* containers, cycling through *kinds*,
+        # with scalar siblings at every level before the deeper value.
+        text = "1"
+        for level in reversed(range(levels)):
+            if kinds[level % len(kinds)] == "dict":
+                text = '{"a": 1, "b": "x", "c": ' + text + "}"
+            else:
+                text = '[1, "x", null, ' + text + "]"
+        return text
+
+    @pytest.mark.parametrize(
+        "kinds", [("dict",), ("list",), ("dict", "list"), ("list", "dict")],
+        ids=["dict", "list", "dict-list", "list-dict"],
+    )
+    def test_depth_boundary_per_container_kind(self, kinds):
+        loads(self._nested(MAX_DEPTH, kinds))
+        with pytest.raises(JsonSyntaxError) as info:
+            loads(self._nested(MAX_DEPTH + 1, kinds))
+        assert str(info.value) == (
+            "maximum nesting depth exceeded (at offset 0)")
+
     def test_brackets_inside_strings_do_not_count_as_depth(self):
         text = '{"s": "' + "[" * 500 + '"}'
         assert loads(text) == {"s": "[" * 500}
