@@ -294,7 +294,8 @@ def test_incremental_snapshot_aggregation(benchmark, tmp_path,
 #
 # An `Executor` built with no metrics/tracer/query-log runs every query
 # through the shared null instruments; the guard pins that path to
-# within REPRO_BENCH_MAX_OBS_OVERHEAD (default 5%) of bare `run_plan` on
+# within REPRO_BENCH_MAX_OBS_OVERHEAD (default 5%) of bare `run_plan`, both
+# running the table's prepared plan of
 # the paper template.  Like the ingest speedup floors, the assertion is
 # core-gated: on a starved shared runner (<4 usable cores) min-of-N
 # timing of a few-ms query is dominated by scheduling noise, so there
@@ -322,13 +323,16 @@ def test_disabled_instrumentation_overhead(benchmark, tmp_path,
     executor = Executor(catalog)  # null metrics, tracer, and query log
     parsed = parse_sql(TEMPLATE_SQL)
 
-    direct_result = run_plan(*plan_query(parsed, table))
+    # Both arms run the table's prepared plan, so the ratio measures
+    # only the null instruments.
+    plan, info = table.prepared(TEMPLATE_SQL, parsed, plan_query)
+    direct_result = run_plan(plan, info.copy())
     executor_result = executor.execute_parsed(parsed, sql=TEMPLATE_SQL)
     assert executor_result.rows == direct_result.rows
 
     def run_direct():
         for _ in range(OVERHEAD_QUERIES):
-            run_plan(*plan_query(parsed, table))
+            run_plan(plan, info.copy())
 
     def run_executor():
         for _ in range(OVERHEAD_QUERIES):

@@ -45,15 +45,15 @@ from ..server.ciao import CiaoServer
 from ..workload.selectivity import estimate_selectivities
 from .config import DeploymentConfig
 from .report import LoadReport
-from .source import DataSource, SourceLike, as_source
 
-# Local loads, fleets and compaction import what they drive when they
-# start, so a session that only serves never loads them.
+# Local loads, fleets, compaction and data sources import what they
+# drive when they start, so a session that only serves never loads them.
 if TYPE_CHECKING:
     from ..client.device import SimulatedClient
     from ..compact.compactor import Compactor
     from ..fleet.coordinator import FleetCoordinator
     from ..transport.base import Channel
+    from .source import DataSource, SourceLike
 
 
 @dataclass(frozen=True)
@@ -321,9 +321,10 @@ class CiaoSession:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="ciao-")
             data_dir = self._tmpdir.name
         self.data_dir = Path(data_dir)
-        self._source: Optional[DataSource] = (
-            as_source(source, seed=seed) if source is not None else None
-        )
+        self._source: Optional[DataSource] = None
+        if source is not None:
+            from .source import as_source
+            self._source = as_source(source, seed=seed)
         self._plan = plan
         self._jobs: List[LoadJob] = []  # guarded-by: _external_lock
         # Serializes external_load's check-and-create: concurrent
@@ -825,6 +826,7 @@ class CiaoSession:
     def _require_source(self, source: Optional[SourceLike],
                         operation: str,
                         n_records: Optional[int] = None) -> DataSource:
+        from .source import as_source
         if source is not None:
             return as_source(source, seed=self.seed, n_records=n_records)
         if self._source is None:

@@ -9,7 +9,6 @@ root seed replays the identical dataset, workload, and noise.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Iterator
 
@@ -18,6 +17,8 @@ DEFAULT_SEED = 20210223  # the paper's arXiv submission date
 
 def derive_seed(root_seed: int, name: str) -> int:
     """Derive a 64-bit child seed from *root_seed* and a purpose *name*."""
+    import hashlib  # deferred: a served process reads only DEFAULT_SEED
+
     digest = hashlib.sha256(f"{root_seed}:{name}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
 

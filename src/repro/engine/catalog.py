@@ -11,13 +11,20 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple,
+)
 
 from ..analysis.sanitizer import make_lock
 from ..core.predicates import Clause
 from ..storage.columnar import ParquetLiteReader
 from ..storage.jsonstore import SidelineView
 from ..storage.schema import column_values
+
+#: Prepared plans a table keeps per view (:meth:`TableEntry.prepared`);
+#: past it the oldest is dropped.  Workload A of Table III repeats 126
+#: distinct statements.
+PREPARED_PLANS_CAP = 256
 
 
 class CatalogError(KeyError):
@@ -189,7 +196,16 @@ class TableEntry:
     * per listed sideline file, the parsed records of the lines read
       (bounded by the sideline records in view, as the file holds them)
       and the columns pulled from them: bounded by the sideline records
-      in view times the columns queried.
+      in view times the columns queried;
+    * per SQL text, its prepared plan (:meth:`prepared`): the operator
+      tree with the skip decisions its scans made, and its
+      :class:`~repro.engine.planner.PlanInfo`; at most
+      :data:`PREPARED_PLANS_CAP`, the oldest dropped first.  A plan's
+      scans keep one survivor mask per candidate group they reached,
+      so the masks are bounded by :data:`PREPARED_PLANS_CAP` times the
+      part rows in view / 8 bytes.  Any change of the view or of the
+      pushdown map (:meth:`set_pushdown`) drops them all, before a
+      reader closes.
     """
 
     name: str
@@ -225,6 +241,21 @@ class TableEntry:
         default_factory=SidelineCache, init=False, repr=False,
         compare=False,
     )
+    #: Prepared ``(plan tree, PlanInfo)`` by SQL text, oldest first.
+    #: Keyed by text, not by the parsed statement: ``true`` and ``1``
+    #: parse to equal literals but match different rows.
+    # guarded-by: _plans_lock
+    _plans: Dict[str, Tuple[Any, Any]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: Serializes planning against view and pushdown changes: a plan is
+    #: made and kept against one view, and the view changes only once
+    #: the plans made against it are dropped.  Taken before
+    #: :attr:`_readers_lock`.
+    _plans_lock: object = field(
+        default_factory=lambda: make_lock("TableEntry._plans_lock"),
+        init=False, repr=False, compare=False,
+    )
 
     def open_readers(self) -> List[ParquetLiteReader]:
         """Readers for this table's Parquet-lite files, in
@@ -252,11 +283,11 @@ class TableEntry:
                  live: bool = False) -> None:
         """Scan *parquet_paths* and the *sidelines* segments from now on.
 
-        An unchanged view is a no-op.  Otherwise parts still listed keep
-        their cached readers, the readers of dropped parts (e.g. replaced
-        by a compaction) close now and new parts open on first use; the
-        parsed prefixes of sideline files that left the view are
-        dropped.  A *live* view keeps the cached partial aggregates of
+        An unchanged view is a no-op.  Otherwise the prepared plans
+        drop first; parts still listed keep their cached readers, the
+        readers of dropped parts (e.g. replaced by a compaction) close
+        now and new parts open on first use; the parsed prefixes of
+        sideline files that left the view are dropped.  A *live* view keeps the cached partial aggregates of
         the parts it kept; a final one drops the snapshot cache.
         """
         parts = [Path(p) for p in parquet_paths]
@@ -264,18 +295,51 @@ class TableEntry:
         if (parts, segments, live) == (self.parquet_paths, self.sidelines,
                                        self.live):
             return
-        with self._readers_lock:
-            self.parquet_paths = parts
-            listed = {str(path) for path in parts}
-            for key in [k for k in self._readers if k not in listed]:
-                self._readers.pop(key).close()  # ciaolint: allow[LCK002] -- ParquetLiteReader.close is lock-free; `.close()` name union binds wider
-        self.sidelines = segments
-        self.live = live
+        with self._plans_lock:
+            # Prepared plans hold this view's readers: drop them first.
+            self._plans.clear()
+            with self._readers_lock:
+                self.parquet_paths = parts
+                listed = {str(path) for path in parts}
+                for key in [k for k in self._readers if k not in listed]:
+                    self._readers.pop(key).close()  # ciaolint: allow[LCK002] -- ParquetLiteReader.close is lock-free; `.close()` name union binds wider
+            self.sidelines = segments
+            self.live = live
         self.sideline_cache.retain(path for path, _ in segments)
         if not live:
             self._snapshot_cache = None
         elif self._snapshot_cache is not None:
             self._snapshot_cache.retain_parts(listed)
+
+    def set_pushdown(self, pushdown: Dict[Clause, int]) -> None:
+        """Match queries against *pushdown* (clause → predicate id) from
+        now on, dropping the plans matched against the old map."""
+        with self._plans_lock:
+            self._plans.clear()
+            self.pushdown = dict(pushdown)
+
+    def prepared(self, sql: str, parsed: Any,
+                 plan: Callable[[Any, "TableEntry"], Tuple[Any, Any]]
+                 ) -> Tuple[Any, Any]:
+        """The prepared ``(plan tree, PlanInfo)`` of the statement *sql*
+        over this view, made by ``plan(parsed, self)`` the first time;
+        *parsed* is what *sql* parses to.
+
+        Operators keep no state between runs but their scans' skip
+        decisions, so one tree serves every execution; callers copy the
+        :class:`~repro.engine.planner.PlanInfo` before handing it out.
+        Planning happens under the lock, so the plan it keeps was made
+        against the view it is kept for.  A plan that raises is not
+        kept.
+        """
+        with self._plans_lock:
+            prepared = self._plans.get(sql)
+            if prepared is None:
+                prepared = plan(parsed, self)
+                if len(self._plans) >= PREPARED_PLANS_CAP:
+                    del self._plans[next(iter(self._plans))]
+                self._plans[sql] = prepared
+            return prepared
 
     def pushed_id(self, clause: Clause) -> Optional[int]:
         """Predicate id for *clause* if it was pushed down."""

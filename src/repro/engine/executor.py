@@ -13,6 +13,17 @@ folded from :class:`ExecutionStats`/:class:`PlanInfo` *after* the plan
 runs, so the batch scan loop itself carries zero instrumentation and
 the disabled path stays within the overhead guard asserted by
 ``benchmarks/bench_query_engine.py``.
+
+A repeated statement pays once for what depends only on its text and
+the table view.  The executor keeps the parsed statement per SQL text
+(at most :data:`PARSED_SQL_CAP`, oldest dropped first; a text that fails
+to parse is never kept), and the table keeps the prepared plan per
+SQL text until its view or pushdown map changes
+(:meth:`~repro.engine.catalog.TableEntry.prepared`), with the skip
+decisions its scans made on their first run.  Results are never kept:
+every execution decodes, filters and aggregates the surviving row
+groups afresh, and gets a fresh :class:`PlanInfo`.  Live aggregates
+go through the snapshot cache instead.
 """
 
 from __future__ import annotations
@@ -20,8 +31,9 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
+from ..analysis.sanitizer import make_lock
 from ..obs.metrics import Metrics, resolve_metrics
 from ..obs.querylog import (
     QueryLog,
@@ -34,6 +46,9 @@ from .catalog import Catalog
 from .operators import ExecutionStats, Operator
 from .planner import PlanInfo, plan_query
 from .sql import ParsedQuery, parse_sql
+
+#: SQL texts an executor keeps parsed; past it the oldest is dropped.
+PARSED_SQL_CAP = 1024
 
 
 @dataclass
@@ -90,10 +105,21 @@ class Executor:
         self._observing = (
             metrics.enabled or self.query_log.enabled or self.tracer.enabled
         )
+        self._parsed_lock = make_lock("Executor._parsed_lock")
+        #: Parsed statements by SQL text, oldest first.
+        self._parsed: Dict[str, ParsedQuery] = {}  # guarded-by: _parsed_lock
 
     def execute(self, sql: str) -> QueryResult:
         """Run one SQL statement."""
-        parsed = parse_sql(sql)
+        # A lookup takes no lock: a dict read is atomic and an entry,
+        # once kept, never changes.
+        parsed = self._parsed.get(sql)
+        if parsed is None:
+            parsed = parse_sql(sql)
+            with self._parsed_lock:
+                if len(self._parsed) >= PARSED_SQL_CAP:
+                    del self._parsed[next(iter(self._parsed))]
+                self._parsed[sql] = parsed
         return self.execute_parsed(parsed, sql=sql)
 
     def execute_parsed(self, parsed: ParsedQuery,
@@ -103,27 +129,39 @@ class Executor:
         Aggregate queries over a live (mid-load) table view go through
         the incremental snapshot cache: sealed parts are immutable, so
         repeated mid-load aggregates only scan newly sealed parts plus
-        the sideline delta.  Everything else plans and runs cold.
+        the sideline delta.  Everything else runs the table's prepared
+        plan for *sql*, the text *parsed* came from
+        (:meth:`~repro.engine.catalog.TableEntry.prepared`), with a fresh
+        :class:`PlanInfo` copy; with no text it plans cold.
         """
         table = self.catalog.lookup(parsed.table)
         if not self._observing:
-            return self._run(parsed, table)
+            return self._run(parsed, table, sql)
         with self.tracer.trace("engine.query",
                                attrs={"table": parsed.table}):
-            result = self._run(parsed, table)
+            result = self._run(parsed, table, sql)
             self._observe(parsed, result, sql)
         return result
 
-    def _run(self, parsed: ParsedQuery, table) -> QueryResult:
+    def _run(self, parsed: ParsedQuery, table, sql: str) -> QueryResult:
         if table.live and parsed.is_aggregate:
             from .snapcache import execute_snapshot_aggregate
             with self.tracer.trace("engine.aggregate"):
                 return execute_snapshot_aggregate(parsed, table,
                                                   table.snapshot_cache)
-        with self.tracer.trace("engine.plan"):
-            plan, info = plan_query(parsed, table)
+        if sql:
+            plan, info = table.prepared(sql, parsed, self._plan)
+        else:
+            plan, info = self._plan(parsed, table)
         with self.tracer.trace("engine.scan"):
-            return run_plan(plan, info)
+            return run_plan(plan, info.copy())
+
+    def _plan(self, parsed: ParsedQuery,
+              table) -> Tuple[Operator, PlanInfo]:
+        """Plan *parsed* cold (a table calls this on a prepared-plan
+        miss)."""
+        with self.tracer.trace("engine.plan"):
+            return plan_query(parsed, table)
 
     # ------------------------------------------------------------------
     def _observe(self, parsed: ParsedQuery, result: QueryResult,

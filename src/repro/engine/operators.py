@@ -30,6 +30,11 @@ boundary).
 Every operator reports into a shared :class:`ExecutionStats`, which is how
 the experiment harness measures tuples skipped, groups skipped, and
 sideline parsing.
+
+A table re-runs one tree for every execution of a statement (its
+prepared plan, :meth:`~repro.engine.catalog.TableEntry.prepared`), so
+operators keep no per-run state; the scans keep only the skip decisions
+they made about their immutable part on the first run.
 """
 
 from __future__ import annotations
@@ -103,7 +108,9 @@ class ParquetScan(Operator):
 
     ``prune`` is the zone-map hook: a callable deciding from row-group
     metadata (min/max/null statistics) that a group cannot contain
-    qualifying rows and may be skipped without decoding anything.
+    qualifying rows and may be skipped without decoding anything.  A
+    part never changes, so each group's verdict is asked once, on the
+    first run that reaches the group, and kept with the scan.
     """
 
     def __init__(self, reader: ParquetLiteReader,
@@ -112,16 +119,26 @@ class ParquetScan(Operator):
         self._reader = reader
         self._columns = list(columns) if columns is not None else None
         self._prune = prune
+        #: Zone-map verdict per row group, ``None`` until asked.  Runs
+        #: racing to fill a slot write the same value.
+        self._pruned: Optional[List[Optional[bool]]] = (
+            [None] * len(reader) if prune is not None else None
+        )
 
     def batches(self, stats: ExecutionStats) -> Iterator[ColumnBatch]:
         names = self._columns if self._columns is not None \
             else self._reader.schema.names
-        for group in self._reader.row_groups():
+        verdicts = self._pruned
+        for index, group in enumerate(self._reader.row_groups()):
             stats.row_groups_total += 1
-            if self._prune is not None and self._prune(group.meta):
-                stats.row_groups_pruned_by_zonemap += 1
-                stats.tuples_pruned_by_zonemap += group.row_count
-                continue
+            if verdicts is not None:
+                pruned = verdicts[index]
+                if pruned is None:
+                    pruned = verdicts[index] = bool(self._prune(group.meta))
+                if pruned:
+                    stats.row_groups_pruned_by_zonemap += 1
+                    stats.tuples_pruned_by_zonemap += group.row_count
+                    continue
             columns = group.read_batch(self._columns)
             stats.rows_examined += group.row_count
             yield ColumnBatch.from_columns(columns, group.row_count,
@@ -152,8 +169,15 @@ class SkippingScan(Operator):
       skips the group, still undecoded, if the intersection is empty;
     * asks the zone-map hook only now, on a bit-vector survivor (a
       :class:`ParquetScan`, with no vectors, asks it about every group);
-    * otherwise keeps the surviving mask *as the batch's selection
-      vector*: survivor counting is a popcount and no index list is built.
+    * otherwise keeps a copy of the surviving mask *as the batch's
+      selection vector*: survivor counting is a popcount and no index
+      list is built.
+
+    A part never changes, so these decisions are made once: the
+    candidate groups on the first run, and each group's mask, survivor
+    count and zone-map verdict on the first run that reaches it.  Later
+    runs (a prepared plan re-run) replay them and only account, decode
+    and yield.
     """
 
     def __init__(self, reader: ParquetLiteReader,
@@ -166,35 +190,59 @@ class SkippingScan(Operator):
         self._ids = list(predicate_ids)
         self._columns = list(columns) if columns is not None else None
         self._prune = prune
+        #: ``(candidate groups, their decisions, groups skipped in bulk,
+        #: tuples skipped in bulk)``, made on the first run.  A decision
+        #: is ``None`` until made; runs racing to make one make the same.
+        self._part: Optional[Tuple[Tuple[RowGroupReader, ...],
+                                   List[Optional[tuple]], int, int]] = None
 
-    def candidates(self, stats: ExecutionStats) -> List[RowGroupReader]:
+    def candidates(self, stats: ExecutionStats
+                   ) -> Tuple[RowGroupReader, ...]:
         """The row groups the bit vectors cannot rule out, in file order;
         the rest are counted into *stats* as skipped, in bulk."""
-        reader = self._reader
-        groups = [reader.row_group(index) for index in
-                  set_bits(reader.candidate_groups(self._ids))]
-        skipped = len(reader) - len(groups)
+        part = self._part
+        if part is None:
+            reader = self._reader
+            groups = tuple(reader.row_group(index) for index in
+                           set_bits(reader.candidate_groups(self._ids)))
+            part = self._part = (
+                groups, [None] * len(groups), len(reader) - len(groups),
+                reader.total_rows - sum(group.row_count for group in groups),
+            )
+        groups, _, skipped, tuples = part
         stats.row_groups_total += skipped
         stats.row_groups_skipped += skipped
-        stats.tuples_skipped += reader.total_rows - sum(
-            group.row_count for group in groups
-        )
+        stats.tuples_skipped += tuples
         return groups
+
+    def _decide(self, group: RowGroupReader) -> tuple:
+        """``(mask, survivors, pruned)`` for a candidate *group*: its
+        survivor mask (``None`` when a vector is missing), how many rows
+        survive, and whether zone maps prune a group with survivors."""
+        mask = group.meta.survivor_mask(self._ids)
+        survivors = group.row_count if mask is None else mask.count()
+        if mask is not None and not survivors:
+            return mask, 0, False
+        pruned = self._prune is not None and bool(self._prune(group.meta))
+        return mask, survivors, pruned
 
     def batches(self, stats: ExecutionStats) -> Iterator[ColumnBatch]:
         stats.used_data_skipping = True
         names = self._columns if self._columns is not None \
             else self._reader.schema.names
-        for group in self.candidates(stats):
+        groups = self.candidates(stats)
+        decisions = self._part[1]
+        for index, group in enumerate(groups):
             stats.row_groups_total += 1
-            mask = group.meta.survivor_mask(self._ids)
-            if mask is not None:
-                survivors = mask.count()
-                if not survivors:
-                    stats.row_groups_skipped += 1
-                    stats.tuples_skipped += group.row_count
-                    continue
-            if self._prune is not None and self._prune(group.meta):
+            decision = decisions[index]
+            if decision is None:
+                decision = decisions[index] = self._decide(group)
+            mask, survivors, pruned = decision
+            if mask is not None and not survivors:
+                stats.row_groups_skipped += 1
+                stats.tuples_skipped += group.row_count
+                continue
+            if pruned:
                 stats.row_groups_pruned_by_zonemap += 1
                 stats.tuples_pruned_by_zonemap += group.row_count
                 continue
@@ -206,8 +254,10 @@ class SkippingScan(Operator):
                 continue
             stats.tuples_skipped += group.row_count - survivors
             stats.rows_examined += survivors
+            # Filter narrows a batch's selection in place: the kept mask
+            # must not be it.
             yield ColumnBatch.from_columns(columns, group.row_count,
-                                           names=names, sel=mask)
+                                           names=names, sel=mask.copy())
 
     def describe(self) -> str:
         return (

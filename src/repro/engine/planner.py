@@ -31,7 +31,7 @@ projection and LIMIT above its scans, and the snapshot aggregate cache
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..storage.columnar import ParquetLiteReader
@@ -67,6 +67,11 @@ class PlanInfo:
     #: aggregates vs. parts actually scanned this execution.
     snapshot_cache_hits: int = 0
     snapshot_cache_misses: int = 0
+
+    def copy(self) -> "PlanInfo":
+        """A copy sharing no mutable value with this one."""
+        return replace(self,
+                       matched_predicate_ids=list(self.matched_predicate_ids))
 
 
 class PlannerError(ValueError):

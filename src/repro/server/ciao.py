@@ -917,12 +917,13 @@ class CiaoServer:
         stay exact; data ingested by future sessions carries the new
         annotations.  Retained clauses keep their ids (see
         :mod:`repro.core.adaptive`), so their historical vectors keep
-        skipping.
+        skipping.  The table drops the plans it prepared against the
+        old registry.
         """
         self.plan = plan
-        self._table.pushdown = {
+        self._table.set_pushdown({
             e.clause: e.predicate_id for e in plan.entries
-        }
+        })
 
     # ------------------------------------------------------------------
     def _decide_partial_loading(self, mode: str) -> bool:

@@ -21,8 +21,10 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 #: dotted names ("repro.fleet" covers "repro.fleet.coordinator").
 DENIED = (
     "asyncio",
+    "hashlib",
     "numpy",
     "repro.api.aio",
+    "repro.api.source",
     "repro.bench",
     "repro.compact",
     "repro.data.textgen",
@@ -56,11 +58,30 @@ import repro.api, repro.service
 print(denied_modules(DENIED, ANALYSIS_RUNTIME))
 """
 
+#: The loading client of the serve probe, run in its own interpreter so
+#: that what it imports (data sources, the client device) is not
+#: counted against the served process.  Prints the two answers.
+_SERVE_CLIENT = """
+import json, sys
+from repro.service import RemoteSession
+
+records = [{"id": i, "stars": i % 6, "city": "Townville" if i % 4 else "X"}
+           for i in range(400)]
+lines = [json.dumps(record) for record in records]
+address = tuple(json.loads(sys.argv[1]))
+with RemoteSession(address, client_id="c1", chunk_size=25) as remote:
+    remote.load(lines)
+    remote.commit()
+    count = remote.query("SELECT COUNT(*) FROM t WHERE stars = 5").scalar()
+    grouped = remote.query("SELECT stars, COUNT(*) FROM t GROUP BY stars").rows
+print(json.dumps([count, len(grouped)]))
+"""
+
 _SERVE_PROBE = _DENY_CHECK + """
-import json, tempfile
+import json, os, subprocess, tempfile
 from repro.api import Budget, CiaoSession, DeploymentConfig
 from repro.core import Query, Workload, clause, key_value, substring
-from repro.service import CiaoService, RemoteSession
+from repro.service import CiaoService
 
 stars = clause(key_value("stars", 5))
 city = clause(substring("city", "ville"))
@@ -76,19 +97,18 @@ with tempfile.TemporaryDirectory() as data_dir:
                  avg_record_length=sum(map(len, lines)) / len(lines))
     service = CiaoService(session, checkpoint_every=2)
     try:
-        with RemoteSession(service.address, client_id="c1",
-                           chunk_size=25) as remote:
-            remote.load(lines)
-            remote.commit()
-            count = remote.query(
-                "SELECT COUNT(*) FROM t WHERE stars = 5").scalar()
-            grouped = remote.query(
-                "SELECT stars, COUNT(*) FROM t GROUP BY stars").rows
+        client = subprocess.run(
+            [sys.executable, "-c", SERVE_CLIENT,
+             json.dumps(list(service.address))],
+            env=os.environ, capture_output=True, text=True, timeout=120,
+        )
     finally:
         service.close()
         session.close()
+assert client.returncode == 0, client.stderr
+count, groups = json.loads(client.stdout.strip().splitlines()[-1])
 assert count == sum(r["stars"] == 5 for r in records), count
-assert len(grouped) == 6, grouped
+assert groups == 6, groups
 print(denied_modules(DENIED, ANALYSIS_RUNTIME))
 """
 
@@ -97,7 +117,8 @@ def _run_probe(source: str) -> str:
     # A fresh interpreter: this test process has imported everything.
     env = dict(os.environ, PYTHONPATH=str(SRC))
     constants = (f"DENIED = {DENIED!r}\n"
-                 f"ANALYSIS_RUNTIME = {ANALYSIS_RUNTIME!r}\n")
+                 f"ANALYSIS_RUNTIME = {ANALYSIS_RUNTIME!r}\n"
+                 f"SERVE_CLIENT = {_SERVE_CLIENT!r}\n")
     done = subprocess.run(
         [sys.executable, "-c", constants + source], env=env,
         capture_output=True, text=True, timeout=120,
@@ -111,8 +132,9 @@ def test_importing_the_served_api_loads_no_denied_module():
 
 
 def test_a_full_serve_loads_no_denied_module():
-    # Plan, serve, load over loopback, commit and query: nothing denied
-    # was only put off until the timed paths.
+    # Plan, serve, take a load over loopback from a client process,
+    # commit and query: nothing denied was only put off until the timed
+    # paths.
     assert _run_probe(_SERVE_PROBE) == "[]"
 
 
