@@ -248,8 +248,8 @@ def test_incremental_snapshot_aggregation(benchmark, tmp_path,
         f"{warm.stats.row_groups_total} row groups vs cold "
         f"{cold.stats.row_groups_total}"
     )
-    assert warm.plan_info.snapshot_cache_hits > 0
-    assert cold.plan_info.snapshot_cache_hits == 0
+    assert warm.stats.snapshot_cache_hits > 0
+    assert cold.stats.snapshot_cache_hits == 0
 
     summary = server.finalize_loading()
     final = server.query(SNAP_SQL)
@@ -261,11 +261,11 @@ def test_incremental_snapshot_aggregation(benchmark, tmp_path,
         "== incremental snapshot aggregation (sharded streaming load) ==",
         f"query: {SNAP_SQL}",
         f"first mid-load query:  {first.stats.row_groups_total} row "
-        f"groups scanned ({first.plan_info.snapshot_cache_misses} parts "
+        f"groups scanned ({first.stats.snapshot_cache_misses} parts "
         f"cached)",
         f"second (warm):         {warm.stats.row_groups_total} row groups "
-        f"({warm.plan_info.snapshot_cache_hits} parts from cache, "
-        f"{warm.plan_info.snapshot_cache_misses} fresh) in "
+        f"({warm.stats.snapshot_cache_hits} parts from cache, "
+        f"{warm.stats.snapshot_cache_misses} fresh) in "
         f"{warm_s * 1000:.2f}ms",
         f"second (cold rescan):  {cold.stats.row_groups_total} row groups "
         f"in {cold_s * 1000:.2f}ms",
@@ -281,7 +281,7 @@ def test_incremental_snapshot_aggregation(benchmark, tmp_path,
         "first_row_groups": first.stats.row_groups_total,
         "warm_row_groups": warm.stats.row_groups_total,
         "cold_row_groups": cold.stats.row_groups_total,
-        "warm_cache_hits": warm.plan_info.snapshot_cache_hits,
+        "warm_cache_hits": warm.stats.snapshot_cache_hits,
         "warm_ms": warm_s * 1000,
         "cold_ms": cold_s * 1000,
         "answers_identical": True,

@@ -151,7 +151,7 @@ class LoadJob:
         per-part partial aggregates keyed by (sealed part, query
         fingerprint), so each call scans only the parts sealed since the
         previous one plus the sideline delta — see
-        ``result.plan_info.snapshot_cache_hits`` — with answers
+        ``result.stats.snapshot_cache_hits`` — with answers
         identical to a cold scan of the same snapshot.
         """
         return self.server.query(sql)

@@ -13,9 +13,9 @@ into the result.  The pre-batch row-at-a-time interpreter lives on in
 the test tree (``tests/engine_oracle.py``) as the equivalence oracle and
 benchmark baseline.
 
-Mid-load snapshot queries get incremental aggregation: sealed Parquet
-parts are immutable, so :class:`SnapshotAggCache` keys per-part partial
-aggregates by (part identity, query fingerprint) and successive
+Mid-load snapshot aggregates are incremental: sealed Parquet parts are
+immutable, so their plan's ``SnapshotAggregate`` keeps per-part
+partial aggregates by (part identity, query fingerprint) and successive
 snapshot queries only scan newly sealed parts plus the sideline delta
 (:mod:`repro.engine.snapcache`).
 """

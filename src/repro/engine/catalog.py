@@ -192,15 +192,17 @@ class TableEntry:
       reader: bounded by the part rows in view times the columns
       queried;
     * while ``live``, partial aggregates per part and query fingerprint
-      (:attr:`snapshot_cache`); a final view drops them all;
+      (:attr:`snapshot_cache`), for at most
+      :data:`~repro.engine.snapcache.SNAPSHOT_FINGERPRINTS_CAP`
+      fingerprints; a final view drops them all;
     * per listed sideline file, the parsed records of the lines read
       (bounded by the sideline records in view, as the file holds them)
       and the columns pulled from them: bounded by the sideline records
       in view times the columns queried;
     * per SQL text, its prepared plan (:meth:`prepared`): the operator
       tree with the skip decisions its scans made, and its
-      :class:`~repro.engine.planner.PlanInfo`; at most
-      :data:`PREPARED_PLANS_CAP`, the oldest dropped first.  A plan's
+      :class:`~repro.engine.planner.PlanInfo` (a live aggregate's too);
+      at most :data:`PREPARED_PLANS_CAP`, the oldest dropped first.  A plan's
       scans keep one survivor mask per candidate group they reached,
       so the masks are bounded by :data:`PREPARED_PLANS_CAP` times the
       part rows in view / 8 bytes.  Any change of the view or of the

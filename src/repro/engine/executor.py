@@ -2,16 +2,17 @@
 
 ``run_plan`` drives the batch engine: the operator tree exchanges
 columnar batches and rows are only materialized once, at the result
-boundary.  Mid-load aggregate queries against a live table view are
-routed through the incremental snapshot cache
-(:mod:`repro.engine.snapcache`), which reuses per-part partial aggregates
-across successive snapshots instead of rescanning sealed parts.
+boundary.  Every statement runs the same way, the table's prepared plan
+through ``run_plan``; the planner decides what the tree holds (for an
+aggregate over a mid-load view, a fold of cached per-part partials,
+:mod:`repro.engine.snapcache`).
 
 Observability (``repro.obs``) hangs off the :class:`Executor`, not the
 operators: per-query counters, spans, and the query-log record are all
-folded from :class:`ExecutionStats`/:class:`PlanInfo` *after* the plan
-runs, so the batch scan loop itself carries zero instrumentation and
-the disabled path stays within the overhead guard asserted by
+folded from :class:`ExecutionStats` (what one run did) and
+:class:`PlanInfo` (what the planner decided) *after* the plan runs, so
+the batch scan loop itself carries zero instrumentation and the disabled
+path stays within the overhead guard asserted by
 ``benchmarks/bench_query_engine.py``.
 
 A repeated statement pays once for what depends only on its text and
@@ -22,8 +23,7 @@ SQL text until its view or pushdown map changes
 (:meth:`~repro.engine.catalog.TableEntry.prepared`), with the skip
 decisions its scans made on their first run.  Results are never kept:
 every execution decodes, filters and aggregates the surviving row
-groups afresh, and gets a fresh :class:`PlanInfo`.  Live aggregates
-go through the snapshot cache instead.
+groups afresh, and gets a fresh :class:`PlanInfo`.
 """
 
 from __future__ import annotations
@@ -122,17 +122,12 @@ class Executor:
                 self._parsed[sql] = parsed
         return self.execute_parsed(parsed, sql=sql)
 
-    def execute_parsed(self, parsed: ParsedQuery,
-                       sql: str = "") -> QueryResult:
-        """Run an already-parsed statement.
+    def execute_parsed(self, parsed: ParsedQuery, sql: str) -> QueryResult:
+        """Run *parsed*, the statement the SQL text *sql* parses to.
 
-        Aggregate queries over a live (mid-load) table view go through
-        the incremental snapshot cache: sealed parts are immutable, so
-        repeated mid-load aggregates only scan newly sealed parts plus
-        the sideline delta.  Everything else runs the table's prepared
-        plan for *sql*, the text *parsed* came from
-        (:meth:`~repro.engine.catalog.TableEntry.prepared`), with a fresh
-        :class:`PlanInfo` copy; with no text it plans cold.
+        Runs the table's prepared plan for *sql*
+        (:meth:`~repro.engine.catalog.TableEntry.prepared`), planning it
+        on a miss, with a fresh :class:`PlanInfo` copy.
         """
         table = self.catalog.lookup(parsed.table)
         if not self._observing:
@@ -144,15 +139,7 @@ class Executor:
         return result
 
     def _run(self, parsed: ParsedQuery, table, sql: str) -> QueryResult:
-        if table.live and parsed.is_aggregate:
-            from .snapcache import execute_snapshot_aggregate
-            with self.tracer.trace("engine.aggregate"):
-                return execute_snapshot_aggregate(parsed, table,
-                                                  table.snapshot_cache)
-        if sql:
-            plan, info = table.prepared(sql, parsed, self._plan)
-        else:
-            plan, info = self._plan(parsed, table)
+        plan, info = table.prepared(sql, parsed, self._plan)
         with self.tracer.trace("engine.scan"):
             return run_plan(plan, info.copy())
 
@@ -168,7 +155,6 @@ class Executor:
                  sql: str) -> None:
         """Fold one finished query into metrics and the query log."""
         stats = result.stats
-        info = result.plan_info
         self._m_queries.inc()
         self._m_latency.observe(result.wall_seconds)
         self._m_rows_emitted.inc(stats.rows_emitted)
@@ -182,8 +168,8 @@ class Executor:
         self._m_tuples_skipped.inc(
             stats.tuples_skipped + stats.tuples_pruned_by_zonemap
         )
-        self._m_cache_hits.inc(info.snapshot_cache_hits)
-        self._m_cache_misses.inc(info.snapshot_cache_misses)
+        self._m_cache_hits.inc(stats.snapshot_cache_hits)
+        self._m_cache_misses.inc(stats.snapshot_cache_misses)
         self._m_side_parsed.inc(stats.sideline_records_parsed)
         self._m_side_cached.inc(stats.sideline_records_cached)
         if not self.query_log.enabled:
@@ -198,11 +184,11 @@ class Executor:
         selectivity = (
             stats.rows_examined / candidates if candidates > 0 else 1.0
         )
-        if info.snapshot_cache_hits and info.snapshot_cache_misses:
+        if stats.snapshot_cache_hits and stats.snapshot_cache_misses:
             cache_outcome = "mixed"
-        elif info.snapshot_cache_hits:
+        elif stats.snapshot_cache_hits:
             cache_outcome = "hit"
-        elif info.snapshot_cache_misses:
+        elif stats.snapshot_cache_misses:
             cache_outcome = "miss"
         else:
             cache_outcome = "none"

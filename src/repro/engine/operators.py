@@ -87,6 +87,10 @@ class ExecutionStats:
     #: parsed from the table's sideline cache.
     sideline_records_parsed: int = 0
     sideline_records_cached: int = 0
+    #: Parts a live aggregate took from the snapshot cache, and those it
+    #: folded afresh (:class:`~repro.engine.snapcache.SnapshotAggregate`).
+    snapshot_cache_hits: int = 0
+    snapshot_cache_misses: int = 0
     used_data_skipping: bool = False
     scanned_sideline: bool = False
 

@@ -23,10 +23,12 @@ range and inequality predicates that CIAO cannot push to clients.  A
 whose intersection is non-empty, or that lack a vector), since the
 vectors rule most groups out first at no per-group cost.
 
-Steps 2–4 and the zone-map hook are decided in one place,
-:func:`plan_scans`; :func:`plan_query` puts the residual filter,
-projection and LIMIT above its scans, and the snapshot aggregate cache
-(:mod:`repro.engine.snapcache`) runs the same scans one part at a time.
+:func:`plan_query` decides steps 2–4 and the zone-map hook, then puts
+the residual filter, projection and LIMIT above one chain of the scans.
+An aggregate over a live (mid-load) view folds the same scans one part
+at a time instead, through
+:class:`~repro.engine.snapcache.SnapshotAggregate`, which keeps each
+sealed part's partial aggregate across snapshots; LIMIT goes above it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..storage.columnar import ParquetLiteReader
 from .catalog import TableEntry
 from .expressions import Expr, conjuncts, to_clause
 from .operators import (
@@ -49,7 +50,7 @@ from .operators import (
     SidelineScan,
     SkippingScan,
 )
-from .sql import ParsedQuery, SelectItem
+from .sql import ParsedQuery
 from .zonemaps import expr_prunes_group
 
 
@@ -62,11 +63,6 @@ class PlanInfo:
     uses_zonemaps: bool = False
     scans_sideline: bool = False
     description: str = ""
-    #: Incremental snapshot-scan cache accounting (mid-load aggregate
-    #: queries only): sealed parts answered from cached partial
-    #: aggregates vs. parts actually scanned this execution.
-    snapshot_cache_hits: int = 0
-    snapshot_cache_misses: int = 0
 
     def copy(self) -> "PlanInfo":
         """A copy sharing no mutable value with this one."""
@@ -90,27 +86,20 @@ def zone_prune_hook(where: Optional[Expr]) -> Optional[Callable]:
     return prune
 
 
-def plan_scans(parsed: ParsedQuery, table: TableEntry
-               ) -> Tuple[List[Tuple[ParquetLiteReader, Operator]],
-                          Optional[Operator], PlanInfo]:
-    """Choose the scan of each part of *table*, and the sideline scan.
-
-    Returns ``(parts, sideline, info)``: one ``(reader, scan)`` pair per
-    Parquet-lite part in catalog order — a :class:`SkippingScan` over the
-    matched predicate ids if any conjunct matched a pushed predicate, a
-    :class:`ParquetScan` otherwise, both with the zone-map hook — and a
-    :class:`SidelineScan`, or ``None`` when a match rules the sideline
-    out or there is none.  Raises :class:`PlannerError` for select
-    shapes the engine cannot run.
-    """
+def plan_query(parsed: ParsedQuery, table: TableEntry
+               ) -> Tuple[Operator, PlanInfo]:
+    """Build the operator tree for *parsed* against *table* (steps 2–5
+    above); raises :class:`PlannerError` for select shapes the engine
+    cannot run."""
     _check_select(parsed)
     ids = match_pushdown(parsed.where, table)
     columns = scan_columns_for(parsed)
     prune = zone_prune_hook(parsed.where)
     info = PlanInfo(matched_predicate_ids=ids, used_skipping=bool(ids),
                     uses_zonemaps=prune is not None)
-    parts: List[Tuple[ParquetLiteReader, Operator]] = [
-        (reader, SkippingScan(reader, ids, columns=columns, prune=prune)
+    parts: List[Tuple[str, Operator]] = [
+        (str(reader.path),
+         SkippingScan(reader, ids, columns=columns, prune=prune)
          if ids else ParquetScan(reader, columns=columns, prune=prune))
         for reader in table.open_readers()
     ]
@@ -118,22 +107,22 @@ def plan_scans(parsed: ParsedQuery, table: TableEntry
     if not ids and table.has_sideline:
         info.scans_sideline = True
         sideline = SidelineScan(table.sidelines, table.sideline_cache)
-    return parts, sideline, info
-
-
-def plan_query(parsed: ParsedQuery, table: TableEntry
-               ) -> Tuple[Operator, PlanInfo]:
-    """Build the operator tree for *parsed* against *table*."""
-    parts, sideline, info = plan_scans(parsed, table)
-    scans = [scan for _, scan in parts]
-    if sideline is not None:
-        scans.append(sideline)
-    if not scans:
-        scans.append(_EmptyScan())
-    plan: Operator = scans[0] if len(scans) == 1 else ChainScan(scans)
-    if parsed.where is not None:
-        plan = Filter(plan, parsed.where)
-    plan = _projection(plan, parsed)
+    if table.live and parsed.is_aggregate:
+        # deferred: a process that never queries mid-load never
+        # compiles the snapshot cache
+        from .snapcache import SnapshotAggregate
+        plan: Operator = SnapshotAggregate(parsed, parts, sideline,
+                                           table.snapshot_cache)
+    else:
+        scans = [scan for _, scan in parts]
+        if sideline is not None:
+            scans.append(sideline)
+        if not scans:
+            scans.append(_EmptyScan())
+        plan = scans[0] if len(scans) == 1 else ChainScan(scans)
+        if parsed.where is not None:
+            plan = Filter(plan, parsed.where)
+        plan = _projection(plan, parsed)
     if parsed.limit is not None:
         plan = Limit(plan, parsed.limit)
     info.description = plan.describe()

@@ -1,14 +1,19 @@
-"""Incremental snapshot-scan cache: reuse partial aggregates across
+"""Incremental snapshot aggregation: reuse partial aggregates across
 mid-load snapshots.
 
 Sealed Parquet parts are immutable (footer-written before they are ever
 published), so during a streaming load the answer an aggregate query gets
 from one part can never change — only the *set* of parts (and the
 sideline watermark) grows between snapshots.  This module exploits that:
-per-part partial aggregates are cached under ``(part identity, query
-fingerprint)``, and a repeated mid-load aggregate query scans **only the
+per-part partial aggregates are cached under ``(query fingerprint,
+part identity)``, and a repeated mid-load aggregate query scans **only the
 parts sealed since it last ran** plus the live sideline delta, then
 merges cached and fresh partials.
+
+The fold is an operator of the table's prepared plan,
+:class:`SnapshotAggregate`, so a live aggregate is planned once per view
+like any statement; the partials live in the table's
+:class:`SnapshotAggCache`.
 
 Soundness does not depend on the plan: the residual WHERE filter runs
 inside every per-part scan, so a cached partial is the *exact* aggregate
@@ -21,16 +26,19 @@ state, and survives mid-load ``update_plan`` replans.
 Determinism: parts are always folded in catalog part order (then the
 sideline), exactly the order a cold ``ChainScan`` visits them, so merged
 group ordering — and float accumulation per part — is identical whether
-a partial came from the cache or a fresh scan.  A cold run through this
-module (every part a miss) and a warm one are byte-identical.
+a partial came from the cache or a fresh scan.  A cold run (every part
+a miss) and a warm one are byte-identical.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
+from ..analysis.sanitizer import make_lock
+from .batch import ColumnBatch
 from .operators import (
     Aggregate,
     ExecutionStats,
@@ -42,11 +50,14 @@ from .operators import (
     finalize_grouped,
     merge_states,
 )
-from .planner import plan_scans
 from .sql import ParsedQuery
 
-__all__ = ["SnapshotAggCache", "execute_snapshot_aggregate",
-           "query_fingerprint"]
+__all__ = ["SNAPSHOT_FINGERPRINTS_CAP", "SnapshotAggCache",
+           "SnapshotAggregate", "query_fingerprint"]
+
+#: Distinct query fingerprints a snapshot cache keeps partials for; past
+#: it the oldest fingerprint's partials are dropped.
+SNAPSHOT_FINGERPRINTS_CAP = 256
 
 
 def query_fingerprint(parsed: ParsedQuery) -> str:
@@ -78,139 +89,133 @@ class _PartPartial:
 
 
 class SnapshotAggCache:
-    """(part path, query fingerprint) → partial aggregate."""
+    """Query fingerprint → part path → partial aggregate, for at most
+    :data:`SNAPSHOT_FINGERPRINTS_CAP` fingerprints, oldest dropped first
+    (fingerprints are kept in insertion order)."""
 
     def __init__(self) -> None:
-        self._partials: Dict[Tuple[str, str], _PartPartial] = {}
-        #: Cumulative accounting across the cache's lifetime.
-        self.hits = 0
-        self.misses = 0
+        self._lock = make_lock("SnapshotAggCache._lock")
+        self._partials: Dict[str, Dict[str, _PartPartial]] = {}  # guarded-by: _lock
 
     def __len__(self) -> int:
-        return len(self._partials)
+        with self._lock:
+            return sum(len(parts) for parts in self._partials.values())
 
     def get(self, part: str, fingerprint: str) -> Optional[_PartPartial]:
-        return self._partials.get((part, fingerprint))
+        # A lookup takes no lock: a dict read is atomic and a partial,
+        # once kept, never changes.
+        return self._partials.get(fingerprint, {}).get(part)
 
     def put(self, part: str, fingerprint: str,
             partial: _PartPartial) -> None:
-        self._partials[(part, fingerprint)] = partial
+        with self._lock:
+            parts = self._partials.get(fingerprint)
+            if parts is None:
+                if len(self._partials) >= SNAPSHOT_FINGERPRINTS_CAP:
+                    self._partials.pop(next(iter(self._partials)))
+                parts = self._partials[fingerprint] = {}
+            parts[part] = partial
 
     def clear(self) -> None:
         """Drop every cached partial (cold-scan baseline for benches)."""
-        self._partials.clear()
+        with self._lock:
+            self._partials.clear()
 
     def retain_parts(self, parts: Iterable[str]) -> None:
         """Drop partials for parts no longer in the view's part list
         (sealed parts only accumulate, but a committed compaction
         replaces its inputs)."""
         keep = set(parts)
-        stale = [key for key in self._partials if key[0] not in keep]
-        for key in stale:
-            del self._partials[key]
+        with self._lock:
+            for kept in self._partials.values():
+                for part in [p for p in kept if p not in keep]:
+                    del kept[part]
 
 
-# ----------------------------------------------------------------------
-# Incremental execution
-# ----------------------------------------------------------------------
-def execute_snapshot_aggregate(parsed: ParsedQuery, table,
-                               cache: SnapshotAggCache) -> "QueryResult":
-    """Answer an aggregate query against a live table view, scanning
-    only parts whose partials are not yet cached (plus the sideline).
+class SnapshotAggregate(Operator):
+    """An aggregate over a live view, merged from per-part partials.
 
-    The table's view must be ``live`` and *parsed* must aggregate
-    (``parsed.is_aggregate``); the executor routes accordingly.
+    *parts* are ``(part path, scan)`` pairs in catalog order.  Each run
+    takes each part's partial from *cache*, folding and keeping the
+    missing ones, folds the *sideline* scan (if any) afresh, and yields
+    the merged rows as one row-backed batch.
     """
-    # deferred: executor imports us
-    from .executor import QueryResult, _detach
 
-    # The same scans (and PlanInfo) a cold plan_query would chain, run
-    # one part at a time.
-    parts, sideline, info = plan_scans(parsed, table)
-    fingerprint = query_fingerprint(parsed)
-    agg_items = [i for i in parsed.select if i.aggregate is not None]
-    grouped = bool(parsed.group_by)
+    def __init__(self, parsed: ParsedQuery,
+                 parts: Sequence[Tuple[str, Operator]],
+                 sideline: Optional[Operator], cache: SnapshotAggCache):
+        self._parsed = parsed
+        self._parts = list(parts)
+        self._sideline = sideline
+        self._cache = cache
+        self._fingerprint = query_fingerprint(parsed)
+        self._agg_items = [item for item in parsed.select
+                           if item.aggregate is not None]
 
-    stats = ExecutionStats()
-    start = time.perf_counter()
-    partials: List[_PartPartial] = []
-    for reader, scan in parts:
-        key = str(reader.path)
-        partial = cache.get(key, fingerprint)
-        if partial is None:
-            partial = _accumulate_partial(scan, parsed, agg_items,
-                                          grouped, stats)
-            cache.put(key, fingerprint, partial)
-            cache.misses += 1
-            info.snapshot_cache_misses += 1
-        else:
-            cache.hits += 1
-            info.snapshot_cache_hits += 1
-        partials.append(partial)
+    def batches(self, stats: ExecutionStats) -> Iterator[ColumnBatch]:
+        cache, fingerprint = self._cache, self._fingerprint
+        partials: List[_PartPartial] = []
+        for part, scan in self._parts:
+            partial = cache.get(part, fingerprint)
+            if partial is None:
+                partial = self._fold(scan, stats)
+                cache.put(part, fingerprint, partial)
+                stats.snapshot_cache_misses += 1
+            else:
+                stats.snapshot_cache_hits += 1
+            partials.append(partial)
+        # The sideline's partial is recomputed each time (its watermark
+        # moves with every snapshot), but its records are parsed once:
+        # the table's sideline cache keeps each shard file's parsed
+        # prefix, so this scan parses only the delta.  Pushdown-matched
+        # queries have no sideline scan (a sidelined record is invalid
+        # for the matched predicate).
+        if self._sideline is not None:
+            partials.append(self._fold(self._sideline, stats))
+        # A MIN/MAX (or group key) may be a value of a cached record or
+        # partial: ``run_plan`` copies row-backed rows.
+        rows = self._merge(partials)
+        if rows:
+            yield ColumnBatch.from_rows(rows)
 
-    # The sideline's partial is recomputed each time (its watermark moves
-    # with every snapshot), but its records are parsed once: the table's
-    # sideline cache keeps each shard file's parsed prefix, so this scan
-    # parses only the delta.  Pushdown-matched queries skip it entirely
-    # (a sidelined record is invalid for the matched predicate).
-    if sideline is not None:
-        partials.append(_accumulate_partial(sideline, parsed, agg_items,
-                                            grouped, stats))
+    def _fold(self, scan: Operator, stats: ExecutionStats) -> _PartPartial:
+        parsed = self._parsed
+        plan = scan if parsed.where is None else Filter(scan, parsed.where)
+        batches = plan.batches(stats)
+        if parsed.group_by:
+            order, groups = accumulate_grouped(parsed.group_by,
+                                               self._agg_items, batches)
+            return _PartPartial(order=order, groups=groups)
+        return _PartPartial(simple=accumulate_simple(self._agg_items,
+                                                     batches))
 
-    rows = _merge_partials(parsed, agg_items, grouped, partials)
-    if parsed.limit is not None:
-        rows = rows[:parsed.limit]
-    # A MIN/MAX (or group key) may be a value of a cached sideline
-    # record, or of a cached partial: callers get copies.
-    rows = [_detach(row) for row in rows]
-    elapsed = time.perf_counter() - start
-    stats.rows_emitted = len(rows)
-    scans = [scan for _, scan in parts] + \
-        ([sideline] if sideline is not None else [])
-    info.description = (
-        f"SnapshotAggCache(hits={info.snapshot_cache_hits}, "
-        f"misses={info.snapshot_cache_misses}) <- "
-        + " + ".join(scan.describe() for scan in scans)
-    )
-    return QueryResult(rows=rows, stats=stats, plan_info=info,
-                       wall_seconds=elapsed)
-
-
-def _accumulate_partial(scan: Operator, parsed: ParsedQuery,
-                        agg_items, grouped: bool,
-                        stats: ExecutionStats) -> _PartPartial:
-    plan: Operator = scan
-    if parsed.where is not None:
-        plan = Filter(plan, parsed.where)
-    batches = plan.batches(stats)
-    if grouped:
-        order, groups = accumulate_grouped(parsed.group_by, agg_items,
-                                           batches)
-        return _PartPartial(order=order, groups=groups)
-    return _PartPartial(simple=accumulate_simple(agg_items, batches))
-
-
-def _merge_partials(parsed: ParsedQuery, agg_items, grouped: bool,
-                    partials: List[_PartPartial]) -> List[Dict[str, Any]]:
-    if grouped:
-        order: List[tuple] = []
-        groups: Dict[tuple, List[_AggState]] = {}
+    def _merge(self, partials: List[_PartPartial]) -> List[Dict[str, Any]]:
+        parsed, agg_items = self._parsed, self._agg_items
+        if parsed.group_by:
+            order: List[tuple] = []
+            groups: Dict[tuple, List[_AggState]] = {}
+            for partial in partials:
+                for key in partial.order:
+                    into = groups.get(key)
+                    if into is None:
+                        into = [_AggState() for _ in agg_items]
+                        groups[key] = into
+                        order.append(key)
+                    for dst, src in zip(into, partial.groups[key]):
+                        merge_states(dst, src)
+            return finalize_grouped(parsed.select, list(parsed.group_by),
+                                    order, groups)
+        merged = [_AggState() for _ in agg_items]
         for partial in partials:
-            for key in partial.order:
-                into = groups.get(key)
-                if into is None:
-                    into = [_AggState() for _ in agg_items]
-                    groups[key] = into
-                    order.append(key)
-                for dst, src in zip(into, partial.groups[key]):
-                    merge_states(dst, src)
-        return finalize_grouped(parsed.select, list(parsed.group_by),
-                                order, groups)
-    merged = [_AggState() for _ in agg_items]
-    for partial in partials:
-        for dst, src in zip(merged, partial.simple):
-            merge_states(dst, src)
-    row: Dict[str, Any] = {}
-    for item, state in zip(agg_items, merged):
-        row[item.label] = Aggregate._finalize(item.aggregate, state)
-    return [row]
+            for dst, src in zip(merged, partial.simple):
+                merge_states(dst, src)
+        return [{item.label: Aggregate._finalize(item.aggregate, state)
+                 for item, state in zip(agg_items, merged)}]
+
+    def describe(self) -> str:
+        labels = ", ".join(item.label for item in self._parsed.select)
+        scans = [scan for _, scan in self._parts]
+        if self._sideline is not None:
+            scans.append(self._sideline)
+        return (f"SnapshotAggregate({labels}) <- "
+                + " + ".join(scan.describe() for scan in scans))

@@ -609,14 +609,16 @@ class CiaoServer:
         plus sideline watermarks), so results equal serial ingest of
         exactly the chunks covered so far, and ingestion keeps running;
         a query never finalizes.  Chunks ingested since the last seal
-        are absent until the next one (or :meth:`quiesce`).  Repeated
-        mid-load *aggregate* queries are incremental: sealed parts are
-        immutable, so the engine caches per-part partial aggregates by
-        (part, query fingerprint) and each successive snapshot query
-        scans only the parts sealed since it last ran plus the sideline
-        delta (:mod:`repro.engine.snapcache`; answers are identical to a
-        cold scan of the same snapshot).  Call :meth:`finalize_loading`
-        to seal the load and query the whole table.
+        are absent until the next one (or :meth:`quiesce`).  A statement
+        is planned once per view.  Repeated mid-load *aggregate* queries
+        are incremental: sealed parts are immutable, so the plan keeps
+        per-part partial aggregates by (part, query fingerprint) and
+        each successive snapshot query scans only the parts sealed
+        since it last ran plus the sideline delta
+        (:mod:`repro.engine.snapcache`; answers are identical to a cold
+        scan of the same snapshot; ``result.stats`` counts the cache
+        hits).  Call :meth:`finalize_loading` to seal the load and query
+        the whole table.
 
         Queries serialize against a concurrent :meth:`finalize_loading`
         (and against each other): a statement sees either a consistent

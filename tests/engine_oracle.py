@@ -42,7 +42,8 @@ from repro.engine.operators import (
     _AggState,
     _update_state,
 )
-from repro.engine.planner import PlanInfo
+from repro.engine.planner import PlanInfo, _EmptyScan
+from repro.engine.snapcache import SnapshotAggregate
 from repro.storage import SidelineView
 
 
@@ -85,6 +86,10 @@ def iter_rows(op: Operator, stats: ExecutionStats
         yield _aggregate(op, stats)
     elif isinstance(op, GroupedAggregate):
         yield from _grouped(op, stats)
+    elif isinstance(op, SnapshotAggregate):
+        # Cold, row at a time: the tree a final view plans, over the
+        # same scans; the snapshot cache is neither read nor filled.
+        yield from iter_rows(_cold_aggregate(op), stats)
     else:
         # Unknown operator (e.g. _EmptyScan, test doubles): spill its
         # batches.
@@ -102,6 +107,19 @@ def run_plan_rows(plan: Operator, info: PlanInfo) -> QueryResult:
     return QueryResult(
         rows=rows, stats=stats, plan_info=info, wall_seconds=elapsed
     )
+
+
+def _cold_aggregate(op: SnapshotAggregate) -> Operator:
+    scans = [scan for _, scan in op._parts]
+    if op._sideline is not None:
+        scans.append(op._sideline)
+    parsed = op._parsed
+    plan: Operator = ChainScan(scans) if scans else _EmptyScan()
+    if parsed.where is not None:
+        plan = Filter(plan, parsed.where)
+    if parsed.group_by:
+        return GroupedAggregate(plan, parsed.group_by, parsed.select)
+    return Aggregate(plan, parsed.select)
 
 
 def _scan_parquet(op: ParquetScan, stats: ExecutionStats):

@@ -246,4 +246,4 @@ def test_snapshot_cache_equals_cold_scan(table, data, tmp_path_factory):
     assert json.dumps(first.rows) == json.dumps(warm.rows)
     assert json.dumps(warm.rows) == json.dumps(cold.rows)
     assert warm.stats.row_groups_total == 0 or not parts
-    assert warm.plan_info.snapshot_cache_hits == len(parts)
+    assert warm.stats.snapshot_cache_hits == len(parts)

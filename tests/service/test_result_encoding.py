@@ -64,7 +64,7 @@ def results(tmp_path):
 
 
 def test_results_cover_the_fields_that_matter(results):
-    midload = results["midload"].plan_info
+    midload = results["midload"].stats
     assert midload.snapshot_cache_hits and midload.snapshot_cache_misses
     assert results["matched"].plan_info.matched_predicate_ids == [1]
     assert results["matched"].stats.used_data_skipping
