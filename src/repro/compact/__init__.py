@@ -20,7 +20,6 @@ __all__ = [
     "CompactionPlan",
     "CompactionPolicy",
     "Compactor",
-    "DEFAULT_ROW_GROUP_ROWS",
     "RewriteStats",
     "resolve_compaction",
     "rewrite_parts",
@@ -31,5 +30,5 @@ __getattr__, __dir__ = _lazy.lazy_exports(__name__, {
     ".policy": (
         "CompactionConfig", "CompactionPlan", "CompactionPolicy",
         "resolve_compaction"),
-    ".rewrite": ("DEFAULT_ROW_GROUP_ROWS", "RewriteStats", "rewrite_parts"),
+    ".rewrite": ("RewriteStats", "rewrite_parts"),
 })

@@ -33,7 +33,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..analysis.sanitizer import make_lock
 from ..obs.querylog import QueryLogRecord
 from ..storage.columnar import ParquetLiteReader
-from .rewrite import DEFAULT_ROW_GROUP_ROWS
+from ..storage.rowgroup import ROW_GROUP_ROWS
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class CompactionConfig:
     #: A part within this factor of the tier's smallest part joins it.
     tier_ratio: float = 8.0
     #: Output row-group size for rewritten parts.
-    row_group_rows: int = DEFAULT_ROW_GROUP_ROWS
+    row_group_rows: int = ROW_GROUP_ROWS
     #: Re-cluster cost multiplier: credit (row groups decoded by queries
     #: on the column) must reach ``factor × input row groups`` first.
     rewrite_cost_factor: float = 1.0

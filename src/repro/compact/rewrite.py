@@ -36,11 +36,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..bitvec.bitvector import BitVector
 from ..rawjson.parser import loads
 from ..storage.columnar import ParquetLiteReader, ParquetLiteWriter
+from ..storage.rowgroup import ROW_GROUP_ROWS
 from ..storage.schema import ColumnType, Schema, merge_schemas
-
-#: Output row-group size: a few input seal-groups' worth, so compaction
-#: reduces group count while keeping skipping granularity useful.
-DEFAULT_ROW_GROUP_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,7 @@ def rewrite_parts(
     inputs: Sequence[Path | str],
     output_path: Path | str,
     cluster_by: Optional[str] = None,
-    row_group_rows: int = DEFAULT_ROW_GROUP_ROWS,
+    row_group_rows: int = ROW_GROUP_ROWS,
 ) -> RewriteStats:
     """Merge *inputs* into one part at *output_path*; see module docs.
 

@@ -46,6 +46,7 @@ from ..storage.schema import Schema
 from .loader import ClientAssistedLoader, LoadSummary
 from .pipeline import (
     DEFAULT_SEAL_INTERVAL,
+    LoadSnapshot,
     ShardedIngestPipeline,
     StreamingLoader,
     validate_server_options,
@@ -162,7 +163,10 @@ class CiaoServer:
     from a shared work-stealing deque by default) and merges their
     outputs into the catalog at :meth:`finalize_loading`.  Either way a
     loader seals its Parquet part every *seal_interval* chunks and
-    publishes it, and query results are identical to serial ingest.
+    publishes it, and query results are identical to serial ingest.  A
+    part's row groups are sized by rows, not by chunks: full groups of
+    ``ROW_GROUP_ROWS`` (:mod:`repro.storage.rowgroup`) rows as they fill,
+    the remainder when the part seals.
 
     Lifecycle: a server starts in state ``"loading"`` and moves to
     ``"finalized"`` at :meth:`finalize_loading`; ingesting into a
@@ -267,6 +271,11 @@ class CiaoServer:
         self._compaction_remap: Dict[str, Path] = {}
         #: Committed compactions so far (recorded in the manifest).
         self._compaction_epoch = 0  # guarded-by: _lifecycle_lock
+        #: ``(load snapshot version, compaction epoch)`` the table's view
+        #: was last resolved from; the version is ``None`` once
+        #: finalized.  Equal keys mean an identical view.
+        # guarded-by: _lifecycle_lock
+        self._view_key: Optional[Tuple[Optional[int], int]] = None
         # Serializes query() against finalize_loading(): a loading
         # server may be queried from one thread while another thread
         # finalizes (session load jobs, fleet coordinators), and the
@@ -534,8 +543,9 @@ class CiaoServer:
     # manifest
     # ------------------------------------------------------------------
     @guarded_by("_lifecycle_lock")
-    def _view(self) -> Tuple[str, List[Path], List[Tuple[Path, int]],
-                             LoadSummary]:
+    def _view(self, snap: Optional[LoadSnapshot] = None
+              ) -> Tuple[str, List[Path], List[Tuple[Path, int]],
+                         LoadSummary]:
         """The table as it stands: ``(state, parts, sidelines, summary)``.
 
         The single answer to "which parts and sideline segments make up
@@ -548,14 +558,16 @@ class CiaoServer:
         while loading (this generation's main file, which opens with
         the recovered records, then any shard files); the whole main
         file once finalized.  The summary counts exactly what the parts
-        and sidelines cover.
+        and sidelines cover.  *snap* is the load snapshot to read while
+        loading, if the caller took one already.
         """
         if self._loading_finalized:
             store = self._side_store
             parts, summary = self._sink.parquet_paths, self._sink.summary
             sidelines = [(store.path, store.record_count)]
         else:
-            snap = self._sink.snapshot()
+            if snap is None:
+                snap = self._sink.snapshot()
             parts, summary = snap.parquet_paths, snap.summary
             sidelines = snap.sidelines
         return (
@@ -569,14 +581,24 @@ class CiaoServer:
     def _refresh_view(self) -> None:
         """Point the catalog table at the current view.
 
-        One call in either state: the table compares the view with the
-        one it scans and ignores an unchanged one, so parts still in it
-        keep their cached readers (and, mid-load, partial aggregates)
-        and sideline files still in it their parsed prefixes.  A newly
-        sealed part or a committed compaction always registers.
+        One call in either state, resolved once per publication: while
+        the load snapshot's version and the compaction epoch are the
+        ones the view was last resolved from, the view is unchanged and
+        this returns at once.  Otherwise the table compares the view
+        with the one it scans and ignores an unchanged one, so parts
+        still in it keep their cached readers (and, mid-load, partial
+        aggregates) and sideline files still in it their parsed
+        prefixes.  A newly sealed part or a committed compaction always
+        registers.
         """
-        state, parts, sidelines, _ = self._view()
+        snap = None if self._loading_finalized else self._sink.snapshot()
+        key = (None if snap is None else snap.version,
+               self._compaction_epoch)
+        if key == self._view_key:
+            return
+        state, parts, sidelines, _ = self._view(snap)
         self._table.set_view(parts, sidelines, live=state != "finalized")
+        self._view_key = key
 
     @guarded_by("_lifecycle_lock")
     def _remap_parts(self, parquet_paths: Iterable[Path]) -> List[Path]:

@@ -8,14 +8,26 @@ For every received chunk the loader:
 2. **parses** the selected records, each with one call of the strict record
    parser :func:`repro.rawjson.parser.try_parse` (the C ``json`` decoder,
    the analogue of the paper's rapidJSON: the expensive step partial
-   loading exists to avoid), and writes them as one Parquet-lite row
-   group, attaching the *derived* bit-vectors (original vectors restricted
-   to the loaded positions).  This write is column-major: the schema is
-   inferred from each column's set of Python types, each column is coerced
-   and paged in bulk, and every derived vector is one ``itemgetter``
-   gather over the chunk vector's bit string — no Python call per value
-   or per bit, except the per-value fallback for types the C decoder
-   never produces (subclasses, values a column cannot store);
+   loading exists to avoid), pulls them into columns once
+   (:func:`~repro.storage.schema.pull_columns`, which also feeds schema
+   inference) and adds those columns, with the chunk's *derived*
+   bit-vectors (original vectors restricted to the loaded positions, one
+   ``itemgetter`` gather over the chunk vector's bit string each), to the
+   open part's **pending rows**; the row dicts are dropped.  Pending rows
+   are written as one Parquet-lite row group as soon as
+   ``ROW_GROUP_ROWS`` (:mod:`repro.storage.rowgroup`) of them are
+   pending; the shorter remainder is written when the part seals
+   (:meth:`~ClientAssistedLoader.seal_part`, ``finalize``) or before a
+   schema-widening chunk rotates the file.  So a group spans chunks:
+   each id's stored vector is the chunks' derived vectors concatenated
+   (split with ``slice`` where a group boundary falls inside a chunk),
+   and a chunk that carried no vector for an id contributes 1s — "may
+   match", the rule compaction follows too — so a stored 0 is never
+   invented.  The write is column-major: each column is coerced and
+   paged in bulk, with no Python call per value or per bit, except the
+   per-value fallback for types the C decoder never produces
+   (subclasses, values a column cannot store).  Pending rows stay below
+   one group plus one chunk, whatever the seal interval;
 3. appends the rejected records, unparsed, to the raw JSON sideline store.
 
 Malformed-record policy: a selected record that fails to parse is counted
@@ -45,10 +57,13 @@ with no loading win can still show query wins (Fig. 6).
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain
 from pathlib import Path
-from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Deque, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..bitvec.bitvector import BitVector, selector
 from ..obs.metrics import Metrics, resolve_metrics
@@ -56,6 +71,7 @@ from ..rawjson.chunks import JsonChunk
 from ..rawjson.parser import try_parse
 from ..storage.columnar import ParquetLiteWriter
 from ..storage.jsonstore import JsonSideStore
+from ..storage.rowgroup import ROW_GROUP_ROWS
 from ..storage.schema import (
     Schema,
     infer_column_schema,
@@ -148,6 +164,84 @@ class LoadSummary:
         return cls(**counts, wall_seconds=float(doc.get("wall_seconds", 0.0)))
 
 
+#: One chunk's share of the pending rows: its pulled columns, its row
+#: count and its derived bit-vectors.
+_Segment = Tuple[Dict[str, List[Any]], int, Dict[int, BitVector]]
+
+
+class _PendingRows:
+    """The open part's loaded rows that no row group holds yet.
+
+    Kept as the chunks' pulled columns and derived bit-vectors, in
+    arrival order — never as row dicts.
+    """
+
+    def __init__(self) -> None:
+        self._segments: Deque[_Segment] = deque()
+        #: Rows pending across all segments.
+        self.rows = 0
+
+    def add(self, columns: Dict[str, List[Any]], rows: int,
+            vectors: Dict[int, BitVector]) -> None:
+        """Append one chunk's loaded rows."""
+        self._segments.append((columns, rows, vectors))
+        self.rows += rows
+
+    def take(self, rows: int
+             ) -> Tuple[Dict[str, List[Any]], Dict[int, BitVector]]:
+        """Remove the first *rows* pending rows; return them as one row
+        group's columns and bit-vectors.
+
+        A column a chunk lacked reads as nulls there, and a bit-vector
+        a chunk lacked as 1s (the row may match), so no stored 0 is
+        invented.
+        """
+        taken: List[_Segment] = []
+        needed = rows
+        while needed:
+            columns, count, vectors = self._segments.popleft()
+            if count > needed:
+                # The group boundary falls inside this chunk: split it.
+                self._segments.appendleft((
+                    {name: values[needed:]
+                     for name, values in columns.items()},
+                    count - needed,
+                    {pid: bv.slice(needed, count)
+                     for pid, bv in vectors.items()},
+                ))
+                columns = {name: values[:needed]
+                           for name, values in columns.items()}
+                vectors = {pid: bv.slice(0, needed)
+                           for pid, bv in vectors.items()}
+                count = needed
+            taken.append((columns, count, vectors))
+            needed -= count
+        self.rows -= rows
+        if len(taken) == 1:
+            columns, _, vectors = taken[0]
+            return columns, vectors
+        names = dict.fromkeys(chain.from_iterable(
+            columns for columns, _, _ in taken
+        ))
+        merged_columns = {
+            name: list(chain.from_iterable(
+                columns[name] if name in columns else [None] * count
+                for columns, count, _ in taken
+            ))
+            for name in names
+        }
+        merged_vectors = {
+            pid: reduce(BitVector.concat, [
+                vectors[pid] if pid in vectors else BitVector.ones(count)
+                for _, count, vectors in taken
+            ])
+            for pid in dict.fromkeys(chain.from_iterable(
+                vectors for _, _, vectors in taken
+            ))
+        }
+        return merged_columns, merged_vectors
+
+
 class ClientAssistedLoader:
     """Load annotated chunks into Parquet-lite + sideline storage.
 
@@ -193,6 +287,8 @@ class ClientAssistedLoader:
             if required_predicate_ids is not None else None
         )
         self._writer: Optional[ParquetLiteWriter] = None
+        #: Loaded rows of the open part not yet in a row group.
+        self._pending = _PendingRows()
         self.parquet_paths: List[Path] = []
         self.summary = LoadSummary()
         self._finalized = False
@@ -229,14 +325,13 @@ class ClientAssistedLoader:
         if parsed_rows:
             # One pull per column feeds both the schema and the pages.
             columns = pull_columns(parsed_rows)
-            writer = self._ensure_writer(columns)
-            derived = self._derive_bitvectors(chunk, kept_positions)
-            writer.write_row_group(
-                parsed_rows,
-                bitvectors=derived,
-                source_chunk_id=chunk.chunk_id,
-                columns=columns,
+            self._ensure_writer(columns)
+            self._pending.add(
+                columns, len(parsed_rows),
+                self._derive_bitvectors(chunk, kept_positions),
             )
+            while self._pending.rows >= ROW_GROUP_ROWS:
+                self._write_group(ROW_GROUP_ROWS)
         # Mask-rejected AND malformed records both land in the side store,
         # in arrival order: malformed input is quarantined raw, never
         # dropped (see the module docstring for the counting invariant).
@@ -269,44 +364,55 @@ class ClientAssistedLoader:
     def seal_part(self) -> None:
         """Close the currently open Parquet part, making it readable.
 
-        The loader keeps accepting chunks: the next loaded chunk opens a
-        fresh ``.partN`` file.  This is what lets streaming readers scan a
-        consistent loaded-so-far view while ingestion continues — a sealed
-        part has its footer written and is immutable from then on.
-        No-op when no part is open.
+        Writes the part's pending rows as its last row group, then the
+        footer.  The loader keeps accepting chunks: the next loaded chunk
+        opens a fresh ``.partN`` file.  This is what lets streaming
+        readers scan a consistent loaded-so-far view while ingestion
+        continues — a sealed part has its footer written and is immutable
+        from then on.  No-op when no part is open.
         """
         if self._writer is not None:
-            self._writer.close()  # ciaolint: allow[LCK002] -- ParquetLiteWriter.close takes no locks; the `.close()` name union binds wider
-            self._writer = None
+            self._close_writer()
             self._m_seals.inc()
 
     def finalize(self) -> LoadSummary:
         """Seal the Parquet-lite file; idempotent."""
         if not self._finalized:
             if self._writer is not None:
-                self._writer.close()  # ciaolint: allow[LCK002] -- ParquetLiteWriter.close takes no locks; the `.close()` name union binds wider
-                self._writer = None
+                self._close_writer()
             self._finalized = True
         return self.summary
 
     # ------------------------------------------------------------------
-    def _ensure_writer(self, columns: Mapping[str, List[Any]]
-                       ) -> ParquetLiteWriter:
+    def _write_group(self, rows: int) -> None:
+        """Write the first *rows* pending rows as one row group."""
+        columns, vectors = self._pending.take(rows)
+        self._writer.write_columns(columns, rows, bitvectors=vectors)
+
+    def _close_writer(self) -> None:
+        """Write the pending rows, then the open part's footer."""
+        if self._pending.rows:
+            self._write_group(self._pending.rows)
+        self._writer.close()  # ciaolint: allow[LCK002] -- ParquetLiteWriter.close takes no locks; the `.close()` name union binds wider
+        self._writer = None
+
+    def _ensure_writer(self, columns: Mapping[str, List[Any]]) -> None:
+        """Open a part whose schema covers *columns*, rotating to a new
+        file (after writing the old one's pending rows) when the schema
+        must widen."""
         needed = infer_column_schema(columns)
         if self._schema is None:
             self._schema = needed
         elif not schema_covers(self._schema, needed):
             self._schema = merge_schemas(self._schema, needed)
             if self._writer is not None:
-                self._writer.close()  # ciaolint: allow[LCK002] -- ParquetLiteWriter.close takes no locks; the `.close()` name union binds wider
-                self._writer = None
+                self._close_writer()
         if self._writer is None:
             part = self.parquet_path.with_suffix(
                 f".part{len(self.parquet_paths)}" + self.parquet_path.suffix
             )
             self._writer = ParquetLiteWriter(part, self._schema)
             self.parquet_paths.append(part)
-        return self._writer
 
     @staticmethod
     def _derive_bitvectors(chunk: JsonChunk,
@@ -314,8 +420,8 @@ class ClientAssistedLoader:
                            ) -> Dict[int, BitVector]:
         """Restrict chunk bit-vectors to the loaded rows (paper §VI-A).
 
-        Row ``i`` of the row group corresponds to ``kept_positions[i]`` of
-        the original chunk.  One :func:`~repro.bitvec.bitvector.selector`
+        Loaded row ``i`` of the chunk corresponds to ``kept_positions[i]``
+        of the original chunk.  One :func:`~repro.bitvec.bitvector.selector`
         (an ``itemgetter`` over the kept positions) restricts every vector.
         """
         restrict = selector(kept_positions)

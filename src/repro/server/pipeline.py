@@ -220,8 +220,10 @@ class StreamingLoader:
     :class:`~repro.server.ciao.CiaoServer` drives one inline, and each
     shard worker of :class:`ShardedIngestPipeline` drives its own.  A
     *publication* (every *seal_interval* chunks, and on :meth:`publish`)
-    seals the open part and fixes the sealed parts, the sideline
-    watermark and the covered chunks' reports; :meth:`snapshot` is the
+    seals the open part — the loader writes the part's pending rows as
+    its last row group (every earlier group holds ``ROW_GROUP_ROWS``
+    rows, written as they filled), then the footer — and fixes the
+    sealed parts, the sideline watermark and the covered chunks' reports; :meth:`snapshot` is the
     last one, a :class:`LoadSnapshot` assigned whole at the seal, so a
     reader on another thread never sees half a chunk.  Records the side
     store held before the load (a recovered prefix) are covered from the

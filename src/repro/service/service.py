@@ -251,6 +251,11 @@ class _Connection:
             raise RuntimeError(
                 "CHUNKS before OPEN_INGEST: open an ingest stream first"
             )
+        seq = message.header.get("seq")
+        if seq is None:
+            # Only a sequenced batch can be deduped on resend; the
+            # generic handler answers with a non-retryable ERROR.
+            raise ValueError("CHUNKS message carries no seq")
         if not wire.verify_crc(message.header, message.body):
             # Corrupted in flight: refuse without advancing the ledger
             # so the client's resend (same seq) applies cleanly.
@@ -259,12 +264,6 @@ class _Connection:
                 "error": "CHUNKS body failed its crc check",
                 "retryable": True,
             })
-            return
-        seq = message.header.get("seq")
-        if seq is None:
-            # Legacy unsequenced stream: at-least-once, no dedupe.
-            accepted = self._ingest.ingest(message.body)
-            self._reply(wire.INGEST_ACK, {"frames_accepted": accepted})
             return
         accepted, duplicate = self._ingest.ingest_sequenced(
             message.body, seq=int(seq), client_id=self.client_id,

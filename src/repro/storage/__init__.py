@@ -16,11 +16,13 @@ __all__ = [
     "ParquetLiteError",
     "ParquetLiteReader",
     "ParquetLiteWriter",
+    "ROW_GROUP_ROWS",
     "RowGroupMeta",
     "RowGroupReader",
     "Schema",
     "SchemaError",
     "SidelineView",
+    "build_column_group",
     "build_row_group",
     "choose_encoding",
     "coerce_value",
@@ -39,7 +41,8 @@ __getattr__, __dir__ = _lazy.lazy_exports(__name__, {
     ".jsonstore": ("JsonSideStore", "SidelineView"),
     ".metadata": ("MAGIC", "ColumnChunkMeta", "FileMeta", "RowGroupMeta"),
     ".pages": ("PageStats", "page_encoding", "read_page", "write_page"),
-    ".rowgroup": ("RowGroupReader", "build_row_group"),
+    ".rowgroup": ("ROW_GROUP_ROWS", "RowGroupReader", "build_column_group",
+                  "build_row_group"),
     ".schema": (
         "ColumnType", "Field", "Schema", "SchemaError", "coerce_value",
         "infer_schema"),

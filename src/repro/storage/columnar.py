@@ -27,7 +27,8 @@ from ..analysis.sanitizer import make_lock
 from ..bitvec.bitvector import BitVector
 from .encodings import Encoding
 from .metadata import MAGIC, FileMeta, RowGroupMeta
-from .rowgroup import RowGroupReader, build_row_group
+from .rowgroup import (RowGroupReader, build_column_group,
+                       build_row_group)
 from .schema import Schema, infer_schema
 
 
@@ -55,24 +56,40 @@ class ParquetLiteWriter:
         self,
         rows: Sequence[Mapping[str, Any]],
         bitvectors: Optional[Mapping[int, BitVector]] = None,
-        source_chunk_id: Optional[int] = None,
-        columns: Optional[Mapping[str, List[Any]]] = None,
     ) -> RowGroupMeta:
-        """Append one row group with optional predicate bit-vectors.
-
-        *columns*: columns already pulled from *rows*, if any (see
-        :func:`~repro.storage.rowgroup.build_row_group`).
+        """Append *rows* as one row group with optional predicate
+        bit-vectors (see :func:`~repro.storage.rowgroup.build_row_group`).
         """
         self._check_open()
         block, meta = build_row_group(
             rows,
             self.schema,
             base_offset=self._file.tell(),
-            source_chunk_id=source_chunk_id,
             bitvectors=bitvectors,
             encoding=self._encoding,
-            columns=columns,
         )
+        return self._append(block, meta)
+
+    def write_columns(
+        self,
+        columns: Mapping[str, List[Any]],
+        row_count: int,
+        bitvectors: Optional[Mapping[int, BitVector]] = None,
+    ) -> RowGroupMeta:
+        """Append *row_count* rows, given as *columns*, as one row group
+        (see :func:`~repro.storage.rowgroup.build_column_group`)."""
+        self._check_open()
+        block, meta = build_column_group(
+            columns,
+            row_count,
+            self.schema,
+            base_offset=self._file.tell(),
+            bitvectors=bitvectors,
+            encoding=self._encoding,
+        )
+        return self._append(block, meta)
+
+    def _append(self, block: bytes, meta: RowGroupMeta) -> RowGroupMeta:
         self._file.write(block)
         self._meta.row_groups.append(meta)
         return meta

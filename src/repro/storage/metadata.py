@@ -67,7 +67,6 @@ class RowGroupMeta:
     row_count: int
     columns: Dict[str, ColumnChunkMeta] = field(default_factory=dict)
     bitvectors: Dict[int, BitVector] = field(default_factory=dict)
-    source_chunk_id: Optional[int] = None
 
     def attach_bitvector(self, predicate_id: int, bv: BitVector) -> None:
         """Attach a derived predicate bit-vector (one bit per loaded row)."""
@@ -96,7 +95,6 @@ class RowGroupMeta:
         """JSON form for the footer."""
         return {
             "row_count": self.row_count,
-            "source_chunk_id": self.source_chunk_id,
             "columns": {
                 name: meta.to_dict() for name, meta in self.columns.items()
             },
@@ -108,11 +106,12 @@ class RowGroupMeta:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RowGroupMeta":
-        """Inverse of :meth:`to_dict`."""
-        meta = cls(
-            row_count=data["row_count"],
-            source_chunk_id=data.get("source_chunk_id"),
-        )
+        """Inverse of :meth:`to_dict`.
+
+        Footers written when a row group held one client chunk also
+        carry a ``source_chunk_id`` key; it is ignored.
+        """
+        meta = cls(row_count=data["row_count"])
         for name, column in data["columns"].items():
             meta.columns[name] = ColumnChunkMeta.from_dict(column)
         for pid, payload in data.get("bitvectors", {}).items():

@@ -1,11 +1,16 @@
-"""Row-group assembly: rows in, column chunks + metadata out.
+"""Row-group assembly: columns in, column chunks + metadata out.
 
-A row group is the skipping granularity: the partial loader emits one row
-group per client chunk so the chunk's bit-vectors map one-to-one onto row
-positions.
+A row group is the skipping granularity: its footer entry carries one
+predicate bit-vector per pushed predicate (one bit per row), so a scan
+rules a group out when a vector it needs is empty.  Groups are sized by
+rows, not by writer calls: the partial loader keeps a part's loaded rows
+(as columns) until it holds :data:`ROW_GROUP_ROWS` of them or seals, then
+writes them as one group, and compaction re-groups merged parts to the
+same size.
 
 The build is column-major: each column is pulled out of the rows once
-(:func:`~repro.storage.schema.column_values`, here or by the caller),
+(:func:`~repro.storage.schema.column_values`, by
+:func:`build_row_group`, or by the caller of :func:`build_column_group`),
 coerced in one bulk step by its exact type set
 (:func:`~repro.storage.schema.coerce_column`, which falls back to the
 per-value :func:`~repro.storage.schema.coerce_value` for any other type
@@ -26,33 +31,63 @@ from .pages import read_page, write_page
 from .schema import Schema, coerce_column, column_values
 
 
+#: Rows per row group that a writer fills before starting the next: the
+#: loader's seal-time grouping and compaction's re-grouping both use it.
+#: Big enough that per-group costs (a footer entry and a vector per
+#: predicate, a batch per scan) stay small beside the rows, small enough
+#: that an empty bit-vector still rules out a useful slice of a part.
+ROW_GROUP_ROWS = 1024
+
+
 def build_row_group(
     rows: Sequence[Mapping[str, Any]],
     schema: Schema,
     base_offset: int,
-    source_chunk_id: Optional[int] = None,
     bitvectors: Optional[Mapping[int, BitVector]] = None,
     encoding: Optional[Encoding] = None,
-    columns: Optional[Mapping[str, List[Any]]] = None,
 ) -> Tuple[bytes, RowGroupMeta]:
     """Encode *rows* into a row-group block positioned at *base_offset*.
 
-    Returns the block bytes and its metadata (column chunk offsets are
-    absolute file offsets, so the caller passes where the block will land).
-    *columns* may hold columns already pulled from *rows*
-    (:func:`~repro.storage.schema.pull_columns`); the rest are pulled here.
+    Pulls each schema column out of *rows* and hands them to
+    :func:`build_column_group`.
     """
     if not rows:
         raise ValueError("row groups must contain at least one row")
-    meta = RowGroupMeta(
-        row_count=len(rows), source_chunk_id=source_chunk_id
-    )
+    columns = {field.name: column_values(rows, field.name)
+               for field in schema}
+    return build_column_group(columns, len(rows), schema, base_offset,
+                              bitvectors=bitvectors, encoding=encoding)
+
+
+def build_column_group(
+    columns: Mapping[str, List[Any]],
+    row_count: int,
+    schema: Schema,
+    base_offset: int,
+    bitvectors: Optional[Mapping[int, BitVector]] = None,
+    encoding: Optional[Encoding] = None,
+) -> Tuple[bytes, RowGroupMeta]:
+    """Encode *row_count* rows, given as *columns*, into a row-group block
+    positioned at *base_offset*.
+
+    Returns the block bytes and its metadata (column chunk offsets are
+    absolute file offsets, so the caller passes where the block will land).
+    A schema column missing from *columns* is all nulls; every column
+    given holds exactly *row_count* values.
+    """
+    if row_count <= 0:
+        raise ValueError("row groups must contain at least one row")
+    meta = RowGroupMeta(row_count=row_count)
     block = bytearray()
-    pulled = columns or {}
     for field in schema:
-        values = pulled.get(field.name)
+        values = columns.get(field.name)
         if values is None:
-            values = column_values(rows, field.name)
+            values = [None] * row_count
+        elif len(values) != row_count:
+            raise ValueError(
+                f"column {field.name!r} has {len(values)} values for a "
+                f"row group of {row_count} rows"
+            )
         values = coerce_column(values, field.type)
         page, stats = write_page(values, field.type, encoding=encoding)
         meta.columns[field.name] = ColumnChunkMeta(

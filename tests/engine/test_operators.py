@@ -45,7 +45,6 @@ def parquet(tmp_path):
                     ),
                     1: BitVector.from_bits([r["i"] >= 10 for r in rows]),
                 },
-                source_chunk_id=start // 10,
             )
     return ParquetLiteReader(path)
 

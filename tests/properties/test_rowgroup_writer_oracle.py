@@ -104,9 +104,8 @@ def outcome(call, *args, **kwargs):
 
 def same_row_group(rows, schema, encoding=None):
     expected = outcome(oracle.build_row_group, rows, schema, 7,
-                       source_chunk_id=3, encoding=encoding)
-    actual = outcome(build_row_group, rows, schema, 7, source_chunk_id=3,
-                     encoding=encoding)
+                       encoding=encoding)
+    actual = outcome(build_row_group, rows, schema, 7, encoding=encoding)
     if expected[0] == "ok" and actual[0] == "ok":
         (old_block, old_meta), (new_block, new_meta) = expected[1], actual[1]
         assert new_block == old_block

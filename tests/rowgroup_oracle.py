@@ -157,13 +157,12 @@ def build_row_group(
     rows: Sequence[Mapping[str, Any]],
     schema: Schema,
     base_offset: int,
-    source_chunk_id: Optional[int] = None,
     bitvectors: Optional[Mapping[int, BitVector]] = None,
     encoding: Optional[Encoding] = None,
 ) -> Tuple[bytes, RowGroupMeta]:
     if not rows:
         raise ValueError("row groups must contain at least one row")
-    meta = RowGroupMeta(row_count=len(rows), source_chunk_id=source_chunk_id)
+    meta = RowGroupMeta(row_count=len(rows))
     block = bytearray()
     for field in schema:
         values = [

@@ -175,14 +175,6 @@ class TestSummary:
         assert summary.loading_ratio == pytest.approx(0.75)
         assert len(summary.reports) == 2
 
-    def test_source_chunk_ids_preserved(self, paths):
-        parquet, side = paths
-        loader = ClientAssistedLoader(parquet, side, partial_loading=True)
-        loader.ingest(chunk_with_mask([1] * 10, chunk_id=7))
-        loader.finalize()
-        with ParquetLiteReader(loader.parquet_paths[0]) as reader:
-            assert reader.meta.row_groups[0].source_chunk_id == 7
-
     def test_ingest_after_finalize_rejected(self, paths):
         parquet, side = paths
         loader = ClientAssistedLoader(parquet, side, partial_loading=True)
@@ -244,7 +236,7 @@ class TestStoredBytes:
     #: sha256 of the one part and the sideline of one yelp_pushdown load
     #: (Budget(20) plan, 8,000 seed-1 records in 100-record chunks).
     PART_SHA256 = (
-        "b60b316a909a47b5a703cebbae13603548f676ed89ccdc3fabf0ad88cc07e42d"
+        "3f0e3d08a0148c87a35e9fc9d07ab9c041feca0ad19ab4685a60c3ce78b5ae6b"
     )
     SIDELINE_SHA256 = (
         "56e185dc96081465f4a7b3931fff3536814e3adb2480ce15ceaa8b91e00de467"
@@ -252,20 +244,20 @@ class TestStoredBytes:
     #: The same load sealed every 8 chunks (the benchmark servers'
     #: ``seal_interval``): one sha256 per part, in part order.
     SEALED_PART_SHA256 = (
-        "70bdb581bc7cfe0d39d8ee21c4e03729c4876cb95ce16853b22b6ccae7b0cb67",
-        "e57a02db9bff1e53c911da76d9c0dbff1245991afb72af718b0b2f4feb0a8135",
-        "8c4dcf3fe41457823885f7a159751337cd51466b2b96921c9a8d67dea73cdd20",
-        "46cd718802ce2297f613c3fadfba22cef951d65a92f8ff6ad99f8cc9e5d081e2",
-        "5524ab7ac588c595c14517850205ea669a05f7b6cad63c3b0e76d7ee7127e80e",
-        "3a4e550d80ccd3575c84d5eab16e8ff6a63c220214df46eb47cf62d2cd78e6fd",
-        "94d539a532b4e1a673aeecef43b5c7445f8109d42579b3e3b3d70dc14f9b8b06",
-        "1b12421e0b9cf9ce728122d699971fb3d1066d9965299c21d348b2c35d16356c",
-        "0dc400168db27b05d0be4e0753e3d1a0026e0d61934bcb4f4e66555d0b473417",
-        "8190d892b320e198c8dbebafa213a2cfaeb6122fd70fa12f482deaacfba7a8ab",
+        "f4ffbd081c384f8e243470850a13d4696eb1245225c6857a24161584d4319899",
+        "687fd12d2ac4001ad60b9e7110a72d834c7d124cb106b07c547464311e44b4cd",
+        "f9f66e526b7a29a9b8233b1e299a1d8e6f1d749739c2e5542a785cfeba3b516c",
+        "820c0c11593af207e51da860740c989e9039172cb0bf5fb4a6587742c0d7bb69",
+        "d52fa08aaabc31ab168f3275f4628f1df26f0584aef7c692d6d53da8878a1e6a",
+        "d5a95264fa095c5e3746b4be4f32765525d30aaa583edb03ae99746d5bc7b4e1",
+        "9ff131a9bc0c2616bfee72138935b6c49649ce5bf4ae1e6103299ff291001e17",
+        "27160659beb5a5e3a5309c2480ed2533368fc72a678b8e6af0537de8bd55ad36",
+        "4677b0cb39f361e1439ff9e11d643caf804fdec8a954b8cff0675a3ac7fa7f66",
+        "6e1532186fe1ac589f462f4f7ed46adf4eda2c53c224c20443feb3040f8b92bd",
     )
     #: One ``rewrite_parts`` of those ten parts, clustered on ``stars``.
     COMPACTED_SHA256 = (
-        "849b1f46a6a8f49e061dba48548a4d0f243468eb1e0ed874e1802e5185cad562"
+        "0fb439c517a33659b4945a177bb04bb5ffcb4d9705f447d53ddfffff15151b18"
     )
 
     def test_yelp_pushdown_files_are_pinned(self, tmp_path, yelp_pushdown_plan,

@@ -238,6 +238,40 @@ class TestSerialMidLoad:
             == N_CHUNKS * CHUNK_RECORDS
         assert len(server.table.parquet_paths) == 3
 
+    def test_view_is_resolved_once_per_publication(self, tmp_path,
+                                                   monkeypatch):
+        from repro.compact import rewrite_parts
+
+        resolved = []
+        original = CiaoServer._remap_parts
+
+        def counting(self, paths):
+            if self is server:
+                resolved.append(len(paths))
+            return original(self, paths)
+
+        monkeypatch.setattr(CiaoServer, "_remap_parts", counting)
+        chunks = make_chunks()
+        server = CiaoServer(tmp_path / "live", seal_interval=2)
+        for chunk in chunks[:4]:
+            server.ingest(chunk)
+        sql = "SELECT COUNT(*) FROM t WHERE i = 3"
+        answers = {server.query(sql).scalar() for _ in range(10)}
+        assert len(resolved) == 1  # ten queries, one unchanged snapshot
+        for chunk in chunks[4:6]:  # one more seal publishes
+            server.ingest(chunk)
+        assert server.query(sql).scalar() > min(answers)
+        assert len(resolved) == 2
+        parts = server.table.parquet_paths
+        merged = tmp_path / "live" / "merged.pql"
+        rewrite_parts(parts, merged)
+        server.commit_compaction(parts, merged)
+        assert len(resolved) == 3
+        assert server.table.parquet_paths == [merged]
+        reference = serial_reference(tmp_path, chunks[:6], "ref")
+        assert server.query(sql).scalar() == reference.query(sql).scalar()
+        assert len(resolved) == 3
+
     def test_mid_load_sideline_is_covered_once(self, tmp_path):
         """Sealed parts + the main sideline file's watermark, together."""
         n = 20

@@ -327,6 +327,28 @@ class TestExactlyOnce:
         assert ack.tag == wire.INGEST_ACK
         channel.close()
 
+    def test_unsequenced_batch_is_rejected_for_good(self, durable_served):
+        session, service = durable_served
+        channel = SocketChannel.connect(service.address)
+        self._rpc(channel, wire.HELLO, {
+            "client_id": "c1", "protocol": wire.PROTOCOL_VERSION,
+        })
+        self._rpc(channel, wire.RESUME, {"source_id": "s1"})
+        body = self._chunk_body(1)
+        header = {"frames": 1, "source_id": "s1"}  # no seq
+        wire.attach_crc(header, body)
+        reply = self._rpc(channel, wire.CHUNKS, dict(header), body)
+        assert reply.tag == wire.ERROR
+        assert "seq" in reply.header["error"]
+        assert not reply.header.get("retryable")
+        # Nothing landed, and the stream is still usable.
+        header["seq"] = 1
+        ack = self._rpc(channel, wire.CHUNKS, header, body)
+        assert ack.tag == wire.INGEST_ACK
+        assert ack.header["duplicate"] is False
+        assert ack.header["frames_accepted"] == 1
+        channel.close()
+
 
 class TestChaosEndToEnd:
     def test_seeded_faults_lose_nothing(self, tmp_path):

@@ -9,6 +9,7 @@ from repro.storage import (
     ParquetLiteError,
     ParquetLiteReader,
     ParquetLiteWriter,
+    RowGroupMeta,
     Schema,
     infer_schema,
     write_records,
@@ -70,12 +71,10 @@ class TestBitvectorMetadata:
         schema = infer_schema(RECORDS)
         bv = BitVector.from_bits([i % 3 == 0 for i in range(25)])
         with ParquetLiteWriter(path, schema) as writer:
-            writer.write_row_group(RECORDS, bitvectors={4: bv},
-                                   source_chunk_id=11)
+            writer.write_row_group(RECORDS, bitvectors={4: bv})
         with ParquetLiteReader(path) as reader:
             assert reader.bitvector(0, 4) == bv
             assert reader.bitvector(0, 5) is None
-            assert reader.meta.row_groups[0].source_chunk_id == 11
             assert reader.meta.predicate_ids == [4]
 
     def test_candidate_groups(self, path):
@@ -110,6 +109,41 @@ class TestBitvectorMetadata:
                 writer.write_row_group(RECORDS,
                                        bitvectors={0: BitVector(3)})
             writer.write_row_group(RECORDS)
+
+    def test_footer_with_source_chunk_id_still_reads(self):
+        # Footers written when a row group held one client chunk carry
+        # the chunk id; the reader ignores it.
+        meta = RowGroupMeta(row_count=2)
+        meta.attach_bitvector(3, BitVector.from_bits([1, 0]))
+        legacy = dict(meta.to_dict(), source_chunk_id=7)
+        assert "source_chunk_id" not in meta.to_dict()
+        assert RowGroupMeta.from_dict(legacy).to_dict() == meta.to_dict()
+
+
+class TestWriteColumns:
+    def test_columns_equal_rows(self, tmp_path):
+        schema = infer_schema(RECORDS)
+        bv = BitVector.from_bits([i % 3 == 0 for i in range(25)])
+        by_rows, by_columns = tmp_path / "rows.pql", tmp_path / "cols.pql"
+        with ParquetLiteWriter(by_rows, schema) as writer:
+            writer.write_row_group(RECORDS, bitvectors={4: bv})
+        columns = {name: [r[name] for r in RECORDS] for name in schema.names}
+        with ParquetLiteWriter(by_columns, schema) as writer:
+            writer.write_columns(columns, len(RECORDS), bitvectors={4: bv})
+        assert by_columns.read_bytes() == by_rows.read_bytes()
+
+    def test_missing_column_is_null_and_lengths_checked(self, path):
+        schema = Schema([Field("a", ColumnType.INT64),
+                         Field("b", ColumnType.STRING)])
+        with ParquetLiteWriter(path, schema) as writer:
+            with pytest.raises(ValueError, match="3 values"):
+                writer.write_columns({"a": [1, 2, 3]}, 2)
+            with pytest.raises(ValueError):
+                writer.write_columns({}, 0)
+            writer.write_columns({"a": [1, 2]}, 2)
+        with ParquetLiteReader(path) as reader:
+            assert reader.read_all() == [{"a": 1, "b": None},
+                                         {"a": 2, "b": None}]
 
 
 class TestColumnStats:
