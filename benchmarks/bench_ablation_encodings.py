@@ -2,7 +2,8 @@
 
 Parquet-lite picks PLAIN / DICTIONARY / RLE per column heuristically; this
 bench forces each encoding over the same dataset and reports file size and
-full-scan time, plus what the heuristic chose.
+full-scan time, plus what the heuristic chose.  Sizes are of the stored
+pages, each zlib-compressed where that makes it smaller.
 """
 
 import time
@@ -73,7 +74,7 @@ def test_ablation_encodings(benchmark, tmp_path, results_dir):
     }, results_dir)
 
     sizes = {label: size for label, size, _ in rows}
-    # Dictionary beats plain on this dataset (low-cardinality columns),
-    # and auto is never worse than plain.
-    assert sizes["dictionary"] < sizes["plain"]
-    assert sizes["auto"] <= sizes["plain"] * 1.01
+    # The heuristic's choice stores within 1 % of the best forced
+    # encoding.  (Once pages are compressed, zlib removes the repeats a
+    # dictionary would, so dictionary no longer beats plain here.)
+    assert sizes["auto"] <= min(sizes.values()) * 1.01

@@ -783,11 +783,13 @@ class CiaoSession:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Finish and finalize every load, then release session storage.
+        """Finish and finalize every load, close its server, then release
+        session storage.
 
         Uncollected jobs are joined and finalized here — a finalize left
         undone would leak shard workers (and, for process shards, OS
-        processes) past the session's lifetime.
+        processes) past the session's lifetime — and each server's open
+        part files are closed (:meth:`CiaoServer.close`).
         """
         if self._closed:
             return
@@ -807,6 +809,7 @@ class CiaoSession:
                         job.result()
                 except BaseException:  # ciaolint: allow[API006] -- closing must not mask the caller's exception
                     pass
+            job.server.close()
         self._closed = True
         if self._tmpdir is not None:
             self._tmpdir.cleanup()

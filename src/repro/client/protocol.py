@@ -2,16 +2,19 @@
 
 Layout::
 
-    [MAGIC "CIA1"]
+    [MAGIC "CIA2"]
     [u32 header length][header JSON (UTF-8)]
     [u32 records length][records: newline-joined raw JSON, UTF-8]
     per predicate, in header order:
-        [u8 encoding tag: 0 packed / 1 RLE][u32 payload length][payload]
+        [u32 payload length][packed bit-vector]
 
 The header carries the chunk id, record count, and the predicate ids.  Each
-bit-vector ships in whichever encoding is smaller (packed vs RLE) — for
-selective predicates RLE routinely wins by 10×, keeping CIAO's network
-overhead at a fraction of a percent of the record payload.
+bit-vector ships packed (:meth:`~repro.bitvec.bitvector.BitVector.to_bytes`:
+a u32 bit length, then one bit per record): ``n/8`` bytes against a few
+hundred bytes per record of raw JSON, so vectors stay well under 1 % of a
+frame, and encoding one is a copy, not a scan for runs.  (``CIA1`` frames
+also offered run-length-encoded vectors; choosing per vector cost more CPU
+on both ends than the bytes it saved.)
 
 Decoding is *strict*: every length field is bounds-checked before the bytes
 it describes are touched, duplicate predicate ids are rejected, and any
@@ -29,13 +32,12 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List, Tuple
 
 from ..bitvec.bitvector import BitVector
-from ..bitvec.rle import RleBitVector
 from ..rawjson.chunks import JsonChunk
 from ..rawjson.errors import JsonError
 from ..rawjson.parser import loads
 from ..rawjson.writer import dumps
 
-MAGIC = b"CIA1"
+MAGIC = b"CIA2"
 
 #: Default chunk frames concatenated per channel message.  Measured in
 #: ``benchmarks/bench_parallel_ingest.py`` (see
@@ -45,10 +47,6 @@ MAGIC = b"CIA1"
 #: deployment) at 25-record chunks, ~1.1× at 250 — while the in-memory
 #: delta is noise next to parse cost.  Returns diminish past ~8 frames.
 DEFAULT_SHIP_BATCH = 8
-
-_PACKED_TAG = 0
-_RLE_TAG = 1
-
 
 class ProtocolError(ValueError):
     """Malformed chunk payload."""
@@ -72,14 +70,7 @@ def encode_chunk(chunk: JsonChunk) -> bytes:
     out += len(records_blob).to_bytes(4, "little")
     out += records_blob
     for pid in pred_ids:
-        bv = chunk.bitvectors[pid]
-        rle = RleBitVector.from_bitvector(bv).to_bytes()
-        if len(rle) < bv.serialized_size():
-            payload = rle
-            out.append(_RLE_TAG)
-        else:
-            payload = bv.to_bytes()
-            out.append(_PACKED_TAG)
+        payload = chunk.bitvectors[pid].to_bytes()
         out += len(payload).to_bytes(4, "little")
         out += payload
     return bytes(out)
@@ -142,7 +133,6 @@ def _skip_one(view: memoryview, pos: int) -> int:
     records_len, pos = _read_u32(view, pos)
     _, pos = _take(view, pos, records_len, "records payload")
     for _ in header["predicates"]:
-        _, pos = _take(view, pos, 1, "bit-vector tag")
         payload_len, pos = _read_u32(view, pos)
         _, pos = _take(view, pos, payload_len, "bit-vector payload")
     return pos
@@ -194,16 +184,13 @@ def _decode_one(view: memoryview, pos: int) -> Tuple[JsonChunk, int]:
         )
     chunk = JsonChunk(chunk_id=header["chunk_id"], records=records)
     for pid in header["predicates"]:
-        tag_byte, pos = _take(view, pos, 1, "bit-vector tag")
-        tag = tag_byte[0]
         payload_len, pos = _read_u32(view, pos)
         payload, pos = _take(view, pos, payload_len, "bit-vector payload")
         if payload_len < 4:
             raise ProtocolError("truncated bit-vector payload")
-        # Both encodings lead with their bit length; check it against the
-        # record count BEFORE decoding, so a corrupt frame cannot force a
-        # huge allocation (an RLE payload of a few bytes can declare 2^32
-        # bits) — and a wrong-length vector is corruption either way.
+        # Check the declared bit length against the record count BEFORE
+        # decoding: a wrong-length vector is corruption, and a corrupt
+        # frame must not size an allocation.
         declared_bits = int.from_bytes(payload[:4], "little")
         if declared_bits != len(records):
             raise ProtocolError(
@@ -211,17 +198,7 @@ def _decode_one(view: memoryview, pos: int) -> Tuple[JsonChunk, int]:
                 f"bits for {len(records)} records"
             )
         try:
-            if tag == _PACKED_TAG:
-                bv = BitVector.from_bytes(payload)
-            elif tag == _RLE_TAG:
-                bv = RleBitVector.from_bytes(payload).to_bitvector()
-            else:
-                raise ProtocolError(
-                    f"unknown bit-vector encoding tag {tag}"
-                )
-            chunk.attach(pid, bv)
-        except ProtocolError:
-            raise
+            chunk.attach(pid, BitVector.from_bytes(payload))
         except ValueError as exc:
             raise ProtocolError(
                 f"corrupt bit-vector for predicate {pid}: {exc}"

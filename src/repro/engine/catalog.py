@@ -313,6 +313,17 @@ class TableEntry:
         elif self._snapshot_cache is not None:
             self._snapshot_cache.retain_parts(listed)
 
+    def close_readers(self) -> None:
+        """Close every cached part reader, dropping the prepared plans
+        that hold them first.  The view stays: a later query reopens the
+        parts it reads."""
+        with self._plans_lock:
+            self._plans.clear()
+            with self._readers_lock:
+                for reader in self._readers.values():
+                    reader.close()  # ciaolint: allow[LCK002] -- ParquetLiteReader.close is lock-free; `.close()` name union binds wider
+                self._readers.clear()
+
     def set_pushdown(self, pushdown: Dict[Clause, int]) -> None:
         """Match queries against *pushdown* (clause → predicate id) from
         now on, dropping the plans matched against the old map."""

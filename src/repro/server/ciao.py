@@ -809,7 +809,8 @@ class CiaoServer:
 
         Reads the manifest's last complete revision, validates every
         listed part (a torn or missing file is quarantined — renamed
-        aside and counted, never trusted and never fatal), re-plays the
+        aside and counted, never trusted and never fatal), quarantines
+        the table's parts the manifest does not list, re-plays the
         durable sideline prefix into a fresh generation's store, and
         restores the plan, schema, summary counts, and ingest ledger.
         The result is a live server one generation up: a finalized
@@ -829,21 +830,32 @@ class CiaoServer:
         m_sideline_lost = mx.counter("recovery.sideline_records_lost")
         parts: List[Path] = []
         quarantined: List[str] = []
+
+        def quarantine(path: Path) -> None:
+            """Rename *path* aside (never trusted, never fatal) and count it."""
+            m_quarantined.inc()
+            quarantined.append(path.name)
+            if path.exists():
+                try:
+                    path.rename(path.parent / (path.name + ".quarantined"))
+                except OSError:
+                    pass  # unreadable either way; recovery proceeds
+
         for record in doc.get("parts", []):
             path = data_dir / str(record.get("path", ""))
             if cls._validate_part(path):
                 parts.append(path)
                 m_recovered.inc()
-                continue
-            m_quarantined.inc()
-            quarantined.append(str(record.get("path", "")))
-            if path.exists():
-                try:
-                    path.rename(
-                        path.parent / (path.name + ".quarantined")
-                    )
-                except OSError:
-                    pass  # unreadable either way; recovery proceeds
+            else:
+                quarantine(path)
+        # A part no manifest lists is dead: the crashed generation's
+        # unsealed part, or a compaction output never committed.
+        listed = {data_dir / str(record.get("path", ""))
+                  for record in doc.get("parts", [])}
+        for path in sorted(data_dir.glob("*.pql")):
+            if path.name.startswith(f"{table_name}.") and \
+                    path not in listed:
+                quarantine(path)
         plan_text = doc.get("plan")
         schema_doc = doc.get("schema")
         generation = int(doc.get("generation", 0)) + 1
@@ -925,6 +937,22 @@ class CiaoServer:
                      ) -> List[QueryResult]:
         """Execute core-model queries via their SQL renderings."""
         return [self.query(q.sql(self.table_name)) for q in queries]
+
+    def close(self) -> None:
+        """Release the server's open files; idempotent.
+
+        Closes the table's cached part readers (a later query reopens the
+        parts it reads) and, on a serial server still loading, the open
+        part's writer: that part is left unsealed, as a crash leaves it,
+        and the server takes no more chunks.  Call
+        :meth:`finalize_loading` first to keep the chunks ingested since
+        the last seal.  A sharded server's workers own their writers and
+        close them at :meth:`finalize_loading`.
+        """
+        with self._lifecycle_lock, self._ingest_lock:
+            if self._pipeline is None:
+                self._sink.loader.close()  # ciaolint: allow[LCK002] -- ClientAssistedLoader.close takes no locks; the `.close()` name union binds wider
+            self._table.close_readers()
 
     @property
     def table(self) -> TableEntry:

@@ -383,6 +383,19 @@ class ClientAssistedLoader:
             self._finalized = True
         return self.summary
 
+    def close(self) -> None:
+        """Stop loading without sealing the open part; idempotent.
+
+        The open part's file closes without a footer, as a crash leaves
+        it, and leaves :attr:`parquet_paths`; its pending rows are
+        dropped.  Call :meth:`finalize` first to keep them.
+        """
+        if self._writer is not None:
+            self._writer.abandon()
+            self._writer = None
+            self.parquet_paths.pop()
+        self._finalized = True
+
     # ------------------------------------------------------------------
     def _write_group(self, rows: int) -> None:
         """Write the first *rows* pending rows as one row group."""

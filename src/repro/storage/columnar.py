@@ -2,11 +2,16 @@
 
 File layout::
 
-    [MAGIC "PQL1"]
+    [MAGIC "PQL2"]
     [row group 0 block][row group 1 block]...
     [footer JSON]
     [footer length: 8 bytes little-endian]
-    [MAGIC "PQL1"]
+    [MAGIC "PQL2"]
+
+A row group block is its columns' pages back to back, each page
+zlib-compressed when that makes it smaller (:mod:`repro.storage.pages`).
+Writers write ``PQL2``; readers also accept ``PQL1`` files, whose pages
+are never compressed.
 
 The footer (see :mod:`repro.storage.metadata`) carries the schema, column
 chunk locations, per-column stats, and CIAO's per-row-group predicate
@@ -26,7 +31,7 @@ from typing import (
 from ..analysis.sanitizer import make_lock
 from ..bitvec.bitvector import BitVector
 from .encodings import Encoding
-from .metadata import MAGIC, FileMeta, RowGroupMeta
+from .metadata import MAGIC, READABLE_MAGICS, FileMeta, RowGroupMeta
 from .rowgroup import (RowGroupReader, build_column_group,
                        build_row_group)
 from .schema import Schema, infer_schema
@@ -105,6 +110,12 @@ class ParquetLiteWriter:
         self._closed = True
         return self._meta
 
+    def abandon(self) -> None:
+        """Close the file without a footer, as a crash leaves it: it
+        stays unreadable.  A no-op once closed."""
+        self._file.close()
+        self._closed = True
+
     def _check_open(self) -> None:
         if self._closed:
             raise ParquetLiteError("writer already closed")
@@ -117,7 +128,7 @@ class ParquetLiteWriter:
             if exc_type is None:
                 self.close()
             else:
-                self._file.close()  # leave no half-written footer
+                self.abandon()  # leave no half-written footer
 
 
 class ParquetLiteReader:
@@ -167,13 +178,16 @@ class ParquetLiteReader:
         size = f.tell()
         tail = len(MAGIC) + 8
         if size < len(MAGIC) + tail:
-            raise ParquetLiteError(f"{self.path} is too small to be PQL1")
+            raise ParquetLiteError(
+                f"{self.path} is too small to be Parquet-lite"
+            )
         f.seek(0)
-        if f.read(len(MAGIC)) != MAGIC:
+        magic = f.read(len(MAGIC))
+        if magic not in READABLE_MAGICS:
             raise ParquetLiteError(f"{self.path}: bad leading magic")
         f.seek(size - tail)
         footer_len = int.from_bytes(f.read(8), "little")
-        if f.read(len(MAGIC)) != MAGIC:
+        if f.read(len(MAGIC)) != magic:
             raise ParquetLiteError(f"{self.path}: bad trailing magic")
         footer_start = size - tail - footer_len
         if footer_start < len(MAGIC):

@@ -22,8 +22,12 @@ from ..rawjson.writer import dumps
 from .pages import PageStats
 from .schema import Schema
 
-#: Format magic / version, first and last bytes of every file.
-MAGIC = b"PQL1"
+#: Format magic / version, first and last bytes of every file written.
+#: ``PQL2`` files may hold zlib-compressed pages (:mod:`.pages`).
+MAGIC = b"PQL2"
+#: Every magic a reader accepts: ``PQL1`` files (no compressed pages)
+#: stay readable, though nothing writes them any more.
+READABLE_MAGICS = (b"PQL1", MAGIC)
 
 
 @dataclass

@@ -10,6 +10,21 @@ Page layout (all integers varint unless noted):
 The null bitmap has one bit per row (1 = present); only present values are
 encoded, Parquet-style.
 
+Every page is then offered to zlib (level 1), and the compressed form is
+kept only when it is smaller, Parquet's per-page rule.  A compressed page
+sets bit ``0x80`` of its tag and replaces everything after the tag::
+
+    [encoding tag | 0x80: 1 byte]
+    [uncompressed length: varint]
+    [zlib stream of the bytes that followed the tag]
+
+Pages written before compression existed (``PQL1`` files) never set the
+bit, so one reader serves both.  Inflation is bounded by the stated
+length, and a corrupt stream or a stated length the stream does not
+match raises :class:`~repro.storage.encodings.EncodingError`.  A reader
+inflates a page once, when it first decodes it; decoded pages are cached
+per row group (:class:`~repro.storage.rowgroup.RowGroupReader`).
+
 The writer works on the whole column at once: the presence flags are one
 ``bytes(map(is_not, values, repeat(None)))``, packed into the bitmap by
 :meth:`~repro.bitvec.bitvector.BitVector.from_flags` (``translate`` plus
@@ -18,6 +33,7 @@ The writer works on the whole column at once: the presence flags are one
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import is_not
@@ -41,6 +57,13 @@ _ENCODING_TAGS = {
     Encoding.RLE: 2,
 }
 _TAG_ENCODINGS = {tag: enc for enc, tag in _ENCODING_TAGS.items()}
+#: Tag bit of a page stored zlib-compressed.
+_COMPRESSED = 0x80
+#: zlib level: the fastest, since pages are compressed on the load path.
+_ZLIB_LEVEL = 1
+#: Deflate never inflates past about 1032 bytes per stream byte, so a
+#: stated length beyond that is a lie, rejected before inflating.
+_MAX_INFLATE_RATIO = 1032
 
 
 @dataclass(frozen=True)
@@ -79,19 +102,25 @@ def write_page(values: Sequence[Any], column_type: ColumnType,
     write_varint(out, len(payload))
     out += payload
     stats = _compute_stats(values, non_null, column_type)
-    return bytes(out), stats
+    return _compress_if_smaller(out), stats
+
+
+def _compress_if_smaller(page: bytearray) -> bytes:
+    """*page*, or its compressed form when that is smaller."""
+    with memoryview(page) as view:
+        stream = zlib.compress(view[1:], _ZLIB_LEVEL)
+    header = bytearray((page[0] | _COMPRESSED,))
+    write_varint(header, len(page) - 1)
+    if len(header) + len(stream) < len(page):
+        header += stream
+        return bytes(header)
+    return bytes(page)
 
 
 def read_page(data: bytes, column_type: ColumnType) -> List[Any]:
     """Decode a page back to its values (with ``None`` for nulls)."""
-    if not data:
-        raise EncodingError("empty page")
-    tag = data[0]
-    try:
-        encoding = _TAG_ENCODINGS[tag]
-    except KeyError:
-        raise EncodingError(f"unknown encoding tag {tag}") from None
-    row_count, pos = read_varint(data, 1)
+    encoding, data, pos = _page_body(data)
+    row_count, pos = read_varint(data, pos)
     bitmap_len, pos = read_varint(data, pos)
     bitmap_end = pos + bitmap_len
     if bitmap_end > len(data):
@@ -123,9 +152,35 @@ def page_encoding(data: bytes) -> Encoding:
     if not data:
         raise EncodingError("empty page")
     try:
-        return _TAG_ENCODINGS[data[0]]
+        return _TAG_ENCODINGS[data[0] & ~_COMPRESSED]
     except KeyError:
         raise EncodingError(f"unknown encoding tag {data[0]}") from None
+
+
+def _page_body(data: bytes) -> Tuple[Encoding, bytes, int]:
+    """``(encoding, body, start)``: the page's bytes after its tag are
+    ``body[start:]``, inflated first if the page is compressed."""
+    encoding = page_encoding(data)
+    if not data[0] & _COMPRESSED:
+        return encoding, data, 1
+    raw_len, pos = read_varint(data, 1)
+    stream = data[pos:]
+    if not 0 < raw_len <= _MAX_INFLATE_RATIO * len(stream):
+        raise EncodingError(
+            f"compressed page states {raw_len} bytes for a "
+            f"{len(stream)}-byte stream"
+        )
+    inflater = zlib.decompressobj()
+    try:
+        body = inflater.decompress(stream, raw_len)
+    except zlib.error as exc:
+        raise EncodingError(f"corrupt compressed page: {exc}") from None
+    if len(body) != raw_len or not inflater.eof or inflater.unused_data:
+        raise EncodingError(
+            f"compressed page does not inflate to its stated {raw_len} "
+            f"bytes"
+        )
+    return encoding, body, 0
 
 
 def _compute_stats(values: Sequence[Any], non_null: Sequence[Any],

@@ -43,8 +43,7 @@ class TestRoundtrip:
         decoded = decode_chunk(encode_chunk(chunk))
         assert decoded.records == []
 
-    def test_sparse_vector_roundtrips_via_rle(self):
-        # A 1-in-5000 vector ships as RLE; decoding must restore it.
+    def test_sparse_vector_roundtrips(self):
         chunk = JsonChunk(
             chunk_id=1,
             records=[dump_record({"i": i}) for i in range(5000)],
@@ -52,6 +51,17 @@ class TestRoundtrip:
         chunk.attach(0, BitVector.from_indices(5000, [4321]))
         decoded = decode_chunk(encode_chunk(chunk))
         assert list(decoded.bitvectors[0].iter_set()) == [4321]
+
+    def test_vectors_ship_packed(self):
+        # Each vector is its u32 payload length, then its packed bytes:
+        # a sparse one is not run-length encoded.
+        chunk = sample_chunk(n=5000)
+        payload = encode_chunk(chunk)
+        tail = b"".join(
+            len(bv.to_bytes()).to_bytes(4, "little") + bv.to_bytes()
+            for bv in (chunk.bitvectors[0], chunk.bitvectors[2])
+        )
+        assert payload.endswith(tail)
 
 
 class TestValidation:
@@ -160,9 +170,9 @@ class TestFrameDigest:
     """Wire frames of a real load are pinned byte for byte."""
 
     #: sha256 of one yelp_pushdown load (seed 1, 100-record chunks,
-    #: 34 bit vectors each) framed as one batch.
+    #: 34 bit vectors each, all packed) framed as one batch.
     YELP_PUSHDOWN_SHA256 = (
-        "e56b74283bf9df1d77f7e79858f312c75a92b6a3a617d10f98d7257bf24b54c6"
+        "1941bde5c0256e73dfed4e94cbfd56c1c292e05b6653fff7cb70b7a395b1c19c"
     )
 
     def test_yelp_pushdown_frames_are_pinned(self, yelp_pushdown_plan,

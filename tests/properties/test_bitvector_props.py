@@ -1,9 +1,9 @@
-"""Property-based tests of bit-vector algebra and encodings."""
+"""Property-based tests of bit-vector algebra and serialization."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitvec import BitVector, RleBitVector, best_encoding
+from repro.bitvec import BitVector
 
 bit_lists = st.lists(st.booleans(), max_size=300)
 
@@ -62,26 +62,6 @@ def test_from_bits_matches_reference_at_boundaries(length, data):
 def test_serialization_roundtrip(bits):
     bv = BitVector.from_bits(bits)
     assert BitVector.from_bytes(bv.to_bytes()) == bv
-
-
-@given(bit_lists)
-def test_rle_equivalence(bits):
-    bv = BitVector.from_bits(bits)
-    rle = RleBitVector.from_bitvector(bv)
-    assert rle.to_bitvector() == bv
-    assert rle.count() == bv.count()
-    assert list(rle.iter_set()) == list(bv.iter_set())
-    assert RleBitVector.from_bytes(rle.to_bytes()) == rle
-
-
-@given(bit_lists)
-def test_best_encoding_is_lossless(bits):
-    bv = BitVector.from_bits(bits)
-    encoded = best_encoding(bv)
-    if isinstance(encoded, RleBitVector):
-        assert encoded.to_bitvector() == bv
-    else:
-        assert encoded == bv
 
 
 @given(paired_bits())

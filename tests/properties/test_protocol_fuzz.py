@@ -43,8 +43,8 @@ def frame(header: bytes, records: bytes, vectors: bytes) -> bytes:
     )
 
 
-def vector_section(tag: int, payload: bytes) -> bytes:
-    return bytes([tag]) + len(payload).to_bytes(4, "little") + payload
+def vector_section(payload: bytes) -> bytes:
+    return len(payload).to_bytes(4, "little") + payload
 
 
 class TestTruncation:
@@ -100,7 +100,7 @@ class TestCorruptSections:
         payload = frame(
             b'{"chunk_id": 1, "records": 0, "predicates": [3, 3]}',
             b"",
-            vector_section(0, empty_bv) + vector_section(0, empty_bv),
+            vector_section(empty_bv) + vector_section(empty_bv),
         )
         with pytest.raises(ProtocolError, match="duplicate predicate"):
             decode_chunk(payload)
@@ -112,7 +112,7 @@ class TestCorruptSections:
         payload = frame(
             b'{"chunk_id": 0, "records": 3, "predicates": [1]}',
             b"{}\n{}\n{}",
-            vector_section(0, bad_bv),
+            vector_section(bad_bv),
         )
         with pytest.raises(ProtocolError, match="corrupt bit-vector"):
             decode_chunk(payload)
@@ -160,25 +160,21 @@ class TestCorruptSections:
         payload = frame(
             b'{"chunk_id": 0, "records": 3, "predicates": [0]}',
             b"{}\n{}\n{}",
-            vector_section(0, two_bits),
+            vector_section(two_bits),
         )
         with pytest.raises(ProtocolError, match="declares 2 bits"):
             decode_chunk(payload)
 
-    def test_rle_length_bomb_rejected_before_allocation(self):
-        # A few wire bytes can declare a multi-gigabit RLE vector; the
+    def test_length_bomb_rejected_before_allocation(self):
+        # A few wire bytes can declare a multi-gigabit vector; the
         # declared length must be checked against the record count BEFORE
         # decoding, so the frame is rejected without the huge allocation.
         declared = 1 << 31
-        rle_payload = (
-            declared.to_bytes(4, "little")      # bit length
-            + (1).to_bytes(4, "little")         # one run
-            + b"\x80\x80\x80\x80\x08"           # varint for 2**31 zeros
-        )
+        bomb = declared.to_bytes(4, "little") + b"\xff" * 4
         payload = frame(
             b'{"chunk_id": 0, "records": 3, "predicates": [0]}',
             b"{}\n{}\n{}",
-            vector_section(1, rle_payload),
+            vector_section(bomb),
         )
         with pytest.raises(ProtocolError, match="declares 2147483648 bits"):
             decode_chunk(payload)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rowgroup_oracle as oracle
-from repro.bitvec import BitVector, RleBitVector
+from repro.bitvec import BitVector
 from repro.rawjson import JsonChunk
 from repro.storage import (
     ColumnType,
@@ -212,39 +212,3 @@ def test_flags_and_split_by_mask_match_oracle(bv):
     assert BitVector.from_flags(bv.to_flags()) == bv
     chunk = JsonChunk(0, ["{}"] * len(bv))
     assert chunk.split_by_mask(bv) == oracle.split_by_mask(bv)
-
-
-def _rle_outcome(raw):
-    result = outcome(RleBitVector.from_bytes, raw)
-    if result[0] == "ok":
-        return "ok", (len(result[1]), result[1].runs)
-    return result
-
-
-@given(vectors, st.binary(max_size=4), st.integers(min_value=0,
-                                                   max_value=12))
-@settings(max_examples=300, deadline=None)
-def test_rle_from_bytes_matches_oracle(bv, noise, cut):
-    raw = RleBitVector.from_bitvector(bv).to_bytes()
-    for candidate in (raw, raw + noise, raw[:max(len(raw) - cut, 0)]):
-        assert _rle_outcome(candidate) == \
-            outcome(oracle.rle_from_bytes, candidate)
-
-
-@given(st.lists(st.integers(min_value=0, max_value=300), max_size=20),
-       st.integers(min_value=0, max_value=400), st.data())
-@settings(max_examples=300, deadline=None)
-def test_rle_from_arbitrary_runs_matches_oracle(runs, extra, data):
-    """Hand-built payloads: empty interior runs, runs past 127, and a run
-    count that disagrees with the bytes that follow."""
-    declared = sum(runs) + data.draw(st.sampled_from([0, 0, 1, extra]))
-    n_runs = len(runs) + data.draw(st.sampled_from([0, 0, -1, 1]))
-    body = bytearray()
-    for run in runs:
-        while run >= 0x80:
-            body.append(run & 0x7F | 0x80)
-            run >>= 7
-        body.append(run)
-    raw = (declared.to_bytes(4, "little")
-           + max(n_runs, 0).to_bytes(4, "little") + bytes(body))
-    assert _rle_outcome(raw) == outcome(oracle.rle_from_bytes, raw)

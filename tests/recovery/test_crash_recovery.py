@@ -203,6 +203,31 @@ class TestRecovery:
         rows = recovered.query("SELECT COUNT(*) FROM t").rows
         assert 0 < rows[0]["count(*)"] < 32
 
+    def test_unlisted_part_is_quarantined(self, tmp_path):
+        # Sealed every 4 chunks, checkpointed at 5, killed after 7: the
+        # crashed generation's open part holds chunks 6-7 and no manifest
+        # lists it.
+        metrics = Metrics()
+        server = durable_server(tmp_path, n_shards=1, seal_interval=4)
+        session = feed(server, range(1, 6))
+        assert server.checkpoint() is True
+        for seq in (6, 7):
+            session.ingest_sequenced(batch(seq), seq=seq, client_id="c1")
+        unsealed = tmp_path / "t.part2.pql"
+        assert unsealed.exists()
+        recovered = CiaoServer.recover(tmp_path, metrics=metrics)
+        counters = metrics.snapshot()["counters"]
+        assert counters["recovery.parts_quarantined"] == 1
+        assert counters["recovery.parts_recovered"] == 2
+        assert not unsealed.exists()
+        assert (tmp_path / "t.part2.pql.quarantined").exists()
+        recovered.finalize_loading()
+        assert recovered.query("SELECT COUNT(*) FROM t").scalar() == 5 * 4
+        _, doc = Manifest.load(Manifest.path_for(tmp_path, "t"))
+        listed = {record["path"] for record in doc["parts"]}
+        assert listed == {"t.part0.pql", "t.part1.pql"}
+        assert {p.name for p in tmp_path.glob("*.pql")} == listed
+
     def test_recovered_generation_gets_fresh_part_paths(self, tmp_path):
         server = durable_server(tmp_path)
         feed(server, range(1, 5))

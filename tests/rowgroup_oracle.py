@@ -9,11 +9,16 @@ so a differential test can demand equal bytes, equal page statistics and
 equal exceptions from both.  The one intended difference from the
 historical per-value writer is the zigzag fix: integers of any width map
 ``v >= 0`` to ``v << 1``.
+
+Pages follow Parquet's per-page compression rule, spelled out here on its
+own (:func:`compress_if_smaller`); ``compress=False`` writes the
+uncompressed pages of ``PQL1`` files.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bitvec import BitVector
@@ -24,6 +29,8 @@ from repro.storage.pages import PageStats
 from repro.storage.schema import coerce_value
 
 _ENCODING_TAGS = {Encoding.PLAIN: 0, Encoding.DICTIONARY: 1, Encoding.RLE: 2}
+#: Tag bit of a compressed page.
+COMPRESSED_FLAG = 0x80
 
 
 # ----------------------------------------------------------------------
@@ -125,8 +132,22 @@ def choose_encoding(values: Sequence[Any],
 # ----------------------------------------------------------------------
 # Pages and row groups
 # ----------------------------------------------------------------------
+def compress_if_smaller(page: bytes) -> bytes:
+    """The page's compressed form when that is shorter, else the page.
+
+    The compressed form flags the tag, then holds the length of the
+    bytes after the tag and their zlib (level 1) stream.
+    """
+    compressed = bytearray([page[0] | COMPRESSED_FLAG])
+    write_varint(compressed, len(page) - 1)
+    compressed += zlib.compress(page[1:], 1)
+    if len(compressed) < len(page):
+        return bytes(compressed)
+    return page
+
+
 def write_page(values: Sequence[Any], column_type: ColumnType,
-               encoding: Optional[Encoding] = None
+               encoding: Optional[Encoding] = None, compress: bool = True
                ) -> Tuple[bytes, PageStats]:
     presence = BitVector(len(values))
     non_null: List[Any] = []
@@ -150,7 +171,8 @@ def write_page(values: Sequence[Any], column_type: ColumnType,
     else:
         stats = PageStats(len(values), null_count, min(non_null),
                           max(non_null))
-    return bytes(out), stats
+    page = bytes(out)
+    return (compress_if_smaller(page) if compress else page), stats
 
 
 def build_row_group(
@@ -159,6 +181,7 @@ def build_row_group(
     base_offset: int,
     bitvectors: Optional[Mapping[int, BitVector]] = None,
     encoding: Optional[Encoding] = None,
+    compress: bool = True,
 ) -> Tuple[bytes, RowGroupMeta]:
     if not rows:
         raise ValueError("row groups must contain at least one row")
@@ -168,7 +191,8 @@ def build_row_group(
         values = [
             coerce_value(row.get(field.name), field.type) for row in rows
         ]
-        page, stats = write_page(values, field.type, encoding=encoding)
+        page, stats = write_page(values, field.type, encoding=encoding,
+                                 compress=compress)
         meta.columns[field.name] = ColumnChunkMeta(
             offset=base_offset + len(block), length=len(page), stats=stats,
         )
@@ -236,52 +260,6 @@ def select(bv: BitVector, positions: Sequence[int]) -> BitVector:
             gathered |= 1 << row
     payload = gathered.to_bytes((len(positions) + 7) // 8, "little")
     return BitVector(len(positions), payload)
-
-
-def rle_from_bytes(raw: bytes) -> Tuple[int, Tuple[int, ...]]:
-    """``RleBitVector.from_bytes`` one varint at a time: (length, runs)."""
-    if len(raw) < 8:
-        raise ValueError("RLE payload shorter than its header")
-    length = int.from_bytes(raw[:4], "little")
-    nruns = int.from_bytes(raw[4:8], "little")
-    runs: List[int] = []
-    pos = 8
-    for _ in range(nruns):
-        value = 0
-        shift = 0
-        while True:
-            if pos >= len(raw):
-                raise ValueError("truncated varint")
-            byte = raw[pos]
-            pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-        runs.append(value)
-    if pos != len(raw):
-        raise ValueError(f"{len(raw) - pos} trailing bytes after RLE runs")
-    if sum(runs) != length:
-        raise ValueError("runs do not sum to the declared length")
-    return length, _canonical_runs(runs)
-
-
-def _canonical_runs(runs: Sequence[int]) -> Tuple[int, ...]:
-    """Merge empty interior runs, drop trailing empty ones."""
-    out: List[int] = []
-    for i, run in enumerate(runs):
-        if i == 0:
-            out.append(run)
-            continue
-        if run == 0:
-            continue
-        if (len(out) - 1) % 2 == i % 2 and out:
-            out[-1] += run
-        else:
-            out.append(run)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 def split_by_mask(mask: BitVector) -> Tuple[List[int], List[int]]:

@@ -232,3 +232,72 @@ class TestSharedOptionValidation:
             CiaoServer(tmp_path, n_shards=0)
         with pytest.raises(ValueError, match="n_shards must be >= 1"):
             DeploymentConfig(mode="fleet", n_shards=-1)
+
+def _unclosed_files(build):
+    """ResourceWarnings raised while *build()* runs and its objects die."""
+    import gc
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        build()
+        gc.collect()
+    return [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+class TestClose:
+    """A closed server holds no open part files."""
+
+    def loaded(self, path, close, finalize=True, **kwargs):
+        plan = make_plan([C0, C1])
+        server = CiaoServer(path, plan=plan, workload=WORKLOAD,
+                            seal_interval=1, **kwargs)
+        client = SimulatedClient("c1", plan=plan, chunk_size=10)
+        for chunk in client.process(LINES):
+            server.ingest(chunk)
+            server.query("SELECT COUNT(*) FROM t WHERE i = 0")
+        if finalize:
+            server.finalize_loading()
+            assert server.query("SELECT COUNT(*) FROM t").scalar() == 50
+        if close:
+            server.close()
+            server.close()  # idempotent
+
+    def test_unclosed_server_leaks_its_readers(self, tmp_path):
+        # The control: without close() the readers' files are left to
+        # the garbage collector, which warns about each.
+        assert _unclosed_files(lambda: self.loaded(tmp_path, close=False))
+
+    @pytest.mark.parametrize("options", [
+        {}, {"n_shards": 2, "shard_mode": "thread"},
+    ])
+    def test_closed_server_leaves_no_unclosed_file(self, tmp_path, options):
+        assert _unclosed_files(
+            lambda: self.loaded(tmp_path, close=True, **options)) == []
+
+    def test_closing_mid_load_drops_the_unsealed_part(self, tmp_path):
+        def build():
+            plan = make_plan([C0, C1])
+            server = CiaoServer(tmp_path, plan=plan, workload=WORKLOAD,
+                                seal_interval=4, partial_loading="off")
+            for chunk in SimulatedClient("c1", plan=plan,
+                                         chunk_size=10).process(LINES):
+                server.ingest(chunk)  # 5 chunks: one part still open
+            assert server.query("SELECT COUNT(*) FROM t").scalar() == 40
+            server.close()
+            with pytest.raises(RuntimeError):
+                server.ingest(JsonChunk(9, [dump_record({"i": 0})]))
+
+        assert _unclosed_files(build) == []
+
+    def test_session_close_closes_its_servers(self, tmp_path):
+        from repro.api import CiaoSession
+
+        def build():
+            session = CiaoSession(WORKLOAD, source=LINES, data_dir=tmp_path)
+            session.plan(Budget(10.0))
+            session.load().result()
+            assert session.query("SELECT COUNT(*) FROM t").scalar() == 50
+            session.close()
+
+        assert _unclosed_files(build) == []

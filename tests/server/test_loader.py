@@ -231,12 +231,14 @@ def _sha256(path):
 
 
 class TestStoredBytes:
-    """The files of a real load are pinned byte for byte."""
+    """The files of a real load are pinned byte for byte (``PQL2``, pages
+    compressed where that shrinks them; :class:`TestDecodedContent`
+    checks they decode as the uncompressed ``PQL1`` parts did)."""
 
     #: sha256 of the one part and the sideline of one yelp_pushdown load
     #: (Budget(20) plan, 8,000 seed-1 records in 100-record chunks).
     PART_SHA256 = (
-        "3f0e3d08a0148c87a35e9fc9d07ab9c041feca0ad19ab4685a60c3ce78b5ae6b"
+        "97a0fb9339f07ef9aa072f82c277259174c018d385f0f6548df224841ea12e13"
     )
     SIDELINE_SHA256 = (
         "56e185dc96081465f4a7b3931fff3536814e3adb2480ce15ceaa8b91e00de467"
@@ -244,20 +246,20 @@ class TestStoredBytes:
     #: The same load sealed every 8 chunks (the benchmark servers'
     #: ``seal_interval``): one sha256 per part, in part order.
     SEALED_PART_SHA256 = (
-        "f4ffbd081c384f8e243470850a13d4696eb1245225c6857a24161584d4319899",
-        "687fd12d2ac4001ad60b9e7110a72d834c7d124cb106b07c547464311e44b4cd",
-        "f9f66e526b7a29a9b8233b1e299a1d8e6f1d749739c2e5542a785cfeba3b516c",
-        "820c0c11593af207e51da860740c989e9039172cb0bf5fb4a6587742c0d7bb69",
-        "d52fa08aaabc31ab168f3275f4628f1df26f0584aef7c692d6d53da8878a1e6a",
-        "d5a95264fa095c5e3746b4be4f32765525d30aaa583edb03ae99746d5bc7b4e1",
-        "9ff131a9bc0c2616bfee72138935b6c49649ce5bf4ae1e6103299ff291001e17",
-        "27160659beb5a5e3a5309c2480ed2533368fc72a678b8e6af0537de8bd55ad36",
-        "4677b0cb39f361e1439ff9e11d643caf804fdec8a954b8cff0675a3ac7fa7f66",
-        "6e1532186fe1ac589f462f4f7ed46adf4eda2c53c224c20443feb3040f8b92bd",
+        "2d44cd251a884e45c95a26410ce399bc70027c5629ee2990a567ac658e06e5b3",
+        "9945a7137e941129e71356e243e6cb36fb18d091d916d3f03d73c3258320d3f4",
+        "2627a6a5df891aec4f88e990c3c1f28efb74496e84f2d1e4d3e79a9e79e17645",
+        "572ed8115d0d279e907d9ef8d38571e0f05ba85a33b71280d9201d778031328d",
+        "9a4f19ae10b29eb2d19a96f9c76cc17f60f30fed30c261ab2e53fdea388a63fd",
+        "d4cef2e8da877e0d40a21de5b30b713f67d9fc5d658e7542a7a4e34fb42fe7cc",
+        "144167d3f595af3e9bbc70847ff8b41445a157951b3105b751a1adaf0e4dd4fe",
+        "597689302d3381c244bbf0c7e452d4d71069534d6b8423a19d32ca38e9d401c3",
+        "4c5d6806c554420441b4b18f212def171cbbfb13bd6cccbfcbd5f37ef1bf0767",
+        "6e83b944373dfff578d1b2c7d90beb7e422b57dbb95d1c3ff8682219fd16d1a3",
     )
     #: One ``rewrite_parts`` of those ten parts, clustered on ``stars``.
     COMPACTED_SHA256 = (
-        "0fb439c517a33659b4945a177bb04bb5ffcb4d9705f447d53ddfffff15151b18"
+        "7fc3bcee856b97da892a835606705482dbfccf6223a57b48096554b7baac1748"
     )
 
     def test_yelp_pushdown_files_are_pinned(self, tmp_path, yelp_pushdown_plan,
@@ -281,3 +283,65 @@ class TestStoredBytes:
         compacted = tmp_path / "compacted.pql"
         rewrite_parts(parts, compacted, cluster_by="stars")
         assert _sha256(compacted) == self.COMPACTED_SHA256
+
+
+def _decoded_sha256(path):
+    """sha256 of what a reader decodes from *path*, not of its bytes: the
+    schema, each row group's row count, column statistics and bit
+    vectors, then every row.  Page compression leaves it unchanged."""
+    with ParquetLiteReader(path) as reader:
+        content = [reader.schema.to_dict()]
+        for rg in reader.meta.row_groups:
+            content.append((
+                rg.row_count,
+                sorted((name, c.stats) for name, c in rg.columns.items()),
+                sorted((pid, bv.to_bytes())
+                       for pid, bv in rg.bitvectors.items()),
+            ))
+        content.append(reader.read_all())
+    return hashlib.sha256(repr(content).encode()).hexdigest()
+
+
+class TestDecodedContent:
+    """The loads :class:`TestStoredBytes` pins decode to the rows,
+    ``PageStats`` and bit vectors their uncompressed ``PQL1`` parts
+    decoded to (digests taken from the ``PQL1`` writer's parts)."""
+
+    PART_SHA256 = (
+        "522bb1ab9f67eb6e5211af431e2dce1c885c9f802968356f0a579ffda68c8e6f"
+    )
+    SEALED_PART_SHA256 = (
+        "07317c08019326ccdff7b1cf232593c7f8f5a6ec1cea8482b639db68b15549df",
+        "d7e25663bc97c434789b556f8f3e8c7a1a8bb7177e74f6c3e7c3dd41e2b3482a",
+        "c906a25bb01683debe3d49cdc478744dc253547b5506ab2d81c22ac3f4ba4560",
+        "46c770102fe82c96ae0ca669101eb67adb051688ddfcbc6a19c0a9178965a10b",
+        "9c5fd9f99b8d88389b96bb12bf0030963e525df9499e9637bfef387f1f579019",
+        "716056cdb2a506fc5af9a58cfecddaf6a7eb5659e885a258545fdc02f9275ffc",
+        "3bd8046823f4b87f97abd644f1c44cc2341c1f2880a2f81e2a3501530a4157dc",
+        "2084c1fb78bc25b833af29125efe32382905e68332818a5839302998d197f6cc",
+        "1a579090ae93a1c68d4c4a9d69a725b017d37847114855674002c100daca49d4",
+        "4f300ae16b372af0157dec8c20c424b4b3459679962720792064df12aabfdb38",
+    )
+    COMPACTED_SHA256 = (
+        "ae999f1464b6b782ceb1189de8545dacf1acea38cf1ce0a49ec85e924d8b1bde"
+    )
+
+    def test_part_decodes_as_the_uncompressed_part_did(
+            self, tmp_path, yelp_pushdown_plan, yelp_pushdown_chunks):
+        [part], _ = _pushdown_load(
+            tmp_path, yelp_pushdown_plan, yelp_pushdown_chunks
+        )
+        assert part.read_bytes()[:4] == b"PQL2"
+        assert _decoded_sha256(part) == self.PART_SHA256
+
+    def test_sealed_parts_and_compaction_decode_as_before(
+            self, tmp_path, yelp_pushdown_plan, yelp_pushdown_chunks):
+        from repro.compact import rewrite_parts
+
+        parts, _ = _pushdown_load(
+            tmp_path, yelp_pushdown_plan, yelp_pushdown_chunks, seal_every=8
+        )
+        assert tuple(map(_decoded_sha256, parts)) == self.SEALED_PART_SHA256
+        compacted = tmp_path / "compacted.pql"
+        rewrite_parts(parts, compacted, cluster_by="stars")
+        assert _decoded_sha256(compacted) == self.COMPACTED_SHA256

@@ -205,6 +205,7 @@ def test_grouped_parts_answer_like_brute_force(load, tmp_path_factory):
     stored = check_stored_parts(server.table.parquet_paths, chunks,
                                 chunk_size, records)
     assert stored == summary.loaded
+    server.close()
 
 
 def test_vectors_concatenate_across_chunks_and_pad_missing_ids(tmp_path):
@@ -229,6 +230,7 @@ def test_vectors_concatenate_across_chunks_and_pad_missing_ids(tmp_path):
     expect_age = [i % 5 == 2 or 10 <= i < 20 for i in range(30)]
     assert meta.bitvectors[ann].to_bits() == list(map(int, expect_ann))
     assert meta.bitvectors[age].to_bits() == list(map(int, expect_age))
+    server.close()
 
 
 def test_checkpoint_mid_part_recovers_like_a_serial_load(tmp_path):
@@ -276,3 +278,5 @@ def test_checkpoint_mid_part_recovers_like_a_serial_load(tmp_path):
     summary = recovered.finalize_loading()
     assert summary.received == len(lines)
     check_answers(recovered, workload, records)
+    recovered.close()
+    serial.close()
