@@ -335,7 +335,11 @@ class CiaoSession:
         self._external_lock = make_lock("CiaoSession._external_lock")
         self._closed = False
         if recover_from is not None:
-            self._recover(Path(recover_from))
+            try:
+                self._recover(Path(recover_from))
+            except BaseException:  # ciaolint: allow[API006] -- re-raised after releasing the session's temporary storage
+                self.close()
+                raise
 
     # ------------------------------------------------------------------
     # Introspection

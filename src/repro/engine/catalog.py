@@ -158,11 +158,12 @@ class TableEntry:
     The view is one value: the ordered Parquet-lite part paths, the
     sideline as ``(path, records)`` segments — the first *records* lines
     of each listed file — and whether the load behind it is still
-    ``live``.  A finalized table lists its parts and its one sideline
-    store; during a streaming load the owning server re-points the
-    table (:meth:`set_view`) at the sealed-so-far parts and the shard
-    sideline prefixes at their watermarks, so the engine answers queries
-    against a consistent prefix of the stream while loading continues.
+    ``live``.  During a streaming load the owning server re-points the
+    table (:meth:`set_view`) at the sealed-so-far parts and the sideline
+    prefixes at their watermarks, so the engine answers queries against
+    a consistent prefix of the stream while loading continues; the
+    finalized view is the load's last publication, the same files no
+    longer live.
 
     Everything a table caches rests on two invariants of the listed
     paths:

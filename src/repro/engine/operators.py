@@ -274,7 +274,9 @@ class SidelineScan(Operator):
     """Parse-once scan of a table's raw JSON sideline segments.
 
     *segments* are ``(path, records)`` file prefixes in scan order — the
-    table's one store once finalized, one per shard mid-load.  Each
+    table's own store, then one per shard on a sharded server, in both
+    states: finalize is the last publication, and shard sidelines stay
+    where they were written.  Each
     segment is read through the table's :class:`SidelineCache`: the
     cached parsed prefix comes back without parsing and only the lines
     past it are parsed just in time, so a sideline line is parsed by the

@@ -132,14 +132,6 @@ class IngestSession:
         """Accept chunks again (a reconnecting client resumed the stream)."""
         self._closed = False
 
-    def drain_channel(self, channel: Channel) -> int:
-        """Drain a channel through this session; returns messages drained."""
-        count = 0
-        for payload in channel.drain():
-            self.ingest(payload)
-            count += 1
-        return count
-
     def close(self) -> None:
         """Stop accepting chunks on this session (idempotent)."""
         self._closed = True
@@ -161,12 +153,14 @@ class CiaoServer:
     :class:`~repro.server.pipeline.ShardedIngestPipeline` fans encoded
     chunks across shard workers (decode + parse + write each, pulled
     from a shared work-stealing deque by default) and merges their
-    outputs into the catalog at :meth:`finalize_loading`.  Either way a
-    loader seals its Parquet part every *seal_interval* chunks and
-    publishes it, and query results are identical to serial ingest.  A
-    part's row groups are sized by rows, not by chunks: full groups of
-    ``ROW_GROUP_ROWS`` (:mod:`repro.storage.rowgroup`) rows as they fill,
-    the remainder when the part seals.
+    publications into one snapshot.  Either way a loader seals its
+    Parquet part every *seal_interval* chunks and publishes it, the
+    table's view is the last publication in both states
+    (:meth:`finalize_loading` is the last one), and query results are
+    identical to serial ingest.  A part's row groups are sized by rows,
+    not by chunks: full groups of ``ROW_GROUP_ROWS``
+    (:mod:`repro.storage.rowgroup`) rows as they fill, the remainder
+    when the part seals.
 
     Lifecycle: a server starts in state ``"loading"`` and moves to
     ``"finalized"`` at :meth:`finalize_loading`; ingesting into a
@@ -176,7 +170,7 @@ class CiaoServer:
     loaded-so-far snapshot (sealed parts + sideline watermarks),
     matching serial ingest of exactly the covered chunks, and
     :meth:`quiesce` makes it cover everything ingested so far.
-    ``load_summary`` counts the covered chunks until loading finalizes.
+    ``load_summary`` counts the chunks the view covers.
     """
 
     def __init__(self, data_dir: str | Path,
@@ -219,7 +213,7 @@ class CiaoServer:
         self._parquet_path, sideline_path = _storage_paths(
             self.data_dir, table_name, generation
         )
-        self._side_store = JsonSideStore(sideline_path)
+        side_store = JsonSideStore(sideline_path)
         required_ids = plan.predicate_ids if plan is not None else None
         #: The loader or pipeline that owns this generation's storage;
         #: ``_pipeline`` is the same object when sharded.
@@ -228,7 +222,7 @@ class CiaoServer:
         if n_shards > 1:
             self._sink = self._pipeline = ShardedIngestPipeline(
                 self._parquet_path,
-                self._side_store,
+                sideline_path,
                 n_shards=n_shards,
                 partial_loading=self.partial_loading_enabled,
                 schema=schema,
@@ -237,12 +231,13 @@ class CiaoServer:
                 dispatch=dispatch,
                 seal_interval=seal_interval,
                 metrics=metrics,
+                recovered_records=side_store.record_count,
             )
         else:
             self._sink = StreamingLoader(
                 ClientAssistedLoader(
                     self._parquet_path,
-                    self._side_store,
+                    side_store,
                     partial_loading=self.partial_loading_enabled,
                     schema=schema,
                     required_predicate_ids=required_ids,
@@ -271,11 +266,11 @@ class CiaoServer:
         self._compaction_remap: Dict[str, Path] = {}
         #: Committed compactions so far (recorded in the manifest).
         self._compaction_epoch = 0  # guarded-by: _lifecycle_lock
-        #: ``(load snapshot version, compaction epoch)`` the table's view
-        #: was last resolved from; the version is ``None`` once
-        #: finalized.  Equal keys mean an identical view.
+        #: ``(state, load snapshot version, compaction epoch)`` the
+        #: table's view was last resolved from.  Equal keys mean an
+        #: identical view.
         # guarded-by: _lifecycle_lock
-        self._view_key: Optional[Tuple[Optional[int], int]] = None
+        self._view_key: Optional[Tuple[str, int, int]] = None
         # Serializes query() against finalize_loading(): a loading
         # server may be queried from one thread while another thread
         # finalizes (session load jobs, fleet coordinators), and the
@@ -509,34 +504,29 @@ class CiaoServer:
     def finalize_loading(self) -> LoadSummary:
         """Seal storage and make the whole table queryable; idempotent.
 
-        For a sharded server this is the merge point: shard loaders are
-        sealed, their Parquet parts registered (shard-major order) and
-        their sidelines folded into the table's store.
+        Finalize is the loader's or pipeline's last publication: every
+        shard publishes its last chunks and seals its part, and the
+        table's view becomes that final snapshot, no longer live.  Shard
+        sidelines stay where they were written, so sideline records
+        queries parsed mid-load stay parsed.
         """
         with self._lifecycle_lock, self._ingest_lock:
             for session in self._sessions.values():
                 session.close()  # ciaolint: allow[LCK002] -- IngestSession.close only flips a flag; `.close()` name union binds wider
             summary = self._summary_baseline.merged(self._sink.finalize())
-            if not self._loading_finalized:
-                self._loading_finalized = True
-                self._refresh_view()
+            self._loading_finalized = True
+            self._refresh_view()
             if self._manifest is not None:
                 self._write_manifest_locked("finalized")
             return summary
 
     @property
     def load_summary(self) -> LoadSummary:
-        """Loading statistics so far.
-
-        Mid-load, the chunks covered by the current snapshot (the same
-        view queries see; :meth:`quiesce` covers everything ingested);
-        once finalized, the complete merged summary.
-        """
-        if self._loading_finalized:
-            summary = self._sink.summary
-        else:
-            summary = self._sink.snapshot().summary
-        return self._summary_baseline.merged(summary)
+        """Loading statistics so far: the chunks the current snapshot
+        covers (the same view queries see; :meth:`quiesce` covers
+        everything ingested, and once finalized the snapshot is the
+        whole load)."""
+        return self._summary_baseline.merged(self._sink.snapshot().summary)
 
     # ------------------------------------------------------------------
     # The table view: one part set behind queries, compaction and the
@@ -550,31 +540,24 @@ class CiaoServer:
 
         The single answer to "which parts and sideline segments make up
         the table now", read by queries, compaction, checkpoints and
-        recovery alike.  Parts are the recovered base followed by this
-        generation's own — the loader's or pipeline's published snapshot
-        while loading, every part once finalized — resolved through the
-        compaction remap.  Sidelines are ``(path, records)`` prefixes of
-        append-only files, passed through from the snapshot unchanged
-        while loading (this generation's main file, which opens with
-        the recovered records, then any shard files); the whole main
-        file once finalized.  The summary counts exactly what the parts
-        and sidelines cover.  *snap* is the load snapshot to read while
-        loading, if the caller took one already.
+        recovery alike, from one source in both states: the loader's or
+        pipeline's last publication (finalize is the last one).  Parts
+        are the recovered base followed by the snapshot's own, resolved
+        through the compaction remap.  Sidelines are the snapshot's
+        ``(path, records)`` prefixes of append-only files, passed
+        through unchanged: this generation's main file, which opens with
+        the recovered records, then any shard files, which stay where
+        they were written.  The summary counts exactly what the parts
+        and sidelines cover.  *snap* is the load snapshot to read, if
+        the caller took one already.
         """
-        if self._loading_finalized:
-            store = self._side_store
-            parts, summary = self._sink.parquet_paths, self._sink.summary
-            sidelines = [(store.path, store.record_count)]
-        else:
-            if snap is None:
-                snap = self._sink.snapshot()
-            parts, summary = snap.parquet_paths, snap.summary
-            sidelines = snap.sidelines
+        if snap is None:
+            snap = self._sink.snapshot()
         return (
             self.state,
-            self._remap_parts(self._recovered_parts + list(parts)),
-            sidelines,
-            self._summary_baseline.merged(summary),
+            self._remap_parts(self._recovered_parts + snap.parquet_paths),
+            snap.sidelines,
+            self._summary_baseline.merged(snap.summary),
         )
 
     @guarded_by("_lifecycle_lock")
@@ -582,18 +565,18 @@ class CiaoServer:
         """Point the catalog table at the current view.
 
         One call in either state, resolved once per publication: while
-        the load snapshot's version and the compaction epoch are the
-        ones the view was last resolved from, the view is unchanged and
-        this returns at once.  Otherwise the table compares the view
-        with the one it scans and ignores an unchanged one, so parts
-        still in it keep their cached readers (and, mid-load, partial
-        aggregates) and sideline files still in it their parsed
-        prefixes.  A newly sealed part or a committed compaction always
-        registers.
+        the state, the load snapshot's version and the compaction epoch
+        are the ones the view was last resolved from, the view is
+        unchanged and this returns at once (a finalize that publishes
+        nothing new still flips the view from live to final).
+        Otherwise the table compares the view with the one it scans and
+        ignores an unchanged one, so parts still in it keep their cached
+        readers (and, mid-load, partial aggregates) and sideline files
+        still in it their parsed prefixes.  A newly sealed part or a
+        committed compaction always registers.
         """
-        snap = None if self._loading_finalized else self._sink.snapshot()
-        key = (None if snap is None else snap.version,
-               self._compaction_epoch)
+        snap = self._sink.snapshot()
+        key = (self.state, snap.version, self._compaction_epoch)
         if key == self._view_key:
             return
         state, parts, sidelines, _ = self._view(snap)
@@ -657,10 +640,9 @@ class CiaoServer:
     def sealed_parts(self) -> List[Path]:
         """The immutable parts a compactor may rewrite right now.
 
-        The current view's parts: the full part list once finalized,
-        the published snapshot's sealed parts while loading — both
-        through the compaction remap, so already-replaced parts never
-        reappear.
+        The current view's parts — the published snapshot's sealed
+        parts, every part once finalized — through the compaction
+        remap, so already-replaced parts never reappear.
         """
         with self._lifecycle_lock:
             return self._view()[1]
@@ -728,14 +710,14 @@ class CiaoServer:
 
     @guarded_by("_lifecycle_lock")
     def _checkpoint_locked(self, event: str, timeout: float = 30.0) -> None:
-        """Quiesce the load (if one runs), then persist the view."""
+        """Quiesce the load (a no-op once finalized), then persist the
+        view."""
         with self._ingest_lock:
-            if not self._loading_finalized:
-                try:
-                    self._sink.quiesce(timeout)
-                except TimeoutError:
-                    self._m_checkpoint_timeouts.inc()
-                    raise
+            try:
+                self._sink.quiesce(timeout)
+            except TimeoutError:
+                self._m_checkpoint_timeouts.inc()
+                raise
             self._write_manifest_locked(event)
 
     def _relpath(self, path: Path) -> str:
@@ -911,6 +893,9 @@ class CiaoServer:
             )
             server._manifest_events = list(doc.get("events", []))
             if doc.get("state") == "finalized":
+                # Nothing is left to load: finalize the empty sink, which
+                # also stops a sharded server's workers.
+                server._sink.finalize()
                 server._loading_finalized = True
                 server._refresh_view()
             event = f"recovered generation={generation}"
@@ -930,8 +915,7 @@ class CiaoServer:
         server stays ``"loading"``; a no-op once finalized.
         """
         with self._ingest_lock:
-            if not self._loading_finalized:
-                self._sink.quiesce(timeout)
+            self._sink.quiesce(timeout)
 
     def run_workload(self, queries: Iterable[Query]
                      ) -> List[QueryResult]:

@@ -41,8 +41,8 @@ Scaling: one loader is strictly serial.  Under heavy multi-client traffic
 the server fans chunks across several loaders via
 :class:`repro.server.pipeline.ShardedIngestPipeline` — each shard owns a
 private loader writing shard-local Parquet-lite parts and a shard-local
-sideline, and the pipeline merges all shard outputs into the catalog when
-loading finalizes.  Nothing in this module is shard-aware; the pipeline
+sideline, and the pipeline publishes their union as the table's view,
+mid-load and once finalized alike.  Nothing in this module is shard-aware; the pipeline
 composes loaders without changing their contract.
 
 Partial-loading policy: the mask is honoured only when the loader was

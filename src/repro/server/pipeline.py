@@ -15,11 +15,12 @@ Architecture::
       shard, queued     the oldest chunk)    worker N (local queue) ┘
       behind chunks          │                        │
                              │        seal part every K chunks, on a
-                             │        flush token, or on idle; publish
+                             │        flush token, on idle, or at the
+                             │        stop sentinel (finalize); publish
                              │        (sealed parts, sideline watermark,
                              │        per-chunk reports)
                              ▼                        ▼
-                        snapshot() ◀──lock-protected merge──  finalize()
+                        snapshot() ◀──────lock-protected merge──────┘
 
 * **Shard workers.**  Each worker owns a private
   :class:`ClientAssistedLoader` writing shard-local Parquet-lite parts
@@ -61,20 +62,22 @@ Architecture::
   on those publications until every chunk is covered — its cost is the
   real flush work.  A flush that fails (timeout, shard error) aborts the
   barrier so parked workers go back to draining.
-* **Merge at finalize.**  :meth:`finalize` seals every shard loader, then
-  merges the shard outputs: Parquet parts are concatenated in shard order
-  into one path list for the catalog, shard sidelines are folded into the
-  table's side store (and removed), and the per-chunk reports are folded
-  in submission order (``LoadSummary.from_sequenced``, shared with
-  :meth:`snapshot`), so the merged summary is identical to what serial
-  ingest of the same stream would report.
+* **Finalize is the last publication.**  :meth:`finalize` sends every
+  worker its stop sentinel; a worker publishes its last chunks and seals
+  its part, and the pipeline collects one terminal message per shard.
+  The final :meth:`snapshot` is then the whole load: Parquet parts in
+  shard order, the table's recovered sideline segment followed by one
+  segment per shard sideline, and reports folded in submission order
+  (``LoadSummary.from_sequenced``), identical to what serial ingest of
+  the same stream would report.  Shard sidelines stay where they were
+  written, so the parsed prefixes queries cached mid-load stay valid.
 
 Correctness: every record lands in exactly one shard, each shard preserves
 its loader's invariants (``received == loaded + sidelined + malformed``
 per chunk, malformed records quarantined raw in the sideline), and the
-engine already scans a table as the union of its Parquet parts plus the
-side store — so query results match serial ingest exactly; only row-group
-*order* across files differs, which no aggregate observes.
+engine already scans a table as the union of its Parquet parts plus its
+sideline segments — so query results match serial ingest exactly; only
+row-group *order* across files differs, which no aggregate observes.
 
 Execution modes: ``mode="process"`` (default) forks one worker process per
 shard — under CPython's GIL this is the only way decode+parse actually runs
@@ -178,7 +181,8 @@ class IngestPipelineError(RuntimeError):
 
 @dataclass
 class LoadSnapshot:
-    """A consistent loaded-so-far view of an in-flight load.
+    """A consistent loaded-so-far view of a load (after finalize, the
+    whole load: finalize is the last publication).
 
     Attributes:
         version: Monotonic change counter — equal versions mean an
@@ -292,18 +296,14 @@ class StreamingLoader:
         self.publish()
 
     def finalize(self) -> LoadSummary:
-        """Seal the last part; idempotent."""
-        return self.loader.finalize()
+        """Publish the last chunks, then seal; idempotent.
 
-    @property
-    def parquet_paths(self) -> List[Path]:
-        """Every part written so far, in order."""
-        return self.loader.parquet_paths
-
-    @property
-    def summary(self) -> LoadSummary:
-        """Accounting for every ingested chunk, published or not."""
-        return self.loader.summary
+        The last publication: afterwards :meth:`snapshot` covers every
+        ingested chunk, and its summary is returned.
+        """
+        self.publish()
+        self.loader.finalize()
+        return self._snapshot.summary
 
 
 def _run_shard(shard_id: int,
@@ -328,9 +328,9 @@ def _run_shard(shard_id: int,
     (the sideline watermark is absolute but O(1)).  Deltas keep streaming
     IPC linear in load size; the merge can simply append because the
     out-queue preserves each producer's message order.  At the stop
-    sentinel the worker publishes its last chunks, so the terminal
-    ``("done", shard_id)`` follows a publication of the shard's whole
-    output.
+    sentinel the worker finalizes its loader — the last publication,
+    then the seal — so the terminal ``("done", shard_id)`` follows a
+    publication of the shard's whole output.
 
     A flush token (:data:`_FLUSH`, queued by
     :meth:`ShardedIngestPipeline.quiesce`) makes the worker publish what
@@ -424,7 +424,6 @@ def _run_shard(shard_id: int,
             else:
                 process(item)
     try:
-        publish_pending()
         if loader is not None:
             loader.finalize()
     except Exception:  # ciaolint: allow[API006] -- shard isolation: finalize failure is reported via the out queue
@@ -435,15 +434,21 @@ def _run_shard(shard_id: int,
 
 
 class ShardedIngestPipeline:
-    """Fan encoded chunks across shard loaders; merge outputs at finalize.
+    """Fan encoded chunks across shard loaders; publish a merged view.
+
+    :meth:`snapshot` is the table's view in both states: mid-load it
+    covers what the shards published so far, and after :meth:`finalize`
+    (the last publication) the whole load.  Shard sidelines stay where
+    they were written; the view lists them as segments.
 
     Args:
         parquet_path: Base table path; shard *K* writes
             ``<stem>.shardK<suffix>`` parts next to it.
-        side_store: The table's sideline store.  Shards write shard-local
-            sidelines during the load; :meth:`finalize` folds them in here,
-            after the records it already held, which snapshots cover from
-            the start.
+        sideline_path: The table's main sideline file; shard *K* writes
+            ``<stem>.shardK<suffix>`` next to it.
+        recovered_records: Records the main file held before the load
+            (a recovered prefix).  Every snapshot lists that segment
+            first, followed by the shard segments.
         n_shards: Worker count (1 is legal and equivalent to one loader
             behind a queue).
         partial_loading / schema / required_predicate_ids: Forwarded to
@@ -459,7 +464,7 @@ class ShardedIngestPipeline:
     """
 
     def __init__(self, parquet_path: str | Path,
-                 side_store: JsonSideStore,
+                 sideline_path: str | Path,
                  n_shards: int,
                  partial_loading: bool,
                  schema: Optional[Schema] = None,
@@ -468,20 +473,18 @@ class ShardedIngestPipeline:
                  dispatch: str = "work-stealing",
                  seal_interval: int = DEFAULT_SEAL_INTERVAL,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH,
-                 metrics: Optional[Metrics] = None):
+                 metrics: Optional[Metrics] = None,
+                 recovered_records: int = 0):
         validate_server_options(shard_mode=mode, dispatch=dispatch,
                                 n_shards=n_shards,
                                 seal_interval=seal_interval)
         self.parquet_path = Path(parquet_path)
-        self.side_store = side_store
         self.n_shards = n_shards
         self.mode = mode
         self.dispatch = dispatch
         self.seal_interval = seal_interval
-        self.summary = LoadSummary()
         self._seq = 0
         self._finalized = False
-        self._parquet_paths: List[Path] = []
         self._errors: List[str] = []  # guarded-by: _lock
         # Streaming snapshot state, guarded by _lock: the latest published
         # per-shard (sealed paths, sideline watermark, reports) plus a
@@ -490,7 +493,6 @@ class ShardedIngestPipeline:
         # guarded-by: _lock
         self._progress: Dict[int, Tuple[List[Path], int,
                                         List[Tuple[int, LoadReport]]]] = {}
-        self._done: set = set()  # guarded-by: _lock
         self._terminal: set = set()  # guarded-by: _lock
         self._version = 0  # guarded-by: _lock
         # guarded-by: _lock
@@ -509,10 +511,9 @@ class ShardedIngestPipeline:
             frozenset(required_predicate_ids)
             if required_predicate_ids is not None else None
         )
-        side_path = side_store.path
+        side_path = Path(sideline_path)
         self._base_sideline = (
-            [(side_path, side_store.record_count)]
-            if side_store.record_count else []
+            [(side_path, recovered_records)] if recovered_records else []
         )
         self._sideline_paths = [
             side_path.parent / f"{side_path.stem}.shard{i}{side_path.suffix}"
@@ -759,21 +760,20 @@ class ShardedIngestPipeline:
                 self._terminal.add(message[1])
             else:
                 # "done": the shard's last publication holds its output.
-                self._done.add(message[1])
                 self._terminal.add(message[1])
 
     # ------------------------------------------------------------------
     def finalize(self) -> LoadSummary:
-        """Stop workers, merge shard outputs, and return the summary.
+        """Stop the workers; return the final snapshot's summary.
 
-        Idempotent.  Raises :class:`IngestPipelineError` if any shard
-        failed; shards that succeeded are still merged first so partial
-        output remains inspectable.
+        The last publication: each worker publishes its last chunks and
+        seals its part before its terminal message, so afterwards
+        :meth:`snapshot` covers the whole load.  No sideline file is
+        opened.  Idempotent.  Raises :class:`IngestPipelineError` if any
+        shard failed.
         """
         if self._finalized:
-            if self._errors:
-                raise IngestPipelineError("\n".join(self._errors))
-            return self.summary
+            return self.snapshot().summary
         self._finalized = True
         finalize_start = time.perf_counter()
         # A worker may still be parked on a flush that never completed
@@ -835,28 +835,5 @@ class ShardedIngestPipeline:
                             worker.terminate()
         for worker in self._workers:
             worker.join(timeout=5.0)
-        # Merge the shards that finished: parquet parts in shard order,
-        # reports in submission order, shard sidelines folded into the
-        # table's store (then removed).
-        outputs = [self._progress.get(shard_id, ([], 0, []))
-                   for shard_id in sorted(self._done)]
-        self._parquet_paths = [
-            path for paths, _, _ in outputs for path in paths
-        ]
-        self.summary = LoadSummary.from_sequenced(
-            pair for _, _, reports in outputs for pair in reports
-        )
-        for sideline_path in self._sideline_paths:
-            if sideline_path.exists():
-                shard_side = JsonSideStore(sideline_path)
-                self.side_store.append_pairs(shard_side.iter_raw())
-                sideline_path.unlink()
         self._m_finalize.observe(time.perf_counter() - finalize_start)
-        if self._errors:
-            raise IngestPipelineError("\n".join(self._errors))
-        return self.summary
-
-    @property
-    def parquet_paths(self) -> List[Path]:
-        """All shard Parquet-lite parts, shard-major order (post-finalize)."""
-        return list(self._parquet_paths)
+        return self.snapshot().summary

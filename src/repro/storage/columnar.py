@@ -143,7 +143,11 @@ class ParquetLiteReader:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._file = open(self.path, "rb")
-        self.meta = self._read_footer()
+        try:
+            self.meta = self._read_footer()
+        except BaseException:  # ciaolint: allow[API006] -- re-raised: a torn part must not leak its handle
+            self._file.close()
+            raise
         # One lock per file: every row group shares the handle, so the
         # no-pread fallback in RowGroupReader must serialize across them.
         read_lock = make_lock("ParquetLiteReader._read_lock")

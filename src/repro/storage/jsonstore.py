@@ -8,8 +8,9 @@ predicates were all pushed down never touch this store; any other query
 must scan it, parsing records just in time -- once.
 
 A table sees its sideline as ``(path, records)`` segments: the first
-*records* lines of each listed file (the table's own store, or one shard
-file per shard mid-load).  :class:`JsonSideStore` writes a file;
+*records* lines of each listed file (the table's own store, then one
+shard file per shard on a sharded server, mid-load and once finalized
+alike).  :class:`JsonSideStore` writes a file;
 :class:`SidelineView` reads one such prefix.  The files are append-only,
 so a segment's lines never change and queries read them through a
 per-table cache of parsed prefixes
@@ -127,9 +128,10 @@ class JsonSideStore(SidelineView):
     def append_pairs(self, pairs: Iterable[Tuple[int, str]]) -> int:
         """Append (chunk_id, raw) pairs in one file-open; returns how many.
 
-        The bulk path used when shard-local sidelines are merged into the
-        table's store at the end of a parallel load (one open per shard,
-        not one per record).
+        The bulk path recovery uses to copy a manifest's durable sideline
+        prefix into the new generation's store.  A finished load copies
+        nothing: finalize is the last publication, and shard sidelines
+        stay where they were written.
         """
         count = 0
         with open(self.path, "a", encoding="utf-8") as f:

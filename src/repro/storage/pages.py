@@ -36,6 +36,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from itertools import compress, repeat
+from math import inf
 from operator import is_not
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -71,7 +72,9 @@ class PageStats:
     """Per-page statistics kept in row-group metadata.
 
     min/max are tracked for orderable scalar types and are ``None`` for
-    JSON columns or all-null pages; null_count always populated.
+    JSON columns, all-null pages and float pages holding an infinity
+    (a footer is JSON, which has no infinity; without bounds the page
+    is never pruned); null_count always populated.
     """
 
     row_count: int
@@ -188,9 +191,12 @@ def _compute_stats(values: Sequence[Any], non_null: Sequence[Any],
     null_count = len(values) - len(non_null)
     if not non_null or column_type is ColumnType.JSON:
         return PageStats(len(values), null_count, None, None)
+    low, high = min(non_null), max(non_null)
+    if column_type is ColumnType.FLOAT64 and not -inf < low <= high < inf:
+        return PageStats(len(values), null_count, None, None)
     return PageStats(
         row_count=len(values),
         null_count=null_count,
-        min_value=min(non_null),
-        max_value=max(non_null),
+        min_value=low,
+        max_value=high,
     )

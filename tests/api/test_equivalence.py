@@ -32,6 +32,7 @@ from repro.data import make_generator
 from repro.fleet import FleetCoordinator
 from repro.server import CiaoServer
 from repro.server import pipeline as pipeline_module
+from repro.storage import SidelineView
 from repro.storage.columnar import ParquetLiteReader
 from repro.rawjson.writer import dumps
 from repro.workload import estimate_selectivities, table3_workload
@@ -65,12 +66,15 @@ def fixed_part_layout(monkeypatch):
 
 
 def catalog_files(server):
-    """{filename: bytes} of every catalog artifact the server wrote."""
+    """{filename: bytes} of every catalog artifact the table lists.
+
+    A sideline file maps to its listed record count and its bytes.
+    """
     files = {}
     for path in server.table.parquet_paths:
         files[path.name] = path.read_bytes()
-    side = server._side_store.path
-    files[side.name] = side.read_bytes() if side.exists() else b""
+    for path, records in server.table.sidelines:
+        files[path.name] = (records, path.read_bytes())
     return files
 
 
@@ -87,7 +91,8 @@ def catalog_digest(server):
             rows.extend(
                 dumps(row, sort_keys=True) for row in reader.iter_rows()
             )
-    sideline = [raw for _, raw in server._side_store.iter_raw()]
+    sideline = [raw for path, records in server.table.sidelines
+                for _, raw in SidelineView(path, records).iter_raw()]
     digest = hashlib.sha256()
     for row in sorted(rows):
         digest.update(row.encode("utf-8"))

@@ -3,9 +3,11 @@
 Chunks of sideline lines (malformed ones included) are appended to two
 shard files while snapshot queries read loaded-so-far views at rising
 watermarks, each taken before the chunk in flight lands.  The load then
-finalizes into the table's store, the table's view moves to a new
-generation's store holding other records, and the table is recovered
-into a further generation's store.  After every step:
+finalizes — its last publication lists the same shard files, whole and
+no longer live, so only lines no snapshot covered are parsed — the
+table's view moves to a new generation's store holding other records,
+and the table is recovered into a further generation's store.  After
+every step:
 
 * each cached answer (plan → ``SidelineScan`` through the table's
   cache, or the snapshot aggregate path) equals the cold row oracle
@@ -106,20 +108,23 @@ def test_cached_scans_match_cold_oracle(chunks, snapshot_every, refill):
         if table.live:
             assert parsed == well_formed(table.sidelines)
 
-        # Finalize: the shard sidelines fold into the table's store.
-        for shard in shards:
-            store.append_pairs(shard.iter_raw())
-        table.set_view([], whole(store))
-        assert check(executor, table) == well_formed(whole(store))
+        # Finalize is the last publication: the shard sidelines stay
+        # where they were written, so only the lines past the last
+        # snapshot's watermarks are parsed.
+        covered = well_formed(table.sidelines)
+        final = [(shard.path, shard.record_count) for shard in shards]
+        table.set_view([], final)
+        assert check(executor, table) == well_formed(final) - covered
         assert check(executor, table) == 0
 
         # A new generation's store with other records replaces the
-        # view: nothing cached for the old file may be served.
-        raw = list(store.iter_raw())
+        # view: nothing cached for the old files may be served.
+        raw = [pair for shard in shards for pair in shard.iter_raw()]
         regenerated = JsonSideStore(root / "t.g1.sideline.jsonl")
         regenerated.append_pairs(reversed(raw[:refill]))
         table.set_view([], whole(regenerated))
-        assert str(store.path) not in table.sideline_cache._prefixes
+        assert not {str(shard.path) for shard in shards} \
+            & set(table.sideline_cache._prefixes)
         assert check(executor, table) == well_formed(whole(regenerated))
 
         # Recover into a further generation: a new store and table.

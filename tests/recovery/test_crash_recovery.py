@@ -8,6 +8,8 @@ ledger makes client replay exactly-once.
 """
 
 import json
+import multiprocessing
+import threading
 from pathlib import Path
 
 import pytest
@@ -85,11 +87,13 @@ class TestDurableManifest:
         assert doc["state"] == "loading"
         assert doc["generation"] == 0
         assert server.manifest_revision == 1
+        server.close()
 
     def test_non_durable_server_has_no_manifest(self, tmp_path):
         server = CiaoServer(tmp_path)
         assert server.manifest_revision is None
         assert not Manifest.path_for(tmp_path, "t").exists()
+        server.close()
 
     def test_checkpoint_advances_revision(self, tmp_path):
         server = durable_server(tmp_path)
@@ -99,6 +103,7 @@ class TestDurableManifest:
         _, doc = Manifest.load(Manifest.path_for(tmp_path, "t"))
         assert doc["ledger"] == [["c1", "src", 4]]
         assert doc["parts"], "checkpoint must record sealed parts"
+        server.close()
 
     def test_finalize_writes_finalized_manifest(self, tmp_path):
         server = durable_server(tmp_path)
@@ -107,11 +112,14 @@ class TestDurableManifest:
         _, doc = Manifest.load(Manifest.path_for(tmp_path, "t"))
         assert doc["state"] == "finalized"
         assert doc["summary"]["loaded"] == 16
+        server.close()
 
     def test_checkpoint_on_non_durable_is_a_noop(self, tmp_path):
         server = CiaoServer(tmp_path, n_shards=2, shard_mode="thread",
                             seal_interval=2)
         assert server.checkpoint() is False
+        server.finalize_loading()
+        server.close()
 
 
 class TestRecovery:
@@ -127,6 +135,8 @@ class TestRecovery:
         assert recovered.generation == 1
         after = canonical_result_bytes(recovered.query(sql))
         assert before == after
+        server.close()
+        recovered.close()
 
     @pytest.mark.parametrize("shard_mode", ["thread", "process"])
     def test_checkpoint_cut_is_exact_without_idle_poll(self, tmp_path,
@@ -155,6 +165,8 @@ class TestRecovery:
                 sorted_rows(serial.query(sql))
         server.finalize_loading()
         recovered.finalize_loading()
+        for each in (server, recovered, serial):
+            each.close()
 
     def test_uncheckpointed_tail_is_lost_and_replayable(self, tmp_path):
         server = durable_server(tmp_path)
@@ -174,6 +186,8 @@ class TestRecovery:
         assert [dup for _, dup in results] == [True, True, False, False]
         summary = recovered.finalize_loading()
         assert summary.received == 6 * 4  # every batch exactly once
+        server.close()
+        recovered.close()
 
     def test_finalized_recovery_is_byte_identical(self, tmp_path):
         server = durable_server(tmp_path)
@@ -184,6 +198,32 @@ class TestRecovery:
         recovered = CiaoServer.recover(tmp_path)
         assert recovered.state == "finalized"
         assert canonical_result_bytes(recovered.query(sql)) == before
+        server.close()
+        recovered.close()
+
+    @pytest.mark.parametrize("shard_mode", ["thread", "process"])
+    def test_finalized_recovery_leaves_no_shard_worker(self, tmp_path,
+                                                       shard_mode):
+        # Nothing is left to load into a finalized manifest: recovery
+        # finalizes the empty sink, so no shard worker outlives close().
+        def shard_threads():
+            return {t for t in threading.enumerate()
+                    if "_run_shard" in t.name}
+
+        server = durable_server(tmp_path, shard_mode=shard_mode)
+        feed(server, range(1, 5))
+        server.finalize_loading()
+        server.close()
+        threads, children = shard_threads(), set(
+            multiprocessing.active_children()
+        )
+        recovered = CiaoServer.recover(tmp_path)
+        assert recovered.state == "finalized"
+        assert recovered.query("SELECT COUNT(*) FROM t").scalar() == 4 * 4
+        recovered.close()
+        assert not any(w.is_alive() for w in recovered._pipeline._workers)
+        assert shard_threads() <= threads
+        assert set(multiprocessing.active_children()) <= children
 
     def test_torn_part_is_quarantined_not_fatal(self, tmp_path):
         metrics = Metrics()
@@ -202,6 +242,8 @@ class TestRecovery:
         # The surviving parts still answer.
         rows = recovered.query("SELECT COUNT(*) FROM t").rows
         assert 0 < rows[0]["count(*)"] < 32
+        server.close()
+        recovered.close()
 
     def test_unlisted_part_is_quarantined(self, tmp_path):
         # Sealed every 4 chunks, checkpointed at 5, killed after 7: the
@@ -227,6 +269,8 @@ class TestRecovery:
         listed = {record["path"] for record in doc["parts"]}
         assert listed == {"t.part0.pql", "t.part1.pql"}
         assert {p.name for p in tmp_path.glob("*.pql")} == listed
+        server.close()
+        recovered.close()
 
     def test_recovered_generation_gets_fresh_part_paths(self, tmp_path):
         server = durable_server(tmp_path)
@@ -238,6 +282,8 @@ class TestRecovery:
         assert summary.received == 8 * 4
         rows = recovered.query("SELECT COUNT(*) FROM t").rows
         assert rows == [{"count(*)": 32}]
+        server.close()
+        recovered.close()
 
     def test_finalize_keeps_the_recovered_sideline_parsed(self, tmp_path):
         sql = "SELECT COUNT(*) FROM t"
@@ -256,14 +302,17 @@ class TestRecovery:
         recovered.finalize_loading()
         final = recovered.query(sql)
         assert final.scalar() == 40
-        # Finalize folded the shard records into the main file after the
-        # recovered prefix: only they are parsed again.
-        assert final.stats.sideline_records_parsed == 12
-        assert final.stats.sideline_records_cached == 18
+        # Finalize is the last publication: the view keeps the recovered
+        # prefix and the shard files where they were, so nothing is
+        # parsed again.
+        assert final.stats.sideline_records_parsed == 0
+        assert final.stats.sideline_records_cached == 30
         cached = list(recovered.table.sideline_cache._prefixes)
         assert cached == [str(path)
                           for path, _ in recovered.table.sidelines]
         assert all(Path(path).exists() for path in cached)
+        server.close()
+        recovered.close()
 
     def test_serial_midload_checkpoint_recovers_and_resumes(self, tmp_path):
         server = durable_server(tmp_path / "durable", n_shards=1)
@@ -289,6 +338,8 @@ class TestRecovery:
                     "SELECT k, COUNT(*), SUM(n) FROM t GROUP BY k"):
             assert sorted_rows(recovered.query(sql)) == \
                 sorted_rows(serial.query(sql))
+        for each in (server, recovered, serial):
+            each.close()
 
     def test_serial_recovered_sideline_is_one_segment(self, tmp_path):
         # The serial loader appends to the main sideline file right
@@ -298,7 +349,7 @@ class TestRecovery:
         feed_sidelining(server, range(1, 7))
         assert server.checkpoint() is True
         recovered = CiaoServer.recover(tmp_path)
-        main = recovered._side_store.path
+        main = tmp_path / "t.g1.sideline.jsonl"
         assert recovered.query(sql).scalar() == 24
         assert recovered.table.sidelines == [(main, 18)]
         feed_sidelining(recovered, range(7, 11))
@@ -312,6 +363,8 @@ class TestRecovery:
         assert final.scalar() == 40
         assert final.stats.sideline_records_parsed == 0
         assert final.stats.sideline_records_cached == 30
+        server.close()
+        recovered.close()
 
     @pytest.mark.parametrize("stored", [{"seal_interval": None}, {}])
     def test_manifest_without_seal_interval_gets_the_default(self, tmp_path,
@@ -329,6 +382,8 @@ class TestRecovery:
         assert recovered.deployment_options["seal_interval"] == \
             DEFAULT_SEAL_INTERVAL
         assert recovered.query("SELECT COUNT(*) FROM t").scalar() == 3 * 4
+        server.close()
+        recovered.close()
 
     def test_recover_without_manifest_raises(self, tmp_path):
         with pytest.raises(ManifestError):

@@ -17,6 +17,7 @@ uncompressed pages of ``PQL1`` files.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -166,7 +167,12 @@ def write_page(values: Sequence[Any], column_type: ColumnType,
     write_varint(out, len(payload))
     out += payload
     null_count = len(values) - len(non_null)
-    if not non_null or column_type is ColumnType.JSON:
+    # A float page holding an infinity keeps no bounds (JSON footers
+    # have no infinity).
+    unbounded = column_type is ColumnType.FLOAT64 and any(
+        abs(value) == math.inf for value in non_null
+    )
+    if not non_null or column_type is ColumnType.JSON or unbounded:
         stats = PageStats(len(values), null_count, None, None)
     else:
         stats = PageStats(len(values), null_count, min(non_null),

@@ -152,11 +152,33 @@ class TestShardEquivalence:
         assert results == serial_results
         assert summary.loaded == serial_summary.loaded
 
-    def test_shard_sideline_files_cleaned_up(self, tmp_path, workload_setup):
-        plan, workload, payloads = workload_setup
-        run_server(tmp_path, plan, workload, payloads, n_shards=4)
-        leftovers = list(tmp_path.glob("*.sideline.shard*"))
-        assert leftovers == []
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_finalize_leaves_shard_sidelines_in_place(self, tmp_path, mode):
+        # Finalize is the last publication: the shard sideline files a
+        # mid-load query parsed stay listed and byte-for-byte unchanged,
+        # so the same query after finalize parses no sideline record.
+        server = CiaoServer(tmp_path, n_shards=2, shard_mode=mode,
+                            dispatch="round-robin", partial_loading="on")
+        chunks = TestPipelineBehavior().simple_chunks(n_chunks=6)
+        for chunk in chunks:
+            server.ingest(encode_chunk(chunk))
+        server.quiesce()
+        sql = "SELECT COUNT(*) FROM t WHERE i >= 0"
+        mid = server.query(sql)
+        assert mid.scalar() == 120
+        assert mid.stats.sideline_records_parsed == 60
+        shard_files = [tmp_path / f"t.sideline.shard{i}.jsonl"
+                       for i in range(2)]
+        assert server.table.sidelines == [(path, 30) for path in shard_files]
+        written = [path.read_bytes() for path in shard_files]
+        server.finalize_loading()
+        final = server.query(sql)
+        assert final.scalar() == 120
+        assert final.stats.sideline_records_parsed == 0
+        assert final.stats.sideline_records_cached == 60
+        assert server.table.sidelines == [(path, 30) for path in shard_files]
+        assert [path.read_bytes() for path in shard_files] == written
+        server.close()
 
 
 class TestPipelineBehavior:
@@ -175,14 +197,13 @@ class TestPipelineBehavior:
         return chunks
 
     def make_pipeline(self, tmp_path, n_shards=2, mode="thread", **kwargs):
-        side = JsonSideStore(tmp_path / "t.sideline.jsonl")
         return ShardedIngestPipeline(
-            tmp_path / "t.pql", side, n_shards=n_shards,
-            partial_loading=True, mode=mode, **kwargs
-        ), side
+            tmp_path / "t.pql", tmp_path / "t.sideline.jsonl",
+            n_shards=n_shards, partial_loading=True, mode=mode, **kwargs
+        )
 
     def test_accepts_decoded_and_encoded_payloads(self, tmp_path):
-        pipeline, _ = self.make_pipeline(tmp_path)
+        pipeline = self.make_pipeline(tmp_path)
         chunks = self.simple_chunks()
         for i, chunk in enumerate(chunks):
             pipeline.submit(encode_chunk(chunk) if i % 2 else chunk)
@@ -198,17 +219,17 @@ class TestPipelineBehavior:
         # promises reproducible shard files; work-stealing trades that
         # for load balance, so the layout contract is opt-in now.
         monkeypatch.setattr(pipeline_module, "_IDLE_POLL_SECONDS", 10.0)
-        pipeline, _ = self.make_pipeline(
+        pipeline = self.make_pipeline(
             tmp_path, n_shards=2, dispatch="round-robin"
         )
         for chunk in self.simple_chunks(n_chunks=4):
             pipeline.submit(chunk)
         pipeline.finalize()
-        names = [p.name for p in pipeline.parquet_paths]
+        names = [p.name for p in pipeline.snapshot().parquet_paths]
         assert names == ["t.shard0.part0.pql", "t.shard1.part0.pql"]
 
     def test_work_stealing_covers_every_chunk_once(self, tmp_path):
-        pipeline, _ = self.make_pipeline(tmp_path, n_shards=2)
+        pipeline = self.make_pipeline(tmp_path, n_shards=2)
         chunks = self.simple_chunks(n_chunks=8)
         for chunk in chunks:
             pipeline.submit(chunk)
@@ -219,7 +240,7 @@ class TestPipelineBehavior:
         assert summary.received == sum(len(c.records) for c in chunks)
 
     def test_invalid_dispatch_and_seal_interval(self, tmp_path):
-        side = JsonSideStore(tmp_path / "s.jsonl")
+        side = tmp_path / "s.jsonl"
         with pytest.raises(ValueError, match="dispatch"):
             ShardedIngestPipeline(tmp_path / "t.pql", side, n_shards=2,
                                   partial_loading=True, mode="thread",
@@ -230,14 +251,14 @@ class TestPipelineBehavior:
                                   seal_interval=0)
 
     def test_submit_after_finalize_rejected(self, tmp_path):
-        pipeline, _ = self.make_pipeline(tmp_path)
+        pipeline = self.make_pipeline(tmp_path)
         pipeline.submit(self.simple_chunks(n_chunks=1)[0])
         pipeline.finalize()
         with pytest.raises(RuntimeError):
             pipeline.submit(self.simple_chunks(n_chunks=1)[0])
 
     def test_finalize_idempotent(self, tmp_path):
-        pipeline, _ = self.make_pipeline(tmp_path)
+        pipeline = self.make_pipeline(tmp_path)
         for chunk in self.simple_chunks(n_chunks=2):
             pipeline.submit(chunk)
         first = pipeline.finalize()
@@ -245,7 +266,7 @@ class TestPipelineBehavior:
         assert first is second
 
     def test_corrupt_payload_surfaces_at_finalize(self, tmp_path):
-        pipeline, _ = self.make_pipeline(tmp_path)
+        pipeline = self.make_pipeline(tmp_path)
         good = self.simple_chunks(n_chunks=2)
         pipeline.submit(good[0])
         pipeline.submit(b"CIA1 this is not a chunk")
@@ -267,7 +288,7 @@ class TestPipelineBehavior:
         for mode, dispatch in (("thread", "work-stealing"),
                                ("thread", "round-robin"),
                                ("process", "work-stealing")):
-            pipeline, _ = self.make_pipeline(
+            pipeline = self.make_pipeline(
                 tmp_path / f"{mode}-{dispatch}", mode=mode,
                 dispatch=dispatch,
             )
@@ -288,7 +309,7 @@ class TestPipelineBehavior:
                 pipeline.finalize()
 
     def test_malformed_records_quarantined_across_shards(self, tmp_path):
-        pipeline, side = self.make_pipeline(tmp_path, n_shards=2)
+        pipeline = self.make_pipeline(tmp_path, n_shards=2)
         records = [dump_record({"i": 0}), "{broken", dump_record({"i": 2})]
         for cid in range(2):
             chunk = JsonChunk(cid, list(records))
@@ -299,7 +320,13 @@ class TestPipelineBehavior:
         assert summary.loaded == 2
         assert summary.sidelined == 2
         assert summary.malformed == 2
-        assert side.record_count == 4  # sidelined + malformed, both shards
+        # Sidelined + malformed, both shards: each shard's file holds its
+        # own, and the final snapshot lists every one of them.
+        sidelines = pipeline.snapshot().sidelines
+        assert sum(records for _, records in sidelines) == 4
+        assert sorted(raw for path, records in sidelines
+                      for _, raw in SidelineView(path, records).iter_raw()
+                      ) == sorted([records[1], records[2]] * 2)
 
     def test_shard_init_failure_does_not_deadlock(self, tmp_path,
                                                   monkeypatch):
@@ -314,9 +341,9 @@ class TestPipelineBehavior:
         monkeypatch.setattr(
             pipeline_module, "ClientAssistedLoader", ExplodingLoader
         )
-        side = JsonSideStore(tmp_path / "t.sideline.jsonl")
         pipeline = ShardedIngestPipeline(
-            tmp_path / "t.pql", side, n_shards=1, partial_loading=True,
+            tmp_path / "t.pql", tmp_path / "t.sideline.jsonl", n_shards=1,
+            partial_loading=True,
             mode="thread", queue_depth=2,
         )
         # Far more submissions than the queue depth: only passes if the
@@ -377,7 +404,7 @@ class TestPipelineBehavior:
         # killed while parked.  A process barrier's abort() waits for
         # every parked worker to acknowledge its wake-up, which a dead
         # one never does — neither the next flush nor finalize may hang.
-        pipeline, _ = self.make_pipeline(
+        pipeline = self.make_pipeline(
             tmp_path, n_shards=3, mode="process", dispatch="round-robin"
         )
         pipeline._workers[2].terminate()
@@ -411,7 +438,7 @@ class TestPipelineBehavior:
         # that waited for workers to go idle would time out at 3 s.
         monkeypatch.setattr(pipeline_module, "_IDLE_POLL_SECONDS", 10.0)
         chunks = self.simple_chunks(n_chunks=20)
-        pipeline, _ = self.make_pipeline(
+        pipeline = self.make_pipeline(
             tmp_path, n_shards=n_shards, mode=mode, dispatch=dispatch
         )
         for chunk in chunks[:10]:
@@ -428,7 +455,7 @@ class TestPipelineBehavior:
         assert counts(pipeline.finalize()) == serial
 
     def test_invalid_construction(self, tmp_path):
-        side = JsonSideStore(tmp_path / "s.jsonl")
+        side = tmp_path / "s.jsonl"
         with pytest.raises(ValueError):
             ShardedIngestPipeline(tmp_path / "t.pql", side, n_shards=0,
                                   partial_loading=True)

@@ -14,7 +14,7 @@ from repro.bitvec import BitVector
 from repro.client import encode_chunk
 from repro.rawjson import JsonChunk, dump_record
 from repro.server import CiaoServer
-from repro.storage import JsonSideStore, SidelineView
+from repro.storage import SidelineView
 from repro.server.pipeline import ShardedIngestPipeline
 
 SEED = 4242
@@ -103,10 +103,9 @@ class TestStreamingQueryEquivalence:
 
         chunks = make_chunks()
         prefix = 5
-        side = JsonSideStore(tmp_path / "t.sideline.jsonl")
         pipeline = ShardedIngestPipeline(
-            tmp_path / "t.pql", side, n_shards=1, partial_loading=False,
-            mode="thread", seal_interval=2,
+            tmp_path / "t.pql", tmp_path / "t.sideline.jsonl", n_shards=1,
+            partial_loading=False, mode="thread", seal_interval=2,
         )
         table = TableEntry(name="t")
         catalog = Catalog()
@@ -122,8 +121,8 @@ class TestStreamingQueryEquivalence:
         for chunk in chunks[prefix:]:
             pipeline.submit(chunk)
         pipeline.finalize()
-        table.set_view(pipeline.parquet_paths,
-                       [(side.path, side.record_count)])
+        snap = pipeline.snapshot()
+        table.set_view(snap.parquet_paths, snap.sidelines)
         full = serial_reference(tmp_path, chunks, "full")
         got = [executor.execute(sql).scalar() for sql in QUERIES]
         assert got == answers(full)
@@ -165,10 +164,9 @@ class TestStreamingQueryEquivalence:
     def test_mid_load_with_partial_loading_sideline(self, tmp_path):
         """Snapshot view = sealed parts + sideline watermarks, together."""
         n = 20
-        side = JsonSideStore(tmp_path / "t.sideline.jsonl")
         pipeline = ShardedIngestPipeline(
-            tmp_path / "t.pql", side, n_shards=2, partial_loading=True,
-            mode="thread", seal_interval=2,
+            tmp_path / "t.pql", tmp_path / "t.sideline.jsonl", n_shards=2,
+            partial_loading=True, mode="thread", seal_interval=2,
         )
         for cid in range(6):
             records = [dump_record({"i": cid * n + k}) for k in range(n)]
@@ -290,7 +288,9 @@ class TestSerialMidLoad:
         mid = server.query("SELECT COUNT(*) FROM t")
         assert mid.scalar() == 4 * n
         assert mid.stats.sideline_records_parsed == 4 * 15
-        assert server.table.sidelines == [(server._side_store.path, 4 * 15)]
+        assert server.table.sidelines == [
+            (tmp_path / "t.sideline.jsonl", 4 * 15)
+        ]
         server.quiesce()
         assert server.query("SELECT COUNT(*) FROM t").scalar() == 6 * n
         assert server.load_summary.sidelined == 6 * 15
