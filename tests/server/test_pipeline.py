@@ -152,34 +152,6 @@ class TestShardEquivalence:
         assert results == serial_results
         assert summary.loaded == serial_summary.loaded
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_finalize_leaves_shard_sidelines_in_place(self, tmp_path, mode):
-        # Finalize is the last publication: the shard sideline files a
-        # mid-load query parsed stay listed and byte-for-byte unchanged,
-        # so the same query after finalize parses no sideline record.
-        server = CiaoServer(tmp_path, n_shards=2, shard_mode=mode,
-                            dispatch="round-robin", partial_loading="on")
-        chunks = TestPipelineBehavior().simple_chunks(n_chunks=6)
-        for chunk in chunks:
-            server.ingest(encode_chunk(chunk))
-        server.quiesce()
-        sql = "SELECT COUNT(*) FROM t WHERE i >= 0"
-        mid = server.query(sql)
-        assert mid.scalar() == 120
-        assert mid.stats.sideline_records_parsed == 60
-        shard_files = [tmp_path / f"t.sideline.shard{i}.jsonl"
-                       for i in range(2)]
-        assert server.table.sidelines == [(path, 30) for path in shard_files]
-        written = [path.read_bytes() for path in shard_files]
-        server.finalize_loading()
-        final = server.query(sql)
-        assert final.scalar() == 120
-        assert final.stats.sideline_records_parsed == 0
-        assert final.stats.sideline_records_cached == 60
-        assert server.table.sidelines == [(path, 30) for path in shard_files]
-        assert [path.read_bytes() for path in shard_files] == written
-        server.close()
-
 
 class TestPipelineBehavior:
     def simple_chunks(self, n_chunks=6, n_records=20):
@@ -201,6 +173,33 @@ class TestPipelineBehavior:
             tmp_path / "t.pql", tmp_path / "t.sideline.jsonl",
             n_shards=n_shards, partial_loading=True, mode=mode, **kwargs
         )
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_finalize_leaves_shard_sidelines_in_place(self, tmp_path, mode):
+        # Finalize is the last publication: the shard sideline files a
+        # mid-load query parsed stay listed and byte-for-byte unchanged,
+        # so the same query after finalize parses no sideline record.
+        server = CiaoServer(tmp_path, n_shards=2, shard_mode=mode,
+                            dispatch="round-robin", partial_loading="on")
+        for chunk in self.simple_chunks(n_chunks=6):
+            server.ingest(encode_chunk(chunk))
+        server.quiesce()
+        sql = "SELECT COUNT(*) FROM t WHERE i >= 0"
+        mid = server.query(sql)
+        assert mid.scalar() == 120
+        assert mid.stats.sideline_records_parsed == 60
+        shard_files = [tmp_path / f"t.sideline.shard{i}.jsonl"
+                       for i in range(2)]
+        assert server.table.sidelines == [(path, 30) for path in shard_files]
+        written = [path.read_bytes() for path in shard_files]
+        server.finalize_loading()
+        final = server.query(sql)
+        assert final.scalar() == 120
+        assert final.stats.sideline_records_parsed == 0
+        assert final.stats.sideline_records_cached == 60
+        assert server.table.sidelines == [(path, 30) for path in shard_files]
+        assert [path.read_bytes() for path in shard_files] == written
+        server.close()
 
     def test_accepts_decoded_and_encoded_payloads(self, tmp_path):
         pipeline = self.make_pipeline(tmp_path)
