@@ -213,7 +213,6 @@ class CiaoServer:
         self._parquet_path, sideline_path = _storage_paths(
             self.data_dir, table_name, generation
         )
-        side_store = JsonSideStore(sideline_path)
         required_ids = plan.predicate_ids if plan is not None else None
         #: The loader or pipeline that owns this generation's storage;
         #: ``_pipeline`` is the same object when sharded.
@@ -231,13 +230,12 @@ class CiaoServer:
                 dispatch=dispatch,
                 seal_interval=seal_interval,
                 metrics=metrics,
-                recovered_records=side_store.record_count,
             )
         else:
             self._sink = StreamingLoader(
                 ClientAssistedLoader(
                     self._parquet_path,
-                    side_store,
+                    JsonSideStore(sideline_path),
                     partial_loading=self.partial_loading_enabled,
                     schema=schema,
                     required_predicate_ids=required_ids,

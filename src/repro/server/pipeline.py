@@ -330,7 +330,8 @@ def _run_shard(shard_id: int,
     out-queue preserves each producer's message order.  At the stop
     sentinel the worker finalizes its loader — the last publication,
     then the seal — so the terminal ``("done", shard_id)`` follows a
-    publication of the shard's whole output.
+    publication of the shard's whole output.  A failed worker only
+    seals at the sentinel: it publishes nothing after its error.
 
     A flush token (:data:`_FLUSH`, queued by
     :meth:`ShardedIngestPipeline.quiesce`) makes the worker publish what
@@ -424,8 +425,12 @@ def _run_shard(shard_id: int,
             else:
                 process(item)
     try:
-        if loader is not None:
+        if loader is None:
+            pass
+        elif error is None:
             loader.finalize()
+        else:
+            loader.loader.finalize()  # seal without a publication
     except Exception:  # ciaolint: allow[API006] -- shard isolation: finalize failure is reported via the out queue
         if error is None:
             error = fail("failed to finalize")
@@ -446,9 +451,9 @@ class ShardedIngestPipeline:
             ``<stem>.shardK<suffix>`` parts next to it.
         sideline_path: The table's main sideline file; shard *K* writes
             ``<stem>.shardK<suffix>`` next to it.
-        recovered_records: Records the main file held before the load
-            (a recovered prefix).  Every snapshot lists that segment
-            first, followed by the shard segments.
+            Records the main file already holds (a recovered prefix)
+            are listed first in every snapshot, followed by the shard
+            segments.
         n_shards: Worker count (1 is legal and equivalent to one loader
             behind a queue).
         partial_loading / schema / required_predicate_ids: Forwarded to
@@ -473,8 +478,7 @@ class ShardedIngestPipeline:
                  dispatch: str = "work-stealing",
                  seal_interval: int = DEFAULT_SEAL_INTERVAL,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH,
-                 metrics: Optional[Metrics] = None,
-                 recovered_records: int = 0):
+                 metrics: Optional[Metrics] = None):
         validate_server_options(shard_mode=mode, dispatch=dispatch,
                                 n_shards=n_shards,
                                 seal_interval=seal_interval)
@@ -511,10 +515,11 @@ class ShardedIngestPipeline:
             frozenset(required_predicate_ids)
             if required_predicate_ids is not None else None
         )
-        side_path = Path(sideline_path)
+        base = JsonSideStore(sideline_path)
         self._base_sideline = (
-            [(side_path, recovered_records)] if recovered_records else []
+            [(base.path, base.record_count)] if base.record_count else []
         )
+        side_path = base.path
         self._sideline_paths = [
             side_path.parent / f"{side_path.stem}.shard{i}{side_path.suffix}"
             for i in range(n_shards)

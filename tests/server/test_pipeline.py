@@ -276,6 +276,35 @@ class TestPipelineBehavior:
         with pytest.raises(IngestPipelineError):
             pipeline.finalize()
 
+    def test_failed_shard_publishes_nothing_after_its_error(
+            self, tmp_path, monkeypatch):
+        # A shard that failed on a chunk only seals at the stop sentinel:
+        # the chunk it ingested before the failure is never published.
+        # With the idle publish slowed to 10 s, only the stop could.
+        monkeypatch.setattr(pipeline_module, "_IDLE_POLL_SECONDS", 10.0)
+        pipeline = self.make_pipeline(tmp_path, n_shards=1)
+        pipeline.submit(self.simple_chunks(n_chunks=1)[0])
+        pipeline.submit(b"CIA1 this is not a chunk")
+        with pytest.raises(IngestPipelineError, match="failed on chunk"):
+            pipeline.finalize()
+        assert pipeline._progress == {}
+
+    def test_recovered_main_sideline_is_listed_first(self, tmp_path):
+        # Records the main sideline file already holds are the first
+        # segment of every snapshot, ahead of the shard segments.
+        main = tmp_path / "t.sideline.jsonl"
+        JsonSideStore(main).append(0, ['{"r": 1}', '{"r": 2}'])
+        pipeline = self.make_pipeline(tmp_path, dispatch="round-robin")
+        assert pipeline.snapshot().sidelines == [(main, 2)]
+        for chunk in self.simple_chunks(n_chunks=2):
+            pipeline.submit(chunk)
+        pipeline.finalize()
+        sidelines = pipeline.snapshot().sidelines
+        assert sidelines[0] == (main, 2)
+        assert [path.name for path, _ in sidelines[1:]] == [
+            "t.sideline.shard0.jsonl", "t.sideline.shard1.jsonl"
+        ]
+
     def test_shard_error_surfaces_in_snapshot_fast(self, tmp_path,
                                                    monkeypatch):
         # A corrupt payload must fail snapshot()/quiesce() promptly with
