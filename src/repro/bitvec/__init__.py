@@ -3,11 +3,12 @@
 from .. import _lazy
 
 __all__ = [
+    "BitMatrix",
     "BitVector",
     "intersect_all",
     "union_all",
 ]
 
 __getattr__, __dir__ = _lazy.lazy_exports(__name__, {
-    ".bitvector": ("BitVector", "intersect_all", "union_all"),
+    ".bitvector": ("BitMatrix", "BitVector", "intersect_all", "union_all"),
 })

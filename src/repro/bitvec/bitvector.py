@@ -25,17 +25,33 @@ C-level ``format``/``int(…, 2)``: :func:`selector` gathers positions with
 one ``operator.itemgetter``, and :meth:`BitVector.from_flags` /
 :meth:`BitVector.to_flags` convert from and to one 0/1 byte per bit, the
 form ``bytes(map(...))`` and ``itertools.compress`` speak.
+
+A chunk's vectors travel as one :class:`BitMatrix`: the sorted predicate
+ids and one packed little-endian int whose row ``r`` is id ``r``'s vector,
+each row byte-aligned (``ceil(n/8)`` bytes), so a row's bytes are that
+vector's :meth:`BitVector.to_bytes` payload.  The client ORs each clause
+into it, the wire ships it as one block, and the server folds its rows
+into the load mask and gathers the loaded rows' bits out of all rows at
+once; a :class:`BitVector` is built per id only when a row group is
+written (or someone reads ``JsonChunk.bitvectors``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, List, Sequence
+from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 #: ``bytes.translate`` tables between 0/1 flag bytes and bit-string digits:
 #: any nonzero flag byte is a set bit.
 _FLAGS_TO_DIGITS = b"0" + b"1" * 255
 _DIGITS_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+#: :meth:`BitMatrix.gather`'s offsets: a kept (1) flag adds nothing to a
+#: ``b'0'``/``b'1'`` digit, a dropped (0) one adds 2.
+_DROP = b"\x02"
+_FLAGS_TO_DROP = bytes.maketrans(b"\x00\x01", _DROP + b"\x00")
 
 
 class BitVector:
@@ -101,11 +117,12 @@ class BitVector:
         the flags into a bit string and ``int(…, 2)`` packs it, with no
         Python call per bit.
         """
-        return cls._from_bit_string(flags.translate(_FLAGS_TO_DIGITS))
+        return cls.from_bit_string(flags.translate(_FLAGS_TO_DIGITS))
 
     @classmethod
-    def _from_bit_string(cls, digits: bytes | str) -> "BitVector":
-        """Inverse of :meth:`_bit_string` (``'0'``/``'1'`` per bit)."""
+    def from_bit_string(cls, digits: bytes | str) -> "BitVector":
+        """Build from ``'0'``/``'1'`` per bit, character ``i`` being bit
+        ``i`` (the inverse of :func:`bit_string`)."""
         bv = cls(len(digits))
         if digits:
             bv._data[:] = int(digits[::-1], 2).to_bytes(
@@ -252,15 +269,11 @@ class BitVector:
         Ready for ``itertools.compress``: the positions of the set bits are
         ``compress(range(len(bv)), bv.to_flags())``.
         """
-        return self._bit_string().encode("ascii").translate(_DIGITS_TO_FLAGS)
+        return int_flags(int.from_bytes(self._data, "little"), self._length)
 
     def _bit_string(self) -> str:
         """``'0'``/``'1'`` per bit, character ``i`` being bit ``i``."""
-        if not self._length:
-            return ""
-        return format(
-            int.from_bytes(self._data, "little"), f"0{self._length}b"
-        )[::-1]
+        return bit_string(int.from_bytes(self._data, "little"), self._length)
 
     def to_bits(self) -> List[int]:
         """Expand to a list of 0/1 ints (small vectors / tests only)."""
@@ -404,7 +417,7 @@ def selector(positions: Sequence[int]
             raise IndexError(f"bit {bad} out of range for {length} bits")
         # One position makes itemgetter return a bare character, which
         # "".join passes through unchanged.
-        return BitVector._from_bit_string("".join(pick(bv._bit_string())))
+        return BitVector.from_bit_string("".join(pick(bv._bit_string())))
 
     return select
 
@@ -444,3 +457,214 @@ def union_all(vectors: Sequence[BitVector]) -> BitVector:
     for vec in vectors[1:]:
         out.union_update(vec)
     return out
+
+
+def bit_string(value: int, length: int) -> str:
+    """The low *length* bits of *value* as ``'0'``/``'1'`` characters,
+    character ``i`` being bit ``i`` (one C-level ``format``)."""
+    if not length:
+        return ""
+    return format(value, f"0{length}b")[::-1]
+
+
+def int_flags(value: int, length: int) -> bytes:
+    """The low *length* bits of *value* as one 0/1 byte per bit, in index
+    order: the form ``itertools.compress`` takes."""
+    return bit_string(value, length).encode("ascii").translate(
+        _DIGITS_TO_FLAGS
+    )
+
+
+@lru_cache(maxsize=64)
+def _padding_mask(rows: int, width: int) -> int:
+    """The padding bits of a *rows* × *width* :class:`BitMatrix`: in every
+    row, the bits past *width* up to the row's byte boundary."""
+    tail = width & 7
+    if not tail or not rows:
+        return 0
+    row = bytes((width + 7) // 8 - 1) + bytes([0xFF ^ ((1 << tail) - 1)])
+    return int.from_bytes(row * rows, "little")
+
+
+class BitMatrix:
+    """One chunk's predicate vectors as a single packed block.
+
+    ``ids`` are the annotated predicate ids, sorted; ``packed`` is one
+    little-endian int whose row ``r`` (bits ``r * 8 * stride`` up) is id
+    ``ids[r]``'s *width*-bit vector.  Rows are byte-aligned (``stride =
+    ceil(width / 8)`` bytes) with zero padding, so :meth:`to_block` is the
+    ids' :meth:`BitVector.to_bytes` payloads back to back.  Immutable:
+    :meth:`with_row` and :meth:`without_row` return new matrices.
+
+    >>> m = BitMatrix.from_rows(4, [(7, 0b0101), (2, 0b0011)])
+    >>> m.ids, bin(m.union())
+    ((2, 7), '0b111')
+    >>> m.vector(7).to_bits()
+    [1, 0, 1, 0]
+    """
+
+    __slots__ = ("ids", "width", "packed")
+
+    def __init__(self, ids: Sequence[int] = (), width: int = 0,
+                 packed: int = 0):
+        self.ids: Tuple[int, ...] = tuple(ids)
+        self.width = width
+        self.packed = packed
+
+    @classmethod
+    def from_rows(cls, width: int, rows: Iterable[Tuple[int, int]]
+                  ) -> "BitMatrix":
+        """Build from ``(predicate id, row int)`` pairs in any order; bit
+        ``i`` of a row int is record ``i``.  Duplicate ids raise
+        ``ValueError``."""
+        ordered = sorted(rows)
+        ids = [pid for pid, _ in ordered]
+        if len(set(ids)) != len(ids):
+            raise ValueError("duplicate predicate ids in a bit matrix")
+        row_bits = (width + 7) // 8 * 8
+        limit = 1 << width
+        packed = 0
+        for index, (pid, value) in enumerate(ordered):
+            if not 0 <= value < limit:
+                raise ValueError(
+                    f"row for predicate {pid} does not fit {width} bits"
+                )
+            packed |= value << (index * row_bits)
+        return cls(ids, width, packed)
+
+    @classmethod
+    def from_block(cls, ids: Sequence[int], width: int,
+                   block: bytes | memoryview) -> "BitMatrix":
+        """Inverse of :meth:`to_block`; strict about size and padding.
+
+        The size is checked before the block is read, and a set padding
+        bit (one AND against a mask cached per shape) is corruption, not
+        something to mask away: it raises ``ValueError``.
+        """
+        expected = len(ids) * ((width + 7) // 8)
+        if len(block) != expected:
+            raise ValueError(
+                f"bit-vector block of {len(block)} bytes; {len(ids)} rows "
+                f"of {width} bits need {expected}"
+            )
+        packed = int.from_bytes(block, "little")
+        if packed & _padding_mask(len(ids), width):
+            raise ValueError(
+                "nonzero bits in the row padding of a bit-vector block"
+            )
+        return cls(ids, width, packed)
+
+    @property
+    def stride(self) -> int:
+        """Bytes per row."""
+        return (self.width + 7) // 8
+
+    def to_block(self) -> bytes:
+        """The rows' bytes back to back (``len(ids) * stride`` bytes)."""
+        return self.packed.to_bytes(len(self.ids) * self.stride, "little")
+
+    def _index(self, predicate_id: int) -> Optional[int]:
+        index = bisect_left(self.ids, predicate_id)
+        if index < len(self.ids) and self.ids[index] == predicate_id:
+            return index
+        return None
+
+    def __contains__(self, predicate_id: object) -> bool:
+        return (isinstance(predicate_id, int)
+                and self._index(predicate_id) is not None)
+
+    def row(self, predicate_id: int) -> int:
+        """*predicate_id*'s row as an int (``KeyError`` if absent)."""
+        index = self._index(predicate_id)
+        if index is None:
+            raise KeyError(predicate_id)
+        return (self.packed >> (index * 8 * self.stride)) & (
+            (1 << self.width) - 1
+        )
+
+    def vector(self, predicate_id: int) -> BitVector:
+        """*predicate_id*'s row as a :class:`BitVector`."""
+        return BitVector(self.width, self.row(predicate_id).to_bytes(
+            self.stride, "little"
+        ))
+
+    def with_row(self, predicate_id: int, value: int) -> "BitMatrix":
+        """A copy with *predicate_id*'s row set to *value* (added, in id
+        order, or replaced)."""
+        if not 0 <= value < 1 << self.width:
+            raise ValueError(
+                f"row for predicate {predicate_id} does not fit "
+                f"{self.width} bits"
+            )
+        index = bisect_left(self.ids, predicate_id)
+        present = index < len(self.ids) and self.ids[index] == predicate_id
+        shift = index * 8 * self.stride
+        high = self.packed >> (shift + (8 * self.stride if present else 0))
+        ids = list(self.ids)
+        if not present:
+            ids.insert(index, predicate_id)
+        packed = (self.packed & ((1 << shift) - 1)) | (value << shift) | (
+            high << (shift + 8 * self.stride)
+        )
+        return BitMatrix(ids, self.width, packed)
+
+    def without_row(self, predicate_id: int) -> "BitMatrix":
+        """A copy without *predicate_id*'s row (``KeyError`` if absent)."""
+        index = self._index(predicate_id)
+        if index is None:
+            raise KeyError(predicate_id)
+        shift = index * 8 * self.stride
+        packed = (self.packed & ((1 << shift) - 1)) | (
+            self.packed >> (shift + 8 * self.stride) << shift
+        )
+        return BitMatrix(self.ids[:index] + self.ids[index + 1:],
+                         self.width, packed)
+
+    def union(self) -> int:
+        """The OR of every row, as a *width*-bit int (0 with no rows).
+
+        Folds the upper half of the rows onto the lower half until one
+        row is left: ``log2(rows)`` C-level shifts, not one per row.
+        """
+        rows, packed, row_bits = len(self.ids), self.packed, 8 * self.stride
+        while rows > 1:
+            half = (rows + 1) // 2
+            shift = half * row_bits
+            packed = (packed & ((1 << shift) - 1)) | (packed >> shift)
+            rows = half
+        return packed
+
+    def gather(self, flags: bytes) -> List[bytes]:
+        """Every row restricted to the positions *flags* keeps.
+
+        *flags* holds one 0/1 byte per record (``width`` of them).  The
+        whole matrix becomes one ``b'0'``/``b'1'`` digit per bit; adding
+        2 to every digit *flags* drops (and to the row padding) turns it
+        into ``b'2'``/``b'3'``, and one ``bytes.translate`` deletes those:
+        every row is gathered at once, at C level.  The result is one
+        digit string per row, in id order.
+        """
+        rows = len(self.ids)
+        row_bits = 8 * self.stride
+        kept = flags.count(1)
+        if not rows or not kept:
+            return [b""] * rows
+        size = rows * row_bits
+        digits = bit_string(self.packed, size).encode("ascii")
+        drop = (flags.translate(_FLAGS_TO_DROP)
+                + _DROP * (row_bits - self.width)) * rows
+        marked = (int.from_bytes(digits, "big")
+                  + int.from_bytes(drop, "big")).to_bytes(size, "big")
+        bits = marked.translate(None, b"23")
+        return [bits[start:start + kept]
+                for start in range(0, rows * kept, kept)]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BitMatrix):
+            return NotImplemented
+        return (self.ids, self.width, self.packed) == (
+            other.ids, other.width, other.packed
+        )
+
+    def __repr__(self) -> str:
+        return f"BitMatrix(ids={list(self.ids)}, width={self.width})"

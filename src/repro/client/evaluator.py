@@ -3,7 +3,10 @@
 This is the code that runs "on the sensor": for every pushed-down
 predicate it tests each raw record and packs the outcomes into one
 bit-vector per predicate (paper §IV).  No JSON parsing happens here —
-that is the whole point.
+that is the whole point.  The chunk's vectors are one
+:class:`~repro.bitvec.bitvector.BitMatrix`: each clause's packed int
+becomes a row of it, and no per-predicate
+:class:`~repro.bitvec.bitvector.BitVector` is built.
 
 Clauses on one key share its search.  A plan pushes many key-value
 clauses on few keys (yelp_pushdown: 29 clauses on 4 keys), so each chunk
@@ -30,7 +33,7 @@ from itertools import repeat
 from operator import contains
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from ..bitvec.bitvector import BitVector
+from ..bitvec.bitvector import BitMatrix
 from ..core.optimizer import PushdownEntry
 from ..core.predicates import PredicateKind
 from ..rawjson.chunks import JsonChunk
@@ -86,6 +89,7 @@ class ClientEvaluator:
                     texts[key] = len(self._finders)
                 probes.append((texts[key], value))
             self._tests.append((probes, matchers))
+        self._ids = frozenset(self.predicate_ids)
 
     @property
     def predicate_ids(self) -> List[int]:
@@ -93,22 +97,24 @@ class ClientEvaluator:
         return [entry.predicate_id for entry in self._entries]
 
     def annotate(self, chunk: JsonChunk) -> EvaluationReport:
-        """Attach one bit-vector per pushed predicate to *chunk*.
+        """Annotate *chunk* with one bit-vector per pushed predicate.
 
         Each spec's hits become one byte per record (records in reverse
         order), read as a binary number: bit ``i`` of that int is record
-        ``i``.  A clause ORs its specs' ints, and the little-endian bytes of
-        the result are the bit-vector payload.
+        ``i``.  A clause ORs its specs' ints, and the clause ints become
+        the rows of the chunk's :class:`BitMatrix` (rows the chunk
+        already carried for other ids are kept).
         """
         records = chunk.records
         n = len(records)
-        nbytes = (n + 7) // 8
         report = EvaluationReport(records=n, predicates=len(self._entries))
         start = time.perf_counter()
         backwards = records[::-1]
         texts = [backwards]
         for find in self._finders:
             texts.append(list(map(",".join, map(find, backwards))))
+        rows = [(pid, chunk.matrix.row(pid)) for pid in chunk.matrix.ids
+                if pid not in self._ids]
         for entry, (probes, matchers) in zip(self._entries, self._tests):
             packed = 0
             for text, pattern in probes:
@@ -116,11 +122,9 @@ class ClientEvaluator:
                                           repeat(pattern))))
             for match in matchers:
                 packed |= _pack(bytes(map(match, backwards)))
-            chunk.attach(
-                entry.predicate_id,
-                BitVector(n, packed.to_bytes(nbytes, "little")),
-            )
+            rows.append((entry.predicate_id, packed))
             report.matches[entry.predicate_id] = packed.bit_count()
+        chunk.matrix = BitMatrix.from_rows(n, rows)
         report.wall_seconds = time.perf_counter() - start
         report.modeled_us = n * sum(entry.cost_us for entry in self._entries)
         return report

@@ -2,42 +2,48 @@
 
 Layout::
 
-    [MAGIC "CIA2"]
+    [MAGIC "CIA3"]
     [u32 header length][header JSON (UTF-8)]
     [u32 records length][records: newline-joined raw JSON, UTF-8]
-    per predicate, in header order:
-        [u32 payload length][packed bit-vector]
+    [u32 block length][bit-vector block]
 
-The header carries the chunk id, record count, and the predicate ids.  Each
-bit-vector ships packed (:meth:`~repro.bitvec.bitvector.BitVector.to_bytes`:
-a u32 bit length, then one bit per record): ``n/8`` bytes against a few
-hundred bytes per record of raw JSON, so vectors stay well under 1 % of a
-frame, and encoding one is a copy, not a scan for runs.  (``CIA1`` frames
-also offered run-length-encoded vectors; choosing per vector cost more CPU
-on both ends than the bytes it saved.)
+The header carries the chunk id, record count *n*, and the predicate ids,
+strictly increasing.  The block is the chunk's
+:class:`~repro.bitvec.bitvector.BitMatrix`: one row per header id, in
+header order, each ``ceil(n/8)`` bytes holding that id's packed
+bit-vector (bit ``i`` of the little-endian row is record ``i``; row
+``r``'s bytes are :meth:`~repro.bitvec.bitvector.BitVector.to_bytes`
+without its u32 length).  ``n/8`` bytes per id against a few hundred bytes
+per record of raw JSON keep the block well under 1 % of a frame, and
+encoding it is one ``int.to_bytes``.  (``CIA2`` frames shipped one
+``[u32 length][BitVector.to_bytes()]`` section per predicate, so both
+ends did per-predicate work; ``CIA1`` frames also offered run-length
+encoded vectors.)
 
 Decoding is *strict*: every length field is bounds-checked before the bytes
-it describes are touched, duplicate predicate ids are rejected, and any
-corruption — truncation at an arbitrary byte offset, bad UTF-8, a malformed
-header, set bits in bit-vector tail padding — raises :class:`ProtocolError`
-(never ``IndexError`` or a silent mis-parse).  Decoding is also *iterative
-and zero-copy*: it walks a ``memoryview`` cursor over the payload, so the
-sharded ingest workers (:mod:`repro.server.pipeline`) can decode concurrent
-chunks without re-copying record blobs, and :func:`decode_chunk_stream`
-yields successive chunks straight out of one concatenated buffer.
+it describes are touched, the block length must equal ``k * ceil(n/8)``
+for the header's *k* ids before the block is read, duplicate or unordered
+predicate ids are rejected, and any corruption — truncation at an
+arbitrary byte offset, bad UTF-8, a malformed header, a set padding bit in
+any row of the block — raises :class:`ProtocolError` (never ``IndexError``
+or a silent mis-parse).  Decoding is also *iterative and zero-copy*: it
+walks a ``memoryview`` cursor over the payload, so the sharded ingest
+workers (:mod:`repro.server.pipeline`) can decode concurrent chunks
+without re-copying record blobs, and :func:`decode_chunk_stream` yields
+successive chunks straight out of one concatenated buffer.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Tuple
 
-from ..bitvec.bitvector import BitVector
+from ..bitvec.bitvector import BitMatrix
 from ..rawjson.chunks import JsonChunk
 from ..rawjson.errors import JsonError
 from ..rawjson.parser import loads
 from ..rawjson.writer import dumps
 
-MAGIC = b"CIA2"
+MAGIC = b"CIA3"
 
 #: Default chunk frames concatenated per channel message.  Measured in
 #: ``benchmarks/bench_parallel_ingest.py`` (see
@@ -53,26 +59,24 @@ class ProtocolError(ValueError):
 
 
 def encode_chunk(chunk: JsonChunk) -> bytes:
-    """Serialize a chunk with its bit-vectors."""
-    pred_ids = chunk.predicate_ids
+    """Serialize a chunk with its bit-vector block."""
     header = dumps(
         {
             "chunk_id": chunk.chunk_id,
             "records": len(chunk.records),
-            "predicates": pred_ids,
+            "predicates": chunk.predicate_ids,
         }
     ).encode("utf-8")
     records_blob = "\n".join(chunk.records).encode("utf-8")
+    block = chunk.matrix.to_block()
     out = bytearray()
     out += MAGIC
     out += len(header).to_bytes(4, "little")
     out += header
     out += len(records_blob).to_bytes(4, "little")
     out += records_blob
-    for pid in pred_ids:
-        payload = chunk.bitvectors[pid].to_bytes()
-        out += len(payload).to_bytes(4, "little")
-        out += payload
+    out += len(block).to_bytes(4, "little")
+    out += block
     return bytes(out)
 
 
@@ -107,8 +111,8 @@ def split_frames(data: bytes | bytearray | memoryview
                  ) -> Iterator[memoryview]:
     """Yield each chunk frame of a (possibly batched) payload, undecoded.
 
-    Walks the frame structure — header, records length, per-predicate
-    segment lengths — without parsing records or decoding bit-vectors, so
+    Walks the frame structure — header, records length, block length —
+    without parsing records or decoding bit-vectors, so
     a dispatcher can split a batch and ship individual frames to shard
     workers while staying off the expensive decode path.  A single
     un-batched frame yields itself.  Raises :class:`ProtocolError` on any
@@ -132,9 +136,7 @@ def _skip_one(view: memoryview, pos: int) -> int:
     header = _parse_header(header_blob)
     records_len, pos = _read_u32(view, pos)
     _, pos = _take(view, pos, records_len, "records payload")
-    for _ in header["predicates"]:
-        payload_len, pos = _read_u32(view, pos)
-        _, pos = _take(view, pos, payload_len, "bit-vector payload")
+    _, pos = _take_block(view, pos, header)
     return pos
 
 
@@ -183,27 +185,28 @@ def _decode_one(view: memoryview, pos: int) -> Tuple[JsonChunk, int]:
             f"{len(records)}"
         )
     chunk = JsonChunk(chunk_id=header["chunk_id"], records=records)
-    for pid in header["predicates"]:
-        payload_len, pos = _read_u32(view, pos)
-        payload, pos = _take(view, pos, payload_len, "bit-vector payload")
-        if payload_len < 4:
-            raise ProtocolError("truncated bit-vector payload")
-        # Check the declared bit length against the record count BEFORE
-        # decoding: a wrong-length vector is corruption, and a corrupt
-        # frame must not size an allocation.
-        declared_bits = int.from_bytes(payload[:4], "little")
-        if declared_bits != len(records):
-            raise ProtocolError(
-                f"bit-vector for predicate {pid} declares {declared_bits} "
-                f"bits for {len(records)} records"
-            )
-        try:
-            chunk.attach(pid, BitVector.from_bytes(payload))
-        except ValueError as exc:
-            raise ProtocolError(
-                f"corrupt bit-vector for predicate {pid}: {exc}"
-            )
+    block, pos = _take_block(view, pos, header)
+    try:
+        chunk.matrix = BitMatrix.from_block(header["predicates"],
+                                            len(records), block)
+    except ValueError as exc:
+        raise ProtocolError(f"corrupt bit-vector block: {exc}")
     return chunk, pos
+
+
+def _take_block(view: memoryview, pos: int, header: dict
+                ) -> Tuple[memoryview, int]:
+    """Read the bit-vector block's length, check it against the header's
+    shape, then take the block: a corrupt frame never sizes a read."""
+    block_len, pos = _read_u32(view, pos)
+    expected = len(header["predicates"]) * ((header["records"] + 7) // 8)
+    if block_len != expected:
+        raise ProtocolError(
+            f"bit-vector block declares {block_len} bytes; "
+            f"{len(header['predicates'])} rows of {header['records']} "
+            f"bits need {expected}"
+        )
+    return _take(view, pos, block_len, "bit-vector block")
 
 
 def _parse_header(blob: memoryview) -> dict:
@@ -226,31 +229,24 @@ def _parse_header(blob: memoryview) -> dict:
         raise ProtocolError(
             "chunk header needs a non-negative integer 'records'"
         )
-    if not isinstance(predicates, list) or any(
-        not isinstance(p, int) or isinstance(p, bool) for p in predicates
-    ):
+    # type() is exact: a bool (JSON true/false) is not an int here.
+    if not isinstance(predicates, list) or not set(
+        map(type, predicates)
+    ) <= {int}:
         raise ProtocolError(
             "chunk header needs a list of integer 'predicates'"
         )
     if len(set(predicates)) != len(predicates):
         raise ProtocolError("duplicate predicate ids in chunk header")
+    if predicates != sorted(predicates):
+        raise ProtocolError("chunk header predicate ids are not in order")
     return header
 
 
 def bitvector_overhead(chunk: JsonChunk) -> Tuple[int, int]:
-    """(record payload bytes, bit-vector payload bytes) for one chunk."""
-    encoded = encode_chunk(chunk)
+    """(record payload bytes, bit-vector block bytes) for one chunk."""
     records_blob = "\n".join(chunk.records).encode("utf-8")
-    # Everything past magic+headers+records is bit-vector payload.
-    header = dumps(
-        {
-            "chunk_id": chunk.chunk_id,
-            "records": len(chunk.records),
-            "predicates": chunk.predicate_ids,
-        }
-    ).encode("utf-8")
-    fixed = len(MAGIC) + 4 + len(header) + 4 + len(records_blob)
-    return len(records_blob), len(encoded) - fixed
+    return len(records_blob), len(chunk.matrix.to_block())
 
 
 def _take(view: memoryview, pos: int, size: int, what: str

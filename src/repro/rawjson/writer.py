@@ -22,12 +22,16 @@ format where the encoder's own differs:
   :class:`TypeError` (the encoder would write it as a string).
 
 NaN and infinities raise :class:`ValueError`; a value of any other type
-raises :class:`TypeError`.
+raises :class:`TypeError`.  :func:`dumps_cell`, the writer of a JSON
+column's cells, differs in one respect: it writes an infinite float as
+``1e400`` (``-1e400``), a JSON number that parses back to that infinity,
+because a record the parser accepted (``{"x": 1e400}``) must be storable.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from itertools import compress, repeat
 from typing import Any, Dict
@@ -93,6 +97,32 @@ def dumps(value: Any, sort_keys: bool = False) -> str:
     if "-0.0" in text:  # rare; a string or a float like -0.05 also hits
         text = encode(_positive_zeros(value))
     return _escape_surrogates(text)
+
+
+def dumps_cell(value: Any) -> str:
+    """Serialize one JSON-column cell: :func:`dumps`, except that an
+    infinite float, at any depth, is written ``1e400`` (``-1e400``)."""
+    try:
+        return dumps(value)
+    except ValueError:
+        return _dumps_infinite(value)
+
+
+def _dumps_infinite(value: Any) -> str:
+    """:func:`dumps_cell`'s slow path, taken only for a value holding a
+    float JSON has no literal for; NaN still raises."""
+    if isinstance(value, float) and value in (math.inf, -math.inf):
+        return "1e400" if value > 0 else "-1e400"
+    if isinstance(value, dict):
+        if not all(map(isinstance, value, repeat(str))):
+            raise TypeError("JSON object keys must be strings")
+        return "{" + ",".join(
+            dumps(key) + ":" + _dumps_infinite(item)
+            for key, item in value.items()
+        ) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(_dumps_infinite, value)) + "]"
+    return dumps(value)
 
 
 def dump_record(record: Dict[str, Any]) -> str:

@@ -928,12 +928,15 @@ class CiaoServer:
         part's writer: that part is left unsealed, as a crash leaves it,
         and the server takes no more chunks.  Call
         :meth:`finalize_loading` first to keep the chunks ingested since
-        the last seal.  A sharded server's workers own their writers and
-        close them at :meth:`finalize_loading`.
+        the last seal.  A sharded server still loading stops its shard
+        workers the same way (:meth:`ShardedIngestPipeline.close`): no
+        worker thread or process outlives ``close()``.
         """
         with self._lifecycle_lock, self._ingest_lock:
             if self._pipeline is None:
                 self._sink.loader.close()  # ciaolint: allow[LCK002] -- ClientAssistedLoader.close takes no locks; the `.close()` name union binds wider
+            else:
+                self._pipeline.close()  # ciaolint: allow[LCK002] -- ShardedIngestPipeline.close takes only its own _lock; the `.close()` name union binds wider
             self._table.close_readers()
 
     @property

@@ -4,24 +4,29 @@ For every received chunk the loader:
 
 1. computes the **load mask** — the union of the chunk's predicate
    bit-vectors (a record is loaded iff it may satisfy at least one pushed
-   predicate);
+   predicate), an OR-fold of the rows of the chunk's one
+   :class:`~repro.bitvec.bitvector.BitMatrix`;
 2. **parses** the selected records, each with one call of the strict record
    parser :func:`repro.rawjson.parser.try_parse` (the C ``json`` decoder,
    the analogue of the paper's rapidJSON: the expensive step partial
    loading exists to avoid), pulls them into columns once
    (:func:`~repro.storage.schema.pull_columns`, which also feeds schema
    inference) and adds those columns, with the chunk's *derived*
-   bit-vectors (original vectors restricted to the loaded positions, one
-   ``itemgetter`` gather over the chunk vector's bit string each), to the
-   open part's **pending rows**; the row dicts are dropped.  Pending rows
+   bit-vectors (every row restricted to the loaded positions by one
+   C-level gather over the whole matrix,
+   :meth:`~repro.bitvec.bitvector.BitMatrix.gather`, kept as one
+   ``b'0'``/``b'1'`` digit string per id), to the open part's **pending rows**;
+   the row dicts are dropped.  No :class:`~repro.bitvec.bitvector.BitVector`
+   is built until a group is written.  Pending rows
    are written as one Parquet-lite row group as soon as
    ``ROW_GROUP_ROWS`` (:mod:`repro.storage.rowgroup`) of them are
    pending; the shorter remainder is written when the part seals
    (:meth:`~ClientAssistedLoader.seal_part`, ``finalize``) or before a
    schema-widening chunk rotates the file.  So a group spans chunks:
-   each id's stored vector is the chunks' derived vectors concatenated
-   (split with ``slice`` where a group boundary falls inside a chunk),
-   and a chunk that carried no vector for an id contributes 1s — "may
+   each id's stored vector is the chunks' derived strings joined (a
+   chunk's strings are cut where a group boundary falls inside it) and
+   built into one :class:`~repro.bitvec.bitvector.BitVector` per id, and
+   a chunk that carried no vector for an id contributes 1s — "may
    match", the rule compaction follows too — so a stored 0 is never
    invented.  The write is column-major: each column is coerced and
    paged in bulk, with no Python call per value or per bit, except the
@@ -59,15 +64,14 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import chain
 from pathlib import Path
 from typing import (Any, Deque, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
-from ..bitvec.bitvector import BitVector, selector
+from ..bitvec.bitvector import BitVector
 from ..obs.metrics import Metrics, resolve_metrics
-from ..rawjson.chunks import JsonChunk
+from ..rawjson.chunks import JsonChunk, split_flags
 from ..rawjson.parser import try_parse
 from ..storage.columnar import ParquetLiteWriter
 from ..storage.jsonstore import JsonSideStore
@@ -165,15 +169,16 @@ class LoadSummary:
 
 
 #: One chunk's share of the pending rows: its pulled columns, its row
-#: count and its derived bit-vectors.
-_Segment = Tuple[Dict[str, List[Any]], int, Dict[int, BitVector]]
+#: count, its annotated ids (sorted) and, per id, its derived vector as
+#: one ``b'0'``/``b'1'`` digit per row.
+_Segment = Tuple[Dict[str, List[Any]], int, Tuple[int, ...], List[bytes]]
 
 
 class _PendingRows:
     """The open part's loaded rows that no row group holds yet.
 
-    Kept as the chunks' pulled columns and derived bit-vectors, in
-    arrival order — never as row dicts.
+    Kept as the chunks' pulled columns and derived bit strings, in
+    arrival order — never as row dicts or bit-vector objects.
     """
 
     def __init__(self) -> None:
@@ -182,9 +187,9 @@ class _PendingRows:
         self.rows = 0
 
     def add(self, columns: Dict[str, List[Any]], rows: int,
-            vectors: Dict[int, BitVector]) -> None:
-        """Append one chunk's loaded rows."""
-        self._segments.append((columns, rows, vectors))
+            ids: Tuple[int, ...], bits: List[bytes]) -> None:
+        """Append one chunk's loaded rows and its ids' bit strings."""
+        self._segments.append((columns, rows, ids, bits))
         self.rows += rows
 
     def take(self, rows: int
@@ -194,52 +199,51 @@ class _PendingRows:
 
         A column a chunk lacked reads as nulls there, and a bit-vector
         a chunk lacked as 1s (the row may match), so no stored 0 is
-        invented.
+        invented.  Each id's vector is built once, from its strings
+        joined across the group's chunks.
         """
         taken: List[_Segment] = []
         needed = rows
         while needed:
-            columns, count, vectors = self._segments.popleft()
+            columns, count, ids, bits = self._segments.popleft()
             if count > needed:
                 # The group boundary falls inside this chunk: split it.
                 self._segments.appendleft((
                     {name: values[needed:]
                      for name, values in columns.items()},
-                    count - needed,
-                    {pid: bv.slice(needed, count)
-                     for pid, bv in vectors.items()},
+                    count - needed, ids, [row[needed:] for row in bits],
                 ))
                 columns = {name: values[:needed]
                            for name, values in columns.items()}
-                vectors = {pid: bv.slice(0, needed)
-                           for pid, bv in vectors.items()}
+                bits = [row[:needed] for row in bits]
                 count = needed
-            taken.append((columns, count, vectors))
+            taken.append((columns, count, ids, bits))
             needed -= count
         self.rows -= rows
+        group_ids = tuple(sorted(set().union(*(ids for _, _, ids, _
+                                                in taken))))
+        strings = []
+        for _, count, ids, bits in taken:
+            if ids != group_ids:
+                have = dict(zip(ids, bits))
+                bits = [have.get(pid) or b"1" * count for pid in group_ids]
+            strings.append(bits)
+        vectors = dict(zip(group_ids, map(
+            BitVector.from_bit_string, map(b"".join, zip(*strings))
+        )))
         if len(taken) == 1:
-            columns, _, vectors = taken[0]
-            return columns, vectors
+            return taken[0][0], vectors
         names = dict.fromkeys(chain.from_iterable(
-            columns for columns, _, _ in taken
+            columns for columns, _, _, _ in taken
         ))
         merged_columns = {
             name: list(chain.from_iterable(
                 columns[name] if name in columns else [None] * count
-                for columns, count, _ in taken
+                for columns, count, _, _ in taken
             ))
             for name in names
         }
-        merged_vectors = {
-            pid: reduce(BitVector.concat, [
-                vectors[pid] if pid in vectors else BitVector.ones(count)
-                for _, count, vectors in taken
-            ])
-            for pid in dict.fromkeys(chain.from_iterable(
-                vectors for _, _, vectors in taken
-            ))
-        }
-        return merged_columns, merged_vectors
+        return merged_columns, vectors
 
 
 class ClientAssistedLoader:
@@ -297,8 +301,8 @@ class ClientAssistedLoader:
         if not self.partial_loading:
             return False
         if self._required_ids is None:
-            return bool(chunk.bitvectors)
-        return self._required_ids <= set(chunk.bitvectors)
+            return bool(chunk.matrix.ids)
+        return self._required_ids <= set(chunk.matrix.ids)
 
     def ingest(self, chunk: JsonChunk) -> LoadReport:
         """Load one chunk per the partial-loading policy."""
@@ -306,19 +310,17 @@ class ClientAssistedLoader:
             raise RuntimeError("loader already finalized")
         start = time.perf_counter()
         if self._may_sideline(chunk):
-            mask = chunk.load_mask()
+            flags = chunk.load_flags()
         else:
-            mask = BitVector.ones(len(chunk.records))
-        selected, rejected = chunk.split_by_mask(mask)
+            flags = b"\x01" * len(chunk.records)
+        selected, rejected = split_flags(flags)
 
         parsed_rows: List[Mapping[str, Any]] = []
-        kept_positions: List[int] = []
         malformed_positions: List[int] = []
         for position in selected:
             value, ok = try_parse(chunk.records[position])
             if ok and isinstance(value, dict):
                 parsed_rows.append(value)
-                kept_positions.append(position)
             else:
                 malformed_positions.append(position)
 
@@ -326,10 +328,14 @@ class ClientAssistedLoader:
             # One pull per column feeds both the schema and the pages.
             columns = pull_columns(parsed_rows)
             self._ensure_writer(columns)
-            self._pending.add(
-                columns, len(parsed_rows),
-                self._derive_bitvectors(chunk, kept_positions),
-            )
+            if malformed_positions:
+                flags = bytearray(flags)
+                for position in malformed_positions:
+                    flags[position] = 0
+            # Restrict every vector to the loaded rows (paper §VI-A):
+            # loaded row i is the i-th kept position of the chunk.
+            self._pending.add(columns, len(parsed_rows), chunk.matrix.ids,
+                              chunk.matrix.gather(flags))
             while self._pending.rows >= ROW_GROUP_ROWS:
                 self._write_group(ROW_GROUP_ROWS)
         # Mask-rejected AND malformed records both land in the side store,
@@ -426,16 +432,3 @@ class ClientAssistedLoader:
             )
             self._writer = ParquetLiteWriter(part, self._schema)
             self.parquet_paths.append(part)
-
-    @staticmethod
-    def _derive_bitvectors(chunk: JsonChunk,
-                           kept_positions: Sequence[int]
-                           ) -> Dict[int, BitVector]:
-        """Restrict chunk bit-vectors to the loaded rows (paper §VI-A).
-
-        Loaded row ``i`` of the chunk corresponds to ``kept_positions[i]``
-        of the original chunk.  One :func:`~repro.bitvec.bitvector.selector`
-        (an ``itemgetter`` over the kept positions) restricts every vector.
-        """
-        restrict = selector(kept_positions)
-        return {pid: restrict(bv) for pid, bv in chunk.bitvectors.items()}

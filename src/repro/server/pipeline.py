@@ -315,7 +315,8 @@ def _run_shard(shard_id: int,
                schema: Optional[Schema],
                required_ids: Optional[frozenset],
                seal_interval: int,
-               barrier) -> None:
+               barrier,
+               abandon) -> None:
     """Shard worker loop: decode + parse + write until the sentinel.
 
     Module-level so process mode can spawn it.  On failure the worker keeps
@@ -341,6 +342,11 @@ def _run_shard(shard_id: int,
     one token of a flush.  A failed worker publishes nothing — its
     error was announced already — but still parks, so its siblings are
     released.  A broken (aborted) barrier releases at once.
+
+    Once *abandon* (an event) is set, by
+    :meth:`ShardedIngestPipeline.close`, the worker stops between chunks
+    as a crash would: its open part closes without a footer, and it
+    neither publishes nor posts a terminal message.
     """
     error: Optional[str] = None
     loader: Optional[StreamingLoader] = None
@@ -392,7 +398,7 @@ def _run_shard(shard_id: int,
     # The drain loop must run no matter what happened above: a bounded
     # queue with a dead consumer would block submit() forever.
     stop = False
-    while not stop:
+    while not stop and not abandon.is_set():
         try:
             item = in_queue.get(timeout=_IDLE_POLL_SECONDS)
         except queue.Empty:
@@ -411,6 +417,8 @@ def _run_shard(shard_id: int,
         except queue.Empty:
             pass
         for item in items:
+            if abandon.is_set():
+                break
             if item is None:
                 stop = True
             elif item == _FLUSH:
@@ -424,6 +432,10 @@ def _run_shard(shard_id: int,
                     pass  # quiesce() gave up on this flush; keep draining
             else:
                 process(item)
+    if abandon.is_set():
+        if loader is not None:
+            loader.loader.close()  # ciaolint: allow[LCK002] -- ClientAssistedLoader.close takes no locks; the `.close()` name union binds wider
+        return
     try:
         if loader is None:
             pass
@@ -538,10 +550,12 @@ class ShardedIngestPipeline:
             make_queue = ctx.Queue
             make_worker = ctx.Process
             self._barrier = ctx.Barrier(n_shards)
+            self._abandon = ctx.Event()
         else:
             make_queue = queue.Queue
             make_worker = threading.Thread
             self._barrier = threading.Barrier(n_shards)
+            self._abandon = threading.Event()
         self._aborter: Optional[threading.Thread] = None
         self._out_queue = make_queue()
         if dispatch == "round-robin":
@@ -556,7 +570,7 @@ class ShardedIngestPipeline:
                 args=(i, self._in_queues[i], self._out_queue,
                       str(shard_parquet[i]), str(self._sideline_paths[i]),
                       partial_loading, schema, required, seal_interval,
-                      self._barrier),
+                      self._barrier, self._abandon),
                 daemon=True,
             )
             for i in range(n_shards)
@@ -768,6 +782,33 @@ class ShardedIngestPipeline:
                 self._terminal.add(message[1])
 
     # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Stop a loading pipeline's workers without publishing, as a
+        crash leaves them; idempotent, and a no-op once finalized.
+
+        Each worker stops between chunks and closes its open part without
+        a footer; chunks still queued are dropped, and what the shards
+        published before stays as it was.  A process worker still alive
+        after a grace period is terminated.  The pipeline takes no more
+        chunks.
+        """
+        if self._finalized:
+            return
+        self._finalized = True
+        self._abandon.set()
+        self._abort_flush()
+        deadline = time.monotonic() + _ABANDON_GRACE_SECONDS
+        for worker in self._workers:
+            while worker.is_alive() and time.monotonic() < deadline:
+                with self._lock:
+                    # Drain the out queue, so a process worker's exit
+                    # never waits on a full pipe.
+                    self._pump_messages()
+                worker.join(_IDLE_POLL_SECONDS)
+            if worker.is_alive() and hasattr(worker, "terminate"):
+                worker.terminate()
+                worker.join()
+
     def finalize(self) -> LoadSummary:
         """Stop the workers; return the final snapshot's summary.
 

@@ -28,7 +28,7 @@ from enum import Enum
 from itertools import chain
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..rawjson.writer import dumps
+from ..rawjson.writer import dumps_cell
 
 
 class ColumnType(Enum):
@@ -273,7 +273,7 @@ def coerce_value(value: Any, column_type: ColumnType) -> Any:
     if value is None:
         return None
     if column_type is ColumnType.JSON:
-        return dumps(value)
+        return dumps_cell(value)
     if column_type is ColumnType.BOOL:
         if isinstance(value, bool):
             return value
@@ -319,7 +319,8 @@ def coerce_column(values: List[Any], column_type: ColumnType) -> List[Any]:
     if not kinds:
         return values
     if column_type is ColumnType.JSON:
-        return [None if value is None else dumps(value) for value in values]
+        return [None if value is None else dumps_cell(value)
+                for value in values]
     if kinds <= _PHYSICAL_TYPES[column_type]:
         if int in kinds and column_type is ColumnType.FLOAT64:
             return [None if value is None else float(value)

@@ -25,7 +25,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
 
-#: Service message magic ("CIAO wire"); chunk frames use ``CIA2``.
+#: Service message magic ("CIAO wire"); chunk frames use ``CIA3``.
 MAGIC = b"CIAW"
 
 #: Conversation protocol version, checked in the HELLO/WELCOME handshake.

@@ -9,9 +9,10 @@ from repro.client import (
     ProtocolError,
     bitvector_overhead,
     decode_chunk,
+    decode_chunk_stream,
     encode_chunk,
 )
-from repro.rawjson import JsonChunk, dump_record
+from repro.rawjson import JsonChunk, dump_record, dumps
 
 
 def sample_chunk(n=10, with_vectors=True):
@@ -53,15 +54,16 @@ class TestRoundtrip:
         assert list(decoded.bitvectors[0].iter_set()) == [4321]
 
     def test_vectors_ship_packed(self):
-        # Each vector is its u32 payload length, then its packed bytes:
-        # a sparse one is not run-length encoded.
+        # The frame ends with one block: its u32 length, then each id's
+        # packed vector bytes in id order (a sparse one is not run-length
+        # encoded).
         chunk = sample_chunk(n=5000)
         payload = encode_chunk(chunk)
-        tail = b"".join(
-            len(bv.to_bytes()).to_bytes(4, "little") + bv.to_bytes()
+        block = b"".join(
+            bv.to_bytes()[4:]
             for bv in (chunk.bitvectors[0], chunk.bitvectors[2])
         )
-        assert payload.endswith(tail)
+        assert payload.endswith(len(block).to_bytes(4, "little") + block)
 
 
 class TestValidation:
@@ -166,21 +168,48 @@ class TestFrameBatching:
         assert streamed == split
 
 
+def _decoded_sha256(batch):
+    """sha256 of what a frame batch decodes to, whatever its layout: each
+    chunk's id and records, then each id with its vector, in id order."""
+    digest = hashlib.sha256()
+    for chunk in decode_chunk_stream(batch):
+        digest.update(dumps([chunk.chunk_id, chunk.records]).encode())
+        for pid in sorted(chunk.bitvectors):
+            digest.update(pid.to_bytes(4, "little")
+                          + chunk.bitvectors[pid].to_bytes())
+    return digest.hexdigest()
+
+
 class TestFrameDigest:
     """Wire frames of a real load are pinned byte for byte."""
 
     #: sha256 of one yelp_pushdown load (seed 1, 100-record chunks,
-    #: 34 bit vectors each, all packed) framed as one batch.
+    #: 34 bit vectors each, one block per frame) framed as one batch.
     YELP_PUSHDOWN_SHA256 = (
-        "1941bde5c0256e73dfed4e94cbfd56c1c292e05b6653fff7cb70b7a395b1c19c"
+        "cf686820ad178a3c419daa7f3befb1ea0167cd5b255763abfa0357a3830292b3"
     )
+    #: sha256 of what that batch decodes to (:func:`_decoded_sha256`),
+    #: taken from the ``CIA2`` frames: the records and vectors a server
+    #: receives do not depend on the frame layout.
+    YELP_PUSHDOWN_DECODED_SHA256 = (
+        "325df9d377b814128526e476b1cedc810e2faa26d9356746fd164ee1179d9f84"
+    )
+
+    @staticmethod
+    def batch(plan, chunks):
+        from repro.client import ClientEvaluator, encode_frame_batch
+
+        evaluator = ClientEvaluator(plan.entries)
+        for chunk in chunks:
+            evaluator.annotate(chunk)
+        return encode_frame_batch(chunks)
 
     def test_yelp_pushdown_frames_are_pinned(self, yelp_pushdown_plan,
                                              yelp_pushdown_chunks):
-        from repro.client import ClientEvaluator, encode_frame_batch
-
-        evaluator = ClientEvaluator(yelp_pushdown_plan.entries)
-        for chunk in yelp_pushdown_chunks:
-            evaluator.annotate(chunk)
-        batch = encode_frame_batch(yelp_pushdown_chunks)
+        batch = self.batch(yelp_pushdown_plan, yelp_pushdown_chunks)
         assert hashlib.sha256(batch).hexdigest() == self.YELP_PUSHDOWN_SHA256
+
+    def test_yelp_pushdown_frames_decode_as_pinned(self, yelp_pushdown_plan,
+                                                   yelp_pushdown_chunks):
+        batch = self.batch(yelp_pushdown_plan, yelp_pushdown_chunks)
+        assert _decoded_sha256(batch) == self.YELP_PUSHDOWN_DECODED_SHA256

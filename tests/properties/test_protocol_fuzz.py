@@ -3,7 +3,8 @@
 The contract under test: :func:`repro.client.protocol.decode_chunk` either
 returns a faithful chunk or raises :class:`ProtocolError` — it must never
 surface ``IndexError``/``UnicodeDecodeError``, silently mis-slice a
-truncated bit-vector payload, or report nonsensical trailing-byte counts.
+truncated bit-vector block, read a block whose declared length does not
+fit the header's shape, or report nonsensical trailing-byte counts.
 """
 
 import random
@@ -18,6 +19,7 @@ from repro.client import (
     decode_chunk,
     decode_chunk_stream,
     encode_chunk,
+    split_frames,
 )
 from repro.client.protocol import MAGIC
 from repro.rawjson import JsonChunk, dump_record
@@ -33,18 +35,17 @@ def sample_chunk(n=25, chunk_id=9):
     return chunk
 
 
-def frame(header: bytes, records: bytes, vectors: bytes) -> bytes:
-    """Hand-assemble a wire frame from raw sections."""
+def frame(header: bytes, records: bytes, block: bytes,
+          block_len: int | None = None) -> bytes:
+    """Hand-assemble a wire frame from raw sections; *block_len* overrides
+    the block's declared length."""
+    declared = len(block) if block_len is None else block_len
     return (
         MAGIC
         + len(header).to_bytes(4, "little") + header
         + len(records).to_bytes(4, "little") + records
-        + vectors
+        + declared.to_bytes(4, "little") + block
     )
-
-
-def vector_section(payload: bytes) -> bytes:
-    return len(payload).to_bytes(4, "little") + payload
 
 
 class TestTruncation:
@@ -96,23 +97,21 @@ class TestMutation:
 
 class TestCorruptSections:
     def test_duplicate_predicate_ids_rejected(self):
-        empty_bv = BitVector(0).to_bytes()
         payload = frame(
             b'{"chunk_id": 1, "records": 0, "predicates": [3, 3]}',
             b"",
-            vector_section(empty_bv) + vector_section(empty_bv),
+            b"",
         )
         with pytest.raises(ProtocolError, match="duplicate predicate"):
             decode_chunk(payload)
 
     def test_set_tail_padding_bits_rejected(self):
-        # 3 declared bits, payload byte 0x85 = bits 101 plus a set padding
-        # bit: corruption must fail loudly instead of being masked away.
-        bad_bv = (3).to_bytes(4, "little") + b"\x85"
+        # 3 records, row byte 0x85 = bits 101 plus a set padding bit:
+        # corruption must fail loudly instead of being masked away.
         payload = frame(
             b'{"chunk_id": 0, "records": 3, "predicates": [1]}',
             b"{}\n{}\n{}",
-            vector_section(bad_bv),
+            b"\x85",
         )
         with pytest.raises(ProtocolError, match="corrupt bit-vector"):
             decode_chunk(payload)
@@ -154,29 +153,28 @@ class TestCorruptSections:
             decode_chunk(payload)
 
     def test_wrong_vector_length_rejected(self):
-        # A structurally valid bit-vector whose length disagrees with the
-        # record count must be rejected before it is even decoded.
-        two_bits = BitVector.from_bits([1, 0]).to_bytes()
+        # A block sized for two rows when the header names one must be
+        # rejected before it is even decoded.
         payload = frame(
             b'{"chunk_id": 0, "records": 3, "predicates": [0]}',
             b"{}\n{}\n{}",
-            vector_section(two_bits),
+            b"\x01\x02",
         )
-        with pytest.raises(ProtocolError, match="declares 2 bits"):
+        with pytest.raises(ProtocolError, match="declares 2 bytes"):
             decode_chunk(payload)
 
     def test_length_bomb_rejected_before_allocation(self):
-        # A few wire bytes can declare a multi-gigabit vector; the
-        # declared length must be checked against the record count BEFORE
-        # decoding, so the frame is rejected without the huge allocation.
-        declared = 1 << 31
-        bomb = declared.to_bytes(4, "little") + b"\xff" * 4
+        # A few wire bytes can declare a multi-gigabyte block; the
+        # declared length must be checked against the header's shape
+        # BEFORE decoding, so the frame is rejected without the huge
+        # allocation.
         payload = frame(
             b'{"chunk_id": 0, "records": 3, "predicates": [0]}',
             b"{}\n{}\n{}",
-            vector_section(bomb),
+            b"\xff" * 4,
+            block_len=1 << 31,
         )
-        with pytest.raises(ProtocolError, match="declares 2147483648 bits"):
+        with pytest.raises(ProtocolError, match="declares 2147483648 bytes"):
             decode_chunk(payload)
 
     def test_bad_utf8_records_rejected(self):
@@ -187,6 +185,83 @@ class TestCorruptSections:
         )
         with pytest.raises(ProtocolError, match="not valid UTF-8"):
             decode_chunk(payload)
+
+
+class TestBlock:
+    """Strict decoding of the ``CIA3`` bit-vector block: ``k`` rows of
+    ``ceil(n/8)`` bytes, checked before anything is read from it."""
+
+    HEADER = b'{"chunk_id": 0, "records": 5, "predicates": [1, 4, 9]}'
+    RECORDS = b"\n".join([b"{}"] * 5)
+
+    def decode_without_reading_the_block(self, payload, monkeypatch):
+        # A rejected shape must never reach the block decoder.
+        from repro.client import protocol
+
+        def fail(*args):
+            raise AssertionError("block decoded from an unchecked length")
+
+        monkeypatch.setattr(protocol.BitMatrix, "from_block", fail)
+        with pytest.raises(ProtocolError):
+            decode_chunk(payload)
+
+    def test_well_formed_block_decodes(self):
+        chunk = decode_chunk(frame(self.HEADER, self.RECORDS,
+                                   b"\x01\x1f\x10"))
+        assert {pid: bv.to_bits() for pid, bv in chunk.bitvectors.items()} \
+            == {1: [1, 0, 0, 0, 0], 4: [1, 1, 1, 1, 1], 9: [0, 0, 0, 0, 1]}
+
+    def test_truncated_block(self):
+        payload = frame(self.HEADER, self.RECORDS, b"\x01\x1f\x10")
+        for cut in range(1, 4):
+            with pytest.raises(ProtocolError, match="truncated bit-vector"):
+                decode_chunk(payload[:-cut])
+            with pytest.raises(ProtocolError, match="truncated bit-vector"):
+                list(split_frames(payload[:-cut]))
+
+    def test_block_length_must_be_rows_times_stride(self, monkeypatch):
+        for block in (b"", b"\x01", b"\x01\x02", b"\x01\x02\x03\x04",
+                      bytes(15)):
+            payload = frame(self.HEADER, self.RECORDS, block)
+            with pytest.raises(ProtocolError, match="rows of 5 bits need 3"):
+                decode_chunk(payload)
+            with pytest.raises(ProtocolError, match="rows of 5 bits need 3"):
+                list(split_frames(payload))
+            self.decode_without_reading_the_block(payload, monkeypatch)
+
+    def test_padding_bit_in_any_row(self):
+        for row in range(3):
+            for bit in range(5, 8):
+                block = bytearray(b"\x01\x1f\x10")
+                block[row] |= 1 << bit
+                with pytest.raises(ProtocolError, match="row padding"):
+                    decode_chunk(frame(self.HEADER, self.RECORDS,
+                                       bytes(block)))
+
+    def test_zero_record_chunk(self, monkeypatch):
+        header = b'{"chunk_id": 2, "records": 0, "predicates": [0, 3]}'
+        chunk = decode_chunk(frame(header, b"", b""))
+        assert chunk.records == [] and chunk.predicate_ids == [0, 3]
+        assert all(len(bv) == 0 for bv in chunk.bitvectors.values())
+        for block in (b"\x00", b"\x00\x00"):
+            payload = frame(header, b"", block)
+            with pytest.raises(ProtocolError, match="need 0"):
+                decode_chunk(payload)
+            self.decode_without_reading_the_block(payload, monkeypatch)
+
+    def test_chunk_with_no_predicates(self, monkeypatch):
+        header = b'{"chunk_id": 2, "records": 5, "predicates": []}'
+        chunk = decode_chunk(frame(header, self.RECORDS, b""))
+        assert chunk.bitvectors == {} and len(chunk.records) == 5
+        payload = frame(header, self.RECORDS, b"\x00")
+        with pytest.raises(ProtocolError, match="0 rows of 5 bits need 0"):
+            decode_chunk(payload)
+        self.decode_without_reading_the_block(payload, monkeypatch)
+
+    def test_predicate_ids_must_increase(self):
+        header = b'{"chunk_id": 0, "records": 5, "predicates": [4, 1, 9]}'
+        with pytest.raises(ProtocolError, match="not in order"):
+            decode_chunk(frame(header, self.RECORDS, b"\x01\x1f\x10"))
 
 
 class TestStreamDecode:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.data import make_generator
 from repro.rawjson import dump_record, dumps, escape_string, loads
+from repro.rawjson.writer import dumps_cell
 
 
 class _ReprFloat(float):
@@ -53,6 +54,19 @@ class TestScalars:
                     {"a": [float("nan")]}):
             with pytest.raises(ValueError):
                 dumps(bad)
+
+    def test_json_cells_write_infinities_as_numbers(self):
+        inf = float("inf")
+        for value, text in ((inf, "1e400"), (-inf, "-1e400"),
+                            ({"a": [inf, -0.0, "x"]}, '{"a":[1e400,0.0,"x"]}'),
+                            ([{"k": -inf}], '[{"k":-1e400}]'),
+                            ({"b": 1}, '{"b":1}')):
+            assert dumps_cell(value) == text
+            assert loads(text) == value
+        with pytest.raises(ValueError):
+            dumps_cell({"a": [inf, float("nan")]})
+        with pytest.raises(TypeError):
+            dumps_cell({1: inf})
 
 
 class TestEscaping:

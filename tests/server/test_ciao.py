@@ -156,6 +156,32 @@ class TestIngestAndQuery:
         server.close()
 
 
+    def test_infinite_floats_in_a_json_column(self, tmp_path):
+        # {"x": 1e400} next to {"x": "a"} makes x a JSON column: a cell
+        # holding an infinity, at any depth, is written as the number
+        # 1e400, which parses back to it, so finalize succeeds.
+        from repro.rawjson import loads
+
+        chunks = [['{"x": 1e400}', '{"x": "a"}'],
+                  ['{"x": -1e400}', '{"x": 2}',
+                   '{"x": [1e400, {"k": -1e400}]}', '{"y": 1}']]
+        server = CiaoServer(tmp_path, seal_interval=1)
+        for cid, lines in enumerate(chunks):
+            server.ingest(JsonChunk(cid, lines))
+        server.finalize_loading()
+        xs = [loads(line).get("x") for lines in chunks for line in lines]
+        cells = [row["x"] for row in server.query("SELECT x FROM t").rows]
+        assert [None if cell is None else loads(cell)
+                for cell in cells] == xs
+        for sql, want in (
+                ("x IS NULL", sum(x is None for x in xs)),
+                ("x IS NOT NULL", sum(x is not None for x in xs)),
+                ("x = '\"a\"'", sum(x == "a" for x in xs))):
+            got = server.query(f"SELECT COUNT(*) FROM t WHERE {sql}")
+            assert got.scalar() == want, sql
+        server.close()
+
+
 class TestIngestSessions:
     def test_session_counts_frames(self, tmp_path):
         plan = make_plan([C0, C1])
@@ -315,6 +341,33 @@ class TestClose:
                 server.ingest(JsonChunk(9, [dump_record({"i": 0})]))
 
         assert _unclosed_files(build) == []
+
+    @pytest.mark.parametrize("shard_mode", ["thread", "process"])
+    def test_close_stops_a_loading_servers_shard_workers(self, tmp_path,
+                                                        shard_mode):
+        # close() without finalize_loading(): the workers stop as a crash
+        # would leave them (no worker thread or process outlives it), the
+        # open shard parts keep no footer, and a later chunk is refused.
+        import multiprocessing
+        import threading
+
+        def shard_threads():
+            return {t for t in threading.enumerate()
+                    if "_run_shard" in t.name}
+
+        threads = shard_threads()
+        children = set(multiprocessing.active_children())
+        server = CiaoServer(tmp_path, n_shards=2, shard_mode=shard_mode)
+        server.ingest(JsonChunk(0, [dump_record({"i": i})
+                                    for i in range(10)]))
+        workers = server._pipeline._workers
+        server.close()
+        assert not any(w.is_alive() for w in workers)
+        assert shard_threads() <= threads
+        assert set(multiprocessing.active_children()) <= children
+        server.close()  # idempotent
+        with pytest.raises(RuntimeError):
+            server.ingest(JsonChunk(1, [dump_record({"i": 0})]))
 
     def test_session_close_closes_its_servers(self, tmp_path):
         from repro.api import CiaoSession

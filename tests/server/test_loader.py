@@ -207,6 +207,57 @@ class TestLargeIntegers:
             assert [row["a"] for row in reader.read_all()] == values
 
 
+class TestBitVectorConstruction:
+    """The matrix path builds a :class:`BitVector` per id only when a row
+    group is written: counted calls, not time."""
+
+    def test_vectors_are_built_only_at_the_group_write(
+            self, tmp_path, monkeypatch, yelp_pushdown_plan,
+            yelp_pushdown_chunks):
+        from repro.client import ClientEvaluator, decode_chunk, encode_chunk
+
+        built = []
+        init = BitVector.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[0] if args else kwargs["length"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BitVector, "__init__", counting_init)
+        evaluator = ClientEvaluator(yelp_pushdown_plan.entries)
+        chunks = yelp_pushdown_chunks[:8]
+        payloads = []
+        for chunk in chunks:
+            evaluator.annotate(chunk)
+            payloads.append(encode_chunk(chunk))
+        assert len(chunks[0].predicate_ids) == 34
+        assert built == [], "the client built a per-predicate vector"
+
+        loader = ClientAssistedLoader(
+            tmp_path / "t.pql", JsonSideStore(tmp_path / "side.jsonl"),
+            partial_loading=True,
+            required_predicate_ids=yelp_pushdown_plan.predicate_ids,
+        )
+        for payload in payloads:
+            loader.ingest(decode_chunk(payload))
+        assert built == [], "ingest built a vector before a group write"
+
+        take = loader._pending.take
+        per_group = []
+
+        def counted_take(rows):
+            before = len(built)
+            out = take(rows)
+            per_group.append((rows, built[before:]))
+            return out
+
+        monkeypatch.setattr(loader._pending, "take", counted_take)
+        loader.seal_part()
+        [(rows, lengths)] = per_group
+        assert lengths == [rows] * 34
+        assert rows == loader.summary.loaded
+
+
 def _pushdown_load(tmp_path, plan, chunks, seal_every=None):
     """Load *chunks* the yelp_pushdown way; return (parts, sideline path)."""
     from repro.client import ClientEvaluator
